@@ -393,7 +393,6 @@ def _add_common(sub: argparse.ArgumentParser, *, family: bool = True) -> None:
         sub.add_argument("--params", default="")
         sub.add_argument("--instance", default=None, help="instance JSON file")
     sub.add_argument("--out", default=None)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--max-nodes", type=int, default=gadgets.DEFAULT_MAX_NODES)
 
 

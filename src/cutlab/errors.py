@@ -61,10 +61,6 @@ class Infeasible(CutLabError):
         self.witness = witness
 
 
-class Unbounded(CutLabError):
-    """The linear program is unbounded."""
-
-
 class RowPoolExceeded(CutLabError):
     """The cutting-plane row pool exceeded its configured cap."""
 
@@ -83,3 +79,14 @@ class InfeasibleLpInput(CutLabError):
 
 class UnknownGenerator(CutLabError):
     """An instance does not carry usable generator provenance."""
+
+
+class CertificateFailed(CutLabError):
+    """A solver's answer failed the check that certifies it."""
+
+
+def require(ok: bool, message: str) -> None:
+    """Raise CertificateFailed unless ``ok``; unlike ``assert``, this check
+    survives ``python -O``."""
+    if not ok:
+        raise CertificateFailed(message)

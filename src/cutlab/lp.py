@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
-from .errors import Infeasible, RowPoolExceeded, SizeGuard, Unbounded
+from .errors import CutLabError, Infeasible, RowPoolExceeded, SizeGuard, require
 from .graphs import (
     CutInstance,
     Element,
@@ -29,12 +29,14 @@ DFS_STEP_CAP = 2_000_000
 
 @dataclass
 class LPProblem:
-    """min c.x subject to rows A x >= rhs and x >= 0, all rational."""
+    """min c.x subject to rows A x >= rhs and x >= 0, all rational, c >= 0."""
 
     var_order: list[Element]
     objective: dict[Element, Fraction]
     rows: list[dict[Element, Fraction]] = field(default_factory=list)
     rhs: list[Fraction] = field(default_factory=list)
+    # the dual tableau of the last solve; the next solve resumes from it
+    _dual: _PackingDual | None = field(default=None, init=False, repr=False, compare=False)
 
     def add_row(self, coeffs: Mapping[Element, Fraction], rhs: Fraction) -> None:
         row = {v: Fraction(c) for v, c in coeffs.items() if c != 0}
@@ -45,111 +47,108 @@ class LPProblem:
         self.rhs.append(Fraction(rhs))
 
 
-def simplex_solve(lp: LPProblem) -> tuple[Fraction, dict[Element, Fraction]]:
-    """Exact optimum of the LP by two-phase primal simplex.
+class _PackingDual:
+    """Sparse simplex tableau of the dual max b.y s.t. A^T y <= c, y >= 0.
 
-    Bland's pivoting rule (lowest eligible index enters, lowest-index
-    basic variable breaks ratio ties) guarantees termination. Raises
-    Infeasible or Unbounded accordingly.
+    Row j is the dual constraint of primal variable j; column key j < n is
+    its slack, key n + i is y_i for primal row i. The all-slack basis is
+    feasible because c >= 0, so there is no phase 1. ``z`` holds the
+    nonzero reduced costs of min -b.y; x_j is the reduced cost of slack j.
     """
-    n = len(lp.var_order)
-    m = len(lp.rows)
-    var_pos = {v: j for j, v in enumerate(lp.var_order)}
-    cost = [Fraction(lp.objective[v]) for v in lp.var_order]
-    if m == 0:
+
+    def __init__(self, lp: LPProblem) -> None:
+        cost = [Fraction(lp.objective[v]) for v in lp.var_order]
         if any(c < 0 for c in cost):
-            raise Unbounded("negative cost with no constraints")
-        return Fraction(0), {v: Fraction(0) for v in lp.var_order}
+            raise CutLabError("negative cost: the packing dual needs c >= 0")
+        self.pos = {v: j for j, v in enumerate(lp.var_order)}
+        self.table: list[dict[int, Fraction]] = [{j: Fraction(1)} for j in range(len(cost))]
+        self.rhs = cost
+        self.basis = list(range(len(cost)))
+        self.z: dict[int, Fraction] = {}
+        self.priced = 0
 
-    # columns: structural | surplus | artificial; rows become equalities
-    total = n + m + m
-    table: list[list[Fraction]] = []
-    basis: list[int] = []
-    for i, row in enumerate(lp.rows):
-        line = [Fraction(0)] * (total + 1)
-        for v, c in row.items():
-            line[var_pos[v]] = Fraction(c)
-        line[n + i] = Fraction(-1)
-        line[total] = Fraction(lp.rhs[i])
-        if line[total] < 0:
-            line = [-c for c in line]
-        line[n + m + i] = Fraction(1)
-        table.append(line)
-        basis.append(n + m + i)
+    def price(self, row: Mapping[Element, Fraction], rhs: Fraction) -> None:
+        """Add the next primal row as a dual column of the current basis."""
+        a = {self.pos[v]: c for v, c in row.items()}
+        key = len(self.pos) + self.priced
+        self.priced += 1
+        for line in self.table:
+            # B^-1 a, summed from the slack block, which holds B^-1
+            entry = sum((c * a[j] for j, c in line.items() if j in a), Fraction(0))
+            if entry:
+                line[key] = entry
+        # the row's activity under the current x minus its rhs
+        reduced = sum((c * self.z.get(j, Fraction(0)) for j, c in a.items()), -rhs)
+        if reduced:
+            self.z[key] = reduced
 
-    def pivot(row: int, col: int) -> None:
-        piv = table[row][col]
-        table[row] = [c / piv for c in table[row]]
-        for r in range(len(table)):
-            if r != row and table[r][col] != 0:
-                f = table[r][col]
-                table[r] = [a - f * b for a, b in zip(table[r], table[row])]
-        basis[row] = col
-
-    def run(obj: list[Fraction], allowed: int) -> list[Fraction]:
-        # reduced-cost row for the current basis; z[total] is -objective
-        z = list(obj) + [Fraction(0)]
-        for r in range(len(table)):
-            cb = obj[basis[r]]
-            if cb != 0:
-                z = [a - cb * b for a, b in zip(z, table[r])]
+    def optimize(self) -> None:
+        """Bland's rule: the lowest key with negative reduced cost enters,
+        the lowest basic key leaves among ratio ties."""
+        table, rhs, basis, z = self.table, self.rhs, self.basis, self.z
         while True:
-            enter = -1
-            for j in range(allowed):
-                if z[j] < 0:
-                    enter = j
-                    break
-            if enter < 0:
-                return z
-            leave = -1
-            best: Fraction | None = None
-            for r in range(len(table)):
-                if table[r][enter] > 0:
-                    ratio = table[r][total] / table[r][enter]
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and basis[r] < basis[leave])
-                    ):
-                        best = ratio
-                        leave = r
-            if leave < 0:
-                raise Unbounded("unbounded improving direction")
-            pivot(leave, enter)
-            f = z[enter]
-            z = [a - f * b for a, b in zip(z, table[leave])]
+            enter = min((k for k, d in z.items() if d < 0), default=None)
+            if enter is None:
+                return
+            ratios = [
+                (rhs[r] / line[enter], basis[r], r)
+                for r, line in enumerate(table)
+                if line.get(enter, 0) > 0
+            ]
+            if not ratios:
+                raise Infeasible("the packing dual is unbounded: no x meets every row")
+            leave = min(ratios)[2]
+            piv = table[leave][enter]
+            line = table[leave] = {k: c / piv for k, c in table[leave].items()}
+            rhs[leave] /= piv
+            for r, other in enumerate(table):
+                if r != leave and enter in other:
+                    rhs[r] -= _eliminate(other, line, enter) * rhs[leave]
+            _eliminate(z, line, enter)
+            basis[leave] = enter
 
-    phase1 = [Fraction(0)] * (n + m) + [Fraction(1)] * m
-    z1 = run(phase1, total)
-    if -z1[total] > 0:
-        raise Infeasible("phase-1 optimum positive")
-    # pivot leftover artificials out; drop rows that are redundant
-    for r in range(len(table) - 1, -1, -1):
-        if basis[r] < n + m:
-            continue
-        assert table[r][total] == 0
-        for j in range(n + m):
-            if table[r][j] != 0:
-                pivot(r, j)
-                break
-        else:
-            del table[r]
-            del basis[r]
 
-    phase2 = cost + [Fraction(0)] * m + [Fraction(0)] * m
-    run(phase2, n + m)
+def _eliminate(target: dict[int, Fraction], line: dict[int, Fraction], col: int) -> Fraction:
+    """Subtract target[col] times ``line`` from ``target``; return the factor."""
+    f = target[col]
+    for k, c in line.items():
+        target[k] = target.get(k, 0) - f * c
+        if not target[k]:
+            del target[k]
+    return f
 
-    solution = {v: Fraction(0) for v in lp.var_order}
-    for r in range(len(table)):
-        if basis[r] < n:
-            solution[lp.var_order[basis[r]]] = table[r][total]
-    value = sum(
-        (lp.objective[v] * x for v, x in solution.items()), Fraction(0)
-    )
+
+def simplex_solve(lp: LPProblem) -> tuple[Fraction, dict[Element, Fraction]]:
+    """Exact optimum of the LP by primal simplex on its packing dual.
+
+    The first call starts from the all-slack dual basis; later calls price
+    the rows added since as new dual columns and resume from the last
+    basis. Raises Infeasible when the dual is unbounded. The answer is
+    returned only once x and y are feasible and c.x == b.y.
+    """
+    if lp._dual is None:
+        lp._dual = _PackingDual(lp)
+    dual = lp._dual
+    for i in range(dual.priced, len(lp.rows)):
+        dual.price(lp.rows[i], lp.rhs[i])
+    dual.optimize()
+
+    n = len(lp.var_order)
+    x = {v: dual.z.get(j, Fraction(0)) for v, j in dual.pos.items()}
+    y = {k - n: dual.rhs[r] for r, k in enumerate(dual.basis) if k >= n}
+    load = dict.fromkeys(lp.var_order, Fraction(0))
+    for i, yi in y.items():
+        for v, c in lp.rows[i].items():
+            load[v] += c * yi
+    value = sum((lp.objective[v] * xv for v, xv in x.items()), Fraction(0))
+    require(all(xv >= 0 for xv in x.values()), "x has a negative entry")
+    require(all(yi >= 0 for yi in y.values()), "y has a negative entry")
+    require(all(load[v] <= lp.objective[v] for v in load), "y violates A^T y <= c")
     for row, rhs in zip(lp.rows, lp.rhs):
-        lhs = sum((c * solution[v] for v, c in row.items()), Fraction(0))
-        assert lhs >= rhs
-    return value, solution
+        require(sum(c * x[v] for v, c in row.items()) >= rhs, "x violates a row")
+    dual_value = sum((lp.rhs[i] * yi for i, yi in y.items()), Fraction(0))
+    require(value == dual_value, "c.x differs from b.y")
+    return value, x
 
 
 # -- independent no-violation check ----------------------------------------
@@ -178,33 +177,33 @@ def _dfs_has_cheap_path(
 
     steps = 0
     on_path: set[str] = set()
-
-    def dfs(v: str, length: int, mass: Fraction) -> bool:
-        nonlocal steps
+    # the open path as (node, length, mass, remaining out-arcs); nodes are
+    # entered in the order a recursive search would take
+    stack: list[tuple[str, int, Fraction, Iterator[tuple[int, str]]]] = []
+    start = el_mass(s) if mode == "vertex" else Fraction(0)
+    step: tuple[str, int, Fraction] | None = (s, 0, start)
+    while step is not None:
+        v, length, mass = step
         steps += 1
         if steps > step_cap:
             raise SizeGuard("path enumeration exceeded its step cap")
-        if mass >= 1:
-            return False
-        if v == t:
-            return True
-        on_path.add(v)
-        try:
-            for idx, nb in g.out_arcs(v):
-                if nb in on_path:
-                    continue
+        if mass < 1:
+            if v == t:
+                return True
+            on_path.add(v)
+            stack.append((v, length, mass, iter(g.out_arcs(v))))
+        step = None
+        while step is None and stack:
+            v, length, mass, arcs = stack[-1]
+            for idx, nb in arcs:
                 nl = length + g.edges[idx].length
-                if bound is not None and nl >= bound:
-                    continue
-                step = el_mass(idx) if mode == "edge" else el_mass(nb)
-                if dfs(nb, nl, mass + step):
-                    return True
-            return False
-        finally:
-            on_path.remove(v)
-
-    start = el_mass(s) if mode == "vertex" else Fraction(0)
-    return dfs(s, 0, start)
+                if nb not in on_path and (bound is None or nl < bound):
+                    step = (nb, nl, mass + (el_mass(idx) if mode == "edge" else el_mass(nb)))
+                    break
+            else:
+                stack.pop()
+                on_path.remove(v)
+    return False
 
 
 # -- cutting-plane drivers ---------------------------------------------------
@@ -227,14 +226,14 @@ def _covering_lp(
     while True:
         violated = separate(solution)
         if not violated:
-            assert not recheck(solution), "independent separation found a violation"
+            require(not recheck(solution), "independent separation found a violation")
             return value, solution
         added = 0
         for path in violated:
             els = frozenset(path.elements(inst.mode, inst.graph))
-            assert els, "a violated path must contain cuttable elements"
+            require(bool(els), "a violated path must contain cuttable elements")
             mass = sum((solution.get(e, Fraction(0)) for e in els), Fraction(0))
-            assert mass < 1, "separation returned a satisfied row"
+            require(mass < 1, "separation returned a satisfied row")
             if els in seen_rows:
                 continue
             seen_rows.add(els)
@@ -242,9 +241,9 @@ def _covering_lp(
                 raise RowPoolExceeded(f"row pool exceeded {row_cap}")
             lp.add_row({e: Fraction(1) for e in els}, Fraction(1))
             added += 1
-        assert added, "separation made no progress"
+        require(added > 0, "separation made no progress")
         new_value, solution = simplex_solve(lp)
-        assert new_value >= value, "LP value decreased after adding rows"
+        require(new_value >= value, "LP value decreased after adding rows")
         value = new_value
 
 
@@ -351,6 +350,6 @@ def gap_report(
         )
     integral = exact_solver(inst).cost
     lp_value, _ = lp_solver(inst)
-    assert integral >= lp_value
+    require(integral >= lp_value, "integral optimum below the LP value")
     gap = integral / lp_value if lp_value > 0 else Fraction(1)
     return GapReport(lp_value, integral, gap, params or {})

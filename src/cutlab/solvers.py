@@ -241,31 +241,24 @@ def _branch_and_bound(
     g = inst.graph
     best_cost, best_set = incumbent
     visited: set[frozenset[Element]] = set()
-
-    def weight(el: Element) -> Fraction:
-        return g.element_weight(el)
-
-    def recurse(current: set[Element], cost: Fraction) -> None:
-        nonlocal best_cost, best_set
-        if cost >= best_cost:
-            return
-        key = frozenset(current)
-        if key in visited:
-            return
-        visited.add(key)
+    # depth first over cut sets, children in branching order; a loop rather
+    # than a self-referencing closure, so ``visited`` dies with the call
+    stack: list[tuple[frozenset[Element], Fraction]] = [(frozenset(), Fraction(0))]
+    while stack:
+        current, cost = stack.pop()
+        if cost >= best_cost or current in visited:
+            continue
+        visited.add(current)
         path = find_violating_path(inst, current, bound)
         if path is None:
-            best_cost, best_set = cost, key
-            return
+            best_cost, best_set = cost, current
+            continue
         candidates = path.elements(inst.mode, g)
         assert candidates, "uncuttable violating path must be caught upfront"
-        candidates.sort(key=lambda el: (weight(el), str(el)))
-        for el in candidates:
-            current.add(el)
-            recurse(current, cost + weight(el))
-            current.remove(el)
-
-    recurse(set(), Fraction(0))
+        candidates.sort(key=lambda el: (g.element_weight(el), str(el)))
+        stack.extend(
+            (current | {el}, cost + g.element_weight(el)) for el in reversed(candidates)
+        )
     return best_cost, best_set
 
 
@@ -461,6 +454,62 @@ def rmfc_simulate(
     return trace
 
 
+def _burnable(
+    nbrs: dict[str, list[str]], burnt: frozenset[str], saved: frozenset[str]
+) -> set[str]:
+    """Vertices the fire could still reach if no further saves happen."""
+    reach = set(burnt)
+    frontier = list(burnt)
+    while frontier:
+        v = frontier.pop()
+        for nb in nbrs[v]:
+            if nb not in reach and nb not in saved:
+                reach.add(nb)
+                frontier.append(nb)
+    return reach - set(burnt)
+
+
+def _fire_search(
+    g: WeightedGraph,
+    nbrs: dict[str, list[str]],
+    targets: frozenset[str],
+    k: Fraction,
+    memo: dict[tuple[frozenset[str], frozenset[str]], tuple[frozenset[str], ...] | None],
+    burnt: frozenset[str],
+    saved: frozenset[str],
+) -> tuple[frozenset[str], ...] | None:
+    """Per-day save sets of cost <= k that keep the fire off every target
+    from state (burnt, saved), or None; memoised on the state in ``memo``."""
+    if any(t in burnt for t in targets):
+        return None
+    key = (burnt, saved)
+    if key in memo:
+        return memo[key]
+    future = _burnable(nbrs, burnt, saved)
+    if not future:
+        memo[key] = ()
+        return ()
+    relevant = sorted(v for v in future if g.node_weight(v) is not None)
+    result: tuple[frozenset[str], ...] | None = None
+    for mask in range(1 << len(relevant)):
+        day = frozenset(relevant[i] for i in range(len(relevant)) if mask >> i & 1)
+        if sum((g.node_weight(v) for v in day), Fraction(0)) > k:
+            continue
+        nsaved = saved | day
+        spread = {
+            nb
+            for v in burnt
+            for nb in nbrs[v]
+            if nb not in burnt and nb not in nsaved
+        }
+        rest = _fire_search(g, nbrs, targets, k, memo, burnt | spread, frozenset(nsaved))
+        if rest is not None:
+            result = (day, *rest)
+            break
+    memo[key] = result
+    return result
+
+
 def exact_rmfc_decision(
     inst: CutInstance, k: Fraction, *, vertex_limit: int = RMFC_VERTEX_LIMIT
 ) -> tuple[bool, Schedule | None]:
@@ -474,53 +523,9 @@ def exact_rmfc_decision(
         raise SizeGuard(f"{len(cuttable)} cuttable vertices (cap {vertex_limit})")
     nbrs = _undirected_neighbors(g)
     targets = inst.problem.targets
-    memo: dict[tuple[frozenset[str], frozenset[str]], tuple[frozenset[str], ...] | None] = {}
-
-    def burnable(burnt: frozenset[str], saved: frozenset[str]) -> set[str]:
-        # vertices the fire could still reach if no further saves happen
-        reach = set(burnt)
-        frontier = list(burnt)
-        while frontier:
-            v = frontier.pop()
-            for nb in nbrs[v]:
-                if nb not in reach and nb not in saved:
-                    reach.add(nb)
-                    frontier.append(nb)
-        return reach - set(burnt)
-
-    def search(
-        burnt: frozenset[str], saved: frozenset[str]
-    ) -> tuple[frozenset[str], ...] | None:
-        if any(t in burnt for t in targets):
-            return None
-        key = (burnt, saved)
-        if key in memo:
-            return memo[key]
-        future = burnable(burnt, saved)
-        if not future:
-            memo[key] = ()
-            return ()
-        relevant = sorted(v for v in future if g.node_weight(v) is not None)
-        result: tuple[frozenset[str], ...] | None = None
-        for mask in range(1 << len(relevant)):
-            day = frozenset(relevant[i] for i in range(len(relevant)) if mask >> i & 1)
-            if sum((g.node_weight(v) for v in day), Fraction(0)) > k:
-                continue
-            nsaved = saved | day
-            spread = {
-                nb
-                for v in burnt
-                for nb in nbrs[v]
-                if nb not in burnt and nb not in nsaved
-            }
-            rest = search(burnt | spread, frozenset(nsaved))
-            if rest is not None:
-                result = (day, *rest)
-                break
-        memo[key] = result
-        return result
-
-    days = search(frozenset({inst.problem.source}), frozenset())
+    days = _fire_search(
+        g, nbrs, targets, k, {}, frozenset({inst.problem.source}), frozenset()
+    )
     if days is None:
         return False, None
     costs = tuple(

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 import helpers
-from cutlab.errors import Infeasible
+from cutlab.errors import CutLabError, Infeasible
 from cutlab.gadgets import DictParamsE, build_dict_edge, build_saks_gap, dictator_cut
 from cutlab.graphs import (
     EDGE,
@@ -130,6 +130,50 @@ class TestSimplex:
             for row, rhs in zip(lp.rows, lp.rhs):
                 assert sum(sol[v] * c for v, c in row.items()) >= rhs
 
+    def test_warm_rows_match_cold_solve_and_vertex_enumeration(self):
+        rng = random.Random(73)
+        for trial in range(60):
+            n = rng.randint(1, 3)
+            variables = [f"x{i}" for i in range(n)]
+            objective = {
+                v: Fraction(rng.randint(0, 6), rng.randint(1, 3)) for v in variables
+            }
+            warm = LPProblem(var_order=variables, objective=objective)
+            for added in range(rng.randint(1, 5)):
+                coeffs = {v: Fraction(rng.choice((-1, 0, 1, 2))) for v in variables}
+                warm.add_row(coeffs, Fraction(rng.randint(-2, 2)))
+                cold = LPProblem(var_order=variables, objective=objective)
+                for row, rhs in zip(warm.rows, warm.rhs):
+                    cold.add_row(row, rhs)
+                oracle = solve_by_vertex_enumeration(cold)
+                where = f"trial {trial}, row {added}"
+                if oracle is None:
+                    for lp in (warm, cold):
+                        with pytest.raises(Infeasible):
+                            simplex_solve(lp)
+                    continue
+                value, sol = simplex_solve(warm)
+                assert value == simplex_solve(cold)[0] == oracle, where
+                assert all(x >= 0 for x in sol.values()), where
+                for row, rhs in zip(warm.rows, warm.rhs):
+                    assert sum(sol[v] * c for v, c in row.items()) >= rhs, where
+
+    def test_infeasible_row_after_warm_solve(self):
+        lp = LPProblem(var_order=["x", "y"], objective={"x": Fraction(1), "y": Fraction(2)})
+        lp.add_row({"x": Fraction(1), "y": Fraction(1)}, Fraction(1))
+        assert simplex_solve(lp)[0] == 1
+        lp.add_row({"x": Fraction(-1), "y": Fraction(-1)}, Fraction(-2))
+        assert simplex_solve(lp)[0] == 1
+        lp.add_row({"x": Fraction(-1), "y": Fraction(-1)}, Fraction(-1, 2))
+        with pytest.raises(Infeasible):
+            simplex_solve(lp)
+
+    def test_negative_cost_rejected(self):
+        lp = LPProblem(var_order=["x", "y"], objective={"x": Fraction(1), "y": Fraction(-1)})
+        lp.add_row({"x": Fraction(1), "y": Fraction(1)}, Fraction(1))
+        with pytest.raises(CutLabError):
+            simplex_solve(lp)
+
 
 class TestMulticutLp:
     def test_single_path_value_is_node_weight(self):
@@ -151,6 +195,19 @@ class TestMulticutLp:
     def test_saks_at_most_fractional_solution(self, r, k):
         value, _ = multicut_lp(build_saks_gap(r, k))
         assert value <= Fraction(r) ** (k - 1)
+
+    def test_long_directed_vertex_path_needs_no_recursion(self):
+        # the DFS recheck walks all 2,000 nodes, past Python's recursion limit
+        g = WeightedGraph()
+        names = ["s", *(f"v{i}" for i in range(1998)), "t"]
+        for i, v in enumerate(names):
+            cuttable = 0 < i < len(names) - 1
+            g.add_node(v, Fraction(1 if i != 1000 else Fraction(1, 2)) if cuttable else None)
+        for a, b in zip(names, names[1:]):
+            g.add_edge(a, b, directed=True)
+        inst = CutInstance(graph=g, mode=VERTEX, problem=Multicut((("s", "t"),)))
+        value, sol = multicut_lp(inst)
+        assert value == Fraction(1, 2) and sol["v999"] == 1
 
     def test_infeasible_when_uncuttable_path(self):
         g = WeightedGraph()

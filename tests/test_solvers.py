@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -314,6 +315,31 @@ class TestRmfcDecision:
                 trace = rmfc_simulate(inst, schedule, budget=k)
                 assert not trace.target_burnt
 
+
+
+class TestNoReferenceCycles:
+    """The searches keep their memo tables in plain locals, so the tables
+    die with the call instead of waiting for the cycle collector."""
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: exact_min_multicut(build_saks_gap(3, 2)),
+            lambda: exact_rmfc_decision(
+                build_dict_rmfc(DictParamsF(2, 1, Fraction(1, 100))), Fraction(1, 2)
+            ),
+        ],
+        ids=["exact_min_multicut", "exact_rmfc_decision"],
+    )
+    def test_call_leaves_no_cyclic_garbage(self, solve):
+        solve()  # warm caches and lazy imports outside the measured call
+        gc.collect()
+        gc.disable()
+        try:
+            solve()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 def brute_force_rmfc(inst, k, max_days=8):
     """Unmemoized exhaustive schedule search (independent oracle)."""
