@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import InfeasibleLpInput
+from .errors import InfeasibleLpInput, require
 from .graphs import (
     CutInstance,
     CutSolution,
@@ -32,7 +32,9 @@ def trivial_multicut(inst: CutInstance) -> CutSolution:
     for s, t in inst.problem.pairs:
         _, cut = min_st_cut(inst.graph, s, t, inst.mode)
         elements |= cut
-    assert multicut_is_feasible(inst, elements)
+    require(
+        multicut_is_feasible(inst, elements), "per-pair cut union leaves a pair connected"
+    )
     return CutSolution(frozenset(elements), solution_cost(inst, elements))
 
 
@@ -71,5 +73,8 @@ def threshold_round_lbc(
         for el in inst.cuttable_elements()
         if lp_solution.get(el, Fraction(0)) >= threshold
     )
-    assert length_bound_is_feasible(inst, elements, use)
+    require(
+        length_bound_is_feasible(inst, elements, use),
+        "threshold rounding left a path shorter than the bound",
+    )
     return CutSolution(elements, solution_cost(inst, elements))

@@ -29,22 +29,6 @@ from .graphs import (
 
 CSV_HEADER = "family,params,lp_value,integral_value,gap,wall_ms"
 
-FAMILY_PARAMS = {
-    "saks": ("r", "k"),
-    "dict-m": ("r", "k", "R", "eps"),
-    "dict-e": ("a", "b", "r", "R"),
-    "dict-v": ("a", "b", "r", "R", "eps"),
-    "dict-f": ("b", "R", "eps"),
-}
-
-FAMILY_KIND = {
-    "dict-m": "dict_multicut",
-    "dict-e": "dict_edge",
-    "dict-v": "dict_vertex",
-    "dict-f": "dict_rmfc",
-}
-
-
 def parse_params(text: str, *, ranges: bool = False) -> dict:
     """Parse "r=3,k=2,eps=1/20"; with ranges, "r=2..4" expands later."""
     out: dict = {}
@@ -66,69 +50,30 @@ def parse_params(text: str, *, ranges: bool = False) -> dict:
     return out
 
 
-def build_family(family: str, params: dict, max_nodes: int) -> CutInstance:
-    if family == "saks":
-        return gadgets.build_saks_gap(
-            int(params["r"]), int(params["k"]), max_nodes=max_nodes
-        )
-    if family == "dict-m":
-        record = gadgets.DictParamsM(
-            int(params["r"]), int(params["k"]), int(params["R"]), Fraction(params["eps"])
-        )
-        return gadgets.build_dict_multicut(record, max_nodes=max_nodes)
-    if family == "dict-e":
-        record = gadgets.DictParamsE(
-            int(params["a"]), int(params["b"]), int(params["r"]), int(params["R"])
-        )
-        return gadgets.build_dict_edge(record, max_nodes=max_nodes)
-    if family == "dict-v":
-        record = gadgets.DictParamsV(
-            int(params["a"]),
-            int(params["b"]),
-            int(params["r"]),
-            int(params["R"]),
-            Fraction(params["eps"]),
-        )
-        return gadgets.build_dict_vertex(record, max_nodes=max_nodes)
-    if family == "dict-f":
-        record = gadgets.DictParamsF(
-            int(params["b"]), int(params["R"]), Fraction(params["eps"])
-        )
-        return gadgets.build_dict_rmfc(record, max_nodes=max_nodes)
-    raise ValueError(f"unknown family {family!r}")
+def family_of(args: argparse.Namespace) -> gadgets.Family:
+    if not args.family:
+        raise ValueError("provide --instance or --family with --params")
+    return gadgets.FAMILIES[args.family]
 
 
-def family_record(family: str, params: dict):
-    if family == "dict-m":
-        return gadgets.DictParamsM(
-            int(params["r"]), int(params["k"]), int(params["R"]), Fraction(params["eps"])
-        )
-    if family == "dict-e":
-        return gadgets.DictParamsE(
-            int(params["a"]), int(params["b"]), int(params["r"]), int(params["R"])
-        )
-    if family == "dict-v":
-        return gadgets.DictParamsV(
-            int(params["a"]),
-            int(params["b"]),
-            int(params["r"]),
-            int(params["R"]),
-            Fraction(params["eps"]),
-        )
-    if family == "dict-f":
-        return gadgets.DictParamsF(
-            int(params["b"]), int(params["R"]), Fraction(params["eps"])
-        )
-    raise ValueError(f"family {family!r} has no dictator cut")
+def build_instance(args: argparse.Namespace) -> CutInstance:
+    family = family_of(args)
+    return family.build(family.params(parse_params(args.params)), args.max_nodes)
 
 
 def load_instance(args: argparse.Namespace) -> CutInstance:
     if getattr(args, "instance", None):
         with open(args.instance) as handle:
             return instance_from_json_str(handle.read())
-    if not args.family:
-        raise ValueError("provide --instance or --family with --params")
-    return build_family(args.family, parse_params(args.params), args.max_nodes)
+    return build_instance(args)
+
+
+def dictator_test(inst: CutInstance) -> tuple[gadgets.Family, gadgets.TestParams]:
+    """The test family and params record named by the instance's provenance,
+    which a --family build writes from its --params."""
+    prov = inst.provenance or {}
+    family = gadgets.dictator_family(prov.get("generator"))
+    return family, family.params(prov.get("params"))
 
 
 def emit(text: str, out: str | None) -> None:
@@ -147,76 +92,30 @@ def params_string(params: dict) -> str:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    inst = build_family(args.family, parse_params(args.params), args.max_nodes)
-    emit(instance_to_json_str(inst), args.out)
+    emit(instance_to_json_str(build_instance(args)), args.out)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    q = args.q - 1
-    if getattr(args, "instance", None):
-        # verify a stored (possibly tampered) instance from its provenance
-        with open(args.instance) as handle:
-            inst = instance_from_json_str(handle.read())
-        prov = inst.provenance or {}
-        kind = prov.get("generator")
-        kind_to_family = {v: k for k, v in FAMILY_KIND.items()}
-        if kind not in kind_to_family:
-            raise ValueError("instance carries no dictator-cut provenance")
-        family = kind_to_family[kind]
-        record = gadgets.params_from_dict(kind, prov["params"])
+    inst = load_instance(args)
+    family, params = dictator_test(inst)
+    cut = gadgets.dictator_cut(family.kind, params, args.q - 1, inst)
+    if isinstance(cut, Schedule):
+        cost, what = cut.max_day_cost(), "per-day cost"
+        detail: dict = {"per_day": [rational_str(c) for c in cut.per_day_cost]}
     else:
-        params = parse_params(args.params)
-        family = args.family
-        if family not in FAMILY_KIND:
-            raise ValueError(f"family {family!r} has no completeness check")
-        record = family_record(family, params)
-        inst = build_family(family, params, args.max_nodes)
-    cut = gadgets.dictator_cut(FAMILY_KIND[family], record, q, inst)
-    checks: list[tuple[str, bool]] = []
-    if family == "dict-m":
-        expect = Fraction(record.r) ** record.k * (
-            record.eps + (1 - record.eps) / record.r
-        )
-        checks.append((f"cut weight = {rational_str(expect)}", cut.cost == expect))
-        from .graphs import shortest_path_length
-
-        disconnected = all(
-            shortest_path_length(inst.graph, s, t, cut.elements) is None
-            for s, t in inst.problem.pairs
-        )
-        checks.append(("every pair disconnected", disconnected))
+        cost, what = cut.cost, "cut weight"
         detail = {"cost": rational_str(cut.cost)}
-    elif family in ("dict-e", "dict-v"):
-        from .graphs import shortest_path_length
-
-        if family == "dict-e":
-            need = record.a * (record.b - record.r + 1)
-            bound = Fraction(2 * record.b, record.r)
-            checks.append((f"cut weight <= {rational_str(bound)}", cut.cost <= bound))
-        else:
-            need = record.a * (record.b - record.r + 2)
-            expect = (record.b + 1) * (record.eps + (1 - record.eps) / record.r)
-            checks.append(
-                (f"cut weight = {rational_str(expect)}", cut.cost == expect)
-            )
-        dist = shortest_path_length(
-            inst.graph, inst.problem.source, inst.problem.sink, cut.elements
-        )
-        ok = dist is None or dist >= need
-        checks.append((f"post-cut distance >= {need}", ok))
-        detail = {"cost": rational_str(cut.cost), "dist": dist}
-    else:  # dict-f
-        bound = record.b * record.eps + 1 / gadgets.harmonic(record.b)
-        checks.append(
-            (
-                f"per-day cost <= {rational_str(bound)}",
-                all(c <= bound for c in cut.per_day_cost),
-            )
-        )
-        trace = solvers.rmfc_simulate(inst, cut)
-        checks.append(("target never burnt", not trace.target_burnt))
-        detail = {"per_day": [rational_str(c) for c in cut.per_day_cost]}
+    if family.exact_cost is not None:
+        expect = family.exact_cost(params)
+        checks = [(f"{what} = {rational_str(expect)}", cost == expect)]
+    else:
+        bound = family.cost_bound(params, 0)
+        checks = [(f"{what} <= {rational_str(bound)}", cost <= bound)]
+    label, ok, found = family.check(params, inst, cut)
+    checks.append((label, ok))
+    if "dist" in found:
+        detail["dist"] = found["dist"]
 
     passed = all(ok for _, ok in checks)
     lines = [f"{'PASS' if ok else 'FAIL'}  {label}" for label, ok in checks]
@@ -281,6 +180,8 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 def cmd_interdict(args: argparse.Namespace) -> int:
     inst = load_instance(args)
+    if not isinstance(inst.problem, LengthBound):
+        raise ValueError("interdiction covers length-bound instances")
     best, sol = solvers.exact_interdiction(inst, Fraction(args.budget))
     doc = {
         "best_distance": best,
@@ -312,9 +213,8 @@ def cmd_rmfc(args: argparse.Namespace) -> int:
         )
         schedule = Schedule(days, costs)
     else:
-        params = parse_params(args.params)
-        record = family_record(args.family, params)
-        schedule = gadgets.dictator_cut(FAMILY_KIND[args.family], record, args.q - 1, inst)
+        family, params = dictator_test(inst)
+        schedule = gadgets.dictator_cut(family.kind, params, args.q - 1, inst)
     trace = solvers.rmfc_simulate(inst, schedule)
     doc = {
         "target_burnt": trace.target_burnt,
@@ -326,7 +226,9 @@ def cmd_rmfc(args: argparse.Namespace) -> int:
 
 
 def cmd_gap_table(args: argparse.Namespace) -> int:
+    family = family_of(args)
     grid = parse_params(args.params, ranges=True)
+    family.check_names(grid)
     names = sorted(grid)
     ranged = [k for k in names if isinstance(grid[k], list)]
     fixed = [k for k in names if not isinstance(grid[k], list)]
@@ -340,7 +242,7 @@ def cmd_gap_table(args: argparse.Namespace) -> int:
         point = {k: grid[k] for k in fixed} | combo
         started = time.monotonic()
         try:
-            inst = build_family(args.family, point, args.max_nodes)
+            inst = family.build(family.params(point), args.max_nodes)
             report = lp.gap_report(inst, params=point)
             cells = report.csv_cells()
         except CutLabError as exc:
@@ -389,7 +291,7 @@ def cmd_correlation(args: argparse.Namespace) -> int:
 
 def _add_common(sub: argparse.ArgumentParser, *, family: bool = True) -> None:
     if family:
-        sub.add_argument("--family", choices=sorted(FAMILY_PARAMS), default=None)
+        sub.add_argument("--family", choices=sorted(gadgets.FAMILIES), default=None)
         sub.add_argument("--params", default="")
         sub.add_argument("--instance", default=None, help="instance JSON file")
     sub.add_argument("--out", default=None)

@@ -77,6 +77,10 @@ class InfeasibleLpInput(CutLabError):
     """A rounding routine received an LP solution that is not feasible."""
 
 
+class MalformedInstance(CutLabError):
+    """An instance document lacks a field or has one of the wrong type."""
+
+
 class UnknownGenerator(CutLabError):
     """An instance does not carry usable generator provenance."""
 

@@ -1,5 +1,7 @@
 """Generators for the grid gap instance and the four hypercube tests,
-plus the coordinate ("dictator") cuts used by their completeness checks.
+the family registry that pairs each generator with its params record and,
+for the tests, its dictator rule and guarantee, and the coordinate
+("dictator") cuts used by the completeness checks.
 
 All generators are deterministic: atom order is (*, 0, 1, ..., r-1)
 (or (*, 1, ..., B) for the fire-containment test), grid vectors and
@@ -11,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
 
 from .errors import CoordinateOutOfRange, ParamOutOfRange, SizeGuard, UnknownGenerator
 from .graphs import (
@@ -26,8 +28,10 @@ from .graphs import (
     Rmfc,
     Schedule,
     WeightedGraph,
+    shortest_path_length,
 )
 from .probspace import Atom, CorrelatedSpace, FiniteProbSpace, product_mass
+from .solvers import rmfc_simulate
 
 DEFAULT_MAX_NODES = 200_000
 DEFAULT_MAX_FIRE_DEPTH = 4
@@ -518,30 +522,179 @@ def build_dict_rmfc(
     )
 
 
-GENERATORS = {
-    "saks": build_saks_gap,
-    "dict_multicut": build_dict_multicut,
-    "dict_edge": build_dict_edge,
-    "dict_vertex": build_dict_vertex,
-    "dict_rmfc": build_dict_rmfc,
+# -- the family registry ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SaksParams:
+    """Parameters of the grid gap instance: grid size r, pair count k."""
+
+    r: int
+    k: int
+
+
+TestParams = DictParamsM | DictParamsE | DictParamsV | DictParamsF
+# a post-cut property check's (label, ok, detail)
+Verdict = tuple[str, bool, dict]
+
+
+@dataclass(frozen=True)
+class Family:
+    """One generator family, keyed in ``FAMILIES`` by its CLI name.
+
+    ``kind`` is the generator name written to provenance, ``record`` the
+    params record class, and ``build(params, max_nodes)`` calls the builder
+    through its module attribute, so a wrapper installed there sees every
+    build. The dictatorship tests also carry:
+
+    - ``space(params)``: the base probability space of one coordinate;
+    - ``rule(params)``: the coordinate-q dictator rule, a predicate on the
+      atoms at q of one element: ``(x_q)`` of a node, ``(x_q, y_q)`` of a
+      short edge from layer i to layer i+1, or ``(i, x_q)`` of a node saved
+      on day i;
+    - ``exact_cost(params)``: the dictator cut's exact cost, where known;
+    - ``cost_bound(params, eta)``: the bound on the cut's cost (on the
+      largest day's cost for a schedule) when a fraction eta of the copies
+      is removed outright;
+    - ``check(params, inst, solution)``: the post-cut property, as
+      ``(label, ok, detail)``.
+    """
+
+    kind: str
+    record: type
+    build: Callable[[Any, int], CutInstance]
+    space: Callable[[Any], FiniteProbSpace] | None = None
+    rule: Callable[[Any], Callable[..., bool]] | None = None
+    exact_cost: Callable[[Any], Fraction] | None = None
+    cost_bound: Callable[[Any, Fraction], Fraction] | None = None
+    check: Callable[[Any, CutInstance, Any], Verdict] | None = None
+
+    def check_names(self, names: Iterable[str]) -> None:
+        """Raise ParamOutOfRange unless ``names`` are the record's fields."""
+        names = set(names)
+        want = [f.name for f in fields(self.record)]
+        missing = [name for name in want if name not in names]
+        if missing:
+            raise ParamOutOfRange(f"missing parameter(s) {', '.join(missing)}")
+        unknown = sorted(names - set(want))
+        if unknown:
+            raise ParamOutOfRange(f"unknown parameter(s) {', '.join(unknown)}")
+
+    def params(self, values: Any) -> Any:
+        """The params record from a name -> value mapping, such as parsed
+        ``--params`` or a provenance ``params`` block."""
+        if not isinstance(values, Mapping):
+            raise ParamOutOfRange(f"params must be a mapping, not {values!r}")
+        self.check_names(values)
+        types = get_type_hints(self.record)
+        return self.record(
+            **{name: _param_value(name, types[name], raw) for name, raw in values.items()}
+        )
+
+
+def _param_value(name: str, kind: type, raw: Any) -> int | Fraction:
+    try:
+        value = Fraction(str(raw))
+    except (ValueError, ZeroDivisionError):
+        raise ParamOutOfRange(f"parameter {name} = {raw!r} is not a rational") from None
+    if kind is int:
+        if value.denominator != 1:
+            raise ParamOutOfRange(f"parameter {name} = {raw} is not an integer")
+        return int(value)
+    return value
+
+
+def _star_or_zero(p: DictParamsM | DictParamsV) -> Callable[[Atom], bool]:
+    return lambda xq: xq in (STAR, 0)
+
+
+def _broken_step(p: DictParamsE) -> Callable[[Atom, Atom], bool]:
+    return lambda xq, yq: yq != (xq + 1) % p.r or (xq, yq) == (0, 1)
+
+
+def _fire_day(p: DictParamsF) -> Callable[[int, Atom], bool]:
+    bounds = fire_thresholds(p.b)
+    return lambda i, xq: xq == STAR or bounds[i - 1] < xq <= bounds[i]
+
+
+def _vertex_cost(p: DictParamsV) -> Fraction:
+    return (p.b + 1) * (p.eps + (1 - p.eps) / p.r)
+
+
+def _pairs_cut(p: DictParamsM, inst: CutInstance, cut: CutSolution) -> Verdict:
+    status = {
+        f"{s}->{t}": shortest_path_length(inst.graph, s, t, cut.elements)
+        for s, t in inst.problem.pairs
+    }
+    ok = all(d is None for d in status.values())
+    return "every pair disconnected", ok, {"pair_dist": status}
+
+
+def _distance_kept(need: int, inst: CutInstance, cut: CutSolution) -> Verdict:
+    problem = inst.problem
+    dist = shortest_path_length(inst.graph, problem.source, problem.sink, cut.elements)
+    ok = dist is None or dist >= need
+    return f"post-cut distance >= {need}", ok, {"dist": dist, "need": need}
+
+
+def _target_saved(p: DictParamsF, inst: CutInstance, schedule: Schedule) -> Verdict:
+    burnt = rmfc_simulate(inst, schedule).target_burnt
+    return "target never burnt", not burnt, {"target_burnt": burnt}
+
+
+FAMILIES = {
+    "saks": Family(
+        "saks", SaksParams, lambda p, n: build_saks_gap(p.r, p.k, max_nodes=n)
+    ),
+    "dict-m": Family(
+        "dict_multicut",
+        DictParamsM,
+        lambda p, n: build_dict_multicut(p, max_nodes=n),
+        space=lambda p: star_space(p.r, p.eps),
+        rule=_star_or_zero,
+        exact_cost=lambda p: Fraction(p.r) ** p.k * (p.eps + (1 - p.eps) / p.r),
+        cost_bound=lambda p, eta: (
+            Fraction(p.r) ** (p.k - 1) * (1 + p.r * p.eps + p.r * eta)
+        ),
+        check=_pairs_cut,
+    ),
+    "dict-e": Family(
+        "dict_edge",
+        DictParamsE,
+        lambda p, n: build_dict_edge(p, max_nodes=n),
+        space=lambda p: uniform_cycle_space(p.r),
+        rule=_broken_step,
+        cost_bound=lambda p, eta: Fraction(2 * p.b, p.r) + 2 * eta * p.b,
+        check=lambda p, inst, cut: _distance_kept(p.a * (p.b - p.r + 1), inst, cut),
+    ),
+    "dict-v": Family(
+        "dict_vertex",
+        DictParamsV,
+        lambda p, n: build_dict_vertex(p, max_nodes=n),
+        space=lambda p: star_space(p.r, p.eps),
+        rule=_star_or_zero,
+        exact_cost=_vertex_cost,
+        cost_bound=lambda p, eta: _vertex_cost(p) + eta * (p.b + 1),
+        check=lambda p, inst, cut: _distance_kept(p.a * (p.b - p.r + 2), inst, cut),
+    ),
+    "dict-f": Family(
+        "dict_rmfc",
+        DictParamsF,
+        lambda p, n: build_dict_rmfc(p, max_nodes=n),
+        space=lambda p: fire_space(p.big_b, p.eps),
+        rule=_fire_day,
+        cost_bound=lambda p, eta: p.b * p.eps + 1 / harmonic(p.b) + p.b * eta,
+        check=_target_saved,
+    ),
 }
 
 
-def params_from_dict(kind: str, d) -> "DictParamsM | DictParamsE | DictParamsV | DictParamsF":
-    """Rebuild a parameter record from an instance's provenance dict."""
-    if kind == "dict_multicut":
-        return DictParamsM(
-            int(d["r"]), int(d["k"]), int(d["R"]), Fraction(str(d["eps"]))
-        )
-    if kind == "dict_edge":
-        return DictParamsE(int(d["a"]), int(d["b"]), int(d["r"]), int(d["R"]))
-    if kind == "dict_vertex":
-        return DictParamsV(
-            int(d["a"]), int(d["b"]), int(d["r"]), int(d["R"]), Fraction(str(d["eps"]))
-        )
-    if kind == "dict_rmfc":
-        return DictParamsF(int(d["b"]), int(d["R"]), Fraction(str(d["eps"])))
-    raise UnknownGenerator(f"unknown test kind {kind!r}")
+def dictator_family(kind: str | None) -> Family:
+    """The dictatorship test whose provenance generator name is ``kind``."""
+    for family in FAMILIES.values():
+        if family.kind == kind and family.rule is not None:
+            return family
+    raise UnknownGenerator(f"no dictator test of kind {kind!r}")
 
 
 # -- dictator cuts ------------------------------------------------------------
@@ -549,7 +702,7 @@ def params_from_dict(kind: str, d) -> "DictParamsM | DictParamsE | DictParamsV |
 
 def dictator_cut(
     kind: str,
-    params: DictParamsM | DictParamsE | DictParamsV | DictParamsF,
+    params: TestParams,
     q: int,
     instance: CutInstance | None = None,
 ) -> CutSolution | Schedule:
@@ -558,82 +711,61 @@ def dictator_cut(
     ``q`` is 0-based. For the edge test the elements are edge indices of
     the built instance; pass ``instance`` to reuse an existing build.
     """
+    family = dictator_family(kind)
     if not 0 <= q < params.R:
         raise CoordinateOutOfRange(f"q = {q} outside 0..{params.R - 1}")
-    if kind == "dict_multicut":
-        assert isinstance(params, DictParamsM)
-        inst = instance if instance is not None else build_dict_multicut(params)
-        return _vertex_star_zero_cut(inst, q)
-    if kind == "dict_vertex":
-        assert isinstance(params, DictParamsV)
-        inst = instance if instance is not None else build_dict_vertex(params)
-        return _vertex_star_zero_cut(inst, q)
-    if kind == "dict_edge":
-        assert isinstance(params, DictParamsE)
-        inst = instance if instance is not None else build_dict_edge(params)
-        return _edge_break_cut(inst, params, q)
-    if kind == "dict_rmfc":
-        assert isinstance(params, DictParamsF)
-        inst = instance if instance is not None else build_dict_rmfc(params)
-        return _fire_schedule(inst, params, q)
-    raise UnknownGenerator(f"unknown test kind {kind!r}")
+    inst = instance if instance is not None else family.build(params, DEFAULT_MAX_NODES)
+    return rule_cut(family, params, inst, lambda owner: q)
 
 
-def _vertex_star_zero_cut(inst: CutInstance, q: int) -> CutSolution:
-    # shared by the multicut and vertex length tests: x_q in {*, 0}
-    elements = set()
-    cost = Fraction(0)
+def rule_cut(
+    family: Family,
+    params: TestParams,
+    inst: CutInstance,
+    coord: Callable[[str], int | None],
+) -> CutSolution | Schedule:
+    """Apply the family's dictator rule to every copy of its test in ``inst``.
+
+    Non-terminal node ids read ``[owner::]v[block]/[point]``, with owner
+    "" in a raw gadget. ``coord(owner)`` is the coordinate the rule reads in
+    that copy, or None to remove the whole copy.
+    """
+    in_cut = family.rule(params)
     g = inst.graph
     terminals = set(inst.terminals())
+    nodes = {}
     for v in g.nodes:
-        if v in terminals:
-            continue
-        _, x = split_block_point(v)
-        if x[q] in (STAR, 0):
-            elements.add(v)
-            cost += g.node_weight(v)
-    return CutSolution(frozenset(elements), cost)
+        if v not in terminals:
+            block, x = split_block_point(v)
+            owner, _, block = block.rpartition("::")
+            nodes[v] = (coord(owner), block, x)
+    if inst.mode == EDGE:
+        elements = set()
+        for idx, e in enumerate(g.edges):
+            if e.weight is None:
+                continue
+            (qa, blk_a, xa), (qb, blk_b, xb) = nodes[e.tail], nodes[e.head]
+            if _layer(blk_a) > _layer(blk_b):
+                qa, xa, qb, xb = qb, xb, qa, xa
+            if qa is None or qb is None or in_cut(xa[qa], xb[qb]):
+                elements.add(idx)
+        cost = sum((g.edges[idx].weight for idx in elements), Fraction(0))
+        return CutSolution(frozenset(elements), cost)
+    if isinstance(inst.problem, Rmfc):
+        days: list[set[str]] = [set() for _ in range(params.b)]
+        for v, (q, block, x) in nodes.items():
+            i = _layer(block)
+            if q is None or in_cut(i, x[q]):
+                days[i - 1].add(v)
+        costs = tuple(_node_cost(g, day) for day in days)
+        return Schedule(tuple(frozenset(day) for day in days), costs)
+    chosen = {v for v, (q, _, x) in nodes.items() if q is None or in_cut(x[q])}
+    return CutSolution(frozenset(chosen), _node_cost(g, chosen))
 
 
-def _edge_break_cut(inst: CutInstance, p: DictParamsE, q: int) -> CutSolution:
-    g = inst.graph
-    elements: set[int] = set()
-    cost = Fraction(0)
-    points = list(itertools.product(range(p.r), repeat=p.R))
-    for i in range(p.b):
-        for x in points:
-            for y in points:
-                broken = y[q] != (x[q] + 1) % p.r or (x[q], y[q]) == (0, 1)
-                if not broken:
-                    continue
-                hits = [
-                    idx
-                    for idx in g.find_edges(
-                        layer_node_id(i, x), layer_node_id(i + 1, y), length=1
-                    )
-                    if g.edges[idx].weight is not None
-                ]
-                assert len(hits) == 1
-                elements.add(hits[0])
-                cost += g.edges[hits[0]].weight
-    return CutSolution(frozenset(elements), cost)
+def _layer(block: str) -> int:
+    return int(block[2:-1])
 
 
-def _fire_schedule(inst: CutInstance, p: DictParamsF, q: int) -> Schedule:
-    g = inst.graph
-    thresholds = fire_thresholds(p.b)
-    days = []
-    costs = []
-    points = list(itertools.product(fire_space(p.big_b, p.eps).atoms, repeat=p.R))
-    for i in range(1, p.b + 1):
-        day = set()
-        cost = Fraction(0)
-        for x in points:
-            xq = x[q]
-            if xq == STAR or thresholds[i - 1] + 1 <= xq <= thresholds[i]:
-                vid = layer_node_id(i, x)
-                day.add(vid)
-                cost += g.node_weight(vid)
-        days.append(frozenset(day))
-        costs.append(cost)
-    return Schedule(tuple(days), tuple(costs))
+def _node_cost(g: WeightedGraph, nodes: Iterable[str]) -> Fraction:
+    return sum((g.node_weight(v) for v in nodes), Fraction(0))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, Mapping
 
-from .errors import NoFiniteCut, RemovingUncuttable, UnknownNode
+from .errors import MalformedInstance, NoFiniteCut, RemovingUncuttable, UnknownNode
 
 VERTEX = "vertex"
 EDGE = "edge"
@@ -697,36 +697,75 @@ def _problem_to_json(p: Problem) -> dict:
     return {"type": "rmfc", "source": p.source, "targets": sorted(p.targets)}
 
 
+def _field(doc: object, key: str, kind: type, where: str):
+    """``doc[key]``, checked to be a ``kind``; a bool is not an int here."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise MalformedInstance(f"{where} lacks {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise MalformedInstance(f"{where} field {key!r} has type {type(value).__name__}")
+    return value
+
+
+def _node_ids(values: list, where: str) -> list[str]:
+    if not all(isinstance(v, str) for v in values):
+        raise MalformedInstance(f"{where} must list node ids")
+    return values
+
+
 def _problem_from_json(d: dict) -> Problem:
-    kind = d["type"]
+    kind = _field(d, "type", str, "problem")
     if kind == "multicut":
-        return Multicut(tuple((a, b) for a, b in d["pairs"]))
+        pairs = _field(d, "pairs", list, "problem")
+        if not all(isinstance(p, list) and len(_node_ids(p, "pair")) == 2 for p in pairs):
+            raise MalformedInstance("multicut pairs must be [s, t] lists")
+        return Multicut(tuple((a, b) for a, b in pairs))
     if kind == "length_bound":
-        return LengthBound(d["s"], d["t"], int(d["bound"]))
+        return LengthBound(
+            _field(d, "s", str, "problem"),
+            _field(d, "t", str, "problem"),
+            _field(d, "bound", int, "problem"),
+        )
     if kind == "rmfc":
-        return Rmfc(d["source"], frozenset(d["targets"]))
+        targets = _node_ids(_field(d, "targets", list, "problem"), "rmfc targets")
+        return Rmfc(_field(d, "source", str, "problem"), frozenset(targets))
     raise ValueError(f"unknown problem type {kind!r}")
 
 
-def instance_from_json(doc: dict) -> CutInstance:
+def _weight_field(doc: dict, where: str) -> Weight:
+    w = doc.get("weight")
+    if w is None:
+        return None
+    try:
+        if isinstance(w, (str, int)) and not isinstance(w, bool):
+            return parse_rational(str(w))
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise MalformedInstance(f"{where} weight {w!r} is not a rational")
+
+
+def instance_from_json(doc: object) -> CutInstance:
+    """Rebuild an instance, raising MalformedInstance on a missing or
+    ill-typed field."""
     g = WeightedGraph()
-    for nd in doc["nodes"]:
-        w = nd.get("weight")
-        g.add_node(nd["id"], None if w is None else parse_rational(w))
-    for ed in doc["edges"]:
-        w = ed.get("weight")
+    for nd in _field(doc, "nodes", list, "instance"):
+        g.add_node(_field(nd, "id", str, "node"), _weight_field(nd, "node"))
+    for ed in _field(doc, "edges", list, "instance"):
         g.add_edge(
-            ed["tail"],
-            ed["head"],
-            directed=bool(ed["directed"]),
-            length=int(ed["length"]),
-            weight=None if w is None else parse_rational(w),
+            _field(ed, "tail", str, "edge"),
+            _field(ed, "head", str, "edge"),
+            directed=_field(ed, "directed", bool, "edge"),
+            length=_field(ed, "length", int, "edge"),
+            weight=_weight_field(ed, "edge"),
         )
+    provenance = doc.get("provenance")
+    if provenance is not None and not isinstance(provenance, dict):
+        raise MalformedInstance("instance field 'provenance' must be an object")
     return CutInstance(
         graph=g,
-        mode=doc["mode"],
-        problem=_problem_from_json(doc["problem"]),
-        provenance=doc.get("provenance"),
+        mode=_field(doc, "mode", str, "instance"),
+        problem=_problem_from_json(_field(doc, "problem", dict, "instance")),
+        provenance=provenance,
     )
 
 

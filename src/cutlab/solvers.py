@@ -15,6 +15,7 @@ from .errors import (
     RemovingUncuttable,
     SaveBurntVertex,
     SizeGuard,
+    require,
 )
 from .graphs import (
     EDGE,
@@ -281,11 +282,11 @@ def exact_min_multicut(
     for s, t in inst.problem.pairs:
         _, cut = min_st_cut(inst.graph, s, t, inst.mode)
         seed |= cut
-    assert multicut_is_feasible(inst, seed)
+    require(multicut_is_feasible(inst, seed), "per-pair cut union leaves a pair connected")
     cost, elements = _branch_and_bound(
         inst, None, (solution_cost(inst, seed), frozenset(seed))
     )
-    assert multicut_is_feasible(inst, elements)
+    require(multicut_is_feasible(inst, elements), "branch and bound left a pair connected")
     return CutSolution(elements, cost)
 
 
@@ -302,11 +303,17 @@ def exact_min_length_bounded_cut(
     if len(cuttable) > element_limit:
         raise SizeGuard(f"{len(cuttable)} cuttable elements (cap {element_limit})")
     _check_infeasible(inst, use)
-    assert length_bound_is_feasible(inst, cuttable, use)
+    require(
+        length_bound_is_feasible(inst, cuttable, use),
+        "removing every cuttable element leaves a short path",
+    )
     cost, elements = _branch_and_bound(
         inst, use, (solution_cost(inst, cuttable), frozenset(cuttable))
     )
-    assert length_bound_is_feasible(inst, elements, use)
+    require(
+        length_bound_is_feasible(inst, elements, use),
+        "branch and bound left a path shorter than the bound",
+    )
     return CutSolution(elements, cost)
 
 

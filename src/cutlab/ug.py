@@ -23,23 +23,12 @@ from .errors import (
     UnknownGenerator,
 )
 from .gadgets import (
-    STAR,
-    DictParamsE,
-    DictParamsF,
-    DictParamsM,
-    DictParamsV,
-    build_dict_edge,
-    build_dict_multicut,
-    build_dict_rmfc,
-    build_dict_vertex,
-    fire_space,
-    fire_thresholds,
+    Family,
+    TestParams,
+    dictator_family,
     fmt_point,
-    harmonic,
-    params_from_dict,
+    rule_cut,
     split_block_point,
-    star_space,
-    uniform_cycle_space,
 )
 from .graphs import (
     CutInstance,
@@ -51,23 +40,10 @@ from .graphs import (
     WeightedGraph,
     shortest_path_length,
 )
-from .probspace import (
-    FiniteProbSpace,
-    ProductFunction,
-    efron_stein_influences,
-)
+from .probspace import ProductFunction, efron_stein_influences
 
 DEFAULT_MAX_NODES = 200_000
 INFLUENCE_TABLE_CAP = 20_000
-
-TestParams = DictParamsM | DictParamsE | DictParamsV | DictParamsF
-
-_BUILDERS = {
-    "dict_multicut": build_dict_multicut,
-    "dict_edge": build_dict_edge,
-    "dict_vertex": build_dict_vertex,
-    "dict_rmfc": build_dict_rmfc,
-}
 
 
 # -- instances and labelings -------------------------------------------------
@@ -251,11 +227,10 @@ def compose(
     endpoints and length are merged by weight summation. Terminal edges
     are replicated once per w-side vertex.
     """
-    if kind not in _BUILDERS:
-        raise UnknownGenerator(f"cannot compose with test kind {kind!r}")
+    family = dictator_family(kind)
     if params.R != ug.R:
         raise LabelMismatch(f"test has R = {params.R}, instance has R = {ug.R}")
-    gadget = _BUILDERS[kind](params, max_nodes=max_nodes)
+    gadget = family.build(params, max_nodes)
     gg = gadget.graph
     terminals = set(gadget.terminals())
     inner = [v for v in gg.nodes if v not in terminals]
@@ -361,16 +336,15 @@ def _check_labeling(
             )
 
 
-def _composed_copies(inst: CutInstance) -> dict[str, list[str]]:
-    """Nonterminal composed nodes grouped by their w-side owner."""
-    terminals = set(inst.terminals())
-    out: dict[str, list[str]] = {}
-    for v in inst.graph.nodes:
-        if v in terminals:
-            continue
-        w, _ = v.split("::", 1)
-        out.setdefault(w, []).append(v)
-    return out
+def _test_of(inst: CutInstance) -> tuple[Family, TestParams]:
+    """The test family and params record of a raw or composed test."""
+    prov = inst.provenance or {}
+    if prov.get("generator") == "compose":
+        kind, values = prov.get("test"), prov.get("test_params")
+    else:
+        kind, values = prov.get("generator"), prov.get("params")
+    family = dictator_family(kind)
+    return family, family.params(values)
 
 
 def completeness_cut(
@@ -381,80 +355,23 @@ def completeness_cut(
 ) -> CompletenessCertificate:
     """Per-copy dictator cut at each w's label (full removal off W'),
     certified against the exact cost bound and the post-cut property."""
-    prov = composed.provenance or {}
-    if prov.get("generator") != "compose":
+    if (composed.provenance or {}).get("generator") != "compose":
         raise UnknownGenerator("instance does not carry composition provenance")
-    kind = prov["test"]
-    params = params_from_dict(kind, prov["test_params"])
+    family, params = _test_of(composed)
     w_prime = frozenset(w_prime)
     _check_labeling(ug, labeling, w_prime)
     eta = Fraction(len(ug.W) - len(w_prime), len(ug.W))
-    copies = _composed_copies(composed)
     label = labeling.label
-
-    if kind in ("dict_multicut", "dict_vertex"):
-        elements: set[Element] = set()
-        for w in ug.W:
-            for v in copies[w]:
-                _, x = split_block_point(v)
-                if w not in w_prime or x[label[w]] in (STAR, 0):
-                    elements.add(v)
-        solution = CutSolution(
-            frozenset(elements), _element_cost(composed, elements)
-        )
-    elif kind == "dict_edge":
-        assert isinstance(params, DictParamsE)
-        elements = set()
-        g = composed.graph
-        for idx, e in enumerate(g.edges):
-            if e.weight is None:
-                continue
-            wa, rest_a = e.tail.split("::", 1)
-            wb, rest_b = e.head.split("::", 1)
-            blk_a, xa = split_block_point(rest_a)
-            blk_b, xb = split_block_point(rest_b)
-            ia = int(blk_a[2:-1])
-            ib = int(blk_b[2:-1])
-            if ia > ib:
-                wa, wb, xa, xb, ia, ib = wb, wa, xb, xa, ib, ia
-            if wa not in w_prime or wb not in w_prime:
-                elements.add(idx)
-                continue
-            xv = xa[label[wa]]
-            yv = xb[label[wb]]
-            if yv != (xv + 1) % params.r or (xv, yv) == (0, 1):
-                elements.add(idx)
-        solution = CutSolution(frozenset(elements), _element_cost(composed, elements))
-    elif kind == "dict_rmfc":
-        assert isinstance(params, DictParamsF)
-        thresholds = fire_thresholds(params.b)
-        days = []
-        costs = []
-        for i in range(1, params.b + 1):
-            day: set[str] = set()
-            for w in ug.W:
-                for v in copies[w]:
-                    blk, x = split_block_point(v)
-                    if int(blk.split("::", 1)[1][2:-1]) != i:
-                        continue
-                    if w not in w_prime:
-                        day.add(v)
-                        continue
-                    xq = x[label[w]]
-                    if xq == STAR or thresholds[i - 1] + 1 <= xq <= thresholds[i]:
-                        day.add(v)
-            days.append(frozenset(day))
-            costs.append(_element_cost(composed, day))
-        solution = Schedule(tuple(days), tuple(costs))
-    else:
-        raise UnknownGenerator(f"unknown test kind {kind!r}")
-
-    bound, prop_ok, detail = _certify(composed, kind, params, eta, solution)
+    solution = rule_cut(
+        family, params, composed, lambda w: label[w] if w in w_prime else None
+    )
     cost = (
         solution.cost
         if isinstance(solution, CutSolution)
         else solution.max_day_cost()
     )
+    bound = family.cost_bound(params, eta)
+    _, prop_ok, detail = family.check(params, composed, solution)
     return CompletenessCertificate(
         solution=solution,
         cost=cost,
@@ -463,61 +380,6 @@ def completeness_cut(
         cost_ok=cost <= bound,
         property_ok=prop_ok,
         detail=detail,
-    )
-
-
-def _element_cost(inst: CutInstance, elements: Iterable[Element]) -> Fraction:
-    total = Fraction(0)
-    for el in set(elements):
-        w = inst.graph.element_weight(el)
-        assert w is not None
-        total += w
-    return total
-
-
-def _certify(
-    inst: CutInstance,
-    kind: str,
-    params: TestParams,
-    eta: Fraction,
-    solution: CutSolution | Schedule,
-) -> tuple[Fraction, bool, dict]:
-    if kind == "dict_multicut":
-        assert isinstance(params, DictParamsM) and isinstance(solution, CutSolution)
-        r, k, eps = params.r, params.k, params.eps
-        bound = Fraction(r) ** (k - 1) * (1 + r * eps + r * eta)
-        assert isinstance(inst.problem, Multicut)
-        status = {
-            f"{s}->{t}": shortest_path_length(inst.graph, s, t, solution.elements)
-            for s, t in inst.problem.pairs
-        }
-        return bound, all(v is None for v in status.values()), {"pair_dist": status}
-    if kind == "dict_vertex":
-        assert isinstance(params, DictParamsV) and isinstance(solution, CutSolution)
-        bound = (params.b + 1) * (params.eps + (1 - params.eps) / params.r) + eta * (
-            params.b + 1
-        )
-        need = params.a * (params.b - params.r + 2)
-        dist = _post_cut_dist(inst, solution.elements)
-        return bound, dist is None or dist >= need, {"dist": dist, "need": need}
-    if kind == "dict_edge":
-        assert isinstance(params, DictParamsE) and isinstance(solution, CutSolution)
-        bound = Fraction(2 * params.b, params.r) + 2 * eta * params.b
-        need = params.a * (params.b - params.r + 1)
-        dist = _post_cut_dist(inst, solution.elements)
-        return bound, dist is None or dist >= need, {"dist": dist, "need": need}
-    assert isinstance(params, DictParamsF) and isinstance(solution, Schedule)
-    bound = params.b * params.eps + 1 / harmonic(params.b) + params.b * eta
-    from .solvers import rmfc_simulate
-
-    trace = rmfc_simulate(inst, solution)
-    return bound, not trace.target_burnt, {"target_burnt": trace.target_burnt}
-
-
-def _post_cut_dist(inst: CutInstance, elements: frozenset[Element]) -> int | None:
-    assert isinstance(inst.problem, LengthBound)
-    return shortest_path_length(
-        inst.graph, inst.problem.source, inst.problem.sink, elements
     )
 
 
@@ -541,20 +403,6 @@ class InfluenceReport:
         return [b.block for b in self.blocks if b.flagged]
 
 
-def _base_space_of(kind: str, params: TestParams) -> FiniteProbSpace:
-    if kind == "dict_multicut":
-        assert isinstance(params, DictParamsM)
-        return star_space(params.r, params.eps)
-    if kind == "dict_vertex":
-        assert isinstance(params, DictParamsV)
-        return star_space(params.r, params.eps)
-    if kind == "dict_edge":
-        assert isinstance(params, DictParamsE)
-        return uniform_cycle_space(params.r)
-    assert isinstance(params, DictParamsF)
-    return fire_space(params.big_b, params.eps)
-
-
 def reachable_set_influences(
     inst: CutInstance,
     cut: CutSolution | Iterable[Element],
@@ -568,17 +416,8 @@ def reachable_set_influences(
     (w, layer) pair in a composition); its indicator marks the points
     whose node is reachable from the instance's source terminals.
     """
-    prov = inst.provenance or {}
-    kind = prov.get("generator")
-    if kind == "compose":
-        test_kind = prov["test"]
-        params = params_from_dict(test_kind, prov["test_params"])
-    elif kind in _BUILDERS:
-        test_kind = kind
-        params = params_from_dict(kind, prov["params"])
-    else:
-        raise UnknownGenerator("instance carries no test provenance")
-    space = _base_space_of(test_kind, params)
+    family, params = _test_of(inst)
+    space = family.space(params)
     r_coords = params.R
     if len(space) ** r_coords > INFLUENCE_TABLE_CAP or r_coords > 8:
         raise SizeGuard("hypercube too large for influence diagnostics")

@@ -286,3 +286,131 @@ class TestGammaAndCorrelation:
         doc = json.loads(capsys.readouterr().out)
         assert doc["rho"] <= doc["connectedness_bound"] + 1e-9
         assert doc["alpha"] == "1/16"
+
+
+def run_cli(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestRegistry:
+    # generate params per test, with the verify stdout the dictator cut
+    # prints at every coordinate q <= R
+    VERIFIED = {
+        "dict-m": (
+            "r=3,k=2,R=2,eps=1/10",
+            'PASS  cut weight = 18/5\nPASS  every pair disconnected\n{"cost": "18/5"}\n',
+        ),
+        "dict-e": (
+            "a=2,b=3,r=2,R=2",
+            "PASS  cut weight <= 3/1\nPASS  post-cut distance >= 4\n"
+            '{"cost": "15/8", "dist": 7}\n',
+        ),
+        "dict-v": (
+            "a=2,b=3,r=3,R=2,eps=1/20",
+            "PASS  cut weight = 22/15\nPASS  post-cut distance >= 4\n"
+            '{"cost": "22/15", "dist": 7}\n',
+        ),
+        "dict-f": (
+            "b=2,R=1,eps=1/100",
+            "PASS  per-day cost <= 103/150\nPASS  target never burnt\n"
+            '{"per_day": ["67/100", "17/25"]}\n',
+        ),
+    }
+
+    def test_family_choices_are_registry_keys(self):
+        from cutlab import gadgets
+        from cutlab.cli import build_parser
+
+        parser = build_parser()
+        subs = next(a for a in parser._actions if a.dest == "command").choices
+        for name in ("generate", "verify", "lp", "exact", "approx", "interdict", "rmfc", "gap-table"):
+            family = next(a for a in subs[name]._actions if a.dest == "family")
+            assert family.choices == sorted(gadgets.FAMILIES)
+        assert set(gadgets.FAMILIES) == {"saks", "dict-m", "dict-e", "dict-v", "dict-f"}
+
+    @pytest.mark.parametrize("family", sorted(VERIFIED))
+    def test_verify_instance_matches_verify_family(self, family, tmp_path, capsys):
+        params, expected = self.VERIFIED[family]
+        path = tmp_path / "inst.json"
+        assert main(["generate", "--family", family, "--params", params, "--out", str(path)]) == 0
+        coords = ["1", "2"] if "R=2" in params else ["1"]
+        for q in coords:
+            by_family = run_cli(capsys, ["verify", "--family", family, "--params", params, "--q", q])
+            by_file = run_cli(capsys, ["verify", "--instance", str(path), "--q", q])
+            assert by_family == by_file == (0, expected, "")
+        code, out, err = run_cli(capsys, ["verify", "--instance", str(path), "--q", "3"])
+        assert (code, out) == (1, "") and "CoordinateOutOfRange" in err
+
+    def test_rmfc_instance_resolves_family_from_provenance(self, tmp_path, capsys):
+        params = "b=3,R=1,eps=1/1000"
+        path = tmp_path / "fire.json"
+        main(["generate", "--family", "dict-f", "--params", params, "--out", str(path)])
+        by_family = run_cli(capsys, ["rmfc", "--family", "dict-f", "--params", params, "--q", "1"])
+        by_file = run_cli(capsys, ["rmfc", "--instance", str(path), "--q", "1"])
+        assert by_file == by_family
+        doc = json.loads(by_file[1])
+        assert doc["per_day_cost"] == ["1201/2200", "752/1375", "6027/11000"]
+        assert doc["target_burnt"] is False
+
+
+class TestMalformedInput:
+    def test_missing_param_named(self, capsys):
+        code, out, err = run_cli(capsys, ["generate", "--family", "dict-v", "--params", "a=2"])
+        assert (code, out) == (1, "")
+        assert "ParamOutOfRange" in err and "b, r, R, eps" in err
+
+    def test_provenance_missing_param_named(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        main(["generate", "--family", "dict-v", "--params", "a=4,b=4,r=3,R=1,eps=1/20", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        del doc["provenance"]["params"]["eps"]
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["verify", "--instance", str(path)])
+        assert (code, out) == (1, "")
+        assert "ParamOutOfRange" in err and "eps" in err
+
+    def test_gap_table_unknown_param_rejected(self, capsys):
+        argv = ["gap-table", "--family", "saks", "--params", "r=2,k=2,zzz=9"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert "ParamOutOfRange" in err and "zzz" in err
+
+    def test_interdict_needs_length_bound(self, capsys):
+        argv = ["interdict", "--family", "saks", "--params", "r=2,k=2", "--budget", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert "length-bound" in err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("mode",), None),
+            (("nodes",), {}),
+            (("edges", 0, "length"), "1"),
+            (("edges", 0, "directed"), 0),
+            (("nodes", 0, "weight"), [1]),
+            (("problem", "pairs"), [["s1"]]),
+            (("problem",), None),
+        ],
+        ids=["no-mode", "nodes-object", "length-str", "directed-int", "weight-list",
+             "short-pair", "no-problem"],
+    )
+    def test_malformed_instance_exits_1(self, path, value, tmp_path, capsys):
+        # value None deletes the field at path
+        inst = tmp_path / "inst.json"
+        main(["generate", "--family", "saks", "--params", "r=2,k=2", "--out", str(inst)])
+        doc = json.loads(inst.read_text())
+        *parents, last = path
+        owner = doc
+        for key in parents:
+            owner = owner[key]
+        if value is None:
+            del owner[last]
+        else:
+            owner[last] = value
+        inst.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["exact", "--instance", str(inst)])
+        assert (code, out) == (1, "")
+        assert "MalformedInstance" in err

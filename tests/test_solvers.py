@@ -1,9 +1,13 @@
 import gc
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cutlab
 import helpers
 from cutlab.errors import Infeasible, SaveBurntVertex, SizeGuard
 from cutlab.gadgets import (
@@ -86,6 +90,32 @@ class TestExactMulticut:
         inst = build_saks_gap(2, 2)
         with pytest.raises(SizeGuard):
             exact_min_multicut(inst, element_limit=2)
+
+    def test_feasibility_certificate_survives_optimize_flag(self):
+        # an infeasible answer from the search must still be caught when
+        # python -O strips asserts; the child imports the suite's cutlab
+        child = "\n".join(
+            [
+                "from cutlab import solvers",
+                "from cutlab.errors import CertificateFailed",
+                "from cutlab.gadgets import build_saks_gap",
+                "assert False, 'asserts are on'",
+                "solvers._branch_and_bound = lambda *args: (0, frozenset())",
+                "try:",
+                "    solvers.exact_min_multicut(build_saks_gap(2, 2))",
+                "except CertificateFailed:",
+                "    raise SystemExit(0)",
+                "raise SystemExit('an infeasible multicut was returned')",
+            ]
+        )
+        package_root = str(Path(cutlab.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", child],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestExactLengthBoundedCut:

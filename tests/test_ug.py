@@ -13,11 +13,13 @@ from cutlab.gadgets import (
     DictParamsM,
     DictParamsV,
     build_dict_edge,
+    build_dict_multicut,
+    build_dict_rmfc,
     build_dict_vertex,
     dictator_cut,
     harmonic,
 )
-from cutlab.graphs import EDGE, VERTEX, shortest_path_length
+from cutlab.graphs import EDGE, VERTEX, Schedule, shortest_path_length
 from cutlab.lp import short_path_cover_lp
 from cutlab.solvers import exact_min_length_bounded_cut, rmfc_simulate
 from cutlab.ug import (
@@ -29,6 +31,28 @@ from cutlab.ug import (
     reachable_set_influences,
     synth_ug,
 )
+
+
+def build_by_kind(kind, p):
+    return {
+        "dict_vertex": build_dict_vertex,
+        "dict_multicut": build_dict_multicut,
+        "dict_edge": build_dict_edge,
+        "dict_rmfc": build_dict_rmfc,
+    }[kind](p)
+
+
+def unprefixed(inst, solution):
+    """A cut's nodes, edge endpoints or day sets, without the "w0::" copy prefix."""
+    def name(v):
+        return v.removeprefix("w0::")
+
+    if isinstance(solution, Schedule):
+        return [frozenset(map(name, day)) for day in solution.days]
+    if inst.mode == EDGE:
+        edges = [inst.graph.edges[i] for i in solution.elements]
+        return {(frozenset({name(e.tail), name(e.head)}), e.length) for e in edges}
+    return set(map(name, solution.elements))
 
 
 def identity_ug(r_labels: int) -> UniqueGamesInstance:
@@ -115,18 +139,35 @@ class TestCompose:
 
 
 class TestCompletenessCut:
-    def test_identity_matches_raw_dictator_cut(self):
-        p = DictParamsV(4, 4, 3, 1, Fraction(1, 20))
-        composed = compose(identity_ug(1), "dict_vertex", p)
-        ug = identity_ug(1)
+    # test params and the coordinate that w0's label picks
+    IDENTITY_CASES = {
+        "dict_vertex": (DictParamsV(4, 4, 3, 1, Fraction(1, 20)), 0),
+        "dict_multicut": (DictParamsM(2, 2, 2, Fraction(1, 20)), 1),
+        "dict_edge": (DictParamsE(4, 3, 2, 2), 1),
+        "dict_rmfc": (DictParamsF(2, 1, Fraction(1, 100)), 0),
+    }
+
+    @pytest.mark.parametrize("kind", list(IDENTITY_CASES))
+    def test_identity_matches_raw_dictator_cut(self, kind):
+        p, q = self.IDENTITY_CASES[kind]
+        ug = identity_ug(p.R)
+        composed = compose(ug, kind, p)
         cert = completeness_cut(
-            composed, ug, Labeling({"u0": 0, "w0": 0}), frozenset({"w0"})
+            composed, ug, Labeling({"u0": q, "w0": q}), frozenset({"w0"})
         )
-        raw_cut = dictator_cut("dict_vertex", p, 0)
-        assert cert.cost == raw_cut.cost == Fraction(11, 6)
+        raw = build_by_kind(kind, p)
+        raw_cut = dictator_cut(kind, p, q, raw)
+        assert unprefixed(composed, cert.solution) == unprefixed(raw, raw_cut)
+        if isinstance(raw_cut, Schedule):
+            assert cert.solution.per_day_cost == raw_cut.per_day_cost
+            assert cert.cost == raw_cut.max_day_cost()
+        else:
+            assert cert.cost == raw_cut.cost
         assert cert.eta == 0
         assert cert.passed
-        assert cert.detail["dist"] >= 12
+        if kind == "dict_vertex":
+            assert cert.cost == Fraction(11, 6)
+            assert cert.detail["dist"] >= 12
 
     def test_planted_vertex_composition(self):
         p = DictParamsV(4, 4, 3, 2, Fraction(1, 20))
