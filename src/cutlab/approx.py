@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import InfeasibleLpInput, require
+from .errors import InfeasibleLpInput, require, require_problem
 from .graphs import (
     CutInstance,
     CutSolution,
@@ -27,7 +27,7 @@ from .solvers import (
 
 def trivial_multicut(inst: CutInstance) -> CutSolution:
     """Union of per-pair minimum cuts; at most k times the optimum."""
-    assert isinstance(inst.problem, Multicut)
+    require_problem(inst.problem, Multicut)
     elements: set[Element] = set()
     for s, t in inst.problem.pairs:
         _, cut = min_st_cut(inst.graph, s, t, inst.mode)
@@ -41,7 +41,7 @@ def trivial_multicut(inst: CutInstance) -> CutSolution:
 def bicut_2approx(inst: CutInstance) -> CutSolution:
     """Union of the forward and backward minimum cuts for the two-pair
     instance {(s,t), (t,s)}; at most twice the optimum."""
-    assert isinstance(inst.problem, Multicut)
+    require_problem(inst.problem, Multicut)
     pairs = inst.problem.pairs
     if len(pairs) != 2 or pairs[0] != (pairs[1][1], pairs[1][0]):
         raise ValueError("bicut expects pairs ((s,t), (t,s))")
@@ -60,7 +60,7 @@ def threshold_round_lbc(
     cuttable elements, so some element on it clears the threshold; the
     cost is at most (bound-1) times the LP value.
     """
-    assert isinstance(inst.problem, LengthBound)
+    require_problem(inst.problem, LengthBound)
     use = inst.problem.bound if bound is None else bound
     src, dst = inst.problem.source, inst.problem.sink
     if _dfs_has_cheap_path(inst, src, dst, lp_solution, use):

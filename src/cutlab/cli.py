@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import approx, gadgets, lp, solvers
-from .errors import CutLabError
+from .errors import CutLabError, ParamOutOfRange
 from .graphs import (
     CutInstance,
     LengthBound,
@@ -268,15 +268,16 @@ def cmd_correlation(args: argparse.Namespace) -> int:
     from .probspace import connectedness_bound, maximal_correlation
 
     params = parse_params(args.params)
-    family = args.family
-    if family == "edge":
+    need = {"edge": ["r"], "star": ["r", "eps"], "fire": ["B", "eps"]}[args.family]
+    missing = [name for name in need if name not in params]
+    if missing:
+        raise ParamOutOfRange(f"missing parameter(s) {', '.join(missing)}")
+    if args.family == "edge":
         cs = gadgets.edge_noise_space(int(params["r"]))
-    elif family == "star":
+    elif args.family == "star":
         cs = gadgets.star_noise_space(int(params["r"]), Fraction(params["eps"]))
-    elif family == "fire":
-        cs = gadgets.fire_noise_space(int(params["B"]), Fraction(params["eps"]))
     else:
-        raise ValueError(f"unknown correlated family {family!r}")
+        cs = gadgets.fire_noise_space(int(params["B"]), Fraction(params["eps"]))
     doc = {
         "rho": maximal_correlation(cs),
         "connectedness_bound": connectedness_bound(cs),

@@ -89,8 +89,21 @@ class CertificateFailed(CutLabError):
     """A solver's answer failed the check that certifies it."""
 
 
+class WrongProblemType(CutLabError):
+    """A routine received an instance of a problem type it does not handle."""
+
+
 def require(ok: bool, message: str) -> None:
     """Raise CertificateFailed unless ``ok``; unlike ``assert``, this check
     survives ``python -O``."""
     if not ok:
         raise CertificateFailed(message)
+
+
+def require_problem(problem: object, kind: type) -> None:
+    """Raise WrongProblemType unless ``problem`` is a ``kind``; unlike
+    ``assert``, this check survives ``python -O``."""
+    if not isinstance(problem, kind):
+        raise WrongProblemType(
+            f"expected a {kind.__name__} problem, got {type(problem).__name__}"
+        )

@@ -3,6 +3,11 @@ the family registry that pairs each generator with its params record and,
 for the tests, its dictator rule and guarantee, and the coordinate
 ("dictator") cuts used by the completeness checks.
 
+Each test's move rule is written once, as its correlated space: the
+edges between two hypercube blocks join x to every y in the support of
+that space, the pairs of positive product joint mass (see ``support``),
+and node masses come from its marginal.
+
 All generators are deterministic: atom order is (*, 0, 1, ..., r-1)
 (or (*, 1, ..., B) for the fire-containment test), grid vectors and
 hypercube points are enumerated lexicographically, and node ids are
@@ -15,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, get_type_hints
 
 from .errors import CoordinateOutOfRange, ParamOutOfRange, SizeGuard, UnknownGenerator
 from .graphs import (
@@ -42,14 +47,19 @@ STAR = "*"
 # -- probability spaces of the tests ---------------------------------------
 
 
+def starred_space(values: Sequence[int], eps: Fraction) -> FiniteProbSpace:
+    """Atoms (*, *values) with mass eps on * and (1-eps)/|values| elsewhere."""
+    eps = Fraction(eps)
+    atoms: list[Atom] = [STAR, *values]
+    mass = {STAR: eps}
+    for i in values:
+        mass[i] = (1 - eps) / len(values)
+    return FiniteProbSpace(atoms, mass)
+
+
 def star_space(r: int, eps: Fraction) -> FiniteProbSpace:
     """Atoms (*, 0..r-1) with mass eps on * and (1-eps)/r elsewhere."""
-    eps = Fraction(eps)
-    atoms: list[Atom] = [STAR, *range(r)]
-    mass = {STAR: eps}
-    for i in range(r):
-        mass[i] = (1 - eps) / r
-    return FiniteProbSpace(atoms, mass)
+    return starred_space(range(r), eps)
 
 
 def uniform_cycle_space(r: int) -> FiniteProbSpace:
@@ -59,12 +69,7 @@ def uniform_cycle_space(r: int) -> FiniteProbSpace:
 
 def fire_space(big_b: int, eps: Fraction) -> FiniteProbSpace:
     """Atoms (*, 1..B) with mass eps on * and (1-eps)/B elsewhere."""
-    eps = Fraction(eps)
-    atoms: list[Atom] = [STAR, *range(1, big_b + 1)]
-    mass = {STAR: eps}
-    for i in range(1, big_b + 1):
-        mass[i] = (1 - eps) / big_b
-    return FiniteProbSpace(atoms, mass)
+    return starred_space(range(1, big_b + 1), eps)
 
 
 def edge_noise_space(r: int) -> CorrelatedSpace:
@@ -82,36 +87,47 @@ def edge_noise_space(r: int) -> CorrelatedSpace:
     return CorrelatedSpace(base, base, joint)
 
 
+def starred_noise_space(
+    values: Sequence[int], eps: Fraction, partner: Callable[[int], int]
+) -> CorrelatedSpace:
+    """Pair (x, partner(x)) with x uniform on ``values``, each side starred
+    independently w.p. eps."""
+    eps = Fraction(eps)
+    base = starred_space(values, eps)
+    share = Fraction(1, len(values))
+    joint: dict[tuple[Atom, Atom], Fraction] = {(STAR, STAR): eps * eps}
+    for y in values:
+        joint[(STAR, y)] = eps * (1 - eps) * share
+    for x in values:
+        joint[(x, STAR)] = (1 - eps) * eps * share
+        joint[(x, partner(x))] = (1 - eps) * (1 - eps) * share
+    return CorrelatedSpace(base, base, joint)
+
+
 def star_noise_space(r: int, eps: Fraction) -> CorrelatedSpace:
     """Successor pair (x, x+1 mod r), each side starred independently w.p. eps."""
-    eps = Fraction(eps)
-    base = star_space(r, eps)
-    joint: dict[tuple[Atom, Atom], Fraction] = {}
-    joint[(STAR, STAR)] = eps * eps
-    for y in range(r):
-        joint[(STAR, y)] = eps * (1 - eps) * Fraction(1, r)
-    for x in range(r):
-        joint[(x, STAR)] = (1 - eps) * eps * Fraction(1, r)
-        for y in range(r):
-            hit = Fraction(1, r) if y == (x + 1) % r else Fraction(0)
-            joint[(x, y)] = (1 - eps) * (1 - eps) * hit
-    return CorrelatedSpace(base, base, joint)
+    return starred_noise_space(range(r), eps, lambda x: (x + 1) % r)
 
 
 def fire_noise_space(big_b: int, eps: Fraction) -> CorrelatedSpace:
     """Equal pair (x, x), each side starred independently w.p. eps."""
-    eps = Fraction(eps)
-    base = fire_space(big_b, eps)
-    joint: dict[tuple[Atom, Atom], Fraction] = {}
-    joint[(STAR, STAR)] = eps * eps
-    for y in range(1, big_b + 1):
-        joint[(STAR, y)] = eps * (1 - eps) * Fraction(1, big_b)
-    for x in range(1, big_b + 1):
-        joint[(x, STAR)] = (1 - eps) * eps * Fraction(1, big_b)
-        for y in range(1, big_b + 1):
-            hit = Fraction(1, big_b) if y == x else Fraction(0)
-            joint[(x, y)] = (1 - eps) * (1 - eps) * hit
-    return CorrelatedSpace(base, base, joint)
+    return starred_noise_space(range(1, big_b + 1), eps, lambda x: x)
+
+
+def support(space: CorrelatedSpace, x: Sequence[Atom]) -> Iterator[tuple[Atom, ...]]:
+    """Every point y whose product joint mass against x is nonzero.
+
+    A test joins x to exactly these y. Coordinate j ranges over
+    ``space.partners[x_j]``, the atoms b with mass (x_j, b) > 0 in atom
+    order, so the points come out in the lexicographic order of the product
+    space. This support is the tests' move rule: in the starred spaces a
+    star on either side is wild only because every params record enforces
+    0 < eps (< 1), which gives (*, b) and (a, *) positive mass, and otherwise
+    a coordinate moves to its partner (successor mod r, or the same atom);
+    the edge noise space puts mass at least 1/r^3 on every pair, so there
+    every y qualifies.
+    """
+    return itertools.product(*(space.partners[a] for a in x))
 
 
 # -- parameter records ------------------------------------------------------
@@ -250,6 +266,13 @@ def split_block_point(node_id: str) -> tuple[str, tuple[Atom, ...]]:
     return block, parse_point(point)
 
 
+def _layer_ids(
+    layers: Iterable[int], points: Sequence[tuple[Atom, ...]]
+) -> dict[int, dict[tuple[Atom, ...], str]]:
+    """The node id of every point in every layer, formatted once."""
+    return {i: {x: layer_node_id(i, x) for x in points} for i in layers}
+
+
 def _guard_nodes(count: int, max_nodes: int) -> None:
     if count > max_nodes:
         raise SizeGuard(f"instance would have {count} nodes (cap {max_nodes})")
@@ -284,11 +307,8 @@ def build_saks_gap(r: int, k: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cut
             if alpha[i - 1] == r:
                 g.add_edge(grid_node_id(alpha), f"t{i}", directed=True)
     for alpha in alphas:
-        for beta in alphas:
-            if alpha == beta:
-                continue
-            if all(abs(ai - bi) <= 1 for ai, bi in zip(alpha, beta)):
-                g.add_edge(grid_node_id(alpha), grid_node_id(beta), directed=True)
+        for beta in _grid_neighbours(alpha, r):
+            g.add_edge(grid_node_id(alpha), grid_node_id(beta), directed=True)
     return CutInstance(
         graph=g,
         mode=VERTEX,
@@ -297,35 +317,25 @@ def build_saks_gap(r: int, k: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cut
     )
 
 
-def _step_compatible(x: Sequence[Atom], y: Sequence[Atom], r: int) -> bool:
-    """Coordinatewise: star on either side, or increment mod r."""
-    for xj, yj in zip(x, y):
-        if xj == STAR or yj == STAR:
-            continue
-        if yj != (xj + 1) % r:
-            return False
-    return True
-
-
-def _equal_compatible(x: Sequence[Atom], y: Sequence[Atom]) -> bool:
-    for xj, yj in zip(x, y):
-        if xj == STAR or yj == STAR:
-            continue
-        if yj != xj:
-            return False
-    return True
+def _grid_neighbours(alpha: Sequence[int], r: int) -> list[tuple[int, ...]]:
+    """Points of [r]^k at l-infinity distance 1 from alpha, lexicographically."""
+    steps = [range(max(ai - 1, 1), min(ai + 1, r) + 1) for ai in alpha]
+    return [beta for beta in itertools.product(*steps) if beta != tuple(alpha)]
 
 
 def build_dict_multicut(
     p: DictParamsM, *, max_nodes: int = DEFAULT_MAX_NODES
 ) -> CutInstance:
     """Multicut test: each grid point of the gap instance carries a
-    hypercube over (*, 0..r-1)^R; grid moves must advance every hypercube
-    coordinate by one (stars are wild)."""
+    hypercube over (*, 0..r-1)^R; a grid move joins x to the support of x
+    under the star noise space (every coordinate advances by one, stars are
+    wild)."""
     _guard_nodes(p.r**p.k * (p.r + 1) ** p.R + 2 * p.k, max_nodes)
-    space = star_space(p.r, p.eps)
-    points = list(itertools.product(space.atoms, repeat=p.R))
+    noise = star_noise_space(p.r, p.eps)
+    points = list(itertools.product(noise.left.atoms, repeat=p.R))
+    moves = [(x, list(support(noise, x))) for x in points]
     alphas = list(itertools.product(range(1, p.r + 1), repeat=p.k))
+    ids = {alpha: {x: grid_node_id(alpha, x) for x in points} for alpha in alphas}
     g = WeightedGraph()
     pairs = []
     for i in range(1, p.k + 1):
@@ -334,29 +344,20 @@ def build_dict_multicut(
         pairs.append((f"s{i}", f"t{i}"))
     for alpha in alphas:
         for x in points:
-            g.add_node(grid_node_id(alpha, x), product_mass(space, x))
+            g.add_node(ids[alpha][x], product_mass(noise.left, x))
     for i in range(1, p.k + 1):
         for alpha in alphas:
             if alpha[i - 1] == 1:
                 for x in points:
-                    g.add_edge(f"s{i}", grid_node_id(alpha, x), directed=True)
+                    g.add_edge(f"s{i}", ids[alpha][x], directed=True)
             if alpha[i - 1] == p.r:
                 for x in points:
-                    g.add_edge(grid_node_id(alpha, x), f"t{i}", directed=True)
+                    g.add_edge(ids[alpha][x], f"t{i}", directed=True)
     for alpha in alphas:
-        for beta in alphas:
-            if alpha == beta:
-                continue
-            if not all(abs(ai - bi) <= 1 for ai, bi in zip(alpha, beta)):
-                continue
-            for x in points:
-                for y in points:
-                    if _step_compatible(x, y, p.r):
-                        g.add_edge(
-                            grid_node_id(alpha, x),
-                            grid_node_id(beta, y),
-                            directed=True,
-                        )
+        for beta in _grid_neighbours(alpha, p.r):
+            for x, ys in moves:
+                for y in ys:
+                    g.add_edge(ids[alpha][x], ids[beta][y], directed=True)
     return CutInstance(
         graph=g,
         mode=VERTEX,
@@ -374,36 +375,28 @@ def build_dict_edge(p: DictParamsE, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cu
     uncuttable long edges of length a between equal points, and short
     unit edges weighted by the product successor noise."""
     _guard_nodes((p.b + 1) * p.r**p.R + 2, max_nodes)
-    space = uniform_cycle_space(p.r)
     noise = edge_noise_space(p.r)
-    points = list(itertools.product(space.atoms, repeat=p.R))
+    points = list(itertools.product(noise.left.atoms, repeat=p.R))
+    moves = [
+        (x, [(y, noise.product_pair_mass(x, y)) for y in support(noise, x)])
+        for x in points
+    ]
+    ids = _layer_ids(range(p.b + 1), points)
     g = WeightedGraph()
     g.add_node("s", None)
     g.add_node("t", None)
     for i in range(p.b + 1):
         for x in points:
-            g.add_node(layer_node_id(i, x), None)
+            g.add_node(ids[i][x], None)
     for x in points:
-        g.add_edge("s", layer_node_id(0, x), directed=False, length=1, weight=None)
-        g.add_edge(layer_node_id(p.b, x), "t", directed=False, length=1, weight=None)
+        g.add_edge("s", ids[0][x], directed=False, length=1, weight=None)
+        g.add_edge(ids[p.b][x], "t", directed=False, length=1, weight=None)
     for i in range(p.b):
         for x in points:
-            g.add_edge(
-                layer_node_id(i, x),
-                layer_node_id(i + 1, x),
-                directed=False,
-                length=p.a,
-                weight=None,
-            )
-        for x in points:
-            for y in points:
-                g.add_edge(
-                    layer_node_id(i, x),
-                    layer_node_id(i + 1, y),
-                    directed=False,
-                    length=1,
-                    weight=noise.product_pair_mass(x, y),
-                )
+            g.add_edge(ids[i][x], ids[i + 1][x], directed=False, length=p.a, weight=None)
+        for x, ys in moves:
+            for y, mass in ys:
+                g.add_edge(ids[i][x], ids[i + 1][y], directed=False, length=1, weight=mass)
     bound = max(1, p.a * (p.b - p.r + 1))
     return CutInstance(
         graph=g,
@@ -420,53 +413,34 @@ def build_dict_edge(p: DictParamsE, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cu
 def build_dict_vertex(
     p: DictParamsV, *, max_nodes: int = DEFAULT_MAX_NODES
 ) -> CutInstance:
-    """Vertex-cut length test: layers over (*, 0..r-1)^R joined by unit
-    edges between successor-compatible points, long skip edges of length
-    (j-i)a, and terminal edges whose lengths grow with the layer index."""
+    """Vertex-cut length test: layers over (*, 0..r-1)^R, with x joined to
+    the support of x under the star noise space by unit edges to the next
+    layer and by long skip edges of length (j-i)a to later layers j, and
+    terminal edges whose lengths grow with the layer index."""
     _guard_nodes((p.b + 1) * (p.r + 1) ** p.R + 2, max_nodes)
-    space = star_space(p.r, p.eps)
-    points = list(itertools.product(space.atoms, repeat=p.R))
+    noise = star_noise_space(p.r, p.eps)
+    points = list(itertools.product(noise.left.atoms, repeat=p.R))
+    moves = [(x, list(support(noise, x))) for x in points]
+    ids = _layer_ids(range(p.b + 1), points)
     g = WeightedGraph()
     g.add_node("s", None)
     g.add_node("t", None)
     for i in range(p.b + 1):
         for x in points:
-            g.add_node(layer_node_id(i, x), product_mass(space, x))
+            g.add_node(ids[i][x], product_mass(noise.left, x))
     for i in range(p.b + 1):
         for x in points:
+            g.add_edge("s", ids[i][x], directed=False, length=p.a * i + 1, weight=None)
             g.add_edge(
-                "s", layer_node_id(i, x), directed=False, length=p.a * i + 1, weight=None
+                ids[i][x], "t", directed=False, length=(p.b - i) * p.a + 1, weight=None
             )
-            g.add_edge(
-                layer_node_id(i, x),
-                "t",
-                directed=False,
-                length=(p.b - i) * p.a + 1,
-                weight=None,
-            )
-    for i in range(p.b):
-        for x in points:
-            for y in points:
-                if _step_compatible(x, y, p.r):
-                    g.add_edge(
-                        layer_node_id(i, x),
-                        layer_node_id(i + 1, y),
-                        directed=False,
-                        length=1,
-                        weight=None,
-                    )
-    for i in range(p.b + 1):
-        for j in range(i + 2, p.b + 1):
-            for x in points:
-                for y in points:
-                    if _step_compatible(x, y, p.r):
-                        g.add_edge(
-                            layer_node_id(i, x),
-                            layer_node_id(j, y),
-                            directed=False,
-                            length=(j - i) * p.a,
-                            weight=None,
-                        )
+    layer_pairs = [(i, i + 1, 1) for i in range(p.b)] + [
+        (i, j, (j - i) * p.a) for i in range(p.b + 1) for j in range(i + 2, p.b + 1)
+    ]
+    for i, j, length in layer_pairs:
+        for x, ys in moves:
+            for y in ys:
+                g.add_edge(ids[i][x], ids[j][y], directed=False, length=length, weight=None)
     bound = max(1, p.a * (p.b - p.r + 2))
     return CutInstance(
         graph=g,
@@ -486,30 +460,28 @@ def build_dict_rmfc(
     max_nodes: int = DEFAULT_MAX_NODES,
     max_depth: int = DEFAULT_MAX_FIRE_DEPTH,
 ) -> CutInstance:
-    """Fire-containment test: layers 1..b over (*, 1..B)^R, edges between
-    equal-or-star compatible points, layer i weighted by factor i."""
+    """Fire-containment test: layers 1..b over (*, 1..B)^R, with x joined
+    to the support of x under the fire noise space (equal points, stars
+    wild) in the next layer; layer i weighted by factor i."""
     if p.b > max_depth:
         raise SizeGuard(f"b = {p.b} exceeds depth cap {max_depth}")
-    big_b = p.big_b
-    _guard_nodes(p.b * (big_b + 1) ** p.R + 2, max_nodes)
-    space = fire_space(big_b, p.eps)
-    points = list(itertools.product(space.atoms, repeat=p.R))
+    _guard_nodes(p.b * (p.big_b + 1) ** p.R + 2, max_nodes)
+    noise = fire_noise_space(p.big_b, p.eps)
+    points = list(itertools.product(noise.left.atoms, repeat=p.R))
+    ids = _layer_ids(range(1, p.b + 1), points)
     g = WeightedGraph()
     g.add_node("s", None)
     g.add_node("t", None)
     for i in range(1, p.b + 1):
         for x in points:
-            g.add_node(layer_node_id(i, x), i * product_mass(space, x))
+            g.add_node(ids[i][x], i * product_mass(noise.left, x))
     for x in points:
-        g.add_edge("s", layer_node_id(1, x), directed=False)
-        g.add_edge(layer_node_id(p.b, x), "t", directed=False)
+        g.add_edge("s", ids[1][x], directed=False)
+        g.add_edge(ids[p.b][x], "t", directed=False)
     for i in range(1, p.b):
         for x in points:
-            for y in points:
-                if _equal_compatible(x, y):
-                    g.add_edge(
-                        layer_node_id(i, x), layer_node_id(i + 1, y), directed=False
-                    )
+            for y in support(noise, x):
+                g.add_edge(ids[i][x], ids[i + 1][y], directed=False)
     return CutInstance(
         graph=g,
         mode=VERTEX,

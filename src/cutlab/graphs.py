@@ -18,7 +18,13 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Iterable, Mapping
 
-from .errors import MalformedInstance, NoFiniteCut, RemovingUncuttable, UnknownNode
+from .errors import (
+    MalformedInstance,
+    NoFiniteCut,
+    RemovingUncuttable,
+    UnknownNode,
+    require,
+)
 
 VERTEX = "vertex"
 EDGE = "edge"
@@ -147,17 +153,6 @@ class WeightedGraph:
             return self._out[node]
         except KeyError:
             raise UnknownNode(f"unknown node {node!r}") from None
-
-    def find_edges(self, tail: str, head: str, length: int | None = None) -> list[int]:
-        """Indices of edges joining tail to head (undirected: either way)."""
-        out = []
-        for idx, nb in self.out_arcs(tail):
-            if nb != head:
-                continue
-            if length is not None and self.edges[idx].length != length:
-                continue
-            out.append(idx)
-        return out
 
     def cuttable_elements(self, mode: str) -> list[Element]:
         if mode == VERTEX:
@@ -532,7 +527,10 @@ def min_st_cut(
 
     value = net.max_flow(source, sink)
     cut = net.min_cut_elements(source)
-    assert sum(g.element_weight(el) for el in cut) == value
+    require(
+        sum(g.element_weight(el) for el in cut) == value,
+        "minimum cut weight differs from the maximum flow",
+    )
     return value, frozenset(cut)
 
 

@@ -11,7 +11,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
-from .errors import CutLabError, Infeasible, RowPoolExceeded, SizeGuard, require
+from .errors import (
+    CutLabError,
+    Infeasible,
+    RowPoolExceeded,
+    SizeGuard,
+    require,
+    require_problem,
+)
 from .graphs import (
     CutInstance,
     Element,
@@ -256,7 +263,7 @@ def multicut_lp(
     adds any path of mass below one; the final pass is re-checked by an
     independent exhaustive search.
     """
-    assert isinstance(inst.problem, Multicut)
+    require_problem(inst.problem, Multicut)
     from .solvers import _check_infeasible
 
     _check_infeasible(inst)
@@ -282,7 +289,7 @@ def short_path_cover_lp(
     inst: CutInstance, bound: int | None = None, *, row_cap: int = ROW_POOL_CAP
 ) -> tuple[Fraction, dict[Element, Fraction]]:
     """Optimal fractional covering of every s-t path shorter than the bound."""
-    assert isinstance(inst.problem, LengthBound)
+    require_problem(inst.problem, LengthBound)
     use = inst.problem.bound if bound is None else bound
     from .solvers import _check_infeasible
 

@@ -74,8 +74,12 @@ def product_mass(space: FiniteProbSpace, point: Sequence[Atom]) -> Fraction:
 class CorrelatedSpace:
     """A pair of finite spaces with a joint distribution.
 
-    The joint masses must reproduce both marginals exactly. ``alpha`` is
-    the minimum nonzero joint mass.
+    The joint masses must reproduce both marginals exactly. ``joint`` keeps
+    only the support, the pairs of positive mass; ``partners[a]`` lists the
+    right atoms b with (a, b) in the support, in atom order. ``alpha`` is
+    the minimum nonzero joint mass. Construction and its checks take time
+    near-linear in the support size plus the atom counts, never in their
+    product, so a large alphabet with a sparse joint stays cheap.
     """
 
     def __init__(
@@ -86,34 +90,41 @@ class CorrelatedSpace:
     ) -> None:
         self.left = left
         self.right = right
-        self.joint = {
-            (a, b): Fraction(joint.get((a, b), Fraction(0)))
-            for a in left.atoms
-            for b in right.atoms
-        }
-        if any(m < 0 for m in self.joint.values()):
-            raise ValueError("negative joint mass")
-        if sum(self.joint.values()) != 1:
+        rows = {a: Fraction(0) for a in left.atoms}
+        cols = {b: Fraction(0) for b in right.atoms}
+        self.joint: dict[tuple[Atom, Atom], Fraction] = {}
+        self.partners: dict[Atom, list[Atom]] = {a: [] for a in left.atoms}
+        for (a, b), m in joint.items():
+            if a not in rows or b not in cols:
+                raise UnknownAtom(f"joint key {(a, b)!r} outside atom sets")
+            m = Fraction(m)
+            if m < 0:
+                raise ValueError("negative joint mass")
+            if m > 0:
+                self.joint[(a, b)] = m
+                self.partners[a].append(b)
+                rows[a] += m
+                cols[b] += m
+        rank = {b: j for j, b in enumerate(right.atoms)}
+        for bs in self.partners.values():
+            bs.sort(key=rank.__getitem__)
+        if sum(rows.values()) != 1:
             raise ValueError("joint masses must sum to 1")
-        for key in joint:
-            if key not in self.joint:
-                raise UnknownAtom(f"joint key {key!r} outside atom sets")
         for a in left.atoms:
-            row = sum(self.joint[(a, b)] for b in right.atoms)
-            if row != left.mass(a):
+            if rows[a] != left.mass(a):
                 raise ValueError(f"left marginal mismatch at {a!r}")
         for b in right.atoms:
-            col = sum(self.joint[(a, b)] for a in left.atoms)
-            if col != right.mass(b):
+            if cols[b] != right.mass(b):
                 raise ValueError(f"right marginal mismatch at {b!r}")
-        nonzero = [m for m in self.joint.values() if m > 0]
-        self.alpha: Fraction = min(nonzero)
+        self.alpha: Fraction = min(self.joint.values())
 
     def mass(self, a: Atom, b: Atom) -> Fraction:
-        try:
-            return self.joint[(a, b)]
-        except KeyError:
-            raise UnknownAtom(f"unknown joint atom {(a, b)!r}") from None
+        if (a, b) not in self.joint:
+            # off the support; the marginals raise UnknownAtom for a foreign atom
+            self.left.mass(a)
+            self.right.mass(b)
+            return Fraction(0)
+        return self.joint[(a, b)]
 
     def product_pair_mass(
         self, xs: Sequence[Atom], ys: Sequence[Atom]

@@ -16,6 +16,7 @@ from .errors import (
     SaveBurntVertex,
     SizeGuard,
     require,
+    require_problem,
 )
 from .graphs import (
     EDGE,
@@ -149,12 +150,6 @@ def _min_hop_short_path(
     return None
 
 
-def _split_removed(
-    inst: CutInstance, elements: Iterable[Element]
-) -> tuple[set[str], set[int]]:
-    return inst.graph.check_removable(elements)
-
-
 def find_violating_path(
     inst: CutInstance, removed: Iterable[Element] = (), bound: int | None = None
 ) -> Path | None:
@@ -164,7 +159,7 @@ def find_violating_path(
     the earlier pair. Length-bound: any surviving path shorter than the
     bound.
     """
-    rnodes, redges = _split_removed(inst, removed)
+    rnodes, redges = inst.graph.check_removable(removed)
     g = inst.graph
     p = inst.problem
     if isinstance(p, Multicut):
@@ -202,7 +197,7 @@ def _check_infeasible(inst: CutInstance, bound: int | None = None) -> None:
 
 
 def multicut_is_feasible(inst: CutInstance, elements: Iterable[Element]) -> bool:
-    assert isinstance(inst.problem, Multicut)
+    require_problem(inst.problem, Multicut)
     removed = list(elements)
     for s, t in inst.problem.pairs:
         if shortest_path_length(inst.graph, s, t, removed) is not None:
@@ -213,7 +208,7 @@ def multicut_is_feasible(inst: CutInstance, elements: Iterable[Element]) -> bool
 def length_bound_is_feasible(
     inst: CutInstance, elements: Iterable[Element], bound: int | None = None
 ) -> bool:
-    assert isinstance(inst.problem, LengthBound)
+    require_problem(inst.problem, LengthBound)
     use = inst.problem.bound if bound is None else bound
     dist = shortest_path_length(
         inst.graph, inst.problem.source, inst.problem.sink, list(elements)
@@ -255,7 +250,7 @@ def _branch_and_bound(
             best_cost, best_set = cost, current
             continue
         candidates = path.elements(inst.mode, g)
-        assert candidates, "uncuttable violating path must be caught upfront"
+        require(bool(candidates), "violating path has no cuttable element")
         candidates.sort(key=lambda el: (g.element_weight(el), str(el)))
         stack.extend(
             (current | {el}, cost + g.element_weight(el)) for el in reversed(candidates)
@@ -273,7 +268,7 @@ def exact_min_multicut(
     the incumbent cost. The incumbent is seeded with the union of
     per-pair minimum cuts.
     """
-    assert isinstance(inst.problem, Multicut)
+    require_problem(inst.problem, Multicut)
     cuttable = inst.cuttable_elements()
     if len(cuttable) > element_limit:
         raise SizeGuard(f"{len(cuttable)} cuttable elements (cap {element_limit})")
@@ -297,7 +292,7 @@ def exact_min_length_bounded_cut(
     element_limit: int = BB_ELEMENT_LIMIT,
 ) -> CutSolution:
     """Minimum-cost element set after which dist(s, t) >= bound."""
-    assert isinstance(inst.problem, LengthBound)
+    require_problem(inst.problem, LengthBound)
     use = inst.problem.bound if bound is None else bound
     cuttable = inst.cuttable_elements()
     if len(cuttable) > element_limit:
@@ -363,7 +358,7 @@ def exact_interdiction(
     stop when the optimum exceeds the budget. Returns the best distance
     (None when s and t can be fully disconnected) and the witnessing cut.
     """
-    assert isinstance(inst.problem, LengthBound)
+    require_problem(inst.problem, LengthBound)
     budget = Fraction(budget)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -421,7 +416,7 @@ def rmfc_simulate(
     each later day the scheduled set is saved before the fire spreads one
     step to unsaved neighbors. Burnt and saved states are permanent.
     """
-    assert isinstance(inst.problem, Rmfc)
+    require_problem(inst.problem, Rmfc)
     g = inst.graph
     nbrs = _undirected_neighbors(g)
     targets = inst.problem.targets
@@ -522,7 +517,7 @@ def exact_rmfc_decision(
 ) -> tuple[bool, Schedule | None]:
     """Decide whether per-day budget k saves all targets; exhaustive
     search over per-day save sets with memoization on (burnt, saved)."""
-    assert isinstance(inst.problem, Rmfc)
+    require_problem(inst.problem, Rmfc)
     k = Fraction(k)
     g = inst.graph
     cuttable = [v for v in g.nodes if g.node_weight(v) is not None]

@@ -399,9 +399,6 @@ class InfluenceReport:
     blocks: list[BlockReport]
     terminal_status: dict[str, object]
 
-    def flagged_blocks(self) -> list[str]:
-        return [b.block for b in self.blocks if b.flagged]
-
 
 def reachable_set_influences(
     inst: CutInstance,

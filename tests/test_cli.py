@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -75,6 +76,31 @@ class TestGenerate:
         assert code == 1
         err = capsys.readouterr().err
         assert "SizeGuard" in err and "2097166" in err
+
+
+    # SHA-256 of the generate output, recorded before the generators built
+    # edges from the support of each test's correlated space
+    FROZEN_SHA256 = {
+        ("saks", "r=4,k=2"): "51c89d243b72144adf9510e5ae0c9a90e922be5bb25ffd58d5f9d56e3882594f",
+        ("saks", "r=3,k=3"): "76dcb39765973c40aa30d4f5a0b782667aeb2e5e01aa43b4f639013862419f22",
+        ("saks", "r=2,k=4"): "17bd4b0f1c3cd076375acc42768405102419b06964ad96a54b334875b3bc6e95",
+        ("dict-m", "r=3,k=2,R=2,eps=1/10"): "ff4e58edbd2f751bdf4d8e67de0bda020c02de20a35e38978e5cd51dc188ad7e",
+        ("dict-m", "r=2,k=3,R=2,eps=1/5"): "6d6b0bef4843ce4711bf1d927c7a0469cb6a12029779403b09031db642c33156",
+        ("dict-e", "a=2,b=3,r=2,R=3"): "6a61741ef6ffe3282a3e9207d96cd8173c53ce6cc2fe96d64c24dc5259d7b188",
+        ("dict-v", "a=2,b=3,r=3,R=4,eps=1/20"): "be88b7ffb5a26e99d20695b00f89f63ce9f6ba364d1b791f34e69ebc5cd3c1d6",
+        ("dict-v", "a=2,b=5,r=3,R=3,eps=1/20"): "b29c0e4167de8f4345860a1585eee058a46e959fa737db51480c3368898ef255",
+        ("dict-v", "a=1,b=1,r=2,R=2,eps=1/5"): "9e820924896e245179000b2f9ed4b6ff6377043b0e47415075e2d93d447207a3",
+        ("dict-f", "b=2,R=1,eps=1/100"): "7a019a79fd5aee88bbbdffe51fd98fac8d6e5521817b71c90445e0e52fe1d423",
+        ("dict-f", "b=3,R=1,eps=1/1000"): "8a210e5db1371c179536ace829a4bb1c4b7bd3e9fbc886daffc4e6b86d0acaf4",
+        ("dict-f", "b=2,R=2,eps=1/100"): "cce64a8c2f1528f39a66226c4c1f596637914842d96fae25f135df425e047a92",
+    }
+
+    @pytest.mark.parametrize("family, params", sorted(FROZEN_SHA256))
+    def test_output_bytes_frozen(self, family, params, capsys):
+        assert main(["generate", "--family", family, "--params", params]) == 0
+        out = capsys.readouterr().out
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.FROZEN_SHA256[(family, params)]
 
 
 class TestVerify:
@@ -376,6 +402,23 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (1, "")
         assert "ParamOutOfRange" in err and "zzz" in err
+
+    def test_gap_table_on_fire_family_fails_per_row(self, capsys):
+        argv = ["gap-table", "--family", "dict-f", "--params", "b=2,R=1,eps=1/100"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "dict-f,R=1;b=2;eps=1/100,error,error,error:WrongProblemType,0"
+        ]
+
+    @pytest.mark.parametrize(
+        "family, params, missing", [("edge", "", "r"), ("star", "r=3", "eps")]
+    )
+    def test_correlation_missing_param_named(self, family, params, missing, capsys):
+        argv = ["correlation", "--family", family, "--params", params]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert f"ParamOutOfRange: missing parameter(s) {missing}" in err
 
     def test_interdict_needs_length_bound(self, capsys):
         argv = ["interdict", "--family", "saks", "--params", "r=2,k=2", "--budget", "1"]

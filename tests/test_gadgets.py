@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,11 @@ from cutlab.gadgets import (
     dictator_cut,
     edge_noise_space,
     fire_alphabet_size,
+    fire_noise_space,
     fire_thresholds,
     harmonic,
+    star_noise_space,
+    support,
 )
 from cutlab.graphs import (
     EDGE,
@@ -228,3 +232,21 @@ class TestDeterminism:
     )
     def test_identical_params_identical_json(self, build):
         assert instance_to_json_str(build()) == instance_to_json_str(build())
+
+
+class TestSupport:
+    # filtering every point pair by its product joint mass is the oracle
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            edge_noise_space(3),
+            star_noise_space(3, Fraction(1, 20)),
+            fire_noise_space(3, Fraction(1, 10)),
+        ],
+        ids=["edge", "star", "fire"],
+    )
+    def test_matches_positive_mass_filter(self, noise):
+        points = list(itertools.product(noise.left.atoms, repeat=2))
+        for x in points:
+            expect = [y for y in points if noise.product_pair_mass(x, y) > 0]
+            assert list(support(noise, x)) == expect

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutlab.errors import DegenerateMarginal, DisconnectedSupport
+from cutlab.errors import DegenerateMarginal, DisconnectedSupport, UnknownAtom
 from cutlab.gadgets import edge_noise_space, fire_noise_space, star_noise_space, star_space
 from cutlab.probspace import (
     CorrelatedSpace,
@@ -148,6 +148,21 @@ class TestMaximalCorrelation:
             {(relabel[a], b): m for (a, b), m in cs.joint.items()},
         )
         assert abs(maximal_correlation(cs) - maximal_correlation(shuffled)) < 1e-9
+
+
+    def test_joint_keeps_support_in_atom_order(self):
+        left = FiniteProbSpace.uniform([0, 1])
+        right = FiniteProbSpace([0, 1], {0: Fraction(1, 4), 1: Fraction(3, 4)})
+        joint = {(0, 1): Fraction(1, 4), (1, 0): Fraction(0), (1, 1): Fraction(1, 2),
+                 (0, 0): Fraction(1, 4)}
+        cs = CorrelatedSpace(left, right, joint)
+        assert set(cs.joint) == {(0, 0), (0, 1), (1, 1)}
+        assert cs.partners == {0: [0, 1], 1: [1]}
+        assert cs.mass(1, 0) == 0 and cs.alpha == Fraction(1, 4)
+        with pytest.raises(UnknownAtom):
+            cs.mass(2, 0)
+        with pytest.raises(UnknownAtom):
+            CorrelatedSpace(left, right, {**joint, (0, 2): Fraction(0)})
 
 
 class TestConnectednessBound:

@@ -92,20 +92,33 @@ class TestExactMulticut:
             exact_min_multicut(inst, element_limit=2)
 
     def test_feasibility_certificate_survives_optimize_flag(self):
-        # an infeasible answer from the search must still be caught when
-        # python -O strips asserts; the child imports the suite's cutlab
+        # python -O strips asserts; the type guard, the min-cut and branch
+        # certificates and the feasibility check must still raise. The child
+        # imports the suite's cutlab
         child = "\n".join(
             [
-                "from cutlab import solvers",
-                "from cutlab.errors import CertificateFailed",
-                "from cutlab.gadgets import build_saks_gap",
+                "from cutlab import graphs, solvers",
+                "from cutlab.errors import CertificateFailed, WrongProblemType",
+                "from cutlab.gadgets import DictParamsE, build_dict_edge, build_saks_gap",
                 "assert False, 'asserts are on'",
+                "def expect(error, call, *args):",
+                "    try:",
+                "        call(*args)",
+                "    except error:",
+                "        return",
+                "    raise SystemExit(f'{call.__name__} did not raise {error.__name__}')",
+                "saks = build_saks_gap(2, 2)",
+                "edge = build_dict_edge(DictParamsE(2, 1, 2, 1))",
+                "expect(WrongProblemType, solvers.exact_min_multicut, edge)",
+                "max_flow = graphs._FlowNet.max_flow",
+                "graphs._FlowNet.max_flow = lambda net, s, t: max_flow(net, s, t) + 1",
+                "expect(CertificateFailed, graphs.min_st_cut, saks.graph, 's1', 't1', 'vertex')",
+                "graphs._FlowNet.max_flow = max_flow",
+                "no_cuttable = graphs.Path(('s1',), (), 0)",
+                "solvers.find_violating_path = lambda inst, removed, bound: no_cuttable",
+                "expect(CertificateFailed, solvers.exact_min_multicut, saks)",
                 "solvers._branch_and_bound = lambda *args: (0, frozenset())",
-                "try:",
-                "    solvers.exact_min_multicut(build_saks_gap(2, 2))",
-                "except CertificateFailed:",
-                "    raise SystemExit(0)",
-                "raise SystemExit('an infeasible multicut was returned')",
+                "expect(CertificateFailed, solvers.exact_min_multicut, saks)",
             ]
         )
         package_root = str(Path(cutlab.__file__).resolve().parent.parent)
