@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import InfeasibleLpInput, require, require_problem
+from .errors import InfeasibleLpInput, WrongProblemType, require, require_problem
 from .graphs import (
     CutInstance,
     CutSolution,
@@ -44,7 +44,7 @@ def bicut_2approx(inst: CutInstance) -> CutSolution:
     require_problem(inst.problem, Multicut)
     pairs = inst.problem.pairs
     if len(pairs) != 2 or pairs[0] != (pairs[1][1], pairs[1][0]):
-        raise ValueError("bicut expects pairs ((s,t), (t,s))")
+        raise WrongProblemType("bicut expects pairs ((s,t), (t,s))")
     return trivial_multicut(inst)
 
 

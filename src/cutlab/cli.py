@@ -41,8 +41,13 @@ def parse_params(text: str, *, ranges: bool = False) -> dict:
         if not key or not raw:
             raise ValueError(f"malformed parameter {part!r}")
         if ranges and ".." in raw:
-            lo, hi = raw.split("..")
-            out[key] = list(range(int(lo), int(hi) + 1))
+            try:
+                lo, hi = map(int, raw.split(".."))
+            except ValueError:
+                raise ParamOutOfRange(
+                    f"range {key}={raw} needs integer endpoints lo..hi"
+                ) from None
+            out[key] = list(range(lo, hi + 1))
         elif "/" in raw:
             out[key] = Fraction(raw)
         else:

@@ -7,6 +7,7 @@ schedule search.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import (
@@ -15,11 +16,11 @@ from .errors import (
     RemovingUncuttable,
     SaveBurntVertex,
     SizeGuard,
+    WrongProblemType,
     require,
     require_problem,
 )
 from .graphs import (
-    EDGE,
     VERTEX,
     CutInstance,
     CutSolution,
@@ -42,155 +43,127 @@ RMFC_VERTEX_LIMIT = 14
 # -- path finding -----------------------------------------------------------
 
 
-def _min_hop_path(
-    g: WeightedGraph,
-    s: str,
-    t: str,
-    removed_nodes: set[str],
-    removed_edges: set[int],
-    uncuttable_mode: str | None = None,
-) -> Path | None:
-    """BFS for a fewest-edge s-t path avoiding removed elements.
+class PathSearch:
+    """One instance indexed for repeated fewest-edge searches.
 
-    With ``uncuttable_mode`` set to the instance's cut mode, the walk may
-    use only elements that mode cannot cut, which witnesses infeasibility.
+    Nodes become ints and each node's out-arcs a list of int tuples. An
+    element id is a node index in vertex mode and an edge index in edge
+    mode; ``removed`` flags the element ids a search must avoid, and a
+    branch and bound sets and clears it in place. Multicut searches are
+    keyed by node. Length-bound searches are keyed by (node, length) and
+    keep only walks shorter than the bound. Only cuttable elements are
+    ever removed, so the uncuttable terminals never are.
     """
-    if s in removed_nodes or t in removed_nodes:
-        return None
-    prev: dict[str, tuple[str, int]] = {}
-    seen = {s}
-    queue = [s]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        if v == t:
-            nodes = [t]
-            edges = []
-            while nodes[-1] != s:
-                pv, pe = prev[nodes[-1]]
-                nodes.append(pv)
-                edges.append(pe)
-            nodes.reverse()
-            edges.reverse()
-            return Path(
-                tuple(nodes), tuple(edges), sum(g.edges[i].length for i in edges)
+
+    def __init__(self, inst: CutInstance, bound: int | None = None) -> None:
+        g = inst.graph
+        p = inst.problem
+        self.names = g.nodes
+        self.index = {v: i for i, v in enumerate(self.names)}
+        self.vertex_mode = inst.mode == VERTEX
+        self.lengths = [e.length for e in g.edges]
+        if isinstance(p, Multicut):
+            pairs = p.pairs
+            steps = [0] * len(self.lengths)
+            self.width = 1
+        elif isinstance(p, LengthBound):
+            pairs = ((p.source, p.sink),)
+            steps = self.lengths
+            self.width = max(p.bound if bound is None else bound, 1)
+        else:
+            raise WrongProblemType(
+                "violating paths are defined for multicut and length bound"
             )
-        for idx, nb in g.out_arcs(v):
-            if idx in removed_edges or nb in removed_nodes or nb in seen:
-                continue
-            if uncuttable_mode == EDGE and g.edges[idx].weight is not None:
-                continue
-            if (
-                uncuttable_mode == VERTEX
-                and nb != t
-                and g.node_weight(nb) is not None
-            ):
-                continue
-            seen.add(nb)
-            prev[nb] = (v, idx)
-            queue.append(nb)
-    return None
+        self.pairs = [(self.index[s], self.index[t]) for s, t in pairs]
+        # an arc is (edge, head, length step, element id the arc enters)
+        self.arcs = [
+            [
+                (e, self.index[nb], steps[e], self.index[nb] if self.vertex_mode else e)
+                for e, nb in g.out_arcs(v)
+            ]
+            for v in self.names
+        ]
+        if self.vertex_mode:
+            self.weights = [g.node_weight(v) for v in self.names]
+        else:
+            self.weights = [e.weight for e in g.edges]
+        self.removed = bytearray(len(self.weights))
 
+    def element(self, el: int) -> Element:
+        return self.names[el] if self.vertex_mode else el
 
-def _min_hop_short_path(
-    g: WeightedGraph,
-    s: str,
-    t: str,
-    bound: int,
-    removed_nodes: set[str],
-    removed_edges: set[int],
-    uncuttable_mode: str | None = None,
-) -> Path | None:
-    """BFS over (node, accumulated length) states for a fewest-edge s-t
-    path of total length strictly below ``bound``."""
-    if s in removed_nodes or t in removed_nodes:
+    def elements(self, path: Path) -> list[int]:
+        """Cuttable element ids on ``path``."""
+        ids = [self.index[v] for v in path.nodes] if self.vertex_mode else path.edges
+        return [el for el in ids if self.weights[el] is not None]
+
+    def min_hop(self, s: int, t: int) -> Path | None:
+        """BFS for a fewest-edge s-t path avoiding removed elements; among
+        those, the first one found in arc order."""
+        width, arcs, removed = self.width, self.arcs, self.removed
+        start = s * width
+        prev: dict[int, tuple[int, int] | None] = {start: None}
+        if s == t:
+            return self._path(prev, start)
+        queue = [start]
+        for state in queue:
+            v, lvl = divmod(state, width)
+            for e, w, step, el in arcs[v]:
+                nl = lvl + step
+                if removed[el] or nl >= width:
+                    continue
+                nxt = w * width + nl
+                if nxt in prev:
+                    continue
+                prev[nxt] = (state, e)
+                if w == t:
+                    return self._path(prev, nxt)
+                queue.append(nxt)
         return None
-    start = (s, 0)
-    prev: dict[tuple[str, int], tuple[tuple[str, int], int]] = {}
-    seen = {start}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        state = queue[qi]
-        qi += 1
-        v, lvl = state
-        if v == t:
-            nodes = [t]
-            edges = []
-            cur = state
-            while cur != start:
-                pstate, pe = prev[cur]
-                nodes.append(pstate[0])
-                edges.append(pe)
-                cur = pstate
-            nodes.reverse()
-            edges.reverse()
-            return Path(tuple(nodes), tuple(edges), lvl)
-        for idx, nb in g.out_arcs(v):
-            if idx in removed_edges or nb in removed_nodes:
-                continue
-            nl = lvl + g.edges[idx].length
-            if nl >= bound:
-                continue
-            if uncuttable_mode == EDGE and g.edges[idx].weight is not None:
-                continue
-            if (
-                uncuttable_mode == VERTEX
-                and nb != t
-                and g.node_weight(nb) is not None
-            ):
-                continue
-            nstate = (nb, nl)
-            if nstate in seen:
-                continue
-            seen.add(nstate)
-            prev[nstate] = (state, idx)
-            queue.append(nstate)
-    return None
+
+    def _path(self, prev: dict[int, tuple[int, int] | None], state: int) -> Path:
+        nodes = [self.names[state // self.width]]
+        edges = []
+        step = prev[state]
+        while step is not None:
+            state, e = step
+            nodes.append(self.names[state // self.width])
+            edges.append(e)
+            step = prev[state]
+        nodes.reverse()
+        edges.reverse()
+        return Path(tuple(nodes), tuple(edges), sum(self.lengths[e] for e in edges))
 
 
-def find_violating_path(
-    inst: CutInstance, removed: Iterable[Element] = (), bound: int | None = None
-) -> Path | None:
-    """Minimum-hop path that the current cut fails to cover, or None.
+def find_violating_path(search: PathSearch) -> Path | None:
+    """Minimum-hop path that the search's removed elements fail to cover,
+    or None.
 
     Multicut: any surviving terminal-pair path; ties between pairs go to
     the earlier pair. Length-bound: any surviving path shorter than the
     bound.
     """
-    rnodes, redges = inst.graph.check_removable(removed)
-    g = inst.graph
-    p = inst.problem
-    if isinstance(p, Multicut):
-        best: Path | None = None
-        for s, t in p.pairs:
-            path = _min_hop_path(g, s, t, rnodes, redges)
-            if path is not None and (best is None or len(path.edges) < len(best.edges)):
-                best = path
-        return best
-    if isinstance(p, LengthBound):
-        use = p.bound if bound is None else bound
-        return _min_hop_short_path(g, p.source, p.sink, use, rnodes, redges)
-    raise ValueError("violating paths are defined for multicut and length bound")
+    best: Path | None = None
+    for s, t in search.pairs:
+        path = search.min_hop(s, t)
+        if path is not None and (best is None or len(path.edges) < len(best.edges)):
+            best = path
+    return best
 
 
 def _check_infeasible(inst: CutInstance, bound: int | None = None) -> None:
-    """Raise Infeasible when an all-uncuttable violating path exists."""
-    g = inst.graph
-    p = inst.problem
-    if isinstance(p, Multicut):
-        for s, t in p.pairs:
-            witness = _min_hop_path(g, s, t, set(), set(), uncuttable_mode=inst.mode)
-            if witness is not None:
-                raise Infeasible(f"pair ({s},{t}) joined by uncuttable path", witness)
-    elif isinstance(p, LengthBound):
-        use = p.bound if bound is None else bound
-        witness = _min_hop_short_path(
-            g, p.source, p.sink, use, set(), set(), uncuttable_mode=inst.mode
-        )
-        if witness is not None:
-            raise Infeasible("short uncuttable path exists", witness)
+    """Raise Infeasible when a violating path has no cuttable element."""
+    search = PathSearch(inst, bound)
+    for el, w in enumerate(search.weights):
+        search.removed[el] = w is not None
+    for s, t in search.pairs:
+        witness = search.min_hop(s, t)
+        if witness is None:
+            continue
+        if isinstance(inst.problem, Multicut):
+            pair = f"({search.names[s]},{search.names[t]})"
+            raise Infeasible(f"pair {pair} joined by uncuttable path", witness)
+        raise Infeasible("short uncuttable path exists", witness)
 
 
 # -- feasibility checkers (independent of the solvers) ----------------------
@@ -229,33 +202,105 @@ def solution_cost(inst: CutInstance, elements: Iterable[Element]) -> Fraction:
 # -- branch and bound ---------------------------------------------------------
 
 
+class _ExclusionBranching:
+    """Depth-first search over cut sets for one solve.
+
+    Costs are integers over the common denominator of the cuttable
+    weights. The cut lives in the search's ``removed`` array; ``forbidden``
+    flags the element ids that the current subtree may not cut.
+    """
+
+    def __init__(
+        self, search: PathSearch, incumbent: tuple[Fraction, frozenset[Element]]
+    ) -> None:
+        weights = search.weights
+        cuttable = [el for el, w in enumerate(weights) if w is not None]
+        self.search = search
+        self.scale = lcm(*(weights[el].denominator for el in cuttable))
+        self.weight = [0 if w is None else int(w * self.scale) for w in weights]
+        self.rank = [0] * len(weights)
+        order = sorted(cuttable, key=lambda el: (weights[el], str(search.element(el))))
+        for position, el in enumerate(order):
+            self.rank[el] = position
+        self.forbidden = bytearray(len(weights))
+        self.best_cost = int(incumbent[0] * self.scale)
+        self.best_set = incumbent[1]
+
+    def explore(self, cost: int) -> None:
+        """Search below the current cut, which costs ``cost``."""
+        search, removed, forbidden = self.search, self.search.removed, self.forbidden
+        path = find_violating_path(search)
+        if path is None:
+            self.best_cost = cost
+            self.best_set = frozenset(
+                search.element(el) for el, out in enumerate(removed) if out
+            )
+            return
+        candidates = search.elements(path)
+        require(bool(candidates), "violating path has no cuttable element")
+        free = sorted(
+            {el for el in candidates if not forbidden[el]}, key=self.rank.__getitem__
+        )
+        if not free or self._bound(cost, free) >= self.best_cost:
+            return
+        # child j cuts free[j] and forbids free[:j], so every cut set is
+        # reached at most once
+        for el in free:
+            child = cost + self.weight[el]
+            if child >= self.best_cost:
+                break  # free is sorted by weight, so later children cost more
+            removed[el] = 1
+            self.explore(child)
+            removed[el] = 0
+            forbidden[el] = 1
+        for el in free:
+            forbidden[el] = 0
+
+    def _bound(self, cost: int, free: list[int]) -> int:
+        """``cost`` plus the cheapest free element of each path in a greedy
+        family of violated paths that share no free element. Every
+        completion cuts a distinct free element of each, so this is a lower
+        bound; a path with only forbidden elements makes it infinite (the
+        incumbent cost). Collection stops once the incumbent is reached."""
+        search, removed, forbidden = self.search, self.search.removed, self.forbidden
+        lower = cost + self.weight[free[0]]
+        held: list[int] = []
+        fresh = free
+        while lower < self.best_cost:
+            for el in fresh:
+                removed[el] = 1
+            held += fresh
+            path = find_violating_path(search)
+            if path is None:
+                break
+            fresh = [el for el in search.elements(path) if not forbidden[el]]
+            if not fresh:
+                lower = self.best_cost
+                break
+            lower += min(self.weight[el] for el in fresh)
+        for el in held:
+            removed[el] = 0
+        return lower
+
+
 def _branch_and_bound(
     inst: CutInstance,
     bound: int | None,
     incumbent: tuple[Fraction, frozenset[Element]],
 ) -> tuple[Fraction, frozenset[Element]]:
-    g = inst.graph
-    best_cost, best_set = incumbent
-    visited: set[frozenset[Element]] = set()
-    # depth first over cut sets, children in branching order; a loop rather
-    # than a self-referencing closure, so ``visited`` dies with the call
-    stack: list[tuple[frozenset[Element], Fraction]] = [(frozenset(), Fraction(0))]
-    while stack:
-        current, cost = stack.pop()
-        if cost >= best_cost or current in visited:
-            continue
-        visited.add(current)
-        path = find_violating_path(inst, current, bound)
-        if path is None:
-            best_cost, best_set = cost, current
-            continue
-        candidates = path.elements(inst.mode, g)
-        require(bool(candidates), "violating path has no cuttable element")
-        candidates.sort(key=lambda el: (g.element_weight(el), str(el)))
-        stack.extend(
-            (current | {el}, cost + g.element_weight(el)) for el in reversed(candidates)
-        )
-    return best_cost, best_set
+    """Cheapest cut set strictly below the incumbent, or the incumbent.
+
+    Exclusion branching over violated paths: find a minimum-hop violated
+    path and branch on its free (not forbidden) cuttable elements
+    c_1..c_m, cheapest first by (weight, str). Child j cuts c_j and forbids
+    c_1..c_(j-1), so each cut set is reached once and no visited table is
+    needed. A node is pruned when its cost plus the disjoint-path bound
+    reaches the incumbent, or when a violated path has only forbidden
+    elements. Every path comes from ``find_violating_path``.
+    """
+    bb = _ExclusionBranching(PathSearch(inst, bound), incumbent)
+    bb.explore(0)
+    return Fraction(bb.best_cost, bb.scale), bb.best_set
 
 
 def exact_min_multicut(
@@ -263,10 +308,10 @@ def exact_min_multicut(
 ) -> CutSolution:
     """Minimum-cost element set disconnecting every terminal pair.
 
-    Lazy branch and bound: repeatedly find a surviving minimum-hop pair
-    path and branch on cutting each of its cuttable elements, pruning by
-    the incumbent cost. The incumbent is seeded with the union of
-    per-pair minimum cuts.
+    Lazy branch and bound (``_branch_and_bound``): exclusion branching on
+    the cuttable elements of a surviving minimum-hop pair path, pruned by
+    a bound from pair paths that share no free element. The incumbent is
+    seeded with the union of per-pair minimum cuts.
     """
     require_problem(inst.problem, Multicut)
     cuttable = inst.cuttable_elements()

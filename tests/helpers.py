@@ -1,5 +1,5 @@
 """Shared test oracles: exhaustive path enumeration, subset brute force,
-and the seeded random-instance factory used by the cross-check suites.
+and the seeded random-instance factories used by the cross-check suites.
 
 Everything here is deliberately independent of the package's search code:
 paths come from plain DFS enumeration and optima from subset enumeration.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from cutlab.graphs import (
     EDGE,
@@ -159,3 +159,61 @@ def random_instance(
     if mode == EDGE:
         assert len(inst.cuttable_elements()) <= max_cuttable
     return inst
+
+
+def random_grid_instance(
+    rng: random.Random, problem_kind: str, mode: str, rows: int = 3, cols: int = 4
+) -> CutInstance:
+    """Random grid of rows x cols cells, denser in overlapping paths than
+    ``random_instance``, so branch and bound goes several levels deep.
+
+    Multicut (directed): s1 feeds the first column and the last column
+    feeds t1; s2 and t2 do the same for the first and last row. Length
+    bound (undirected): s and t join the first and last column, and the
+    bound is 1 or 2 above the s-t distance. Vertex mode cuts the cells,
+    joined by king moves each kept with probability 0.8. Edge mode cuts
+    the links between side neighbours (one direction each for multicut)
+    and adds uncuttable diagonals with probability 0.3.
+    """
+    multicut = problem_kind == "multicut"
+    pairs = [("s1", "t1"), ("s2", "t2")] if multicut else [("s", "t")]
+    g = WeightedGraph()
+    for pair in pairs:
+        for term in pair:
+            g.add_node(term, None)
+
+    def rand_weight() -> Fraction:
+        return Fraction(rng.randint(1, 4), rng.randint(1, 2))
+
+    def link(a: str, b: str, weight: Fraction | None) -> None:
+        g.add_edge(a, b, directed=multicut, length=rng.randint(1, 2), weight=weight)
+
+    cells = list(product(range(rows), range(cols)))
+    name = {cell: f"v[{cell[0]},{cell[1]}]" for cell in cells}
+    for cell in cells:
+        g.add_node(name[cell], rand_weight() if mode == VERTEX else None)
+    s, t = pairs[0]
+    for i in range(rows):
+        link(s, name[i, 0], None)
+        link(name[i, cols - 1], t, None)
+    if multicut:
+        for j in range(cols):
+            link("s2", name[0, j], None)
+            link(name[rows - 1, j], "t2", None)
+    for a, b in combinations(cells, 2):
+        if max(abs(a[0] - b[0]), abs(a[1] - b[1])) != 1:
+            continue
+        if mode == VERTEX:
+            for x, y in ((a, b), (b, a)) if multicut else ((a, b),):
+                if rng.random() < 0.8:
+                    link(name[x], name[y], None)
+            continue
+        diagonal = a[0] != b[0] and a[1] != b[1]
+        if diagonal and rng.random() >= 0.3:
+            continue
+        x, y = (a, b) if rng.random() < 0.5 else (b, a)
+        link(name[x], name[y], None if diagonal else rand_weight())
+    if multicut:
+        return CutInstance(graph=g, mode=mode, problem=Multicut(tuple(pairs)))
+    bound = shortest_path_length(g, s, t) + rng.randint(1, 2)
+    return CutInstance(graph=g, mode=mode, problem=LengthBound(s, t, bound))

@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from cutlab.approx import bicut_2approx, threshold_round_lbc, trivial_multicut
-from cutlab.errors import InfeasibleLpInput
+from cutlab.errors import InfeasibleLpInput, WrongProblemType
 from cutlab.gadgets import DictParamsE, build_dict_edge, build_saks_gap
 from cutlab.graphs import (
     EDGE,
@@ -79,7 +79,7 @@ class TestBicut:
 
     def test_rejects_non_bicut_pairs(self):
         inst = build_saks_gap(2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(WrongProblemType):
             bicut_2approx(inst)
 
     def test_directed_cycle_ratio(self):

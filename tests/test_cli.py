@@ -403,6 +403,13 @@ class TestMalformedInput:
         assert (code, out) == (1, "")
         assert "ParamOutOfRange" in err and "zzz" in err
 
+    @pytest.mark.parametrize("raw", ["1/20..1/10", "1..2..3"])
+    def test_gap_table_range_needs_integer_endpoints(self, raw, capsys):
+        argv = ["gap-table", "--family", "dict-m", "--params", f"r=2,k=2,R=1,eps={raw}"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert f"ParamOutOfRange: range eps={raw}" in err
+
     def test_gap_table_on_fire_family_fails_per_row(self, capsys):
         argv = ["gap-table", "--family", "dict-f", "--params", "b=2,R=1,eps=1/100"]
         code, out, err = run_cli(capsys, argv)

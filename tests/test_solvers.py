@@ -9,6 +9,7 @@ import pytest
 
 import cutlab
 import helpers
+from cutlab import solvers
 from cutlab.errors import Infeasible, SaveBurntVertex, SizeGuard
 from cutlab.gadgets import (
     DictParamsE,
@@ -38,6 +39,7 @@ from cutlab.solvers import (
     length_bound_is_feasible,
     multicut_is_feasible,
     rmfc_simulate,
+    solution_cost,
 )
 
 
@@ -115,7 +117,7 @@ class TestExactMulticut:
                 "expect(CertificateFailed, graphs.min_st_cut, saks.graph, 's1', 't1', 'vertex')",
                 "graphs._FlowNet.max_flow = max_flow",
                 "no_cuttable = graphs.Path(('s1',), (), 0)",
-                "solvers.find_violating_path = lambda inst, removed, bound: no_cuttable",
+                "solvers.find_violating_path = lambda search: no_cuttable",
                 "expect(CertificateFailed, solvers.exact_min_multicut, saks)",
                 "solvers._branch_and_bound = lambda *args: (0, frozenset())",
                 "expect(CertificateFailed, solvers.exact_min_multicut, saks)",
@@ -187,6 +189,99 @@ class TestRandomCrossChecks:
             )
             assert sol.cost == oracle, f"trial {trial}"
             assert length_bound_is_feasible(inst, sol.elements)
+
+
+@pytest.fixture
+def forbidden_probe(monkeypatch):
+    """Wraps the branch and bound's oracle and counts the violated paths
+    that carry a forbidden element ("some") and those whose cuttable
+    elements are all forbidden ("all"), which prune their node."""
+    counts = {"some": 0, "all": 0}
+    live = []
+    init = solvers._ExclusionBranching.__init__
+    oracle = solvers.find_violating_path
+
+    def record(bb, *args):
+        init(bb, *args)
+        live[:] = [bb]
+
+    def probe(search):
+        path = oracle(search)
+        if path is not None:
+            flags = [live[0].forbidden[el] for el in search.elements(path)]
+            counts["some"] += any(flags)
+            counts["all"] += all(flags)
+        return path
+
+    monkeypatch.setattr(solvers._ExclusionBranching, "__init__", record)
+    monkeypatch.setattr(solvers, "find_violating_path", probe)
+    return counts
+
+
+class TestExclusionBranching:
+    def test_grid_instances_equal_brute_force(self, forbidden_probe):
+        rng = random.Random(1)
+        for kind, solve in [
+            ("multicut", exact_min_multicut),
+            ("length_bound", exact_min_length_bounded_cut),
+        ]:
+            for mode, cols in [(VERTEX, 4), (EDGE, 3)]:
+                for trial in range(6):
+                    inst = helpers.random_grid_instance(rng, kind, mode, cols=cols)
+                    assert len(inst.cuttable_elements()) <= 22
+                    try:
+                        oracle = brute_force_min_cut(inst)
+                    except Infeasible:
+                        with pytest.raises(Infeasible):
+                            solve(inst)
+                        continue
+                    sol = solve(inst)
+                    assert sol.cost == oracle.cost, (kind, mode, trial)
+                    assert solution_cost(inst, sol.elements) == sol.cost
+                    feasible = (
+                        multicut_is_feasible(inst, sol.elements)
+                        if kind == "multicut"
+                        else length_bound_is_feasible(inst, sol.elements)
+                    )
+                    assert feasible, (kind, mode, trial)
+        assert forbidden_probe["some"] > 0
+
+    def test_path_of_forbidden_elements_prunes(self, forbidden_probe):
+        # the root path s-a-b-t branches into "cut a" and "cut b, forbid a";
+        # the second child meets s-a-u1-u2-t, whose only cuttable element a
+        # is forbidden, and stops there
+        g = WeightedGraph()
+        for v, w in [("s", None), ("t", None), ("a", 1), ("b", 2), ("c", 5)]:
+            g.add_node(v, None if w is None else Fraction(w))
+        for v in ("u1", "u2", "u3", "u4"):
+            g.add_node(v)
+        for a, b in [("s", "a"), ("s", "c"), ("a", "b"), ("b", "t"), ("a", "u1"),
+                     ("u1", "u2"), ("u2", "t"), ("c", "u3"), ("u3", "u4"), ("u4", "t")]:
+            g.add_edge(a, b, directed=False)
+        inst = CutInstance(graph=g, mode=VERTEX, problem=LengthBound("s", "t", 10))
+        sol = exact_min_length_bounded_cut(inst)
+        assert sol.elements == frozenset({"a", "c"}) and sol.cost == 6
+        assert brute_force_min_cut(inst).cost == 6
+        assert forbidden_probe["all"] == 1
+
+
+# calls to find_violating_path before exclusion branching: 23,547 on saks
+# r=5 k=2 and 83,009 on r=3 k=3; the gate is a quarter of each
+SAKS_ORACLE_CAPS = {(5, 2): 5886, (3, 3): 20752}
+
+
+@pytest.mark.parametrize("r,k", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)])
+def test_saks_optimum_closed_form(r, k, monkeypatch):
+    calls = [0]
+    oracle = solvers.find_violating_path
+
+    def counted(search):
+        calls[0] += 1
+        return oracle(search)
+
+    monkeypatch.setattr(solvers, "find_violating_path", counted)
+    assert exact_min_multicut(build_saks_gap(r, k)).cost == r**k - (r - 1) ** k
+    assert calls[0] <= SAKS_ORACLE_CAPS.get((r, k), calls[0])
 
 
 class TestInterdiction:
