@@ -25,6 +25,7 @@ from .graphs import (
     instance_from_json_str,
     instance_to_json_str,
     rational_str,
+    schedule_from_json,
 )
 
 CSV_HEADER = "family,params,lp_value,integral_value,gap,wall_ms"
@@ -211,12 +212,7 @@ def cmd_rmfc(args: argparse.Namespace) -> int:
         return 0
     if args.schedule:
         with open(args.schedule) as handle:
-            raw = json.load(handle)
-        days = tuple(frozenset(day) for day in raw["days"])
-        costs = tuple(
-            sum((inst.graph.node_weight(v) for v in day), Fraction(0)) for day in days
-        )
-        schedule = Schedule(days, costs)
+            schedule = schedule_from_json(json.load(handle), inst.graph)
     else:
         family, params = dictator_test(inst)
         schedule = gadgets.dictator_cut(family.kind, params, args.q - 1, inst)

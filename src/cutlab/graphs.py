@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from json.encoder import encode_basestring_ascii as json_str
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -665,28 +666,6 @@ def expand_node_weights(g: WeightedGraph) -> WeightedGraph:
 # -- JSON schema ----------------------------------------------------------
 
 
-def instance_to_json(inst: CutInstance) -> dict:
-    g = inst.graph
-    doc: dict = {
-        "nodes": [{"id": v, "weight": rational_str(g.node_weight(v))} for v in g.nodes],
-        "edges": [
-            {
-                "tail": e.tail,
-                "head": e.head,
-                "directed": e.directed,
-                "length": e.length,
-                "weight": rational_str(e.weight),
-            }
-            for e in g.edges
-        ],
-        "mode": inst.mode,
-        "problem": _problem_to_json(inst.problem),
-    }
-    if inst.provenance is not None:
-        doc["provenance"] = inst.provenance
-    return doc
-
-
 def _problem_to_json(p: Problem) -> dict:
     if isinstance(p, Multicut):
         return {"type": "multicut", "pairs": [[a, b] for a, b in p.pairs]}
@@ -767,8 +746,70 @@ def instance_from_json(doc: object) -> CutInstance:
     )
 
 
+def schedule_from_json(doc: object, g: WeightedGraph) -> Schedule:
+    """Rebuild a ``{"days": [[node id, ...], ...]}`` schedule with its
+    per-day costs in ``g``, raising MalformedInstance on a missing or
+    ill-typed field and RemovingUncuttable on an uncuttable vertex."""
+    days: list[frozenset[str]] = []
+    costs: list[Fraction] = []
+    for raw in _field(doc, "days", list, "schedule"):
+        if not isinstance(raw, list):
+            raise MalformedInstance("schedule field 'days' must list lists of node ids")
+        day = frozenset(_node_ids(raw, "schedule day"))
+        cost = Fraction(0)
+        for v in day:
+            w = g.node_weight(v)
+            if w is None:
+                raise RemovingUncuttable(f"cannot save uncuttable {v!r}")
+            cost += w
+        days.append(day)
+        costs.append(cost)
+    return Schedule(tuple(days), tuple(costs))
+
+
+def _json_weight(w: Weight) -> str:
+    return "null" if w is None else f'"{w.numerator}/{w.denominator}"'
+
+
+def _json_nested(value: object) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` prints it one
+    level inside the document."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+
+def _json_items(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def instance_to_json_str(inst: CutInstance) -> str:
-    return json.dumps(instance_to_json(inst), indent=2, sort_keys=True) + "\n"
+    """The instance document, byte for byte as ``json.dumps(doc, indent=2,
+    sort_keys=True)`` prints it, plus a newline.
+
+    Nodes and edges are written from fixed templates with their keys in
+    sorted order and strings escaped by the stdlib's C escaper; only the
+    small ``problem`` and ``provenance`` values go through ``json.dumps``.
+    """
+    g = inst.graph
+    ids = {v: json_str(v) for v in g.nodes}
+    nodes = [
+        f'    {{\n      "id": {ids[v]},\n      "weight": {_json_weight(g.node_weight(v))}\n    }}'
+        for v in g.nodes
+    ]
+    edges = [
+        f'    {{\n      "directed": {"true" if e.directed else "false"},\n'
+        f'      "head": {ids[e.head]},\n      "length": {e.length},\n'
+        f'      "tail": {ids[e.tail]},\n      "weight": {_json_weight(e.weight)}\n    }}'
+        for e in g.edges
+    ]
+    members = [
+        f'  "edges": {_json_items(edges)}',
+        f'  "mode": {json_str(inst.mode)}',
+        f'  "nodes": {_json_items(nodes)}',
+        f'  "problem": {_json_nested(_problem_to_json(inst.problem))}',
+    ]
+    if inst.provenance is not None:
+        members.append(f'  "provenance": {_json_nested(inst.provenance)}')
+    return "{\n" + ",\n".join(members) + "\n}\n"
 
 
 def instance_from_json_str(text: str) -> CutInstance:

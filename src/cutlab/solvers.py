@@ -377,17 +377,22 @@ def brute_force_min_cut(
         feasible = lambda els: length_bound_is_feasible(inst, els, bound)
     else:
         raise ValueError("brute force covers multicut and length bound")
-    best: tuple[Fraction, frozenset[Element]] | None = None
+    # costs are integers over the common denominator of the weights
+    weights = [inst.graph.element_weight(el) for el in cuttable]
+    scale = lcm(*(w.denominator for w in weights))
+    units = [int(w * scale) for w in weights]
+    indices = range(len(cuttable))
+    best: tuple[int, frozenset[Element]] | None = None
     for mask in range(1 << len(cuttable)):
-        subset = [cuttable[i] for i in range(len(cuttable)) if mask >> i & 1]
-        cost = solution_cost(inst, subset)
+        cost = sum(units[i] for i in indices if mask >> i & 1)
         if best is not None and cost >= best[0]:
             continue
+        subset = [cuttable[i] for i in indices if mask >> i & 1]
         if feasible(subset):
             best = (cost, frozenset(subset))
     if best is None:
         raise Infeasible("no cuttable subset is feasible")
-    return CutSolution(best[1], best[0])
+    return CutSolution(best[1], Fraction(best[0], scale))
 
 
 # -- interdiction -------------------------------------------------------------
@@ -516,17 +521,38 @@ def _burnable(
     return reach - set(burnt)
 
 
+def _affordable_days(
+    items: list[str], weights: list[int], n: int, budget: int
+) -> Iterable[tuple[str, ...]]:
+    """Subsets of ``items[:n]`` whose weight is at most ``budget``, in the
+    increasing order of their bitmasks (bit i for ``items[i]``): the
+    highest index is decided first, left out before taken. A module-level
+    generator, so the recursion holds no reference cycle."""
+    if n == 0:
+        yield ()
+        return
+    yield from _affordable_days(items, weights, n - 1, budget)
+    rest = budget - weights[n - 1]
+    if rest >= 0:
+        for day in _affordable_days(items, weights, n - 1, rest):
+            yield (*day, items[n - 1])
+
+
 def _fire_search(
-    g: WeightedGraph,
+    units: dict[str, int],
     nbrs: dict[str, list[str]],
     targets: frozenset[str],
-    k: Fraction,
+    budget: int,
     memo: dict[tuple[frozenset[str], frozenset[str]], tuple[frozenset[str], ...] | None],
     burnt: frozenset[str],
     saved: frozenset[str],
 ) -> tuple[frozenset[str], ...] | None:
-    """Per-day save sets of cost <= k that keep the fire off every target
-    from state (burnt, saved), or None; memoised on the state in ``memo``."""
+    """Per-day save sets of cost <= budget that keep the fire off every
+    target from state (burnt, saved), or None; memoised on the state in
+    ``memo``. ``units`` holds the integer weight of each savable vertex.
+    Days are tried in the order of ``_affordable_days``, so the schedule
+    found is the first in increasing bitmask order over the sorted
+    savable vertices."""
     if any(t in burnt for t in targets):
         return None
     key = (burnt, saved)
@@ -536,12 +562,11 @@ def _fire_search(
     if not future:
         memo[key] = ()
         return ()
-    relevant = sorted(v for v in future if g.node_weight(v) is not None)
+    relevant = sorted(v for v in future if v in units)
+    weights = [units[v] for v in relevant]
     result: tuple[frozenset[str], ...] | None = None
-    for mask in range(1 << len(relevant)):
-        day = frozenset(relevant[i] for i in range(len(relevant)) if mask >> i & 1)
-        if sum((g.node_weight(v) for v in day), Fraction(0)) > k:
-            continue
+    for chosen in _affordable_days(relevant, weights, len(relevant), budget):
+        day = frozenset(chosen)
         nsaved = saved | day
         spread = {
             nb
@@ -549,7 +574,7 @@ def _fire_search(
             for nb in nbrs[v]
             if nb not in burnt and nb not in nsaved
         }
-        rest = _fire_search(g, nbrs, targets, k, memo, burnt | spread, frozenset(nsaved))
+        rest = _fire_search(units, nbrs, targets, budget, memo, burnt | spread, nsaved)
         if rest is not None:
             result = (day, *rest)
             break
@@ -561,17 +586,24 @@ def exact_rmfc_decision(
     inst: CutInstance, k: Fraction, *, vertex_limit: int = RMFC_VERTEX_LIMIT
 ) -> tuple[bool, Schedule | None]:
     """Decide whether per-day budget k saves all targets; exhaustive
-    search over per-day save sets with memoization on (burnt, saved)."""
+    search over the per-day save sets that cost at most k, with
+    memoization on (burnt, saved). Costs are integers over the common
+    denominator of k and the vertex weights."""
     require_problem(inst.problem, Rmfc)
     k = Fraction(k)
+    if k < 0:
+        raise ValueError("budget must be nonnegative")
     g = inst.graph
     cuttable = [v for v in g.nodes if g.node_weight(v) is not None]
     if len(cuttable) > vertex_limit:
         raise SizeGuard(f"{len(cuttable)} cuttable vertices (cap {vertex_limit})")
+    scale = lcm(k.denominator, *(g.node_weight(v).denominator for v in cuttable))
+    units = {v: int(g.node_weight(v) * scale) for v in cuttable}
     nbrs = _undirected_neighbors(g)
     targets = inst.problem.targets
     days = _fire_search(
-        g, nbrs, targets, k, {}, frozenset({inst.problem.source}), frozenset()
+        units, nbrs, targets, int(k * scale), {},
+        frozenset({inst.problem.source}), frozenset(),
     )
     if days is None:
         return False, None

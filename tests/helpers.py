@@ -17,6 +17,7 @@ from cutlab.graphs import (
     CutInstance,
     LengthBound,
     Multicut,
+    Rmfc,
     WeightedGraph,
     shortest_path_length,
 )
@@ -217,3 +218,83 @@ def random_grid_instance(
         return CutInstance(graph=g, mode=mode, problem=Multicut(tuple(pairs)))
     bound = shortest_path_length(g, s, t) + rng.randint(1, 2)
     return CutInstance(graph=g, mode=mode, problem=LengthBound(s, t, bound))
+
+
+def random_rmfc_instance(rng: random.Random, n_cuttable: int = 10) -> CutInstance:
+    """Random fire-containment instance: a source ``s``, ``n_cuttable``
+    savable vertices of non-unit rational weight and two uncuttable relay
+    vertices on a random tree, a few extra (sometimes directed) edges, and
+    targets ``t1``, ``t2`` hung off vertices other than the source."""
+    g = WeightedGraph()
+    g.add_node("s")
+    names = [f"v{i}" for i in range(n_cuttable)]
+    for v in names:
+        g.add_node(v, Fraction(rng.randint(1, 5), rng.randint(2, 4)))
+    for v in ("r0", "r1", "t1", "t2"):
+        g.add_node(v)
+    names += ["r0", "r1"]
+    rng.shuffle(names)
+    placed = ["s"]
+    for v in names:
+        g.add_edge(rng.choice(placed), v, directed=False)
+        placed.append(v)
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.sample(names, 2)
+        g.add_edge(a, b, directed=rng.random() < 0.5)
+    for t in ("t1", "t2"):
+        g.add_edge(rng.choice(names), t, directed=False)
+    return CutInstance(graph=g, mode=VERTEX, problem=Rmfc("s", frozenset({"t1", "t2"})))
+
+
+def reference_rmfc_search(inst: CutInstance, k: Fraction):
+    """The schedule search as it ran before save sets were pruned by cost:
+    every state tries all 2^|savable| masks in increasing order, skipping
+    those over budget. Returns ``(savable, days)``."""
+    g = inst.graph
+    nbrs = {v: [nb for _, nb in g.out_arcs(v)] for v in g.nodes}
+    targets = inst.problem.targets
+    memo: dict = {}
+
+    def burnable(burnt, saved):
+        reach = set(burnt)
+        frontier = list(burnt)
+        while frontier:
+            v = frontier.pop()
+            for nb in nbrs[v]:
+                if nb not in reach and nb not in saved:
+                    reach.add(nb)
+                    frontier.append(nb)
+        return reach - set(burnt)
+
+    def search(burnt, saved):
+        if any(t in burnt for t in targets):
+            return None
+        key = (burnt, saved)
+        if key in memo:
+            return memo[key]
+        future = burnable(burnt, saved)
+        if not future:
+            memo[key] = ()
+            return ()
+        relevant = sorted(v for v in future if g.node_weight(v) is not None)
+        result = None
+        for mask in range(1 << len(relevant)):
+            day = frozenset(relevant[i] for i in range(len(relevant)) if mask >> i & 1)
+            if sum((g.node_weight(v) for v in day), Fraction(0)) > k:
+                continue
+            nsaved = saved | day
+            spread = {
+                nb
+                for v in burnt
+                for nb in nbrs[v]
+                if nb not in burnt and nb not in nsaved
+            }
+            rest = search(burnt | spread, frozenset(nsaved))
+            if rest is not None:
+                result = (day, *rest)
+                break
+        memo[key] = result
+        return result
+
+    days = search(frozenset({inst.problem.source}), frozenset())
+    return days is not None, days

@@ -434,6 +434,33 @@ class TestMalformedInput:
         assert "length-bound" in err
 
     @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ({}, "MalformedInstance: schedule lacks 'days'"),
+            ({"days": "x"}, "MalformedInstance: schedule field 'days' has type str"),
+            ({"days": ["x"]}, "MalformedInstance: schedule field 'days' must list"),
+            ({"days": [[1]]}, "MalformedInstance: schedule day must list node ids"),
+            ({"days": [["s"]]}, "RemovingUncuttable: cannot save uncuttable 's'"),
+        ],
+        ids=["no-days", "days-str", "day-str", "day-int", "save-source"],
+    )
+    def test_malformed_schedule_exits_1(self, schedule, message, tmp_path, capsys):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(schedule))
+        argv = ["rmfc", "--family", "dict-f", "--params", "b=2,R=1,eps=1/100",
+                "--schedule", str(path)]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert message in err
+
+    def test_rmfc_negative_search_budget_exits_1(self, capsys):
+        argv = ["rmfc", "--family", "dict-f", "--params", "b=2,R=1,eps=1/100",
+                "--search-budget", "-1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert "budget must be nonnegative" in err
+
+    @pytest.mark.parametrize(
         "path, value",
         [
             (("mode",), None),

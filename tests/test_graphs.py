@@ -1,16 +1,25 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 import helpers
+from cutlab import gadgets
+from cutlab.cli import parse_params
 from cutlab.errors import NoFiniteCut, RemovingUncuttable, UnknownNode
 from cutlab.graphs import (
     EDGE,
     VERTEX,
+    CutInstance,
+    LengthBound,
+    Multicut,
+    Rmfc,
     WeightedGraph,
     constrained_min_weight_path,
     expand_node_weights,
+    instance_from_json_str,
+    instance_to_json_str,
     min_st_cut,
     min_weight_path,
     shortest_path_length,
@@ -221,3 +230,69 @@ class TestConstrainedMinWeightPath:
             path, _ = found
             assert len(set(path.nodes)) == len(path.nodes)
             assert path.length < 6
+
+
+class TestInstanceJson:
+    """The writer prints exactly what ``json.dumps(doc, indent=2,
+    sort_keys=True)`` prints for the document, and the reader takes it back."""
+
+    SMALL_PARAMS = {
+        "saks": "r=2,k=2",
+        "dict-m": "r=2,k=2,R=1,eps=1/10",
+        "dict-e": "a=2,b=3,r=2,R=2",
+        "dict-v": "a=1,b=1,r=2,R=2,eps=1/5",
+        "dict-f": "b=2,R=1,eps=1/100",
+    }
+    ODD_IDS = ['say "hi"', "back\\slash", "bell\x07", "café"]
+
+    @staticmethod
+    def assert_canonical(inst):
+        text = instance_to_json_str(inst)
+        assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+        assert instance_to_json_str(instance_from_json_str(text)) == text
+        return text
+
+    def test_every_family_covered(self):
+        assert set(self.SMALL_PARAMS) == set(gadgets.FAMILIES)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
+    def test_family_output_canonical(self, name):
+        family = gadgets.FAMILIES[name]
+        params = family.params(parse_params(self.SMALL_PARAMS[name]))
+        self.assert_canonical(family.build(params, 10_000))
+
+    def test_no_edges(self):
+        g = WeightedGraph()
+        g.add_node("s")
+        g.add_node("t")
+        inst = CutInstance(graph=g, mode=VERTEX, problem=Multicut((("s", "t"),)))
+        assert '"edges": [],' in self.assert_canonical(inst)
+
+    def test_no_provenance_and_rmfc_targets(self):
+        g = chain_graph(weights={"a": Fraction(2, 3), "b": Fraction(5)})
+        inst = CutInstance(
+            graph=g, mode=VERTEX, problem=Rmfc("s", frozenset({"t", "b"}))
+        )
+        text = self.assert_canonical(inst)
+        assert "provenance" not in text
+        assert json.loads(text)["problem"]["targets"] == ["b", "t"]
+
+    @pytest.mark.parametrize("mode", [VERTEX, EDGE])
+    def test_odd_node_ids_escaped(self, mode):
+        g = WeightedGraph()
+        g.add_node("s")
+        for v in self.ODD_IDS:
+            g.add_node(v, Fraction(3, 7) if mode == VERTEX else None)
+        g.add_node("t")
+        chain = ["s", *self.ODD_IDS, "t"]
+        for i, (a, b) in enumerate(zip(chain, chain[1:])):
+            g.add_edge(a, b, directed=i % 2 == 0, length=i + 1, weight=Fraction(i, 2))
+        inst = CutInstance(
+            graph=g,
+            mode=mode,
+            problem=LengthBound("s", "t", 3),
+            provenance={"generator": "hand", "params": {"note": "é", "list": [1, {}]}},
+        )
+        text = self.assert_canonical(inst)
+        assert text.isascii()
+        assert instance_from_json_str(text).graph.nodes == chain

@@ -453,6 +453,34 @@ class TestRmfcDecision:
                 trace = rmfc_simulate(inst, schedule, budget=k)
                 assert not trace.target_burnt
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_schedule_matches_mask_order_reference(self, seed):
+        rng = random.Random(seed)
+        inst = helpers.random_rmfc_instance(rng, n_cuttable=rng.randint(6, 10))
+        for k in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 2)):
+            savable, schedule = exact_rmfc_decision(inst, k)
+            days = schedule.days if savable else None
+            assert (savable, days) == helpers.reference_rmfc_search(inst, k), k
+
+    @pytest.mark.parametrize("k", ["1/2", "1", "3/2"])
+    def test_fire_gadget_schedule_matches_reference(self, k):
+        inst = build_dict_rmfc(DictParamsF(2, 1, Fraction(1, 100)))
+        savable, schedule = exact_rmfc_decision(inst, Fraction(k))
+        days = schedule.days if savable else None
+        assert (savable, days) == helpers.reference_rmfc_search(inst, Fraction(k))
+        assert savable == (k != "1/2")
+
+    def test_negative_budget_rejected(self):
+        inst = path_rmfc_instance()
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            exact_rmfc_decision(inst, Fraction(-1))
+        g = WeightedGraph()
+        g.add_node("s")
+        g.add_node("t")
+        alone = CutInstance(graph=g, mode=VERTEX, problem=Rmfc("s", frozenset({"t"})))
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            exact_rmfc_decision(alone, Fraction(-1, 2))
+
 
 
 class TestNoReferenceCycles:
