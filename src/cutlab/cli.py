@@ -30,6 +30,16 @@ from .graphs import (
 
 CSV_HEADER = "family,params,lp_value,integral_value,gap,wall_ms"
 
+
+def parse_rational_arg(name: str, raw: str) -> Fraction:
+    """``raw`` as a Fraction, or ParamOutOfRange naming ``name`` when it is
+    not a rational (a zero denominator included)."""
+    try:
+        return Fraction(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ParamOutOfRange(f"{name} = {raw} is not a rational") from None
+
+
 def parse_params(text: str, *, ranges: bool = False) -> dict:
     """Parse "r=3,k=2,eps=1/20"; with ranges, "r=2..4" expands later."""
     out: dict = {}
@@ -50,7 +60,7 @@ def parse_params(text: str, *, ranges: bool = False) -> dict:
                 ) from None
             out[key] = list(range(lo, hi + 1))
         elif "/" in raw:
-            out[key] = Fraction(raw)
+            out[key] = parse_rational_arg(f"parameter {key}", raw)
         else:
             out[key] = int(raw)
     return out
@@ -188,7 +198,9 @@ def cmd_interdict(args: argparse.Namespace) -> int:
     inst = load_instance(args)
     if not isinstance(inst.problem, LengthBound):
         raise ValueError("interdiction covers length-bound instances")
-    best, sol = solvers.exact_interdiction(inst, Fraction(args.budget))
+    best, sol = solvers.exact_interdiction(
+        inst, parse_rational_arg("--budget", args.budget)
+    )
     doc = {
         "best_distance": best,
         "cut_cost": rational_str(sol.cost),
@@ -203,7 +215,8 @@ def cmd_rmfc(args: argparse.Namespace) -> int:
     if not isinstance(inst.problem, Rmfc):
         raise ValueError("instance is not a fire-containment problem")
     if args.search_budget is not None:
-        savable, schedule = solvers.exact_rmfc_decision(inst, Fraction(args.search_budget))
+        budget = parse_rational_arg("--search-budget", args.search_budget)
+        savable, schedule = solvers.exact_rmfc_decision(inst, budget)
         doc: dict = {"savable": savable}
         if schedule is not None:
             doc["days"] = [sorted(day) for day in schedule.days]

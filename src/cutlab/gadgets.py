@@ -28,6 +28,7 @@ from .graphs import (
     VERTEX,
     CutInstance,
     CutSolution,
+    EdgeRecord,
     LengthBound,
     Multicut,
     Rmfc,
@@ -268,9 +269,34 @@ def split_block_point(node_id: str) -> tuple[str, tuple[Atom, ...]]:
 
 def _layer_ids(
     layers: Iterable[int], points: Sequence[tuple[Atom, ...]]
-) -> dict[int, dict[tuple[Atom, ...], str]]:
-    """The node id of every point in every layer, formatted once."""
-    return {i: {x: layer_node_id(i, x) for x in points} for i in layers}
+) -> dict[int, list[str]]:
+    """The node id of every point in every layer, formatted once and listed
+    in the order of ``points``."""
+    return {i: [layer_node_id(i, x) for x in points] for i in layers}
+
+
+def _support_positions(
+    space: CorrelatedSpace, points: Sequence[tuple[Atom, ...]]
+) -> list[list[int]]:
+    """For each point, the positions in ``points`` of its support."""
+    position = {x: n for n, x in enumerate(points)}
+    return [[position[y] for y in support(space, x)] for x in points]
+
+
+def _block_edges(
+    src: Sequence[str],
+    dst: Sequence[str],
+    moves: Sequence[Sequence[int]],
+    *,
+    directed: bool,
+    length: int = 1,
+) -> Iterator[EdgeRecord]:
+    """One unweighted edge from ``src[n]`` to ``dst[m]`` for every point
+    position n and every position m in ``moves[n]``."""
+    for n, ms in enumerate(moves):
+        tail = src[n]
+        for m in ms:
+            yield tail, dst[m], directed, length, None
 
 
 def _guard_nodes(count: int, max_nodes: int) -> None:
@@ -297,18 +323,22 @@ def build_saks_gap(r: int, k: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cut
         g.add_node(f"s{i}", None)
         g.add_node(f"t{i}", None)
         pairs.append((f"s{i}", f"t{i}"))
-    alphas = list(itertools.product(range(1, r + 1), repeat=k))
-    for alpha in alphas:
-        g.add_node(grid_node_id(alpha), Fraction(1))
-    for i in range(1, k + 1):
-        for alpha in alphas:
-            if alpha[i - 1] == 1:
-                g.add_edge(f"s{i}", grid_node_id(alpha), directed=True)
-            if alpha[i - 1] == r:
-                g.add_edge(grid_node_id(alpha), f"t{i}", directed=True)
-    for alpha in alphas:
-        for beta in _grid_neighbours(alpha, r):
-            g.add_edge(grid_node_id(alpha), grid_node_id(beta), directed=True)
+    alphas = itertools.product(range(1, r + 1), repeat=k)
+    ids = {alpha: grid_node_id(alpha) for alpha in alphas}
+    for v in ids.values():
+        g.add_node(v, Fraction(1))
+    # r >= 2, so the slabs alpha_i = 1 (fed by s_i) and alpha_i = r (feeding t_i) differ
+    g.add_edges(
+        (f"s{i}", v, True, 1, None) if alpha[i - 1] == 1 else (v, f"t{i}", True, 1, None)
+        for i in range(1, k + 1)
+        for alpha, v in ids.items()
+        if alpha[i - 1] in (1, r)
+    )
+    g.add_edges(
+        (v, ids[beta], True, 1, None)
+        for alpha, v in ids.items()
+        for beta in _grid_neighbours(alpha, r)
+    )
     return CutInstance(
         graph=g,
         mode=VERTEX,
@@ -333,31 +363,30 @@ def build_dict_multicut(
     _guard_nodes(p.r**p.k * (p.r + 1) ** p.R + 2 * p.k, max_nodes)
     noise = star_noise_space(p.r, p.eps)
     points = list(itertools.product(noise.left.atoms, repeat=p.R))
-    moves = [(x, list(support(noise, x))) for x in points]
-    alphas = list(itertools.product(range(1, p.r + 1), repeat=p.k))
-    ids = {alpha: {x: grid_node_id(alpha, x) for x in points} for alpha in alphas}
+    moves = _support_positions(noise, points)
+    alphas = itertools.product(range(1, p.r + 1), repeat=p.k)
+    ids = {alpha: [grid_node_id(alpha, x) for x in points] for alpha in alphas}
     g = WeightedGraph()
     pairs = []
     for i in range(1, p.k + 1):
         g.add_node(f"s{i}", None)
         g.add_node(f"t{i}", None)
         pairs.append((f"s{i}", f"t{i}"))
-    for alpha in alphas:
-        for x in points:
-            g.add_node(ids[alpha][x], product_mass(noise.left, x))
-    for i in range(1, p.k + 1):
-        for alpha in alphas:
-            if alpha[i - 1] == 1:
-                for x in points:
-                    g.add_edge(f"s{i}", ids[alpha][x], directed=True)
-            if alpha[i - 1] == p.r:
-                for x in points:
-                    g.add_edge(ids[alpha][x], f"t{i}", directed=True)
-    for alpha in alphas:
+    masses = [product_mass(noise.left, x) for x in points]
+    for block in ids.values():
+        for v, mass in zip(block, masses):
+            g.add_node(v, mass)
+    # r >= 2, so the slabs alpha_i = 1 (fed by s_i) and alpha_i = r (feeding t_i) differ
+    g.add_edges(
+        (f"s{i}", v, True, 1, None) if alpha[i - 1] == 1 else (v, f"t{i}", True, 1, None)
+        for i in range(1, p.k + 1)
+        for alpha, block in ids.items()
+        if alpha[i - 1] in (1, p.r)
+        for v in block
+    )
+    for alpha, block in ids.items():
         for beta in _grid_neighbours(alpha, p.r):
-            for x, ys in moves:
-                for y in ys:
-                    g.add_edge(ids[alpha][x], ids[beta][y], directed=True)
+            g.add_edges(_block_edges(block, ids[beta], moves, directed=True))
     return CutInstance(
         graph=g,
         mode=VERTEX,
@@ -378,25 +407,29 @@ def build_dict_edge(p: DictParamsE, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cu
     noise = edge_noise_space(p.r)
     points = list(itertools.product(noise.left.atoms, repeat=p.R))
     moves = [
-        (x, [(y, noise.product_pair_mass(x, y)) for y in support(noise, x)])
-        for x in points
+        [(m, noise.product_pair_mass(x, points[m])) for m in ms]
+        for x, ms in zip(points, _support_positions(noise, points))
     ]
     ids = _layer_ids(range(p.b + 1), points)
     g = WeightedGraph()
     g.add_node("s", None)
     g.add_node("t", None)
     for i in range(p.b + 1):
-        for x in points:
-            g.add_node(ids[i][x], None)
-    for x in points:
-        g.add_edge("s", ids[0][x], directed=False, length=1, weight=None)
-        g.add_edge(ids[p.b][x], "t", directed=False, length=1, weight=None)
+        for v in ids[i]:
+            g.add_node(v, None)
+    g.add_edges(
+        rec
+        for first, last in zip(ids[0], ids[p.b])
+        for rec in (("s", first, False, 1, None), (last, "t", False, 1, None))
+    )
     for i in range(p.b):
-        for x in points:
-            g.add_edge(ids[i][x], ids[i + 1][x], directed=False, length=p.a, weight=None)
-        for x, ys in moves:
-            for y, mass in ys:
-                g.add_edge(ids[i][x], ids[i + 1][y], directed=False, length=1, weight=mass)
+        src, dst = ids[i], ids[i + 1]
+        g.add_edges((v, w, False, p.a, None) for v, w in zip(src, dst))
+        g.add_edges(
+            (src[n], dst[m], False, 1, mass)
+            for n, ms in enumerate(moves)
+            for m, mass in ms
+        )
     bound = max(1, p.a * (p.b - p.r + 1))
     return CutInstance(
         graph=g,
@@ -420,27 +453,29 @@ def build_dict_vertex(
     _guard_nodes((p.b + 1) * (p.r + 1) ** p.R + 2, max_nodes)
     noise = star_noise_space(p.r, p.eps)
     points = list(itertools.product(noise.left.atoms, repeat=p.R))
-    moves = [(x, list(support(noise, x))) for x in points]
+    moves = _support_positions(noise, points)
     ids = _layer_ids(range(p.b + 1), points)
     g = WeightedGraph()
     g.add_node("s", None)
     g.add_node("t", None)
+    masses = [product_mass(noise.left, x) for x in points]
     for i in range(p.b + 1):
-        for x in points:
-            g.add_node(ids[i][x], product_mass(noise.left, x))
-    for i in range(p.b + 1):
-        for x in points:
-            g.add_edge("s", ids[i][x], directed=False, length=p.a * i + 1, weight=None)
-            g.add_edge(
-                ids[i][x], "t", directed=False, length=(p.b - i) * p.a + 1, weight=None
-            )
+        for v, mass in zip(ids[i], masses):
+            g.add_node(v, mass)
+    g.add_edges(
+        rec
+        for i in range(p.b + 1)
+        for v in ids[i]
+        for rec in (
+            ("s", v, False, p.a * i + 1, None),
+            (v, "t", False, (p.b - i) * p.a + 1, None),
+        )
+    )
     layer_pairs = [(i, i + 1, 1) for i in range(p.b)] + [
         (i, j, (j - i) * p.a) for i in range(p.b + 1) for j in range(i + 2, p.b + 1)
     ]
     for i, j, length in layer_pairs:
-        for x, ys in moves:
-            for y in ys:
-                g.add_edge(ids[i][x], ids[j][y], directed=False, length=length, weight=None)
+        g.add_edges(_block_edges(ids[i], ids[j], moves, directed=False, length=length))
     bound = max(1, p.a * (p.b - p.r + 2))
     return CutInstance(
         graph=g,
@@ -468,20 +503,22 @@ def build_dict_rmfc(
     _guard_nodes(p.b * (p.big_b + 1) ** p.R + 2, max_nodes)
     noise = fire_noise_space(p.big_b, p.eps)
     points = list(itertools.product(noise.left.atoms, repeat=p.R))
+    moves = _support_positions(noise, points)
     ids = _layer_ids(range(1, p.b + 1), points)
     g = WeightedGraph()
     g.add_node("s", None)
     g.add_node("t", None)
+    masses = [product_mass(noise.left, x) for x in points]
     for i in range(1, p.b + 1):
-        for x in points:
-            g.add_node(ids[i][x], i * product_mass(noise.left, x))
-    for x in points:
-        g.add_edge("s", ids[1][x], directed=False)
-        g.add_edge(ids[p.b][x], "t", directed=False)
+        for v, mass in zip(ids[i], masses):
+            g.add_node(v, i * mass)
+    g.add_edges(
+        rec
+        for first, last in zip(ids[1], ids[p.b])
+        for rec in (("s", first, False, 1, None), (last, "t", False, 1, None))
+    )
     for i in range(1, p.b):
-        for x in points:
-            for y in support(noise, x):
-                g.add_edge(ids[i][x], ids[i + 1][y], directed=False)
+        g.add_edges(_block_edges(ids[i], ids[i + 1], moves, directed=False))
     return CutInstance(
         graph=g,
         mode=VERTEX,

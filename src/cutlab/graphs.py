@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from json.encoder import encode_basestring_ascii as json_str
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     MalformedInstance,
@@ -46,13 +46,16 @@ def rational_str(value: Weight) -> str | None:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     tail: str
     head: str
     directed: bool
     length: int
     weight: Weight
+
+
+# an edge to add: (tail, head, directed, length, weight)
+EdgeRecord = tuple[str, str, bool, int, Weight]
 
 
 @dataclass(frozen=True)
@@ -114,18 +117,37 @@ class WeightedGraph:
         length: int = 1,
         weight: Weight = None,
     ) -> int:
-        if tail not in self._weights or head not in self._weights:
-            raise UnknownNode(f"edge endpoints {tail!r}-{head!r} not declared")
-        if length < 1 or int(length) != length:
-            raise ValueError(f"edge length must be a positive integer, got {length}")
-        if weight is not None and weight < 0:
-            raise ValueError("negative edge weight")
-        idx = len(self.edges)
-        self.edges.append(GraphEdge(tail, head, directed, int(length), weight))
-        self._out[tail].append((idx, head))
-        if not directed:
-            self._out[head].append((idx, tail))
-        return idx
+        self.add_edges(((tail, head, directed, length, weight),))
+        return len(self.edges) - 1
+
+    def add_edges(self, records: Iterable[EdgeRecord]) -> None:
+        """Append one edge per ``(tail, head, directed, length, weight)``
+        record, in order. This is the one path by which edges enter a graph:
+        the endpoints must be declared, the length a positive integer (an
+        integral value such as 2.0 is stored as 2) and the weight
+        nonnegative or None."""
+        declared = self._weights
+        out = self._out
+        edges = self.edges
+        make = GraphEdge._make
+        idx = len(edges)
+        for record in records:
+            tail, head, directed, length, weight = record
+            if tail not in declared or head not in declared:
+                raise UnknownNode(f"edge endpoints {tail!r}-{head!r} not declared")
+            if type(length) is not int or length < 1:
+                if length < 1 or int(length) != length:
+                    raise ValueError(
+                        f"edge length must be a positive integer, got {length}"
+                    )
+                record = (tail, head, directed, int(length), weight)
+            if weight is not None and weight < 0:
+                raise ValueError("negative edge weight")
+            edges.append(make(record))
+            out[tail].append((idx, head))
+            if not directed:
+                out[head].append((idx, tail))
+            idx += 1
 
     # -- inspection ---------------------------------------------------
 
@@ -656,10 +678,12 @@ def expand_node_weights(g: WeightedGraph) -> WeightedGraph:
         for name in names:
             out.add_node(name, Fraction(1))
         copies[v] = names
-    for e in g.edges:
-        for a in copies[e.tail]:
-            for b in copies[e.head]:
-                out.add_edge(a, b, directed=e.directed, length=e.length, weight=e.weight)
+    out.add_edges(
+        (a, b, e.directed, e.length, e.weight)
+        for e in g.edges
+        for a in copies[e.tail]
+        for b in copies[e.head]
+    )
     return out
 
 
@@ -721,20 +745,45 @@ def _weight_field(doc: dict, where: str) -> Weight:
     raise MalformedInstance(f"{where} weight {w!r} is not a rational")
 
 
+def _edge_records(entries: list) -> Iterator[EdgeRecord]:
+    """The record of each edge entry of an instance document.
+
+    One type test accepts an entry as the writer prints it; any other entry
+    goes through ``_field`` and ``_weight_field``, which accept or reject it
+    with their usual messages. Each distinct weight string is parsed once.
+    """
+    weights: dict[str | None, Weight] = {None: None}
+    for ed in entries:
+        if type(ed) is dict:
+            tail, head = ed.get("tail"), ed.get("head")
+            directed, length, w = ed.get("directed"), ed.get("length"), ed.get("weight")
+            if (
+                type(tail) is str
+                and type(head) is str
+                and type(directed) is bool
+                and type(length) is int
+                and (w is None or type(w) is str)
+            ):
+                if w not in weights:
+                    weights[w] = _weight_field(ed, "edge")
+                yield tail, head, directed, length, weights[w]
+                continue
+        yield (
+            _field(ed, "tail", str, "edge"),
+            _field(ed, "head", str, "edge"),
+            _field(ed, "directed", bool, "edge"),
+            _field(ed, "length", int, "edge"),
+            _weight_field(ed, "edge"),
+        )
+
+
 def instance_from_json(doc: object) -> CutInstance:
     """Rebuild an instance, raising MalformedInstance on a missing or
     ill-typed field."""
     g = WeightedGraph()
     for nd in _field(doc, "nodes", list, "instance"):
         g.add_node(_field(nd, "id", str, "node"), _weight_field(nd, "node"))
-    for ed in _field(doc, "edges", list, "instance"):
-        g.add_edge(
-            _field(ed, "tail", str, "edge"),
-            _field(ed, "head", str, "edge"),
-            directed=_field(ed, "directed", bool, "edge"),
-            length=_field(ed, "length", int, "edge"),
-            weight=_weight_field(ed, "edge"),
-        )
+    g.add_edges(_edge_records(_field(doc, "edges", list, "instance")))
     provenance = doc.get("provenance")
     if provenance is not None and not isinstance(provenance, dict):
         raise MalformedInstance("instance field 'provenance' must be an object")

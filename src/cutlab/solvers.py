@@ -97,28 +97,37 @@ class PathSearch:
         ids = [self.index[v] for v in path.nodes] if self.vertex_mode else path.edges
         return [el for el in ids if self.weights[el] is not None]
 
-    def min_hop(self, s: int, t: int) -> Path | None:
+    def min_hop(self, s: int, t: int, max_hops: int | None = None) -> Path | None:
         """BFS for a fewest-edge s-t path avoiding removed elements; among
-        those, the first one found in arc order."""
+        those, the first one found in arc order. With ``max_hops``, None
+        unless such a path has at most that many edges."""
         width, arcs, removed = self.width, self.arcs, self.removed
         start = s * width
         prev: dict[int, tuple[int, int] | None] = {start: None}
+        if max_hops is not None and max_hops < 0:
+            return None
         if s == t:
             return self._path(prev, start)
-        queue = [start]
-        for state in queue:
-            v, lvl = divmod(state, width)
-            for e, w, step, el in arcs[v]:
-                nl = lvl + step
-                if removed[el] or nl >= width:
-                    continue
-                nxt = w * width + nl
-                if nxt in prev:
-                    continue
-                prev[nxt] = (state, e)
-                if w == t:
-                    return self._path(prev, nxt)
-                queue.append(nxt)
+        # level by level, which visits states in the order of one FIFO queue
+        level = [start]
+        hops = 0
+        while level and (max_hops is None or hops < max_hops):
+            hops += 1
+            following = []
+            for state in level:
+                v, lvl = divmod(state, width)
+                for e, w, step, el in arcs[v]:
+                    nl = lvl + step
+                    if removed[el] or nl >= width:
+                        continue
+                    nxt = w * width + nl
+                    if nxt in prev:
+                        continue
+                    prev[nxt] = (state, e)
+                    if w == t:
+                        return self._path(prev, nxt)
+                    following.append(nxt)
+            level = following
         return None
 
     def _path(self, prev: dict[int, tuple[int, int] | None], state: int) -> Path:
@@ -145,8 +154,10 @@ def find_violating_path(search: PathSearch) -> Path | None:
     """
     best: Path | None = None
     for s, t in search.pairs:
-        path = search.min_hop(s, t)
-        if path is not None and (best is None or len(path.edges) < len(best.edges)):
+        # a later pair wins only with strictly fewer edges
+        limit = None if best is None else len(best.edges) - 1
+        path = search.min_hop(s, t, limit)
+        if path is not None:
             best = path
     return best
 

@@ -251,42 +251,53 @@ def compose(
             )
 
     # terminal attachments, replicated per w
-    for e in gg.edges:
-        if e.tail in terminals or e.head in terminals:
-            for w in ug.W:
-                tail = e.tail if e.tail in terminals else f"{w}::{e.tail}"
-                head = e.head if e.head in terminals else f"{w}::{e.head}"
-                out.add_edge(
-                    tail, head, directed=e.directed, length=e.length, weight=e.weight
-                )
+    out.add_edges(
+        (
+            e.tail if e.tail in terminals else f"{w}::{e.tail}",
+            e.head if e.head in terminals else f"{w}::{e.head}",
+            e.directed,
+            e.length,
+            e.weight,
+        )
+        for e in gg.edges
+        if e.tail in terminals or e.head in terminals
+        for w in ug.W
+    )
 
     prob = Fraction(1, len(ug.U) * ug.degree_u * ug.degree_u)
-    merged: dict[tuple, Fraction | None] = {}
     inner_edges = [
-        e for e in gg.edges if e.tail not in terminals and e.head not in terminals
+        (e.tail, e.head, e.directed, e.length,
+         None if e.weight is None else e.weight * prob)
+        for e in gg.edges
+        if e.tail not in terminals and e.head not in terminals
     ]
     parsed = {v: split_block_point(v) for v in inner}
+
+    def copy_ids(edge: UGEdge) -> dict[str, str]:
+        """Each inner node's id in w's copy, relabelled through the edge."""
+        return {
+            v: _composed_id(edge.w, block, apply_perm(x, edge.perm))
+            for v, (block, x) in parsed.items()
+        }
+
+    merged: dict[tuple, Fraction | None] = {}
     for u in ug.U:
-        nbrs = ug.neighbors(u)
-        for e1 in nbrs:
-            for e2 in nbrs:
-                for e in inner_edges:
-                    blk1, x1 = parsed[e.tail]
-                    blk2, x2 = parsed[e.head]
-                    tail = _composed_id(e1.w, blk1, apply_perm(x1, e1.perm))
-                    head = _composed_id(e2.w, blk2, apply_perm(x2, e2.perm))
-                    if e.directed:
-                        key = (tail, head, True, e.length)
+        tables = [copy_ids(edge) for edge in ug.neighbors(u)]
+        for ids1 in tables:
+            for ids2 in tables:
+                for tail, head, directed, length, add in inner_edges:
+                    a, b = ids1[tail], ids2[head]
+                    if directed:
+                        key = (a, b, True, length)
+                    elif a < b:
+                        key = (a, b, False, length)
                     else:
-                        lo, hi = sorted((tail, head))
-                        key = (lo, hi, False, e.length)
-                    add = None if e.weight is None else e.weight * prob
+                        key = (b, a, False, length)
                     if key not in merged:
                         merged[key] = add
                     elif merged[key] is not None:
                         merged[key] = None if add is None else merged[key] + add
-    for (tail, head, directed, length), weight in merged.items():
-        out.add_edge(tail, head, directed=directed, length=length, weight=weight)
+    out.add_edges(key + (weight,) for key, weight in merged.items())
 
     prov_inner = dict(gadget.provenance or {})
     return CutInstance(

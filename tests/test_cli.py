@@ -461,6 +461,23 @@ class TestMalformedInput:
         assert "budget must be nonnegative" in err
 
     @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["rmfc", "--family", "dict-f", "--params", "b=2,R=1,eps=1/100",
+              "--search-budget", "1/0"], "--search-budget"),
+            (["interdict", "--family", "dict-e", "--params", "a=4,b=3,r=2,R=1",
+              "--budget", "1/0"], "--budget"),
+            (["generate", "--family", "dict-f", "--params", "b=2,R=1,eps=1/0"],
+             "parameter eps"),
+        ],
+        ids=["search-budget", "budget", "params"],
+    )
+    def test_zero_denominator_exits_1(self, argv, name, capsys):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: ParamOutOfRange: {name} = 1/0 is not a rational\n"
+
+    @pytest.mark.parametrize(
         "path, value",
         [
             (("mode",), None),

@@ -7,17 +7,19 @@ import pytest
 import helpers
 from cutlab import gadgets
 from cutlab.cli import parse_params
-from cutlab.errors import NoFiniteCut, RemovingUncuttable, UnknownNode
+from cutlab.errors import MalformedInstance, NoFiniteCut, RemovingUncuttable, UnknownNode
 from cutlab.graphs import (
     EDGE,
     VERTEX,
     CutInstance,
+    GraphEdge,
     LengthBound,
     Multicut,
     Rmfc,
     WeightedGraph,
     constrained_min_weight_path,
     expand_node_weights,
+    instance_from_json,
     instance_from_json_str,
     instance_to_json_str,
     min_st_cut,
@@ -296,3 +298,150 @@ class TestInstanceJson:
         text = self.assert_canonical(inst)
         assert text.isascii()
         assert instance_from_json_str(text).graph.nodes == chain
+
+
+class TestAddEdges:
+    """``add_edge`` is a one-record ``add_edges``: both accept and reject
+    the same edges, with the same exception and message."""
+
+    @staticmethod
+    def pair_graph():
+        g = WeightedGraph()
+        g.add_node("a")
+        g.add_node("b")
+        return g
+
+    @pytest.mark.parametrize(
+        "tail, head, length, weight, error",
+        [
+            ("x", "b", 1, None, UnknownNode),
+            ("a", "x", 1, None, UnknownNode),
+            ("a", "b", 0, None, ValueError),
+            ("a", "b", 1.5, None, ValueError),
+            ("a", "b", 1, Fraction(-1, 2), ValueError),
+        ],
+        ids=["undeclared-tail", "undeclared-head", "length-0", "length-1.5",
+             "negative-weight"],
+    )
+    def test_same_rejection(self, tail, head, length, weight, error):
+        one, bulk = self.pair_graph(), self.pair_graph()
+        with pytest.raises(error) as single:
+            one.add_edge(tail, head, directed=True, length=length, weight=weight)
+        with pytest.raises(error) as many:
+            bulk.add_edges(
+                [("a", "b", True, 1, None), (tail, head, True, length, weight)]
+            )
+        assert type(single.value) is type(many.value)
+        assert str(single.value) == str(many.value)
+        assert one.edges == [] and len(bulk.edges) == 1
+
+    def test_integral_length_stored_as_int(self):
+        g = self.pair_graph()
+        g.add_edge("a", "b", directed=True, length=2.0)
+        g.add_edges([("b", "a", False, 2.0, Fraction(1, 3))])
+        assert [type(e.length) for e in g.edges] == [int, int]
+        assert g.edges == [
+            ("a", "b", True, 2, None),
+            ("b", "a", False, 2, Fraction(1, 3)),
+        ]
+        assert g.out_arcs("a") == [(0, "b"), (1, "b")] and g.out_arcs("b") == [(1, "a")]
+
+    def test_add_edge_returns_index(self):
+        g = self.pair_graph()
+        g.add_edges([("a", "b", True, 1, None)])
+        assert g.add_edge("b", "a", directed=True) == 1
+
+    def test_edge_fields_immutable(self):
+        g = self.pair_graph()
+        g.add_edge("a", "b", directed=True)
+        edge = g.edges[0]
+        assert isinstance(edge, GraphEdge)
+        for field in GraphEdge._fields:
+            with pytest.raises(AttributeError):
+                setattr(edge, field, None)
+
+
+class TestReaderMessages:
+    """Malformed edge entries give the messages the reader gave before it
+    had a bulk path (recorded then, one entry per case)."""
+
+    @staticmethod
+    def document(entry):
+        return {
+            "edges": [
+                {"tail": "s", "head": "t", "directed": True, "length": 1,
+                 "weight": "1/2"},
+                entry,
+            ],
+            "mode": "edge",
+            "nodes": [{"id": "s", "weight": None}, {"id": "t", "weight": None}],
+            "problem": {"type": "length_bound", "s": "s", "t": "t", "bound": 1},
+        }
+
+    @staticmethod
+    def entry(**changes):
+        out = {"tail": "s", "head": "t", "directed": False, "length": 2, "weight": "1/3"}
+        for key, value in changes.items():
+            if value is KeyError:
+                del out[key]
+            else:
+                out[key] = value
+        return out
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"tail": KeyError}, "edge lacks 'tail'"),
+            ({"tail": 1}, "edge field 'tail' has type int"),
+            ({"head": KeyError}, "edge lacks 'head'"),
+            ({"head": None}, "edge field 'head' has type NoneType"),
+            ({"directed": KeyError}, "edge lacks 'directed'"),
+            ({"directed": 1}, "edge field 'directed' has type int"),
+            ({"directed": "true"}, "edge field 'directed' has type str"),
+            ({"length": KeyError}, "edge lacks 'length'"),
+            ({"length": "1"}, "edge field 'length' has type str"),
+            ({"length": True}, "edge field 'length' has type bool"),
+            ({"length": 1.0}, "edge field 'length' has type float"),
+            ({"weight": "1/0"}, "edge weight '1/0' is not a rational"),
+            ({"weight": True}, "edge weight True is not a rational"),
+            ({"weight": 0.5}, "edge weight 0.5 is not a rational"),
+            ({"tail": 1, "weight": "1/0"}, "edge field 'tail' has type int"),
+        ],
+        ids=["no-tail", "tail-int", "no-head", "head-null", "no-directed",
+             "directed-int", "directed-str", "no-length", "length-str",
+             "length-true", "length-float", "weight-1/0", "weight-true",
+             "weight-float", "tail-before-weight"],
+    )
+    def test_malformed_entry(self, changes, message):
+        with pytest.raises(MalformedInstance) as excinfo:
+            instance_from_json(self.document(self.entry(**changes)))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("entry", [["s", "t"], "s-t", None, 7])
+    def test_non_object_entry(self, entry):
+        with pytest.raises(MalformedInstance) as excinfo:
+            instance_from_json(self.document(entry))
+        assert str(excinfo.value) == "edge lacks 'tail'"
+
+    @pytest.mark.parametrize(
+        "changes, error, message",
+        [
+            ({"tail": "x"}, UnknownNode, "edge endpoints 'x'-'t' not declared"),
+            ({"length": 0}, ValueError, "edge length must be a positive integer, got 0"),
+            ({"weight": "-1"}, ValueError, "negative edge weight"),
+        ],
+        ids=["undeclared-tail", "length-0", "negative-weight"],
+    )
+    def test_graph_checks_apply(self, changes, error, message):
+        with pytest.raises(error) as excinfo:
+            instance_from_json(self.document(self.entry(**changes)))
+        assert str(excinfo.value) == message
+
+    def test_well_formed_entries(self):
+        inst = instance_from_json(self.document(self.entry(weight=KeyError)))
+        assert inst.graph.edges == [
+            ("s", "t", True, 1, Fraction(1, 2)),
+            ("s", "t", False, 2, None),
+        ]
+        inst = instance_from_json(self.document(self.entry(weight=3)))
+        assert inst.graph.edges[1].weight == 3

@@ -265,6 +265,31 @@ class TestExclusionBranching:
         assert forbidden_probe["all"] == 1
 
 
+class TestMinHop:
+    def test_hop_limit(self):
+        search = solvers.PathSearch(build_saks_gap(3, 2))
+        for s, t in search.pairs:
+            path = search.min_hop(s, t)
+            assert search.min_hop(s, t, len(path.edges)) == path
+            assert search.min_hop(s, t, len(path.edges) - 1) is None
+        s, _ = search.pairs[0]
+        assert search.min_hop(s, s, 0).edges == ()
+        assert search.min_hop(s, s, -1) is None
+
+    def test_violating_path_is_first_fewest_hop_pair(self):
+        # the earliest pair among those with the fewest hops, each pair
+        # searched without a limit
+        rng = random.Random(5)
+        for trial in range(20):
+            inst = helpers.random_grid_instance(rng, "multicut", VERTEX, cols=4)
+            search = solvers.PathSearch(inst)
+            for el, w in enumerate(search.weights):
+                search.removed[el] = w is not None and rng.random() < 0.3
+            found = [p for p in (search.min_hop(s, t) for s, t in search.pairs) if p]
+            want = min(found, key=lambda p: len(p.edges), default=None)
+            assert solvers.find_violating_path(search) == want, trial
+
+
 # calls to find_violating_path before exclusion branching: 23,547 on saks
 # r=5 k=2 and 83,009 on r=3 k=3; the gate is a quarter of each
 SAKS_ORACLE_CAPS = {(5, 2): 5886, (3, 3): 20752}

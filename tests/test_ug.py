@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,13 @@ from cutlab.gadgets import (
     dictator_cut,
     harmonic,
 )
-from cutlab.graphs import EDGE, VERTEX, Schedule, shortest_path_length
+from cutlab.graphs import (
+    EDGE,
+    VERTEX,
+    Schedule,
+    instance_to_json_str,
+    shortest_path_length,
+)
 from cutlab.lp import short_path_cover_lp
 from cutlab.solvers import exact_min_length_bounded_cut, rmfc_simulate
 from cutlab.ug import (
@@ -136,6 +143,26 @@ class TestCompose:
         p_edge = DictParamsE(4, 3, 2, 2)
         composed_e = compose(result.instance, "dict_edge", p_edge)
         assert composed_e.graph.total_finite_weight(EDGE) == 3
+
+
+# SHA-256 of the composed instance JSON for the benchmark's composition
+# shape, recorded before compose tabulated its copy ids: synth_ug seed ->
+# (edge count, digest)
+FROZEN_COMPOSE_SHA256 = {
+    1: (10252, "c650f5ca19a2d2c8ea51ed57ea4074921dbcef26a248d52aff30acd95eebca14"),
+    5: (8810, "b59ba01193997fc85d18ae41f5095f233fc2777ef31cda041371f3725edd46d0"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_COMPOSE_SHA256))
+def test_compose_bytes_frozen(seed):
+    result = synth_ug(2, 2, 2, 4, mode="planted", seed=seed)
+    p = DictParamsV(2, 1, 2, 4, Fraction(1, 5))
+    composed = compose(result.instance, "dict_vertex", p)
+    text = instance_to_json_str(composed)
+    edges, digest = FROZEN_COMPOSE_SHA256[seed]
+    assert len(composed.graph.edges) == edges
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCompletenessCut:
