@@ -27,7 +27,6 @@ from .probspace import (
     ProductFunction,
     connectedness_bound,
     efron_stein_influences,
-    efron_stein_norms,
     gamma_rho,
     maximal_correlation,
     mixture_correlation_bound,

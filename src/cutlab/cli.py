@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import approx, gadgets, lp, solvers
-from .errors import CutLabError, ParamOutOfRange
+from .errors import CoordinateOutOfRange, CutLabError, ParamOutOfRange
 from .graphs import (
     CutInstance,
     LengthBound,
@@ -51,6 +51,8 @@ def parse_params(text: str, *, ranges: bool = False) -> dict:
         raw = raw.strip()
         if not key or not raw:
             raise ValueError(f"malformed parameter {part!r}")
+        if key in out:
+            raise ParamOutOfRange(f"parameter {key} given more than once")
         if ranges and ".." in raw:
             try:
                 lo, hi = map(int, raw.split(".."))
@@ -58,11 +60,11 @@ def parse_params(text: str, *, ranges: bool = False) -> dict:
                 raise ParamOutOfRange(
                     f"range {key}={raw} needs integer endpoints lo..hi"
                 ) from None
+            if lo > hi:
+                raise ParamOutOfRange(f"range {key}={raw} is empty")
             out[key] = list(range(lo, hi + 1))
-        elif "/" in raw:
-            out[key] = parse_rational_arg(f"parameter {key}", raw)
         else:
-            out[key] = int(raw)
+            out[key] = parse_rational_arg(f"parameter {key}", raw)
     return out
 
 
@@ -92,6 +94,15 @@ def dictator_test(inst: CutInstance) -> tuple[gadgets.Family, gadgets.TestParams
     return family, family.params(prov.get("params"))
 
 
+def dictator_cut(args: argparse.Namespace, inst: CutInstance):
+    """The test family, its params and the dictator cut at the 1-based
+    coordinate ``--q``, which must lie in 1..R."""
+    family, params = dictator_test(inst)
+    if not 1 <= args.q <= params.R:
+        raise CoordinateOutOfRange(f"--q = {args.q} outside 1..{params.R}")
+    return family, params, gadgets.dictator_cut(family.kind, params, args.q - 1, inst)
+
+
 def emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as handle:
@@ -114,8 +125,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = load_instance(args)
-    family, params = dictator_test(inst)
-    cut = gadgets.dictator_cut(family.kind, params, args.q - 1, inst)
+    family, params, cut = dictator_cut(args, inst)
     if isinstance(cut, Schedule):
         cost, what = cut.max_day_cost(), "per-day cost"
         detail: dict = {"per_day": [rational_str(c) for c in cut.per_day_cost]}
@@ -227,8 +237,7 @@ def cmd_rmfc(args: argparse.Namespace) -> int:
         with open(args.schedule) as handle:
             schedule = schedule_from_json(json.load(handle), inst.graph)
     else:
-        family, params = dictator_test(inst)
-        schedule = gadgets.dictator_cut(family.kind, params, args.q - 1, inst)
+        _, _, schedule = dictator_cut(args, inst)
     trace = solvers.rmfc_simulate(inst, schedule)
     doc = {
         "target_burnt": trace.target_burnt,
@@ -286,12 +295,13 @@ def cmd_correlation(args: argparse.Namespace) -> int:
     missing = [name for name in need if name not in params]
     if missing:
         raise ParamOutOfRange(f"missing parameter(s) {', '.join(missing)}")
+    size = gadgets.param_value(need[0], int, params[need[0]])
     if args.family == "edge":
-        cs = gadgets.edge_noise_space(int(params["r"]))
+        cs = gadgets.edge_noise_space(size)
     elif args.family == "star":
-        cs = gadgets.star_noise_space(int(params["r"]), Fraction(params["eps"]))
+        cs = gadgets.star_noise_space(size, params["eps"])
     else:
-        cs = gadgets.fire_noise_space(int(params["B"]), Fraction(params["eps"]))
+        cs = gadgets.fire_noise_space(size, params["eps"])
     doc = {
         "rho": maximal_correlation(cs),
         "connectedness_bound": connectedness_bound(cs),

@@ -22,7 +22,9 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, get_type_hints
 
-from .errors import CoordinateOutOfRange, ParamOutOfRange, SizeGuard, UnknownGenerator
+from .errors import (
+    CoordinateOutOfRange, ParamOutOfRange, SizeGuard, UnknownGenerator, require
+)
 from .graphs import (
     EDGE,
     VERTEX,
@@ -229,7 +231,7 @@ def fire_thresholds(b: int) -> list[int]:
     out = [0]
     for i in range(1, b + 1):
         val = harmonic(i) / h_b * big_b
-        assert val.denominator == 1
+        require(val.denominator == 1, f"fire threshold B_{i} = {val} is not an integer")
         out.append(int(val))
     return out
 
@@ -597,11 +599,11 @@ class Family:
         self.check_names(values)
         types = get_type_hints(self.record)
         return self.record(
-            **{name: _param_value(name, types[name], raw) for name, raw in values.items()}
+            **{name: param_value(name, types[name], raw) for name, raw in values.items()}
         )
 
 
-def _param_value(name: str, kind: type, raw: Any) -> int | Fraction:
+def param_value(name: str, kind: type, raw: Any) -> int | Fraction:
     try:
         value = Fraction(str(raw))
     except (ValueError, ZeroDivisionError):

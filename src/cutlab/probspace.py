@@ -8,9 +8,11 @@ documented tolerances (1e-9 and 1e-6 respectively).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -202,72 +204,58 @@ class ProductFunction:
         return self.second_moment() - mu * mu
 
 
-def efron_stein_norms(f: ProductFunction) -> dict[frozenset[int], Fraction]:
-    """Squared 2-norms of the orthogonal parts f = sum_S f_S.
-
-    Parts are obtained by inclusion-exclusion over conditional expectations
-    with respect to the (possibly nonuniform) product measure. Exact.
-    """
-    r = f.r
-    base = f.base
-    coords = list(range(r))
-    # conditional expectations E[f | x_T = z] for every coordinate subset T
-    cond: dict[frozenset[int], dict[tuple[Atom, ...], Fraction]] = {}
-    for size in range(r + 1):
-        for t in itertools.combinations(coords, size):
-            tset = frozenset(t)
-            num: dict[tuple[Atom, ...], Fraction] = {}
-            den: dict[tuple[Atom, ...], Fraction] = {}
-            for point, val in f.values.items():
-                z = tuple(point[i] for i in t)
-                w = product_mass(base, point)
-                num[z] = num.get(z, Fraction(0)) + w * val
-                den[z] = den.get(z, Fraction(0)) + w
-            cond[tset] = {
-                z: (num[z] / den[z] if den[z] > 0 else Fraction(0)) for z in num
-            }
-
-    norms: dict[frozenset[int], Fraction] = {}
-    for size in range(r + 1):
-        for svec in itertools.combinations(coords, size):
-            s = frozenset(svec)
-            total = Fraction(0)
-            # iterate over assignments z on S with their product masses
-            for zpoint in itertools.product(base.atoms, repeat=size):
-                zmass = Fraction(1)
-                for a in zpoint:
-                    zmass *= base.mass(a)
-                if zmass == 0:
-                    continue
-                part = Fraction(0)
-                for tsize in range(size + 1):
-                    for tvec in itertools.combinations(svec, tsize):
-                        sign = -1 if (size - tsize) % 2 else 1
-                        proj = tuple(zpoint[svec.index(i)] for i in tvec)
-                        part += sign * cond[frozenset(tvec)][proj]
-                total += zmass * part * part
-            norms[s] = total
-    return norms
-
-
 def efron_stein_influences(
     f: ProductFunction, d: int
 ) -> list[tuple[Fraction, Fraction]]:
-    """Per-coordinate (influence, degree-<=d influence), exact rationals."""
-    if d > f.r:
-        raise ValueError("degree bound exceeds R")
-    norms = efron_stein_norms(f)
-    out: list[tuple[Fraction, Fraction]] = []
-    for i in range(f.r):
-        full = Fraction(0)
-        low = Fraction(0)
-        for s, val in norms.items():
-            if i in s:
-                full += val
-                if len(s) <= d:
-                    low += val
-        out.append((full, low))
-    return out
+    """Per-coordinate (influence, degree-<=d influence), exact rationals.
+
+    The orthogonal parts f = sum_S f_S under the (possibly nonuniform)
+    product measure give m_T = E[(E[f | x_T])^2] = sum_{U <= T} |f_U|^2, so
+    |f_S|^2 = sum_{T <= S} (-1)^{|S|-|T|} m_T by Moebius inversion. The
+    influence of i is m_[R] - m_{[R]-i}; its degree-<=d part needs m_T only
+    for |T| <= d. Each m_T is one pass over the points grouped by x_T.
+    """
+    r, base = f.r, f.base
+    if not 0 <= d <= r:
+        raise ValueError(f"degree bound {d} outside 0..R = 0..{r}")
+    # masses and values as integers over common denominators
+    mass_den = math.lcm(*(base.mass(a).denominator for a in base.atoms))
+    atom_weight = {a: int(base.mass(a) * mass_den) for a in base.atoms}
+    val_den = math.lcm(*(v.denominator for v in f.values.values()))
+    rows = []
+    for point, val in f.values.items():
+        w = math.prod(map(atom_weight.__getitem__, point))
+        if w:
+            rows.append((point, w, w * int(val * val_den)))
+
+    @functools.cache
+    def moment(t: tuple[int, ...]) -> Fraction:
+        # E[f | x_T = z] = wf[z] / (w[z] * val_den), and w[z] is the integer
+        # mass W(z) of z times mass_den^(r-|T|), where W(z) divides wf[z]: so
+        # each wf[z]^2 / w[z] is an integer over mass_den^(r-|T|)
+        key = itemgetter(*t) if t else lambda point: ()
+        w, wf = {}, {}
+        for point, pw, pwf in rows:
+            z = key(point)
+            w[z] = w.get(z, 0) + pw
+            wf[z] = wf.get(z, 0) + pwf
+        spare = mass_den ** (r - len(t))
+        total = sum(wf[z] ** 2 * spare // w[z] for z in w)
+        return Fraction(total, spare * mass_den**r * val_den**2)
+
+    coords = tuple(range(r))
+    low = [Fraction(0)] * r
+    for k in range(1, d + 1):
+        for s in itertools.combinations(coords, k):
+            norm = sum(
+                (-1) ** (k - j) * moment(t)
+                for j in range(k + 1)
+                for t in itertools.combinations(s, j)
+            )
+            for i in s:
+                low[i] += norm
+    full = moment(coords)
+    return [(full - moment(coords[:i] + coords[i + 1 :]), low[i]) for i in coords]
 
 
 def maximal_correlation(cs: CorrelatedSpace) -> float:

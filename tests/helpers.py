@@ -2,11 +2,13 @@
 and the seeded random-instance factories used by the cross-check suites.
 
 Everything here is deliberately independent of the package's search code:
-paths come from plain DFS enumeration and optima from subset enumeration.
+paths come from plain DFS enumeration, optima from subset enumeration, and
+Efron-Stein parts from conditional expectations on every coordinate subset.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -21,6 +23,7 @@ from cutlab.graphs import (
     WeightedGraph,
     shortest_path_length,
 )
+from cutlab.probspace import Atom, ProductFunction, product_mass
 
 
 def all_simple_paths(g: WeightedGraph, s: str, t: str):
@@ -298,3 +301,51 @@ def reference_rmfc_search(inst: CutInstance, k: Fraction):
 
     days = search(frozenset({inst.problem.source}), frozenset())
     return days is not None, days
+
+
+def reference_efron_stein_norms(f: ProductFunction) -> dict[frozenset[int], Fraction]:
+    """Squared 2-norms of the orthogonal parts f = sum_S f_S.
+
+    Parts are obtained by inclusion-exclusion over conditional expectations
+    with respect to the (possibly nonuniform) product measure. Exact.
+    """
+    r = f.r
+    base = f.base
+    coords = list(range(r))
+    # conditional expectations E[f | x_T = z] for every coordinate subset T
+    cond: dict[frozenset[int], dict[tuple[Atom, ...], Fraction]] = {}
+    for size in range(r + 1):
+        for t in itertools.combinations(coords, size):
+            tset = frozenset(t)
+            num: dict[tuple[Atom, ...], Fraction] = {}
+            den: dict[tuple[Atom, ...], Fraction] = {}
+            for point, val in f.values.items():
+                z = tuple(point[i] for i in t)
+                w = product_mass(base, point)
+                num[z] = num.get(z, Fraction(0)) + w * val
+                den[z] = den.get(z, Fraction(0)) + w
+            cond[tset] = {
+                z: (num[z] / den[z] if den[z] > 0 else Fraction(0)) for z in num
+            }
+
+    norms: dict[frozenset[int], Fraction] = {}
+    for size in range(r + 1):
+        for svec in itertools.combinations(coords, size):
+            s = frozenset(svec)
+            total = Fraction(0)
+            # iterate over assignments z on S with their product masses
+            for zpoint in itertools.product(base.atoms, repeat=size):
+                zmass = Fraction(1)
+                for a in zpoint:
+                    zmass *= base.mass(a)
+                if zmass == 0:
+                    continue
+                part = Fraction(0)
+                for tsize in range(size + 1):
+                    for tvec in itertools.combinations(svec, tsize):
+                        sign = -1 if (size - tsize) % 2 else 1
+                        proj = tuple(zpoint[svec.index(i)] for i in tvec)
+                        part += sign * cond[frozenset(tvec)][proj]
+                total += zmass * part * part
+            norms[s] = total
+    return norms

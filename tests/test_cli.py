@@ -17,6 +17,23 @@ class TestParseParams:
         parsed = parse_params("k=2,r=2..4", ranges=True)
         assert parsed == {"k": 2, "r": [2, 3, 4]}
 
+    @pytest.mark.parametrize(
+        "text, ranges, message",
+        [
+            ("r=2,a=x", False, "parameter a = x is not a rational"),
+            ("r=2,k=2,r=3", False, "parameter r given more than once"),
+            ("r=2..3,k=2,r=4", True, "parameter r given more than once"),
+            ("k=2,r=4..2", True, "range r=4..2 is empty"),
+        ],
+        ids=["not-rational", "repeated", "repeated-range", "empty-range"],
+    )
+    def test_bad_values_name_the_key(self, text, ranges, message):
+        from cutlab.errors import ParamOutOfRange
+
+        with pytest.raises(ParamOutOfRange) as info:
+            parse_params(text, ranges=ranges)
+        assert str(info.value) == message
+
 
 class TestGenerate:
     def test_saks_node_count(self, tmp_path, capsys):
@@ -48,6 +65,13 @@ class TestGenerate:
             Fraction(e["weight"]) for e in doc["edges"] if e["weight"] is not None
         )
         assert total == 3
+
+    def test_decimal_eps_same_bytes(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["generate", "--family", "dict-v", "--params"]
+        assert main(argv + ["a=2,b=3,r=3,R=2,eps=0.05", "--out", str(a)]) == 0
+        assert main(argv + ["a=2,b=3,r=3,R=2,eps=1/20", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_idempotent_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -264,13 +288,13 @@ class TestGapTable:
         assert lines[1] == "saks,k=2;r=2,2/1,3/1,3/2,0"
         assert lines[2] == "saks,k=2;r=3,3/1,5/1,5/3,0"
 
-    def test_empty_range_header_only(self, tmp_path):
+    def test_empty_range_rejected(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"
-        code = main(
-            ["gap-table", "--family", "saks", "--params", "k=2,r=3..2", "--out", str(out)]
-        )
-        assert code == 0
-        assert out.read_text().strip() == "family,params,lp_value,integral_value,gap,wall_ms"
+        argv = ["gap-table", "--family", "saks", "--params", "k=2,r=3..2", "--out", str(out)]
+        code, stdout, err = run_cli(capsys, argv)
+        assert (code, stdout) == (1, "")
+        assert err == "error: ParamOutOfRange: range r=3..2 is empty\n"
+        assert not out.exists()
 
     def test_dict_e_bound_sweep_monotone(self, tmp_path):
         from fractions import Fraction
@@ -426,6 +450,26 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (1, "")
         assert f"ParamOutOfRange: missing parameter(s) {missing}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--family", "dict-v", "--params", "a=4,b=4,r=3,R=1,eps=1/20"],
+            ["rmfc", "--family", "dict-f", "--params", "b=2,R=1,eps=1/100"],
+        ],
+        ids=["verify", "rmfc"],
+    )
+    @pytest.mark.parametrize("q", ["0", "2", "-1"])
+    def test_q_outside_one_to_r_named(self, argv, q, capsys):
+        code, out, err = run_cli(capsys, argv + ["--q", q])
+        assert (code, out) == (1, "")
+        assert err == f"error: CoordinateOutOfRange: --q = {q} outside 1..1\n"
+
+    def test_correlation_size_must_be_integer(self, capsys):
+        argv = ["correlation", "--family", "star", "--params", "r=5/2,eps=1/4"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "error: ParamOutOfRange: parameter r = 5/2 is not an integer\n"
 
     def test_interdict_needs_length_bound(self, capsys):
         argv = ["interdict", "--family", "saks", "--params", "r=2,k=2", "--budget", "1"]

@@ -193,6 +193,15 @@ class TestDictRmfc:
         assert harmonic(2) == Fraction(3, 2)
         assert fire_thresholds(2) == [0, 4, 6]
 
+    def test_non_integer_threshold_raises(self, monkeypatch):
+        from cutlab import gadgets
+        from cutlab.errors import CertificateFailed
+
+        # B = 7 with b = 2 gives B_1 = (1 / (3/2)) * 7 = 14/3
+        monkeypatch.setattr(gadgets, "fire_alphabet_size", lambda b: 7)
+        with pytest.raises(CertificateFailed, match="B_1 = 14/3"):
+            fire_thresholds(2)
+
     def test_layer_weights(self):
         p = DictParamsF(2, 1, Fraction(1, 100))
         inst = build_dict_rmfc(p)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from cutlab.errors import DegenerateMarginal, DisconnectedSupport, UnknownAtom
 from cutlab.gadgets import edge_noise_space, fire_noise_space, star_noise_space, star_space
 from cutlab.probspace import (
@@ -13,7 +14,6 @@ from cutlab.probspace import (
     ProductFunction,
     connectedness_bound,
     efron_stein_influences,
-    efron_stein_norms,
     gamma_rho,
     maximal_correlation,
     mixture_correlation_bound,
@@ -105,11 +105,79 @@ class TestEfronSteinInfluences:
         sp = star_space(2, Fraction(1, 5))
         values = {p: Fraction(rng.randint(0, 3), 3) for p in product_points(sp, 2)}
         f = ProductFunction(sp, 2, values)
-        norms = efron_stein_norms(f)
+        norms = helpers.reference_efron_stein_norms(f)
         assert sum(norms.values(), Fraction(0)) == f.second_moment()
         var = f.variance()
         for full, low in efron_stein_influences(f, 1):
             assert low <= full <= var
+
+
+def assert_matches_reference(f: ProductFunction) -> None:
+    """Both outputs at every degree bound 0..R equal the sums of the
+    reference part norms."""
+    norms = helpers.reference_efron_stein_norms(f)
+    for d in range(f.r + 1):
+        expect = [
+            (
+                sum((v for s, v in norms.items() if i in s), Fraction(0)),
+                sum((v for s, v in norms.items() if i in s and len(s) <= d), Fraction(0)),
+            )
+            for i in range(f.r)
+        ]
+        assert efron_stein_influences(f, d) == expect, d
+
+
+def random_space(rng: random.Random, atoms: int, zero_atom: bool = False) -> FiniteProbSpace:
+    masses = [Fraction(rng.randint(1, 7)) for _ in range(atoms)]
+    if zero_atom:
+        masses[rng.randrange(atoms)] = Fraction(0)
+    total = sum(masses)
+    return FiniteProbSpace(list(range(atoms)), {i: m / total for i, m in enumerate(masses)})
+
+
+class TestLowDegreeInfluence:
+    """Both outputs at every degree bound against the reference norms."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_nonuniform_spaces(self, seed):
+        rng = random.Random(1000 + seed)
+        sp = random_space(rng, rng.randint(2, 4))
+        r = rng.randint(1, 3)
+        values = {
+            p: Fraction(rng.randint(0, 6), rng.choice([1, 6, 7, 10]))
+            for p in product_points(sp, r)
+        }
+        values = {p: min(v, Fraction(1)) for p, v in values.items()}
+        f = ProductFunction(sp, r, values)
+        assert_matches_reference(f)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_mass_atom(self, seed):
+        rng = random.Random(2000 + seed)
+        sp = random_space(rng, 3, zero_atom=True)
+        values = {p: Fraction(rng.randint(0, 5), 5) for p in product_points(sp, 3)}
+        f = ProductFunction(sp, 3, values)
+        assert_matches_reference(f)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_star_space_indicator_blocks(self, seed):
+        rng = random.Random(3000 + seed)
+        sp = star_space(3, Fraction(1, 20))
+        members = {p for p in product_points(sp, 4) if rng.random() < 0.4}
+        f = ProductFunction.indicator(sp, 4, lambda p: p in members)
+        assert_matches_reference(f)
+
+    def test_star_space_dictator_block(self):
+        sp = star_space(3, Fraction(1, 20))
+        f = ProductFunction.indicator(sp, 4, lambda p: p[2] in ("*", 0))
+        assert_matches_reference(f)
+
+    @pytest.mark.parametrize("d", [-1, 3])
+    def test_degree_bound_outside_range(self, d):
+        sp = FiniteProbSpace.uniform([0, 1])
+        f = ProductFunction.constant(sp, 2, Fraction(1, 2))
+        with pytest.raises(ValueError):
+            efron_stein_influences(f, d)
 
 
 class TestMaximalCorrelation:
