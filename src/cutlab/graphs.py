@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from json.encoder import encode_basestring_ascii as json_str
+from math import lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
@@ -252,6 +253,43 @@ def shortest_path_length(
     return None
 
 
+def _scaled_costs(
+    g: WeightedGraph, x: Mapping[Element, Fraction], mode: str
+) -> tuple[int, dict[Element, int]]:
+    """Validate the x-values once and put them over one denominator.
+
+    Returns ``(scale, cost)``: ``scale`` is the lcm of the denominators and
+    ``cost`` maps each element with positive x to the integer x * scale.
+    Scaling by a positive constant keeps every sum and comparison exact, so
+    the searches below run on plain integers. Raises UnknownNode for a key
+    that is not an element of ``mode`` and ValueError for a value that is
+    not an ``int`` or ``Fraction``, is negative, or is positive on an
+    uncuttable element.
+    """
+    scale = 1
+    positive: list[tuple[Element, Fraction | int]] = []
+    for el, val in x.items():
+        if mode == VERTEX:
+            if type(el) is not str or el not in g:
+                raise UnknownNode(f"unknown vertex-mode element {el!r}")
+            weight = g.node_weight(el)
+        else:
+            if type(el) is not int or not 0 <= el < len(g.edges):
+                raise UnknownNode(f"unknown edge-mode element {el!r}")
+            weight = g.edges[el].weight
+        if not isinstance(val, (int, Fraction)) or isinstance(val, bool):
+            raise ValueError(f"x[{el!r}] = {val!r} is not an int or Fraction")
+        if val < 0:
+            raise ValueError("x must be nonnegative")
+        if val > 0:
+            if weight is None:
+                raise ValueError(f"positive x on uncuttable element {el!r}")
+            scale = lcm(scale, val.denominator)
+            positive.append((el, val))
+    cost = {el: val.numerator * (scale // val.denominator) for el, val in positive}
+    return scale, cost
+
+
 def min_weight_path(
     g: WeightedGraph,
     s: str,
@@ -263,24 +301,23 @@ def min_weight_path(
     """Unconstrained Dijkstra under the x-values as costs.
 
     Costs accrue on cuttable elements only (per ``mode``); uncuttable
-    elements contribute zero. Used as the multicut LP separation oracle.
+    elements contribute zero. Distances are integers over the common
+    denominator of x (see ``_scaled_costs``). Used as the multicut LP
+    separation oracle.
     """
     if s not in g or t not in g:
         raise UnknownNode("unknown terminal")
+    scale, cost = _scaled_costs(g, x, mode)
     rnodes, redges = g.check_removable(removed)
     if s in rnodes or t in rnodes:
         return None
 
-    def el_cost(el: Element) -> Fraction:
-        if g.element_weight(el) is None:
-            return Fraction(0)
-        return x.get(el, Fraction(0))
-
+    edge_mode = mode == EDGE
     order = {v: i for i, v in enumerate(g.nodes)}
-    start = el_cost(s) if mode == VERTEX else Fraction(0)
-    best: dict[str, Fraction] = {s: start}
+    start = 0 if edge_mode else cost.get(s, 0)
+    best: dict[str, int] = {s: start}
     parent: dict[str, tuple[str, int]] = {}
-    heap: list[tuple[Fraction, int, str]] = [(start, order[s], s)]
+    heap: list[tuple[int, int, str]] = [(start, order[s], s)]
     done: set[str] = set()
     while heap:
         d, _, v = heappop(heap)
@@ -292,8 +329,7 @@ def min_weight_path(
         for idx, nb in g.out_arcs(v):
             if idx in redges or nb in rnodes or nb in done:
                 continue
-            step = el_cost(idx) if mode == EDGE else el_cost(nb)
-            nd = d + step
+            nd = d + cost.get(idx if edge_mode else nb, 0)
             if nb not in best or nd < best[nb]:
                 best[nb] = nd
                 parent[nb] = (v, idx)
@@ -309,7 +345,8 @@ def min_weight_path(
     nodes.reverse()
     edges.reverse()
     path = Path(tuple(nodes), tuple(edges), sum(g.edges[i].length for i in edges))
-    return path, best[t]
+    # a tree path is simple, so best[t] sums x over distinct elements
+    return path, Fraction(best[t], scale)
 
 
 def constrained_min_weight_path(
@@ -323,59 +360,59 @@ def constrained_min_weight_path(
 ) -> tuple[Path, Fraction] | None:
     """Minimum x-weight s-t path of total length strictly below ``bound``.
 
-    Dynamic program over (node, accumulated length) states; all lengths are
-    at least 1, so states are bounded by bound * |V| and the nonnegative
-    minimum is attained by a simple path. The returned path is simple
-    (shortcuts removed) and its weight sums x over distinct cuttable
-    elements.
+    Dynamic program over (node, accumulated length) states on the integer
+    costs of ``_scaled_costs``; all lengths are at least 1, so states are
+    bounded by bound * |V| and the nonnegative minimum is attained by a
+    simple path. The returned path is simple (shortcuts removed) and its
+    weight sums x over distinct cuttable elements.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if s not in g or t not in g:
         raise UnknownNode("unknown terminal")
-    for el, val in x.items():
-        if val < 0:
-            raise ValueError("x must be nonnegative")
-        if val > 0 and g.element_weight(el) is None:
-            raise ValueError(f"positive x on uncuttable element {el!r}")
+    scale, cost = _scaled_costs(g, x, mode)
     rnodes, redges = g.check_removable(removed)
     if s in rnodes or t in rnodes:
         return None
 
-    def el_cost(el: Element) -> Fraction:
-        if g.element_weight(el) is None:
-            return Fraction(0)
-        return x.get(el, Fraction(0))
-
+    edge_mode = mode == EDGE
+    edges = g.edges
     nodes = g.nodes
-    start = el_cost(s) if mode == VERTEX else Fraction(0)
-    # best[L][v] = cheapest x-weight of a walk s->v of total length L
-    best: list[dict[str, Fraction]] = [dict() for _ in range(bound)]
+    # the usable arcs out of each node as (neighbour, edge, length, cost)
+    arcs = {
+        v: [
+            (nb, idx, edges[idx].length, cost.get(idx if edge_mode else nb, 0))
+            for idx, nb in g.out_arcs(v)
+            if idx not in redges and nb not in rnodes
+        ]
+        for v in nodes
+    }
+    # best[L][v] = cheapest scaled x-weight of a walk s->v of total length L
+    best: list[dict[str, int]] = [{} for _ in range(bound)]
     parent: dict[tuple[str, int], tuple[str, int, int]] = {}
-    best[0][s] = start
+    best[0][s] = 0 if edge_mode else cost.get(s, 0)
     for level in range(bound):
         layer = best[level]
+        if not layer:
+            continue
         for v in nodes:
             if v not in layer:
                 continue
             d = layer[v]
-            for idx, nb in g.out_arcs(v):
-                if idx in redges or nb in rnodes:
-                    continue
-                nl = level + g.edges[idx].length
+            for nb, idx, length, step in arcs[v]:
+                nl = level + length
                 if nl >= bound:
                     continue
-                step = el_cost(idx) if mode == EDGE else el_cost(nb)
                 nd = d + step
-                if nb not in best[nl] or nd < best[nl][nb]:
-                    best[nl][nb] = nd
+                reach = best[nl]
+                if nb not in reach or nd < reach[nb]:
+                    reach[nb] = nd
                     parent[(nb, nl)] = (v, level, idx)
 
     hit = [(lvl, best[lvl][t]) for lvl in range(bound) if t in best[lvl]]
     if not hit:
         return None
-    target = min(hit, key=lambda p: (p[1], p[0]))
-    lvl = target[0]
+    lvl = min(hit, key=lambda p: (p[1], p[0]))[0]
     walk_nodes = [t]
     walk_edges: list[int] = []
     cur, cl = t, lvl
@@ -390,12 +427,10 @@ def constrained_min_weight_path(
     path = Path(
         tuple(nodes_s),
         tuple(edges_s),
-        sum(g.edges[i].length for i in edges_s),
+        sum(edges[i].length for i in edges_s),
     )
-    weight = Fraction(0)
-    for el in path.elements(mode, g):
-        weight += x.get(el, Fraction(0))
-    return path, weight
+    total = sum(cost.get(el, 0) for el in path.elements(mode, g))
+    return path, Fraction(total, scale)
 
 
 def _remove_shortcuts(nodes: list[str], edges: list[int]) -> tuple[list[str], list[int]]:

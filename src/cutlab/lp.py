@@ -1,8 +1,10 @@
 """Exact rational LP engine and the cutting-plane drivers for the
 path-covering relaxations, producing integrality-gap reports.
 
-Everything here is Fraction arithmetic end to end; gap reports are exact
-enough to serve as frozen test fixtures.
+Every value is exact: the simplex pivots on Fractions, and the separation
+oracles and the independent recheck search on integers scaled by the
+common denominator of the current x. Gap reports are exact enough to
+serve as frozen test fixtures.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ from .errors import (
     require_problem,
 )
 from .graphs import (
+    EDGE,
     CutInstance,
     Element,
     LengthBound,
     Multicut,
     Path,
+    _scaled_costs,
     constrained_min_weight_path,
     min_weight_path,
     rational_str,
@@ -171,30 +175,25 @@ def _dfs_has_cheap_path(
 ) -> bool:
     """Exhaustive simple-path search for mass < 1 (and length < bound).
 
-    Independent of the Dijkstra/DP separation oracles; prunes branches
-    whose accumulated mass reaches 1 or whose length reaches the bound.
+    Independent of the Dijkstra/DP separation oracles; shares only their
+    validated integer costs, so mass < 1 is scaled mass < ``scale``.
+    Prunes branches whose mass reaches 1 or whose length reaches the bound.
     """
     g = inst.graph
-    mode = inst.mode
-
-    def el_mass(el: Element) -> Fraction:
-        if g.element_weight(el) is None:
-            return Fraction(0)
-        return x.get(el, Fraction(0))
-
+    edge_mode = inst.mode == EDGE
+    scale, cost = _scaled_costs(g, x, inst.mode)
     steps = 0
     on_path: set[str] = set()
     # the open path as (node, length, mass, remaining out-arcs); nodes are
     # entered in the order a recursive search would take
-    stack: list[tuple[str, int, Fraction, Iterator[tuple[int, str]]]] = []
-    start = el_mass(s) if mode == "vertex" else Fraction(0)
-    step: tuple[str, int, Fraction] | None = (s, 0, start)
+    stack: list[tuple[str, int, int, Iterator[tuple[int, str]]]] = []
+    step: tuple[str, int, int] | None = (s, 0, 0 if edge_mode else cost.get(s, 0))
     while step is not None:
         v, length, mass = step
         steps += 1
         if steps > step_cap:
             raise SizeGuard("path enumeration exceeded its step cap")
-        if mass < 1:
+        if mass < scale:
             if v == t:
                 return True
             on_path.add(v)
@@ -205,7 +204,7 @@ def _dfs_has_cheap_path(
             for idx, nb in arcs:
                 nl = length + g.edges[idx].length
                 if nb not in on_path and (bound is None or nl < bound):
-                    step = (nb, nl, mass + (el_mass(idx) if mode == "edge" else el_mass(nb)))
+                    step = (nb, nl, mass + cost.get(idx if edge_mode else nb, 0))
                     break
             else:
                 stack.pop()

@@ -13,11 +13,12 @@ import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateMarginal, DisconnectedSupport, UnknownAtom
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Atom = str | int
 
@@ -273,6 +274,8 @@ def maximal_correlation(cs: CorrelatedSpace) -> float:
             raise DegenerateMarginal(f"right atom {b!r} has zero mass")
     if len(cs.left) < 2 or len(cs.right) < 2:
         return 0.0
+    import numpy as np
+
     q = np.zeros((len(cs.left), len(cs.right)))
     for i, a in enumerate(cs.left.atoms):
         for j, b in enumerate(cs.right.atoms):
@@ -351,6 +354,8 @@ def normal_quantile(p: float) -> float:
 
 
 def _gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     xs, ws = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (b - a)
     return a + half * (xs + 1.0), half * ws
@@ -371,6 +376,8 @@ def gamma_rho(rho: float, a: float, b: float) -> float:
     y_lo = max(normal_quantile(1.0 - b), -_NORMAL_BOX)
     if x_hi <= -_NORMAL_BOX or y_lo >= _NORMAL_BOX:
         return 0.0
+    import numpy as np
+
     det = 1.0 - rho * rho
     norm = 1.0 / (2.0 * math.pi * math.sqrt(det))
 

@@ -1,9 +1,12 @@
 """Shared test oracles: exhaustive path enumeration, subset brute force,
-and the seeded random-instance factories used by the cross-check suites.
+the Fraction separation oracles, and the seeded random-instance factories
+used by the cross-check suites.
 
 Everything here is deliberately independent of the package's search code:
-paths come from plain DFS enumeration, optima from subset enumeration, and
-Efron-Stein parts from conditional expectations on every coordinate subset.
+paths come from plain DFS enumeration, optima from subset enumeration,
+Efron-Stein parts from conditional expectations on every coordinate subset,
+and the reference separation oracles sum Fractions where the package sums
+integers over a common denominator.
 """
 
 from __future__ import annotations
@@ -11,16 +14,22 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations, product
+from typing import Iterable, Mapping
 
+from cutlab.errors import UnknownNode
 from cutlab.graphs import (
     EDGE,
     VERTEX,
     CutInstance,
+    Element,
     LengthBound,
     Multicut,
+    Path,
     Rmfc,
     WeightedGraph,
+    _remove_shortcuts,
     shortest_path_length,
 )
 from cutlab.probspace import Atom, ProductFunction, product_mass
@@ -62,6 +71,157 @@ def path_x_weight(g: WeightedGraph, nodes, edges, x, mode) -> Fraction:
         if g.element_weight(el) is not None:
             total += x.get(el, Fraction(0))
     return total
+
+
+def reference_min_weight_path(
+    g: WeightedGraph,
+    s: str,
+    t: str,
+    x: Mapping[Element, Fraction],
+    mode: str,
+    removed: Iterable[Element] = (),
+) -> tuple[Path, Fraction] | None:
+    """Dijkstra summing ``Fraction`` costs: the reference for the paths and
+    ties of ``min_weight_path``, which sums integers over a common
+    denominator.
+
+    Costs accrue on cuttable elements only (per ``mode``); uncuttable
+    elements contribute zero.
+    """
+    if s not in g or t not in g:
+        raise UnknownNode("unknown terminal")
+    rnodes, redges = g.check_removable(removed)
+    if s in rnodes or t in rnodes:
+        return None
+
+    def el_cost(el: Element) -> Fraction:
+        if g.element_weight(el) is None:
+            return Fraction(0)
+        return x.get(el, Fraction(0))
+
+    order = {v: i for i, v in enumerate(g.nodes)}
+    start = el_cost(s) if mode == VERTEX else Fraction(0)
+    best: dict[str, Fraction] = {s: start}
+    parent: dict[str, tuple[str, int]] = {}
+    heap: list[tuple[Fraction, int, str]] = [(start, order[s], s)]
+    done: set[str] = set()
+    while heap:
+        d, _, v = heappop(heap)
+        if v in done:
+            continue
+        done.add(v)
+        if v == t:
+            break
+        for idx, nb in g.out_arcs(v):
+            if idx in redges or nb in rnodes or nb in done:
+                continue
+            step = el_cost(idx) if mode == EDGE else el_cost(nb)
+            nd = d + step
+            if nb not in best or nd < best[nb]:
+                best[nb] = nd
+                parent[nb] = (v, idx)
+                heappush(heap, (nd, order[nb], nb))
+    if t not in done:
+        return None
+    nodes = [t]
+    edges: list[int] = []
+    while nodes[-1] != s:
+        pv, pe = parent[nodes[-1]]
+        nodes.append(pv)
+        edges.append(pe)
+    nodes.reverse()
+    edges.reverse()
+    path = Path(tuple(nodes), tuple(edges), sum(g.edges[i].length for i in edges))
+    return path, best[t]
+
+
+def reference_constrained_min_weight_path(
+    g: WeightedGraph,
+    s: str,
+    t: str,
+    x: Mapping[Element, Fraction],
+    bound: int,
+    mode: str,
+    removed: Iterable[Element] = (),
+) -> tuple[Path, Fraction] | None:
+    """Length-layered DP summing ``Fraction`` costs: the reference for the
+    paths and ties of ``constrained_min_weight_path``, which sums integers
+    over a common denominator. Minimum x-weight s-t path of total length
+    strictly below ``bound``.
+
+    Dynamic program over (node, accumulated length) states; all lengths are
+    at least 1, so states are bounded by bound * |V| and the nonnegative
+    minimum is attained by a simple path. The returned path is simple
+    (shortcuts removed) and its weight sums x over distinct cuttable
+    elements.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if s not in g or t not in g:
+        raise UnknownNode("unknown terminal")
+    for el, val in x.items():
+        if val < 0:
+            raise ValueError("x must be nonnegative")
+        if val > 0 and g.element_weight(el) is None:
+            raise ValueError(f"positive x on uncuttable element {el!r}")
+    rnodes, redges = g.check_removable(removed)
+    if s in rnodes or t in rnodes:
+        return None
+
+    def el_cost(el: Element) -> Fraction:
+        if g.element_weight(el) is None:
+            return Fraction(0)
+        return x.get(el, Fraction(0))
+
+    nodes = g.nodes
+    start = el_cost(s) if mode == VERTEX else Fraction(0)
+    # best[L][v] = cheapest x-weight of a walk s->v of total length L
+    best: list[dict[str, Fraction]] = [dict() for _ in range(bound)]
+    parent: dict[tuple[str, int], tuple[str, int, int]] = {}
+    best[0][s] = start
+    for level in range(bound):
+        layer = best[level]
+        for v in nodes:
+            if v not in layer:
+                continue
+            d = layer[v]
+            for idx, nb in g.out_arcs(v):
+                if idx in redges or nb in rnodes:
+                    continue
+                nl = level + g.edges[idx].length
+                if nl >= bound:
+                    continue
+                step = el_cost(idx) if mode == EDGE else el_cost(nb)
+                nd = d + step
+                if nb not in best[nl] or nd < best[nl][nb]:
+                    best[nl][nb] = nd
+                    parent[(nb, nl)] = (v, level, idx)
+
+    hit = [(lvl, best[lvl][t]) for lvl in range(bound) if t in best[lvl]]
+    if not hit:
+        return None
+    target = min(hit, key=lambda p: (p[1], p[0]))
+    lvl = target[0]
+    walk_nodes = [t]
+    walk_edges: list[int] = []
+    cur, cl = t, lvl
+    while (cur, cl) != (s, 0):
+        pv, pl, pe = parent[(cur, cl)]
+        walk_nodes.append(pv)
+        walk_edges.append(pe)
+        cur, cl = pv, pl
+    walk_nodes.reverse()
+    walk_edges.reverse()
+    nodes_s, edges_s = _remove_shortcuts(walk_nodes, walk_edges)
+    path = Path(
+        tuple(nodes_s),
+        tuple(edges_s),
+        sum(g.edges[i].length for i in edges_s),
+    )
+    weight = Fraction(0)
+    for el in path.elements(mode, g):
+        weight += x.get(el, Fraction(0))
+    return path, weight
 
 
 def brute_force_min_disconnect(g: WeightedGraph, s: str, t: str, mode: str):

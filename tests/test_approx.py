@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from cutlab.approx import bicut_2approx, threshold_round_lbc, trivial_multicut
-from cutlab.errors import InfeasibleLpInput, WrongProblemType
+from cutlab.errors import InfeasibleLpInput, UnknownNode, WrongProblemType
 from cutlab.gadgets import DictParamsE, build_dict_edge, build_saks_gap
 from cutlab.graphs import (
     EDGE,
@@ -141,6 +141,26 @@ class TestThresholdRounding:
         inst = CutInstance(graph=g, mode=EDGE, problem=LengthBound("s", "t", 3))
         with pytest.raises(InfeasibleLpInput):
             threshold_round_lbc(inst, 3, {0: Fraction(1, 4), 1: Fraction(1, 4)})
+
+    @pytest.mark.parametrize(
+        "solution, error",
+        [
+            ({0: 0.25, 1: 1}, ValueError),
+            ({0: Fraction(-1), 1: 1}, ValueError),
+            ({7: Fraction(1)}, UnknownNode),
+        ],
+        ids=["float", "negative", "unknown-edge"],
+    )
+    def test_malformed_solution_rejected(self, solution, error):
+        # the recheck search validates the solution like the LP's oracles
+        g = WeightedGraph()
+        for v in ("s", "a", "t"):
+            g.add_node(v)
+        g.add_edge("s", "a", directed=False, weight=Fraction(1))
+        g.add_edge("a", "t", directed=False, weight=Fraction(1))
+        inst = CutInstance(graph=g, mode=EDGE, problem=LengthBound("s", "t", 3))
+        with pytest.raises(error):
+            threshold_round_lbc(inst, 3, solution)
 
     def test_ratio_bound_on_random_suite(self):
         rng = random.Random(83)

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cutlab
 from cutlab.cli import main, parse_params
 
 
@@ -318,6 +322,56 @@ class TestGapTable:
 
 
 class TestGammaAndCorrelation:
+    def test_numpy_loaded_only_by_its_commands(self):
+        # a fresh interpreter: importing the package and its command modules
+        # must not load numpy; gamma and correlation load it on first use
+        child = "\n".join(
+            [
+                "import sys",
+                "import cutlab, cutlab.cli, cutlab.ug",
+                "assert 'numpy' not in sys.modules, 'numpy loaded at import'",
+                "assert cutlab.cli.main(['gamma', '--rho', '0.5', '--a', '0.5', '--b', '0.5']) == 0",
+                "assert 'numpy' in sys.modules",
+            ]
+        )
+        package_root = str(Path(cutlab.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert abs(json.loads(proc.stdout)["gamma"] - 0.1666666666666621) < 1e-12
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["gamma", "--rho", "0.5", "--a", "0.5", "--b", "0.5"], {"gamma": 0.1666666666666621}),
+            (["gamma", "--rho", "0.3", "--a", "0.2", "--b", "0.7"], {"gamma": 0.10867888601682542}),
+            (
+                ["correlation", "--family", "edge", "--params", "r=2"],
+                {"alpha": "1/8", "connectedness_bound": 0.9921875, "rho": 0.5},
+            ),
+            (
+                ["correlation", "--family", "star", "--params", "r=2,eps=1/4"],
+                {"alpha": "1/16", "connectedness_bound": 0.998046875, "rho": 0.7500000000000001},
+            ),
+        ],
+        ids=["gamma-half", "gamma-skew", "correlation-edge", "correlation-star"],
+    )
+    def test_values_as_recorded(self, capsys, argv, expected):
+        # floats from the quadrature and the SVD may differ in the last bits
+        # across BLAS builds
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc) == sorted(expected)
+        for key, value in expected.items():
+            if isinstance(value, float):
+                assert doc[key] == pytest.approx(value, rel=0, abs=1e-12)
+            else:
+                assert doc[key] == value
+
     def test_gamma_value(self, capsys):
         code = main(["gamma", "--rho", "0.5", "--a", "0.5", "--b", "0.5"])
         assert code == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from cutlab import gadgets
+from cutlab import gadgets, lp
 from cutlab.cli import parse_params
 from cutlab.errors import MalformedInstance, NoFiniteCut, RemovingUncuttable, UnknownNode
 from cutlab.graphs import (
@@ -17,6 +17,7 @@ from cutlab.graphs import (
     Multicut,
     Rmfc,
     WeightedGraph,
+    _scaled_costs,
     constrained_min_weight_path,
     expand_node_weights,
     instance_from_json,
@@ -232,6 +233,157 @@ class TestConstrainedMinWeightPath:
             path, _ = found
             assert len(set(path.nodes)) == len(path.nodes)
             assert path.length < 6
+
+
+def mixed_x(rng: random.Random, elements) -> dict:
+    """x over ``elements`` with denominators 1..12, about a third zero."""
+    return {
+        el: Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        if rng.random() < 2 / 3
+        else Fraction(0)
+        for el in elements
+    }
+
+
+def recorded_oracle_calls(monkeypatch, name, run):
+    """The argument lists ``lp`` passed to the oracle ``name`` while
+    ``run()`` solved an LP: one per pair and cutting-plane round."""
+    calls = []
+    real = getattr(lp, name)
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lp, name, record)
+    run()
+    return calls
+
+
+def negative_middle_graph():
+    # s->a, a->b, a->t, s->b, b->t; only a->b would make s-a-b-t cheapest
+    g = WeightedGraph()
+    for v in ("s", "a", "b", "t"):
+        g.add_node(v)
+    for tail, head in (("s", "a"), ("a", "b"), ("a", "t"), ("s", "b"), ("b", "t")):
+        g.add_edge(tail, head, directed=True, weight=Fraction(1))
+    return g
+
+
+ORACLES = {
+    "dp": lambda g, x, mode: constrained_min_weight_path(g, "s", "t", x, 4, mode),
+    "dijkstra": lambda g, x, mode: min_weight_path(g, "s", "t", x, mode),
+}
+
+
+class TestScaledCosts:
+    def test_common_denominator(self):
+        g = chain_graph()
+        x = {0: Fraction(1, 4), 1: Fraction(0), 2: Fraction(5, 6)}
+        assert _scaled_costs(g, x, EDGE) == (12, {0: 3, 2: 10})
+
+    def test_integers_keep_scale_one(self):
+        g = chain_graph(weights={"a": Fraction(2)})
+        assert _scaled_costs(g, {"a": 3}, VERTEX) == (1, {"a": 3})
+        assert _scaled_costs(g, {}, VERTEX) == (1, {})
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_negative_x_rejected(self, oracle):
+        # with x(a->b) = -5 the true minimum is s-a-b-t at -4, which a
+        # search that trusts nonnegative costs misses (it answers s-b-t at 0)
+        g = negative_middle_graph()
+        x = {0: Fraction(1), 1: Fraction(-5), 2: Fraction(0), 3: Fraction(0), 4: Fraction(0)}
+        with pytest.raises(ValueError, match="nonnegative"):
+            ORACLES[oracle](g, x, EDGE)
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    @pytest.mark.parametrize(
+        "mode, x",
+        [
+            (EDGE, {99999: Fraction(1, 2)}),
+            (EDGE, {"a": Fraction(1)}),
+            (VERTEX, {0: Fraction(1)}),
+            (VERTEX, {"z": Fraction(0)}),
+        ],
+        ids=["edge-index", "node-in-edge-mode", "edge-in-vertex-mode", "missing-node"],
+    )
+    def test_unknown_element_rejected(self, oracle, mode, x):
+        with pytest.raises(UnknownNode):
+            ORACLES[oracle](negative_middle_graph(), x, mode)
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    @pytest.mark.parametrize(
+        "value", [0.5, 0.0, True, "1/2"], ids=["float", "zero-float", "bool", "str"]
+    )
+    def test_non_rational_value_rejected(self, oracle, value):
+        with pytest.raises(ValueError, match="not an int or Fraction"):
+            ORACLES[oracle](negative_middle_graph(), {0: value}, EDGE)
+
+    @pytest.mark.parametrize("oracle", sorted(ORACLES))
+    def test_positive_x_on_uncuttable_rejected(self, oracle):
+        g = chain_graph()
+        g.add_edge("s", "t", directed=False, length=5)
+        with pytest.raises(ValueError, match="uncuttable"):
+            ORACLES[oracle](g, {3: Fraction(1, 3)}, EDGE)
+        assert ORACLES[oracle](g, {3: Fraction(0)}, EDGE) is not None
+
+
+class TestScaledOraclesMatchFractionReference:
+    """The integer searches return the same path, not only the same weight,
+    as the Fraction reference searches, so ties break the same way."""
+
+    @pytest.mark.parametrize("mode", [VERTEX, EDGE])
+    @pytest.mark.parametrize("kind", ["length_bound", "multicut"])
+    def test_random_instances(self, kind, mode):
+        rng = random.Random(f"{kind}-{mode}")
+        for trial in range(30):
+            inst = helpers.random_instance(rng, kind, mode)
+            g = inst.graph
+            cuttable = g.cuttable_elements(mode)
+            x = mixed_x(rng, cuttable)
+            removed = rng.sample(cuttable, rng.randint(0, 2))
+            pairs = [("S", "T")] if kind == "length_bound" else list(inst.problem.pairs)
+            for s, t in pairs:
+                got = min_weight_path(g, s, t, x, mode, removed)
+                assert got == helpers.reference_min_weight_path(g, s, t, x, mode, removed), trial
+                for bound in (1, 2, 3, 5, 8, 1 + g.total_length()):
+                    got = constrained_min_weight_path(g, s, t, x, bound, mode, removed)
+                    want = helpers.reference_constrained_min_weight_path(
+                        g, s, t, x, bound, mode, removed
+                    )
+                    assert got == want, (trial, bound)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            gadgets.build_dict_edge(gadgets.DictParamsE(4, 3, 2, 1)),
+            gadgets.build_dict_vertex(gadgets.DictParamsV(4, 4, 3, 1, Fraction(1, 20))),
+        ],
+        ids=["dict-e", "dict-v"],
+    )
+    def test_every_length_cover_round(self, monkeypatch, inst):
+        calls = recorded_oracle_calls(
+            monkeypatch, "constrained_min_weight_path", lambda: lp.short_path_cover_lp(inst)
+        )
+        assert len(calls) > 1
+        for args in calls:
+            assert constrained_min_weight_path(*args) == (
+                helpers.reference_constrained_min_weight_path(*args)
+            )
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            gadgets.build_saks_gap(3, 2),
+            gadgets.build_dict_multicut(gadgets.DictParamsM(2, 2, 1, Fraction(1, 5))),
+        ],
+        ids=["saks", "dict-m"],
+    )
+    def test_every_multicut_round(self, monkeypatch, inst):
+        calls = recorded_oracle_calls(monkeypatch, "min_weight_path", lambda: lp.multicut_lp(inst))
+        assert len(calls) > len(inst.problem.pairs)
+        for args in calls:
+            assert min_weight_path(*args) == helpers.reference_min_weight_path(*args)
 
 
 class TestInstanceJson:

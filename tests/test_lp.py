@@ -5,6 +5,8 @@ from itertools import combinations
 import pytest
 
 import helpers
+from cutlab import gadgets, lp
+from cutlab.cli import main, parse_params
 from cutlab.errors import CutLabError, Infeasible
 from cutlab.gadgets import DictParamsE, build_dict_edge, build_saks_gap, dictator_cut
 from cutlab.graphs import (
@@ -271,6 +273,91 @@ class TestShortPathCoverLp:
                 full.add_row({el: Fraction(1) for el in row}, Fraction(1))
             full_value, _ = simplex_solve(full)
             assert lazy_value == full_value, f"trial {trial}"
+
+
+# ``cutlab lp`` stdout on the length_cover benchmark instances, and the
+# separation calls of its cutting-plane loop, as the Fraction reference
+# oracles of ``helpers`` produce them: a change in how the oracles break
+# ties shows up here as other rows, rounds or bytes
+LP_DICT_E_A4 = """\
+{
+  "lp_value": "1/1",
+  "support": {
+    "6": "1/1",
+    "7": "1/1",
+    "8": "1/1",
+    "9": "1/1"
+  }
+}
+"""
+
+LP_DICT_E_A6 = """\
+{
+  "lp_value": "3/2",
+  "support": {
+    "12": "1/2",
+    "13": "1/2",
+    "14": "1/2",
+    "15": "1/2",
+    "18": "1/2",
+    "19": "1/2",
+    "20": "1/2",
+    "21": "1/2",
+    "6": "1/2",
+    "7": "1/2",
+    "8": "1/2",
+    "9": "1/2"
+  }
+}
+"""
+
+LP_DICT_V = """\
+{
+  "lp_value": "1/1",
+  "support": {
+    "v[1]/[*]": "1/1",
+    "v[1]/[0]": "1/1",
+    "v[1]/[1]": "1/1",
+    "v[1]/[2]": "1/1"
+  }
+}
+"""
+
+LENGTH_COVER_CASES = [
+    ("dict-e", "a=4,b=3,r=2,R=1", 12, LP_DICT_E_A4),
+    ("dict-e", "a=6,b=3,r=2,R=1", 25, LP_DICT_E_A6),
+    ("dict-v", "a=4,b=4,r=3,R=1,eps=1/20", 17, LP_DICT_V),
+]
+LENGTH_COVER_IDS = ["dict-e-a4", "dict-e-a6", "dict-v"]
+
+
+class TestLengthCoverWork:
+    """Work and output of the length-bounded covering LP, gated by counts
+    and bytes rather than wall time."""
+
+    @pytest.mark.parametrize(
+        "family, params, calls, stdout", LENGTH_COVER_CASES, ids=LENGTH_COVER_IDS
+    )
+    def test_separation_calls(self, monkeypatch, family, params, calls, stdout):
+        fam = gadgets.FAMILIES[family]
+        inst = fam.build(fam.params(parse_params(params)), gadgets.DEFAULT_MAX_NODES)
+        made = []
+        real = lp.constrained_min_weight_path
+
+        def counted(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lp, "constrained_min_weight_path", counted)
+        short_path_cover_lp(inst)
+        assert len(made) == calls
+
+    @pytest.mark.parametrize(
+        "family, params, calls, stdout", LENGTH_COVER_CASES, ids=LENGTH_COVER_IDS
+    )
+    def test_lp_stdout_frozen(self, capsys, family, params, calls, stdout):
+        assert main(["lp", "--family", family, "--params", params]) == 0
+        assert capsys.readouterr().out == stdout
 
 
 class TestGapReport:
