@@ -29,9 +29,7 @@ from .probspace import (
     efron_stein_influences,
     gamma_rho,
     maximal_correlation,
-    mixture_correlation_bound,
     product_mass,
-    sheppard_gamma_half,
 )
 from .gadgets import (
     DictParamsE,

@@ -9,33 +9,15 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InfeasibleLpInput, WrongProblemType, require, require_problem
-from .graphs import (
-    CutInstance,
-    CutSolution,
-    Element,
-    LengthBound,
-    Multicut,
-    min_st_cut,
-)
+from .graphs import CutInstance, CutSolution, Element, LengthBound, Multicut
 from .lp import _dfs_has_cheap_path
-from .solvers import (
-    length_bound_is_feasible,
-    multicut_is_feasible,
-    solution_cost,
-)
+from .solvers import length_bound_is_feasible, per_pair_cut_union, solution_cost
 
 
 def trivial_multicut(inst: CutInstance) -> CutSolution:
     """Union of per-pair minimum cuts; at most k times the optimum."""
-    require_problem(inst.problem, Multicut)
-    elements: set[Element] = set()
-    for s, t in inst.problem.pairs:
-        _, cut = min_st_cut(inst.graph, s, t, inst.mode)
-        elements |= cut
-    require(
-        multicut_is_feasible(inst, elements), "per-pair cut union leaves a pair connected"
-    )
-    return CutSolution(frozenset(elements), solution_cost(inst, elements))
+    elements = per_pair_cut_union(inst)
+    return CutSolution(elements, solution_cost(inst, elements))
 
 
 def bicut_2approx(inst: CutInstance) -> CutSolution:

@@ -1,16 +1,19 @@
 """Exact rational LP engine and the cutting-plane drivers for the
 path-covering relaxations, producing integrality-gap reports.
 
-Every value is exact: the simplex pivots on Fractions, and the separation
-oracles and the independent recheck search on integers scaled by the
-common denominator of the current x. Gap reports are exact enough to
-serve as frozen test fixtures.
+Every value is exact and computed on integers: the simplex keeps its
+tableau over one common denominator and pivots fraction-free, its
+optimality certificate is checked on the integer tableau, and the
+separation oracles and the independent recheck search on x scaled by the
+common denominator of its entries. Gap reports are exact enough to serve
+as frozen test fixtures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, Mapping
 
 from .errors import (
@@ -59,74 +62,109 @@ class LPProblem:
 
 
 class _PackingDual:
-    """Sparse simplex tableau of the dual max b.y s.t. A^T y <= c, y >= 0.
+    """Fraction-free sparse simplex tableau of the dual max b.y s.t.
+    A^T y <= c, y >= 0.
 
     Row j is the dual constraint of primal variable j; column key j < n is
-    its slack, key n + i is y_i for primal row i. The all-slack basis is
-    feasible because c >= 0, so there is no phase 1. ``z`` holds the
-    nonzero reduced costs of min -b.y; x_j is the reduced cost of slack j.
+    its slack, key n + i is y_i for primal row i. Every entry of ``table``,
+    ``rhs`` and the reduced costs ``z`` of min -b.y is an ``int`` over the
+    common denominator ``det``, the determinant of the basis, so each pivot
+    is integer-preserving (Edmonds 1967; Bareiss 1968). The costs are put
+    over the lcm of their denominators and each priced row over the lcm of
+    its own: positive rescalings of rows and columns, which keep every sign
+    and ratio order and so every pivot choice. The all-slack basis is
+    feasible because c >= 0, so there is no phase 1; x_j is z[j] / det.
     """
 
     def __init__(self, lp: LPProblem) -> None:
-        cost = [Fraction(lp.objective[v]) for v in lp.var_order]
+        _, cost = _over_lcm([lp.objective[v] for v in lp.var_order])
         if any(c < 0 for c in cost):
             raise CutLabError("negative cost: the packing dual needs c >= 0")
         self.pos = {v: j for j, v in enumerate(lp.var_order)}
-        self.table: list[dict[int, Fraction]] = [{j: Fraction(1)} for j in range(len(cost))]
+        self.table: list[dict[int, int]] = [{j: 1} for j in range(len(cost))]
         self.rhs = cost
         self.basis = list(range(len(cost)))
-        self.z: dict[int, Fraction] = {}
+        self.z: dict[int, int] = {}
+        self.det = 1
         self.priced = 0
 
     def price(self, row: Mapping[Element, Fraction], rhs: Fraction) -> None:
         """Add the next primal row as a dual column of the current basis."""
-        a = {self.pos[v]: c for v, c in row.items()}
+        _, scaled = _over_lcm([*row.values(), rhs])
+        a = dict(zip((self.pos[v] for v in row), scaled))
         key = len(self.pos) + self.priced
         self.priced += 1
         for line in self.table:
-            # B^-1 a, summed from the slack block, which holds B^-1
-            entry = sum((c * a[j] for j, c in line.items() if j in a), Fraction(0))
+            # det B^-1 a, summed from the slack block, which holds det B^-1
+            entry = sum(line[j] * c for j, c in a.items() if j in line)
             if entry:
                 line[key] = entry
-        # the row's activity under the current x minus its rhs
-        reduced = sum((c * self.z.get(j, Fraction(0)) for j, c in a.items()), -rhs)
+        # det times the row's activity under the current x minus its rhs
+        z = self.z
+        reduced = sum(z[j] * c for j, c in a.items() if j in z) - scaled[-1] * self.det
         if reduced:
-            self.z[key] = reduced
+            z[key] = reduced
 
     def optimize(self) -> None:
         """Bland's rule: the lowest key with negative reduced cost enters,
         the lowest basic key leaves among ratio ties."""
-        table, rhs, basis, z = self.table, self.rhs, self.basis, self.z
+        table, rhs, basis = self.table, self.rhs, self.basis
         while True:
-            enter = min((k for k, d in z.items() if d < 0), default=None)
+            enter = min((k for k, d in self.z.items() if d < 0), default=None)
             if enter is None:
                 return
-            ratios = [
-                (rhs[r] / line[enter], basis[r], r)
-                for r, line in enumerate(table)
-                if line.get(enter, 0) > 0
-            ]
-            if not ratios:
+            # min (rhs[r] / table[r][enter], basis[r]) over positive entries,
+            # compared by cross-multiplication
+            leave = None
+            for r, line in enumerate(table):
+                t = line.get(enter, 0)
+                if t > 0 and (
+                    leave is None
+                    or rhs[r] * best_t < best_rhs * t
+                    or (rhs[r] * best_t == best_rhs * t and basis[r] < basis[leave])
+                ):
+                    leave, best_t, best_rhs = r, t, rhs[r]
+            if leave is None:
                 raise Infeasible("the packing dual is unbounded: no x meets every row")
-            leave = min(ratios)[2]
-            piv = table[leave][enter]
-            line = table[leave] = {k: c / piv for k, c in table[leave].items()}
-            rhs[leave] /= piv
-            for r, other in enumerate(table):
-                if r != leave and enter in other:
-                    rhs[r] -= _eliminate(other, line, enter) * rhs[leave]
-            _eliminate(z, line, enter)
+            pivot, det = table[leave], self.det
+            p, b = pivot[enter], rhs[leave]
+            for r, line in enumerate(table):
+                if r == leave:
+                    continue
+                f = line.get(enter)
+                if f:
+                    table[r] = _combine(line, p, f, pivot, det)
+                    rhs[r] = (p * rhs[r] - f * b) // det
+                elif p != det:
+                    # only moves to the new denominator
+                    table[r] = {k: c * p // det for k, c in line.items()}
+                    rhs[r] = rhs[r] * p // det
+            self.z = _combine(self.z, p, self.z[enter], pivot, det)
             basis[leave] = enter
+            self.det = p
 
 
-def _eliminate(target: dict[int, Fraction], line: dict[int, Fraction], col: int) -> Fraction:
-    """Subtract target[col] times ``line`` from ``target``; return the factor."""
-    f = target[col]
-    for k, c in line.items():
-        target[k] = target.get(k, 0) - f * c
-        if not target[k]:
-            del target[k]
-    return f
+def _over_lcm(values: list[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the values' denominators and each value times it."""
+    # folded pairwise: lcm(*args) builds an argument tuple per call, and
+    # CPython keeps freed tuples of each small size on a free list, which
+    # showed as peak RSS creeping up over repeated solves
+    scale = 1
+    for v in values:
+        scale = lcm(scale, v.denominator)
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _combine(
+    line: dict[int, int], p: int, f: int, pivot: dict[int, int], det: int
+) -> dict[int, int]:
+    """(p * line - f * pivot) / det, dropping zeros; the division is exact."""
+    get = pivot.get
+    out = {k: v for k, c in line.items() if (v := (p * c - f * get(k, 0)) // det)}
+    for k, c in pivot.items():
+        if k not in line:
+            out[k] = -f * c // det
+    return out
 
 
 def simplex_solve(lp: LPProblem) -> tuple[Fraction, dict[Element, Fraction]]:
@@ -135,7 +173,7 @@ def simplex_solve(lp: LPProblem) -> tuple[Fraction, dict[Element, Fraction]]:
     The first call starts from the all-slack dual basis; later calls price
     the rows added since as new dual columns and resume from the last
     basis. Raises Infeasible when the dual is unbounded. The answer is
-    returned only once x and y are feasible and c.x == b.y.
+    returned only once ``_certify`` has checked it.
     """
     if lp._dual is None:
         lp._dual = _PackingDual(lp)
@@ -143,23 +181,44 @@ def simplex_solve(lp: LPProblem) -> tuple[Fraction, dict[Element, Fraction]]:
     for i in range(dual.priced, len(lp.rows)):
         dual.price(lp.rows[i], lp.rhs[i])
     dual.optimize()
+    return _certify(lp, dual)
 
-    n = len(lp.var_order)
-    x = {v: dual.z.get(j, Fraction(0)) for v, j in dual.pos.items()}
-    y = {k - n: dual.rhs[r] for r, k in enumerate(dual.basis) if k >= n}
-    load = dict.fromkeys(lp.var_order, Fraction(0))
-    for i, yi in y.items():
-        for v, c in lp.rows[i].items():
-            load[v] += c * yi
-    value = sum((lp.objective[v] * xv for v, xv in x.items()), Fraction(0))
-    require(all(xv >= 0 for xv in x.values()), "x has a negative entry")
-    require(all(yi >= 0 for yi in y.values()), "y has a negative entry")
-    require(all(load[v] <= lp.objective[v] for v in load), "y violates A^T y <= c")
-    for row, rhs in zip(lp.rows, lp.rhs):
-        require(sum(c * x[v] for v, c in row.items()) >= rhs, "x violates a row")
-    dual_value = sum((lp.rhs[i] * yi for i, yi in y.items()), Fraction(0))
+
+def _certify(
+    lp: LPProblem, dual: _PackingDual
+) -> tuple[Fraction, dict[Element, Fraction]]:
+    """c.x and x from the final tableau, once the duality certificate holds.
+
+    The scaled data a'_i, b'_i and c' are rebuilt from ``lp``, not taken
+    from the tableau. With X = det x and Y = det y, all in integers: X >= 0,
+    Y >= 0, a'_i.X >= b'_i det, A'^T Y <= c' det and c'.X == b'.Y; each
+    failure raises CertificateFailed, also under ``python -O``.
+    """
+    n, det = len(lp.var_order), dual.det
+    cost_scale, cost = _over_lcm([lp.objective[v] for v in lp.var_order])
+    pos = {v: j for j, v in enumerate(lp.var_order)}
+    big_x = [dual.z.get(j, 0) for j in range(n)]
+    big_y = {k - n: dual.rhs[r] for r, k in enumerate(dual.basis) if k >= n}
+    require(all(v >= 0 for v in big_x), "x has a negative entry")
+    require(all(v >= 0 for v in big_y.values()), "y has a negative entry")
+    load = [0] * n
+    dual_value = 0
+    for i, (row, rhs) in enumerate(zip(lp.rows, lp.rhs)):
+        _, scaled = _over_lcm([*row.values(), rhs])
+        cols = [pos[v] for v in row]
+        activity = sum(big_x[j] * c for j, c in zip(cols, scaled))
+        require(activity >= scaled[-1] * det, "x violates a row")
+        yi = big_y.get(i, 0)
+        if yi:
+            for j, c in zip(cols, scaled):
+                load[j] += c * yi
+            dual_value += scaled[-1] * yi
+    require(all(ld <= c * det for ld, c in zip(load, cost)), "y violates A^T y <= c")
+    value = sum(c * v for c, v in zip(cost, big_x))
     require(value == dual_value, "c.x differs from b.y")
-    return value, x
+    return Fraction(value, det * cost_scale), {
+        v: Fraction(big_x[j], det) for v, j in pos.items()
+    }
 
 
 # -- independent no-violation check ----------------------------------------

@@ -320,14 +320,6 @@ def connectedness_bound(cs: CorrelatedSpace) -> float:
     return float(1 - Fraction(cs.alpha) ** 2 / 2)
 
 
-def mixture_correlation_bound(rho1: float, rho2: float, delta: float) -> float:
-    """Correlation bound for a delta-mixture of two correlated spaces
-    sharing a marginal: sqrt(delta rho1^2 + (1-delta) rho2^2)."""
-    if not (0 <= rho1 <= 1 and 0 <= rho2 <= 1 and 0 <= delta <= 1):
-        raise ValueError("arguments must lie in [0,1]")
-    return math.sqrt(delta * rho1 * rho1 + (1 - delta) * rho2 * rho2)
-
-
 # -- Gaussian quantities --------------------------------------------------
 
 _NORMAL_BOX = 8.0
@@ -400,10 +392,3 @@ def gamma_rho(rho: float, a: float, b: float) -> float:
             return cur
         prev = cur
     return prev
-
-
-def sheppard_gamma_half(rho: float) -> float:
-    """Closed form for the balanced case: 1/4 + arcsin(-rho)/(2 pi)."""
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError("rho must be in [-1,1]")
-    return 0.25 + math.asin(-rho) / (2.0 * math.pi)

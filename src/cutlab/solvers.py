@@ -210,6 +210,20 @@ def solution_cost(inst: CutInstance, elements: Iterable[Element]) -> Fraction:
     return total
 
 
+def per_pair_cut_union(inst: CutInstance) -> frozenset[Element]:
+    """Union of one minimum cut per terminal pair: a feasible multicut of
+    cost at most k times the optimum."""
+    require_problem(inst.problem, Multicut)
+    elements: set[Element] = set()
+    for s, t in inst.problem.pairs:
+        _, cut = min_st_cut(inst.graph, s, t, inst.mode)
+        elements |= cut
+    require(
+        multicut_is_feasible(inst, elements), "per-pair cut union leaves a pair connected"
+    )
+    return frozenset(elements)
+
+
 # -- branch and bound ---------------------------------------------------------
 
 
@@ -329,14 +343,8 @@ def exact_min_multicut(
     if len(cuttable) > element_limit:
         raise SizeGuard(f"{len(cuttable)} cuttable elements (cap {element_limit})")
     _check_infeasible(inst)
-    seed: set[Element] = set()
-    for s, t in inst.problem.pairs:
-        _, cut = min_st_cut(inst.graph, s, t, inst.mode)
-        seed |= cut
-    require(multicut_is_feasible(inst, seed), "per-pair cut union leaves a pair connected")
-    cost, elements = _branch_and_bound(
-        inst, None, (solution_cost(inst, seed), frozenset(seed))
-    )
+    seed = per_pair_cut_union(inst)
+    cost, elements = _branch_and_bound(inst, None, (solution_cost(inst, seed), seed))
     require(multicut_is_feasible(inst, elements), "branch and bound left a pair connected")
     return CutSolution(elements, cost)
 

@@ -1,24 +1,26 @@
 """Shared test oracles: exhaustive path enumeration, subset brute force,
-the Fraction separation oracles, and the seeded random-instance factories
-used by the cross-check suites.
+the Fraction separation oracles, the Fraction simplex, two closed-form
+correlation bounds, and the seeded random-instance factories used by the
+cross-check suites.
 
 Everything here is deliberately independent of the package's search code:
 paths come from plain DFS enumeration, optima from subset enumeration,
 Efron-Stein parts from conditional expectations on every coordinate subset,
-and the reference separation oracles sum Fractions where the package sums
-integers over a common denominator.
+and the reference separation oracles and simplex compute in Fractions where
+the package computes in integers over a common denominator.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, product
 from typing import Iterable, Mapping
 
-from cutlab.errors import UnknownNode
+from cutlab.errors import CutLabError, Infeasible, UnknownNode, require
 from cutlab.graphs import (
     EDGE,
     VERTEX,
@@ -32,6 +34,7 @@ from cutlab.graphs import (
     _remove_shortcuts,
     shortest_path_length,
 )
+from cutlab.lp import LPProblem
 from cutlab.probspace import Atom, ProductFunction, product_mass
 
 
@@ -509,3 +512,132 @@ def reference_efron_stein_norms(f: ProductFunction) -> dict[frozenset[int], Frac
                 total += zmass * part * part
             norms[s] = total
     return norms
+
+
+# -- the Fraction simplex ------------------------------------------------------
+
+
+class _ReferencePackingDual:
+    """Sparse simplex tableau of the dual max b.y s.t. A^T y <= c, y >= 0.
+
+    Row j is the dual constraint of primal variable j; column key j < n is
+    its slack, key n + i is y_i for primal row i. The all-slack basis is
+    feasible because c >= 0, so there is no phase 1. ``z`` holds the
+    nonzero reduced costs of min -b.y; x_j is the reduced cost of slack j.
+    """
+
+    def __init__(self, lp: LPProblem) -> None:
+        cost = [Fraction(lp.objective[v]) for v in lp.var_order]
+        if any(c < 0 for c in cost):
+            raise CutLabError("negative cost: the packing dual needs c >= 0")
+        self.pos = {v: j for j, v in enumerate(lp.var_order)}
+        self.table: list[dict[int, Fraction]] = [{j: Fraction(1)} for j in range(len(cost))]
+        self.rhs = cost
+        self.basis = list(range(len(cost)))
+        self.z: dict[int, Fraction] = {}
+        self.priced = 0
+
+    def price(self, row: Mapping[Element, Fraction], rhs: Fraction) -> None:
+        """Add the next primal row as a dual column of the current basis."""
+        a = {self.pos[v]: c for v, c in row.items()}
+        key = len(self.pos) + self.priced
+        self.priced += 1
+        for line in self.table:
+            # B^-1 a, summed from the slack block, which holds B^-1
+            entry = sum((c * a[j] for j, c in line.items() if j in a), Fraction(0))
+            if entry:
+                line[key] = entry
+        # the row's activity under the current x minus its rhs
+        reduced = sum((c * self.z.get(j, Fraction(0)) for j, c in a.items()), -rhs)
+        if reduced:
+            self.z[key] = reduced
+
+    def optimize(self) -> None:
+        """Bland's rule: the lowest key with negative reduced cost enters,
+        the lowest basic key leaves among ratio ties."""
+        table, rhs, basis, z = self.table, self.rhs, self.basis, self.z
+        while True:
+            enter = min((k for k, d in z.items() if d < 0), default=None)
+            if enter is None:
+                return
+            ratios = [
+                (rhs[r] / line[enter], basis[r], r)
+                for r, line in enumerate(table)
+                if line.get(enter, 0) > 0
+            ]
+            if not ratios:
+                raise Infeasible("the packing dual is unbounded: no x meets every row")
+            leave = min(ratios)[2]
+            piv = table[leave][enter]
+            line = table[leave] = {k: c / piv for k, c in table[leave].items()}
+            rhs[leave] /= piv
+            for r, other in enumerate(table):
+                if r != leave and enter in other:
+                    rhs[r] -= _reference_eliminate(other, line, enter) * rhs[leave]
+            _reference_eliminate(z, line, enter)
+            basis[leave] = enter
+
+
+def _reference_eliminate(
+    target: dict[int, Fraction], line: dict[int, Fraction], col: int
+) -> Fraction:
+    """Subtract target[col] times ``line`` from ``target``; return the factor."""
+    f = target[col]
+    for k, c in line.items():
+        target[k] = target.get(k, 0) - f * c
+        if not target[k]:
+            del target[k]
+    return f
+
+
+def reference_simplex_solve(lp: LPProblem) -> tuple[Fraction, dict[Element, Fraction]]:
+    """Exact optimum of the LP by primal simplex on its packing dual, with a
+    ``Fraction`` tableau: the reference for the values, x and pivot
+    sequence of ``lp.simplex_solve``, which pivots on integers.
+
+    The first call starts from the all-slack dual basis; later calls price
+    the rows added since as new dual columns and resume from the last
+    basis. Raises Infeasible when the dual is unbounded. The answer is
+    returned only once x and y are feasible and c.x == b.y.
+    """
+    if lp._dual is None:
+        lp._dual = _ReferencePackingDual(lp)
+    dual = lp._dual
+    for i in range(dual.priced, len(lp.rows)):
+        dual.price(lp.rows[i], lp.rhs[i])
+    dual.optimize()
+
+    n = len(lp.var_order)
+    x = {v: dual.z.get(j, Fraction(0)) for v, j in dual.pos.items()}
+    y = {k - n: dual.rhs[r] for r, k in enumerate(dual.basis) if k >= n}
+    load = dict.fromkeys(lp.var_order, Fraction(0))
+    for i, yi in y.items():
+        for v, c in lp.rows[i].items():
+            load[v] += c * yi
+    value = sum((lp.objective[v] * xv for v, xv in x.items()), Fraction(0))
+    require(all(xv >= 0 for xv in x.values()), "x has a negative entry")
+    require(all(yi >= 0 for yi in y.values()), "y has a negative entry")
+    require(all(load[v] <= lp.objective[v] for v in load), "y violates A^T y <= c")
+    for row, rhs in zip(lp.rows, lp.rhs):
+        require(sum(c * x[v] for v, c in row.items()) >= rhs, "x violates a row")
+    dual_value = sum((lp.rhs[i] * yi for i, yi in y.items()), Fraction(0))
+    require(value == dual_value, "c.x differs from b.y")
+    return value, x
+
+
+# -- closed-form correlation bounds ------------------------------------------
+
+
+def mixture_correlation_bound(rho1: float, rho2: float, delta: float) -> float:
+    """Correlation bound for a delta-mixture of two correlated spaces
+    sharing a marginal: sqrt(delta rho1^2 + (1-delta) rho2^2)."""
+    if not (0 <= rho1 <= 1 and 0 <= rho2 <= 1 and 0 <= delta <= 1):
+        raise ValueError("arguments must lie in [0,1]")
+    return math.sqrt(delta * rho1 * rho1 + (1 - delta) * rho2 * rho2)
+
+
+def sheppard_gamma_half(rho: float) -> float:
+    """Closed form for the balanced case: 1/4 + arcsin(-rho)/(2 pi)."""
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError("rho must be in [-1,1]")
+    return 0.25 + math.asin(-rho) / (2.0 * math.pi)

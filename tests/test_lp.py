@@ -1,13 +1,19 @@
+import hashlib
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import cutlab
 import helpers
 from cutlab import gadgets, lp
 from cutlab.cli import main, parse_params
-from cutlab.errors import CutLabError, Infeasible
+from cutlab.errors import CertificateFailed, CutLabError, Infeasible
 from cutlab.gadgets import DictParamsE, build_dict_edge, build_saks_gap, dictator_cut
 from cutlab.graphs import (
     EDGE,
@@ -175,6 +181,183 @@ class TestSimplex:
         lp.add_row({"x": Fraction(1), "y": Fraction(1)}, Fraction(1))
         with pytest.raises(CutLabError):
             simplex_solve(lp)
+
+
+def random_rational(rng: random.Random, lo: int, hi: int) -> Fraction:
+    return Fraction(rng.randint(lo, hi), rng.randint(1, 6))
+
+
+class TestPivotsMatchFractionReference:
+    """The integer tableau against ``helpers.reference_simplex_solve``, the
+    Fraction simplex it replaced: same value, same x and the same basis
+    after every warm-started solve, so the pivot sequence is unchanged."""
+
+    def test_random_warm_lps(self):
+        rng = random.Random(79)
+        infeasible = 0
+        for trial in range(150):
+            n = rng.randint(1, 5)
+            variables = [f"x{i}" for i in range(n)]
+            # zero costs included
+            objective = {v: random_rational(rng, 0, 4) for v in variables}
+            fast = LPProblem(var_order=variables, objective=objective)
+            ref = LPProblem(var_order=variables, objective=objective)
+            for added in range(rng.randint(1, 8)):
+                if rng.random() < 0.1:
+                    # no x >= 0 meets a row of nonpositive coefficients
+                    coeffs = {v: random_rational(rng, -3, 0) for v in variables}
+                    rhs = random_rational(rng, 1, 3)
+                else:
+                    coeffs = {v: random_rational(rng, -2, 3) for v in variables}
+                    rhs = random_rational(rng, -3, 3)
+                fast.add_row(coeffs, rhs)
+                ref.add_row(coeffs, rhs)
+                where = f"trial {trial}, row {added}"
+                try:
+                    want = helpers.reference_simplex_solve(ref)
+                except Infeasible:
+                    infeasible += 1
+                    with pytest.raises(Infeasible):
+                        simplex_solve(fast)
+                else:
+                    assert simplex_solve(fast) == want, where
+                assert fast._dual.basis == ref._dual.basis, where
+        assert infeasible > 20
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("saks", "r=3,k=2"),
+            ("dict-m", "r=2,k=2,R=1,eps=1/5"),
+            ("dict-e", "a=4,b=3,r=2,R=1"),
+        ],
+    )
+    def test_cutting_plane_rounds(self, monkeypatch, family, params):
+        fam = gadgets.FAMILIES[family]
+        inst = fam.build(fam.params(parse_params(params)), gadgets.DEFAULT_MAX_NODES)
+        real = lp.simplex_solve
+        refs: dict[int, LPProblem] = {}
+
+        def checked(problem: LPProblem):
+            ref = refs.setdefault(
+                id(problem), LPProblem(problem.var_order, problem.objective)
+            )
+            for row, rhs in zip(problem.rows[len(ref.rows):], problem.rhs[len(ref.rows):]):
+                ref.add_row(row, rhs)
+            got = real(problem)
+            assert got == helpers.reference_simplex_solve(ref), len(ref.rows)
+            assert problem._dual.basis == ref._dual.basis, len(ref.rows)
+            return got
+
+        monkeypatch.setattr(lp, "simplex_solve", checked)
+        if isinstance(inst.problem, Multicut):
+            multicut_lp(inst)
+        else:
+            short_path_cover_lp(inst)
+        assert len(refs) == 1 and len(next(iter(refs.values())).rows) > 1
+
+
+def solved_lp() -> LPProblem:
+    """An LP with nonnegative coefficients whose optimum has x > 0, every y
+    basic and positive, and every row tight."""
+    problem = LPProblem(
+        var_order=["x", "y", "z"],
+        objective={"x": Fraction(1), "y": Fraction(3, 2), "z": Fraction(2)},
+    )
+    problem.add_row({"x": Fraction(1), "y": Fraction(1)}, Fraction(1))
+    problem.add_row({"y": Fraction(1, 2), "z": Fraction(1)}, Fraction(2, 3))
+    problem.add_row({"x": Fraction(1), "z": Fraction(1)}, Fraction(1, 4))
+    assert simplex_solve(problem) == (
+        Fraction(67, 36),
+        {"x": Fraction(1, 18), "y": Fraction(17, 18), "z": Fraction(7, 36)},
+    )
+    assert problem._dual.det == 36
+    return problem
+
+
+def positive_x(dual) -> int:
+    return next(j for j, v in dual.z.items() if j < len(dual.pos) and v > 0)
+
+
+def positive_y(dual) -> int:
+    n = len(dual.pos)
+    return next(r for r, k in enumerate(dual.basis) if k >= n and dual.rhs[r] > 0)
+
+
+def negate_x(dual):
+    dual.z[positive_x(dual)] *= -1
+
+
+def negate_y(dual):
+    dual.rhs[positive_y(dual)] *= -1
+
+
+def bump_det(dual):
+    dual.det += 1
+
+
+def inflate_y(dual):
+    dual.rhs[positive_y(dual)] += 1000 * dual.det
+
+
+def shrink_y(dual):
+    dual.rhs[positive_y(dual)] -= 1
+
+
+class TestCertificate:
+    """Each clause of the integer optimality certificate is a real check:
+    corrupting the finished tableau so that exactly one clause breaks
+    raises CertificateFailed with that clause's message."""
+
+    def test_sound_tableau_passes(self):
+        problem = solved_lp()
+        assert lp._certify(problem, problem._dual) == simplex_solve(problem)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (negate_x, "x has a negative entry"),
+            (negate_y, "y has a negative entry"),
+            (bump_det, "x violates a row"),
+            (inflate_y, r"y violates A\^T y <= c"),
+            (shrink_y, "c.x differs from b.y"),
+        ],
+        ids=["x-negative", "y-negative", "row", "dual-row", "duality-gap"],
+    )
+    def test_each_clause_is_checked(self, corrupt, message):
+        problem = solved_lp()
+        corrupt(problem._dual)
+        with pytest.raises(CertificateFailed, match=message):
+            lp._certify(problem, problem._dual)
+
+    def test_certificate_survives_optimize_flag(self):
+        # python -O strips asserts; the certificate must still raise. The
+        # child imports the suite's cutlab
+        child = "\n".join(
+            [
+                "from fractions import Fraction",
+                "from cutlab import lp",
+                "from cutlab.errors import CertificateFailed",
+                "assert False, 'asserts are on'",
+                "problem = lp.LPProblem(['x'], {'x': Fraction(1)})",
+                "problem.add_row({'x': Fraction(1)}, Fraction(1, 2))",
+                "lp.simplex_solve(problem)",
+                "problem._dual.det += 1",
+                "try:",
+                "    lp._certify(problem, problem._dual)",
+                "except CertificateFailed:",
+                "    raise SystemExit(0)",
+                "raise SystemExit('the certificate did not raise')",
+            ]
+        )
+        package_root = str(Path(cutlab.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", child],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMulticutLp:
@@ -358,6 +541,51 @@ class TestLengthCoverWork:
     def test_lp_stdout_frozen(self, capsys, family, params, calls, stdout):
         assert main(["lp", "--family", family, "--params", params]) == 0
         assert capsys.readouterr().out == stdout
+
+
+# ``cutlab lp`` on multicut instances: the Dijkstra separation calls of the
+# cutting-plane loop, the LP value and the SHA-256 of stdout, recorded on
+# the Fraction simplex (commit bb89141) before the integer pivots replaced it
+MULTICUT_CASES = [
+    ("saks", "r=4,k=2", 30, "4/1",
+     "545c4c806526b04d7a8dcbe1128477315ab4d9f6deeeb22f79141bd0dde3e476"),
+    ("saks", "r=3,k=3", 48, "9/1",
+     "9fa6389af0110281485b9ac36c8125d6009fb2817d4ae0897ad18c3c0af7a88a"),
+    ("dict-m", "r=2,k=2,R=2,eps=1/5", 108, "2/1",
+     "c694d383a771c12af219bd482166de0da3e2f1c0a34c2a4c5c98333fa349c2bf"),
+]
+MULTICUT_IDS = ["saks-r4-k2", "saks-r3-k3", "dict-m-R2"]
+
+
+class TestMulticutWork:
+    """Work and output of the multicut covering LP, gated by counts and
+    bytes rather than wall time."""
+
+    @pytest.mark.parametrize(
+        "family, params, calls, value, digest", MULTICUT_CASES, ids=MULTICUT_IDS
+    )
+    def test_separation_calls(self, monkeypatch, family, params, calls, value, digest):
+        fam = gadgets.FAMILIES[family]
+        inst = fam.build(fam.params(parse_params(params)), gadgets.DEFAULT_MAX_NODES)
+        made = []
+        real = lp.min_weight_path
+
+        def counted(*args):
+            made.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lp, "min_weight_path", counted)
+        assert multicut_lp(inst)[0] == Fraction(value)
+        assert len(made) == calls
+
+    @pytest.mark.parametrize(
+        "family, params, calls, value, digest", MULTICUT_CASES, ids=MULTICUT_IDS
+    )
+    def test_lp_stdout_frozen(self, capsys, family, params, calls, value, digest):
+        assert main(["lp", "--family", family, "--params", params]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["lp_value"] == value
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestGapReport:

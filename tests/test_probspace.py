@@ -16,12 +16,10 @@ from cutlab.probspace import (
     efron_stein_influences,
     gamma_rho,
     maximal_correlation,
-    mixture_correlation_bound,
     normal_cdf,
     normal_quantile,
     product_mass,
     product_points,
-    sheppard_gamma_half,
 )
 
 
@@ -270,12 +268,12 @@ class TestConnectednessBound:
 
 class TestMixtureBound:
     def test_degenerate_delta(self):
-        assert mixture_correlation_bound(0.7, 0.2, 1.0) == pytest.approx(0.7)
+        assert helpers.mixture_correlation_bound(0.7, 0.2, 1.0) == pytest.approx(0.7)
 
     def test_edge_noise_rho_bound(self):
         # one-step successor is fully correlated, resample is independent
         for r in range(2, 7):
-            bound = mixture_correlation_bound(1.0, 0.0, 1 - 1 / r)
+            bound = helpers.mixture_correlation_bound(1.0, 0.0, 1 - 1 / r)
             assert bound == pytest.approx(math.sqrt(1 - 1 / r))
             assert maximal_correlation(edge_noise_space(r)) <= bound + 1e-9
 
@@ -284,7 +282,7 @@ class TestMixtureBound:
         for delta in grid:
             prev = -1.0
             for rho1 in grid:
-                cur = mixture_correlation_bound(rho1, 0.3, delta)
+                cur = helpers.mixture_correlation_bound(rho1, 0.3, delta)
                 assert cur >= prev - 1e-15
                 prev = cur
 
@@ -297,18 +295,19 @@ class TestGammaRho:
     @pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, math.sqrt(3) / 2, -math.sqrt(3) / 2])
     def test_matches_sheppard_closed_form(self, rho):
         assert gamma_rho(rho, 0.5, 0.5) == pytest.approx(
-            sheppard_gamma_half(rho), abs=1e-6
+            helpers.sheppard_gamma_half(rho), abs=1e-6
         )
 
     @pytest.mark.parametrize("rho", [0.9, -0.9, 0.99, -0.99])
     def test_stable_near_unit_correlation(self, rho):
         assert gamma_rho(rho, 0.5, 0.5) == pytest.approx(
-            sheppard_gamma_half(rho), abs=1e-6
+            helpers.sheppard_gamma_half(rho), abs=1e-6
         )
 
     def test_sheppard_reference_values(self):
-        assert sheppard_gamma_half(math.sqrt(3) / 2) == pytest.approx(1 / 12, abs=1e-15)
-        assert sheppard_gamma_half(0.5) == pytest.approx(1 / 6, abs=1e-15)
+        sheppard = helpers.sheppard_gamma_half
+        assert sheppard(math.sqrt(3) / 2) == pytest.approx(1 / 12, abs=1e-15)
+        assert sheppard(0.5) == pytest.approx(1 / 6, abs=1e-15)
 
     def test_quantile_inverts_cdf(self):
         for p in (0.01, 0.1, 0.5, 0.9, 0.999):
