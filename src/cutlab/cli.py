@@ -266,7 +266,7 @@ def cmd_gap_table(args: argparse.Namespace) -> int:
         started = time.monotonic()
         try:
             inst = family.build(family.params(point), args.max_nodes)
-            report = lp.gap_report(inst, params=point)
+            report = lp.gap_report(inst)
             cells = report.csv_cells()
         except CutLabError as exc:
             failures += 1
@@ -314,11 +314,10 @@ def cmd_correlation(args: argparse.Namespace) -> int:
 # -- argument wiring ----------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, *, family: bool = True) -> None:
-    if family:
-        sub.add_argument("--family", choices=sorted(gadgets.FAMILIES), default=None)
-        sub.add_argument("--params", default="")
-        sub.add_argument("--instance", default=None, help="instance JSON file")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--family", choices=sorted(gadgets.FAMILIES), default=None)
+    sub.add_argument("--params", default="")
+    sub.add_argument("--instance", default=None, help="instance JSON file")
     sub.add_argument("--out", default=None)
     sub.add_argument("--max-nodes", type=int, default=gadgets.DEFAULT_MAX_NODES)
 

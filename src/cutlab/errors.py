@@ -56,10 +56,6 @@ class LabelingNotPerfectOnWPrime(CutLabError):
 class Infeasible(CutLabError):
     """The optimization problem has no feasible solution."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class RowPoolExceeded(CutLabError):
     """The cutting-plane row pool exceeded its configured cap."""

@@ -491,17 +491,12 @@ def build_dict_vertex(
     )
 
 
-def build_dict_rmfc(
-    p: DictParamsF,
-    *,
-    max_nodes: int = DEFAULT_MAX_NODES,
-    max_depth: int = DEFAULT_MAX_FIRE_DEPTH,
-) -> CutInstance:
+def build_dict_rmfc(p: DictParamsF, *, max_nodes: int = DEFAULT_MAX_NODES) -> CutInstance:
     """Fire-containment test: layers 1..b over (*, 1..B)^R, with x joined
     to the support of x under the fire noise space (equal points, stars
     wild) in the next layer; layer i weighted by factor i."""
-    if p.b > max_depth:
-        raise SizeGuard(f"b = {p.b} exceeds depth cap {max_depth}")
+    if p.b > DEFAULT_MAX_FIRE_DEPTH:
+        raise SizeGuard(f"b = {p.b} exceeds depth cap {DEFAULT_MAX_FIRE_DEPTH}")
     _guard_nodes(p.b * (p.big_b + 1) ** p.R + 2, max_nodes)
     noise = fire_noise_space(p.big_b, p.eps)
     points = list(itertools.product(noise.left.atoms, repeat=p.R))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from json.encoder import encode_basestring_ascii as json_str
 from math import lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     MalformedInstance,
@@ -35,16 +35,22 @@ Element = str | int
 Weight = Fraction | None
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or a plain integer string) into an exact Fraction."""
-    return Fraction(text)
-
-
 def rational_str(value: Weight) -> str | None:
     """Serialize a Fraction as "p/q"; None (uncuttable) stays None."""
     if value is None:
         return None
     return f"{value.numerator}/{value.denominator}"
+
+
+def _over_lcm(values: Collection[Fraction | int]) -> tuple[int, list[int]]:
+    """The lcm of the values' denominators and each value times it."""
+    # folded pairwise: lcm(*args) builds an argument tuple per call, and
+    # CPython keeps freed tuples of each small size on a free list, which
+    # showed as peak RSS creeping up over repeated solves
+    scale = 1
+    for v in values:
+        scale = lcm(scale, v.denominator)
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 class GraphEdge(NamedTuple):
@@ -92,8 +98,8 @@ class WeightedGraph:
     """
 
     def __init__(self) -> None:
+        # node -> weight, in insertion order
         self._weights: dict[str, Weight] = {}
-        self._order: list[str] = []
         self.edges: list[GraphEdge] = []
         # arcs usable when leaving a node: list of (edge_index, neighbor)
         self._out: dict[str, list[tuple[int, str]]] = {}
@@ -106,7 +112,6 @@ class WeightedGraph:
         if weight is not None and weight < 0:
             raise ValueError(f"negative weight on node {node!r}")
         self._weights[node] = weight
-        self._order.append(node)
         self._out[node] = []
 
     def add_edge(
@@ -154,7 +159,7 @@ class WeightedGraph:
 
     @property
     def nodes(self) -> list[str]:
-        return list(self._order)
+        return list(self._weights)
 
     def __contains__(self, node: str) -> bool:
         return node in self._weights
@@ -180,7 +185,7 @@ class WeightedGraph:
 
     def cuttable_elements(self, mode: str) -> list[Element]:
         if mode == VERTEX:
-            return [v for v in self._order if self._weights[v] is not None]
+            return [v for v, w in self._weights.items() if w is not None]
         return [i for i, e in enumerate(self.edges) if e.weight is not None]
 
     def total_finite_weight(self, mode: str) -> Fraction:
@@ -266,8 +271,7 @@ def _scaled_costs(
     not an ``int`` or ``Fraction``, is negative, or is positive on an
     uncuttable element.
     """
-    scale = 1
-    positive: list[tuple[Element, Fraction | int]] = []
+    positive: dict[Element, Fraction | int] = {}
     for el, val in x.items():
         if mode == VERTEX:
             if type(el) is not str or el not in g:
@@ -284,10 +288,9 @@ def _scaled_costs(
         if val > 0:
             if weight is None:
                 raise ValueError(f"positive x on uncuttable element {el!r}")
-            scale = lcm(scale, val.denominator)
-            positive.append((el, val))
-    cost = {el: val.numerator * (scale // val.denominator) for el, val in positive}
-    return scale, cost
+            positive[el] = val
+    scale, cost = _over_lcm(positive.values())
+    return scale, dict(zip(positive, cost))
 
 
 def min_weight_path(
@@ -296,7 +299,6 @@ def min_weight_path(
     t: str,
     x: Mapping[Element, Fraction],
     mode: str,
-    removed: Iterable[Element] = (),
 ) -> tuple[Path, Fraction] | None:
     """Unconstrained Dijkstra under the x-values as costs.
 
@@ -308,10 +310,6 @@ def min_weight_path(
     if s not in g or t not in g:
         raise UnknownNode("unknown terminal")
     scale, cost = _scaled_costs(g, x, mode)
-    rnodes, redges = g.check_removable(removed)
-    if s in rnodes or t in rnodes:
-        return None
-
     edge_mode = mode == EDGE
     order = {v: i for i, v in enumerate(g.nodes)}
     start = 0 if edge_mode else cost.get(s, 0)
@@ -327,7 +325,7 @@ def min_weight_path(
         if v == t:
             break
         for idx, nb in g.out_arcs(v):
-            if idx in redges or nb in rnodes or nb in done:
+            if nb in done:
                 continue
             nd = d + cost.get(idx if edge_mode else nb, 0)
             if nb not in best or nd < best[nb]:
@@ -356,7 +354,6 @@ def constrained_min_weight_path(
     x: Mapping[Element, Fraction],
     bound: int,
     mode: str,
-    removed: Iterable[Element] = (),
 ) -> tuple[Path, Fraction] | None:
     """Minimum x-weight s-t path of total length strictly below ``bound``.
 
@@ -371,19 +368,14 @@ def constrained_min_weight_path(
     if s not in g or t not in g:
         raise UnknownNode("unknown terminal")
     scale, cost = _scaled_costs(g, x, mode)
-    rnodes, redges = g.check_removable(removed)
-    if s in rnodes or t in rnodes:
-        return None
-
     edge_mode = mode == EDGE
     edges = g.edges
     nodes = g.nodes
-    # the usable arcs out of each node as (neighbour, edge, length, cost)
+    # the arcs out of each node as (neighbour, edge, length, cost)
     arcs = {
         v: [
             (nb, idx, edges[idx].length, cost.get(idx if edge_mode else nb, 0))
             for idx, nb in g.out_arcs(v)
-            if idx not in redges and nb not in rnodes
         ]
         for v in nodes
     }
@@ -601,7 +593,6 @@ class CutSolution:
 
     elements: frozenset[Element]
     cost: Fraction
-    certificate: Path | None = None
 
 
 @dataclass(frozen=True)
@@ -774,7 +765,7 @@ def _weight_field(doc: dict, where: str) -> Weight:
         return None
     try:
         if isinstance(w, (str, int)) and not isinstance(w, bool):
-            return parse_rational(str(w))
+            return Fraction(str(w))
     except (ValueError, ZeroDivisionError):
         pass
     raise MalformedInstance(f"{where} weight {w!r} is not a rational")

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterator, Mapping
 
+from . import solvers
 from .errors import (
     CutLabError,
     Infeasible,
@@ -31,6 +31,7 @@ from .graphs import (
     LengthBound,
     Multicut,
     Path,
+    _over_lcm,
     _scaled_costs,
     constrained_min_weight_path,
     min_weight_path,
@@ -144,17 +145,6 @@ class _PackingDual:
             self.det = p
 
 
-def _over_lcm(values: list[Fraction]) -> tuple[int, list[int]]:
-    """The lcm of the values' denominators and each value times it."""
-    # folded pairwise: lcm(*args) builds an argument tuple per call, and
-    # CPython keeps freed tuples of each small size on a free list, which
-    # showed as peak RSS creeping up over repeated solves
-    scale = 1
-    for v in values:
-        scale = lcm(scale, v.denominator)
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
-
-
 def _combine(
     line: dict[int, int], p: int, f: int, pivot: dict[int, int], det: int
 ) -> dict[int, int]:
@@ -230,7 +220,6 @@ def _dfs_has_cheap_path(
     t: str,
     x: Mapping[Element, Fraction],
     bound: int | None,
-    step_cap: int = DFS_STEP_CAP,
 ) -> bool:
     """Exhaustive simple-path search for mass < 1 (and length < bound).
 
@@ -250,7 +239,7 @@ def _dfs_has_cheap_path(
     while step is not None:
         v, length, mass = step
         steps += 1
-        if steps > step_cap:
+        if steps > DFS_STEP_CAP:
             raise SizeGuard("path enumeration exceeded its step cap")
         if mass < scale:
             if v == t:
@@ -278,7 +267,6 @@ def _covering_lp(
     inst: CutInstance,
     separate: Callable[[dict[Element, Fraction]], list[Path]],
     recheck: Callable[[dict[Element, Fraction]], bool],
-    row_cap: int,
 ) -> tuple[Fraction, dict[Element, Fraction]]:
     variables = inst.cuttable_elements()
     lp = LPProblem(
@@ -302,8 +290,8 @@ def _covering_lp(
             if els in seen_rows:
                 continue
             seen_rows.add(els)
-            if len(lp.rows) >= row_cap:
-                raise RowPoolExceeded(f"row pool exceeded {row_cap}")
+            if len(lp.rows) >= ROW_POOL_CAP:
+                raise RowPoolExceeded(f"row pool exceeded {ROW_POOL_CAP}")
             lp.add_row({e: Fraction(1) for e in els}, Fraction(1))
             added += 1
         require(added > 0, "separation made no progress")
@@ -312,9 +300,7 @@ def _covering_lp(
         value = new_value
 
 
-def multicut_lp(
-    inst: CutInstance, *, row_cap: int = ROW_POOL_CAP
-) -> tuple[Fraction, dict[Element, Fraction]]:
+def multicut_lp(inst: CutInstance) -> tuple[Fraction, dict[Element, Fraction]]:
     """Optimal fractional covering of every terminal-pair path.
 
     Separation runs Dijkstra under the current solution for each pair and
@@ -322,9 +308,7 @@ def multicut_lp(
     independent exhaustive search.
     """
     require_problem(inst.problem, Multicut)
-    from .solvers import _check_infeasible
-
-    _check_infeasible(inst)
+    solvers._check_infeasible(inst)
     pairs = inst.problem.pairs
 
     def separate(x: dict[Element, Fraction]) -> list[Path]:
@@ -340,18 +324,16 @@ def multicut_lp(
             _dfs_has_cheap_path(inst, s, t, x, None) for s, t in pairs
         )
 
-    return _covering_lp(inst, separate, recheck, row_cap)
+    return _covering_lp(inst, separate, recheck)
 
 
 def short_path_cover_lp(
-    inst: CutInstance, bound: int | None = None, *, row_cap: int = ROW_POOL_CAP
+    inst: CutInstance, bound: int | None = None
 ) -> tuple[Fraction, dict[Element, Fraction]]:
     """Optimal fractional covering of every s-t path shorter than the bound."""
     require_problem(inst.problem, LengthBound)
     use = inst.problem.bound if bound is None else bound
-    from .solvers import _check_infeasible
-
-    _check_infeasible(inst, use)
+    solvers._check_infeasible(inst, use)
     s, t = inst.problem.source, inst.problem.sink
 
     def separate(x: dict[Element, Fraction]) -> list[Path]:
@@ -363,7 +345,7 @@ def short_path_cover_lp(
     def recheck(x: dict[Element, Fraction]) -> bool:
         return _dfs_has_cheap_path(inst, s, t, x, use)
 
-    return _covering_lp(inst, separate, recheck, row_cap)
+    return _covering_lp(inst, separate, recheck)
 
 
 # -- gap reports ---------------------------------------------------------------
@@ -376,15 +358,6 @@ class GapReport:
     lp_value: Fraction
     integral_value: Fraction
     gap: Fraction
-    params: dict
-
-    def to_json(self) -> dict:
-        return {
-            "lp_value": rational_str(self.lp_value),
-            "integral_value": rational_str(self.integral_value),
-            "gap": rational_str(self.gap),
-            "params": self.params,
-        }
 
     def csv_cells(self) -> list[str]:
         return [
@@ -394,27 +367,14 @@ class GapReport:
         ]
 
 
-def gap_report(
-    inst: CutInstance,
-    exact_solver: Callable[[CutInstance], object] | None = None,
-    lp_solver: Callable[[CutInstance], tuple[Fraction, dict]] | None = None,
-    params: dict | None = None,
-) -> GapReport:
+def gap_report(inst: CutInstance) -> GapReport:
     """Run the exact solver and the LP, check integral >= LP, emit the ratio."""
-    from . import solvers
-
-    if exact_solver is None:
-        exact_solver = (
-            solvers.exact_min_multicut
-            if isinstance(inst.problem, Multicut)
-            else solvers.exact_min_length_bounded_cut
-        )
-    if lp_solver is None:
-        lp_solver = (
-            multicut_lp if isinstance(inst.problem, Multicut) else short_path_cover_lp
-        )
-    integral = exact_solver(inst).cost
-    lp_value, _ = lp_solver(inst)
+    if isinstance(inst.problem, Multicut):
+        integral = solvers.exact_min_multicut(inst).cost
+        lp_value, _ = multicut_lp(inst)
+    else:
+        integral = solvers.exact_min_length_bounded_cut(inst).cost
+        lp_value, _ = short_path_cover_lp(inst)
     require(integral >= lp_value, "integral optimum below the LP value")
     gap = integral / lp_value if lp_value > 0 else Fraction(1)
-    return GapReport(lp_value, integral, gap, params or {})
+    return GapReport(lp_value, integral, gap)

@@ -13,9 +13,10 @@ import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateMarginal, DisconnectedSupport, UnknownAtom
+from .graphs import _over_lcm
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,9 +42,6 @@ class FiniteProbSpace:
             return self._mass[atom]
         except KeyError:
             raise UnknownAtom(f"unknown atom {atom!r}") from None
-
-    def measure(self, atoms: Iterable[Atom]) -> Fraction:
-        return sum((self.mass(a) for a in atoms), Fraction(0))
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -220,14 +218,14 @@ def efron_stein_influences(
     if not 0 <= d <= r:
         raise ValueError(f"degree bound {d} outside 0..R = 0..{r}")
     # masses and values as integers over common denominators
-    mass_den = math.lcm(*(base.mass(a).denominator for a in base.atoms))
-    atom_weight = {a: int(base.mass(a) * mass_den) for a in base.atoms}
-    val_den = math.lcm(*(v.denominator for v in f.values.values()))
+    mass_den, masses = _over_lcm([base.mass(a) for a in base.atoms])
+    atom_weight = dict(zip(base.atoms, masses))
+    val_den, values = _over_lcm(f.values.values())
     rows = []
-    for point, val in f.values.items():
+    for point, val in zip(f.values, values):
         w = math.prod(map(atom_weight.__getitem__, point))
         if w:
-            rows.append((point, w, w * int(val * val_den)))
+            rows.append((point, w, w * val))
 
     @functools.cache
     def moment(t: tuple[int, ...]) -> Fraction:

@@ -7,7 +7,6 @@ schedule search.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable
 
 from .errors import (
@@ -31,6 +30,7 @@ from .graphs import (
     Rmfc,
     Schedule,
     WeightedGraph,
+    _over_lcm,
     min_st_cut,
     shortest_path_length,
 )
@@ -168,13 +168,12 @@ def _check_infeasible(inst: CutInstance, bound: int | None = None) -> None:
     for el, w in enumerate(search.weights):
         search.removed[el] = w is not None
     for s, t in search.pairs:
-        witness = search.min_hop(s, t)
-        if witness is None:
+        if search.min_hop(s, t) is None:
             continue
         if isinstance(inst.problem, Multicut):
             pair = f"({search.names[s]},{search.names[t]})"
-            raise Infeasible(f"pair {pair} joined by uncuttable path", witness)
-        raise Infeasible("short uncuttable path exists", witness)
+            raise Infeasible(f"pair {pair} joined by uncuttable path")
+        raise Infeasible("short uncuttable path exists")
 
 
 # -- feasibility checkers (independent of the solvers) ----------------------
@@ -241,15 +240,18 @@ class _ExclusionBranching:
         weights = search.weights
         cuttable = [el for el, w in enumerate(weights) if w is not None]
         self.search = search
-        self.scale = lcm(*(weights[el].denominator for el in cuttable))
-        self.weight = [0 if w is None else int(w * self.scale) for w in weights]
+        self.scale, units = _over_lcm([weights[el] for el in cuttable])
+        self.weight = [0] * len(weights)
+        for el, unit in zip(cuttable, units):
+            self.weight[el] = unit
         self.rank = [0] * len(weights)
         order = sorted(cuttable, key=lambda el: (weights[el], str(search.element(el))))
         for position, el in enumerate(order):
             self.rank[el] = position
         self.forbidden = bytearray(len(weights))
-        self.best_cost = int(incumbent[0] * self.scale)
-        self.best_set = incumbent[1]
+        # the incumbent sums cuttable weights, so its denominator divides scale
+        cost, self.best_set = incumbent
+        self.best_cost = cost.numerator * (self.scale // cost.denominator)
 
     def explore(self, cost: int) -> None:
         """Search below the current cut, which costs ``cost``."""
@@ -328,9 +330,7 @@ def _branch_and_bound(
     return Fraction(bb.best_cost, bb.scale), bb.best_set
 
 
-def exact_min_multicut(
-    inst: CutInstance, *, element_limit: int = BB_ELEMENT_LIMIT
-) -> CutSolution:
+def exact_min_multicut(inst: CutInstance) -> CutSolution:
     """Minimum-cost element set disconnecting every terminal pair.
 
     Lazy branch and bound (``_branch_and_bound``): exclusion branching on
@@ -340,8 +340,8 @@ def exact_min_multicut(
     """
     require_problem(inst.problem, Multicut)
     cuttable = inst.cuttable_elements()
-    if len(cuttable) > element_limit:
-        raise SizeGuard(f"{len(cuttable)} cuttable elements (cap {element_limit})")
+    if len(cuttable) > BB_ELEMENT_LIMIT:
+        raise SizeGuard(f"{len(cuttable)} cuttable elements (cap {BB_ELEMENT_LIMIT})")
     _check_infeasible(inst)
     seed = per_pair_cut_union(inst)
     cost, elements = _branch_and_bound(inst, None, (solution_cost(inst, seed), seed))
@@ -350,17 +350,14 @@ def exact_min_multicut(
 
 
 def exact_min_length_bounded_cut(
-    inst: CutInstance,
-    bound: int | None = None,
-    *,
-    element_limit: int = BB_ELEMENT_LIMIT,
+    inst: CutInstance, bound: int | None = None
 ) -> CutSolution:
     """Minimum-cost element set after which dist(s, t) >= bound."""
     require_problem(inst.problem, LengthBound)
     use = inst.problem.bound if bound is None else bound
     cuttable = inst.cuttable_elements()
-    if len(cuttable) > element_limit:
-        raise SizeGuard(f"{len(cuttable)} cuttable elements (cap {element_limit})")
+    if len(cuttable) > BB_ELEMENT_LIMIT:
+        raise SizeGuard(f"{len(cuttable)} cuttable elements (cap {BB_ELEMENT_LIMIT})")
     _check_infeasible(inst, use)
     require(
         length_bound_is_feasible(inst, cuttable, use),
@@ -379,17 +376,12 @@ def exact_min_length_bounded_cut(
 # -- subset brute force -------------------------------------------------------
 
 
-def brute_force_min_cut(
-    inst: CutInstance,
-    bound: int | None = None,
-    *,
-    element_limit: int = BRUTE_ELEMENT_LIMIT,
-) -> CutSolution:
+def brute_force_min_cut(inst: CutInstance, bound: int | None = None) -> CutSolution:
     """Exhaustive minimum over all cuttable subsets; the independent
     cross-check oracle for the branch-and-bound solvers."""
     cuttable = sorted(inst.cuttable_elements(), key=str)
-    if len(cuttable) > element_limit:
-        raise SizeGuard(f"{len(cuttable)} cuttable elements (cap {element_limit})")
+    if len(cuttable) > BRUTE_ELEMENT_LIMIT:
+        raise SizeGuard(f"{len(cuttable)} cuttable elements (cap {BRUTE_ELEMENT_LIMIT})")
     if isinstance(inst.problem, Multicut):
         feasible = lambda els: multicut_is_feasible(inst, els)
     elif isinstance(inst.problem, LengthBound):
@@ -397,9 +389,7 @@ def brute_force_min_cut(
     else:
         raise ValueError("brute force covers multicut and length bound")
     # costs are integers over the common denominator of the weights
-    weights = [inst.graph.element_weight(el) for el in cuttable]
-    scale = lcm(*(w.denominator for w in weights))
-    units = [int(w * scale) for w in weights]
+    scale, units = _over_lcm([inst.graph.element_weight(el) for el in cuttable])
     indices = range(len(cuttable))
     best: tuple[int, frozenset[Element]] | None = None
     for mask in range(1 << len(cuttable)):
@@ -418,7 +408,7 @@ def brute_force_min_cut(
 
 
 def exact_interdiction(
-    inst: CutInstance, budget: Fraction, *, element_limit: int = BB_ELEMENT_LIMIT
+    inst: CutInstance, budget: Fraction
 ) -> tuple[int | None, CutSolution]:
     """Maximize the post-removal s-t distance under a removal budget.
 
@@ -440,9 +430,7 @@ def exact_interdiction(
     while True:
         target = best_dist + 1
         try:
-            sol = exact_min_length_bounded_cut(
-                inst, target, element_limit=element_limit
-            )
+            sol = exact_min_length_bounded_cut(inst, target)
         except Infeasible:
             return best_dist, best_cut
         if sol.cost > budget:
@@ -602,7 +590,7 @@ def _fire_search(
 
 
 def exact_rmfc_decision(
-    inst: CutInstance, k: Fraction, *, vertex_limit: int = RMFC_VERTEX_LIMIT
+    inst: CutInstance, k: Fraction
 ) -> tuple[bool, Schedule | None]:
     """Decide whether per-day budget k saves all targets; exhaustive
     search over the per-day save sets that cost at most k, with
@@ -614,14 +602,13 @@ def exact_rmfc_decision(
         raise ValueError("budget must be nonnegative")
     g = inst.graph
     cuttable = [v for v in g.nodes if g.node_weight(v) is not None]
-    if len(cuttable) > vertex_limit:
-        raise SizeGuard(f"{len(cuttable)} cuttable vertices (cap {vertex_limit})")
-    scale = lcm(k.denominator, *(g.node_weight(v).denominator for v in cuttable))
-    units = {v: int(g.node_weight(v) * scale) for v in cuttable}
+    if len(cuttable) > RMFC_VERTEX_LIMIT:
+        raise SizeGuard(f"{len(cuttable)} cuttable vertices (cap {RMFC_VERTEX_LIMIT})")
+    _, (budget, *units) = _over_lcm([k, *(g.node_weight(v) for v in cuttable)])
     nbrs = _undirected_neighbors(g)
     targets = inst.problem.targets
     days = _fire_search(
-        units, nbrs, targets, int(k * scale), {},
+        dict(zip(cuttable, units)), nbrs, targets, budget, {},
         frozenset({inst.problem.source}), frozenset(),
     )
     if days is None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import gadgets
 from .errors import (
     InfeasibleDegrees,
     LabelingNotPerfectOnWPrime,
@@ -42,7 +43,6 @@ from .graphs import (
 )
 from .probspace import ProductFunction, efron_stein_influences
 
-DEFAULT_MAX_NODES = 200_000
 INFLUENCE_TABLE_CAP = 20_000
 
 
@@ -214,8 +214,6 @@ def compose(
     ug: UniqueGamesInstance,
     kind: str,
     params: TestParams,
-    *,
-    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> CutInstance:
     """Blow up each w-side vertex into a copy of the test and wire copies
     through the constraint permutations.
@@ -230,6 +228,7 @@ def compose(
     family = dictator_family(kind)
     if params.R != ug.R:
         raise LabelMismatch(f"test has R = {params.R}, instance has R = {ug.R}")
+    max_nodes = gadgets.DEFAULT_MAX_NODES
     gadget = family.build(params, max_nodes)
     gg = gadget.graph
     terminals = set(gadget.terminals())

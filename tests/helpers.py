@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, product
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from cutlab.errors import CutLabError, Infeasible, UnknownNode, require
 from cutlab.graphs import (
@@ -82,7 +82,6 @@ def reference_min_weight_path(
     t: str,
     x: Mapping[Element, Fraction],
     mode: str,
-    removed: Iterable[Element] = (),
 ) -> tuple[Path, Fraction] | None:
     """Dijkstra summing ``Fraction`` costs: the reference for the paths and
     ties of ``min_weight_path``, which sums integers over a common
@@ -93,10 +92,6 @@ def reference_min_weight_path(
     """
     if s not in g or t not in g:
         raise UnknownNode("unknown terminal")
-    rnodes, redges = g.check_removable(removed)
-    if s in rnodes or t in rnodes:
-        return None
-
     def el_cost(el: Element) -> Fraction:
         if g.element_weight(el) is None:
             return Fraction(0)
@@ -116,7 +111,7 @@ def reference_min_weight_path(
         if v == t:
             break
         for idx, nb in g.out_arcs(v):
-            if idx in redges or nb in rnodes or nb in done:
+            if nb in done:
                 continue
             step = el_cost(idx) if mode == EDGE else el_cost(nb)
             nd = d + step
@@ -145,7 +140,6 @@ def reference_constrained_min_weight_path(
     x: Mapping[Element, Fraction],
     bound: int,
     mode: str,
-    removed: Iterable[Element] = (),
 ) -> tuple[Path, Fraction] | None:
     """Length-layered DP summing ``Fraction`` costs: the reference for the
     paths and ties of ``constrained_min_weight_path``, which sums integers
@@ -167,10 +161,6 @@ def reference_constrained_min_weight_path(
             raise ValueError("x must be nonnegative")
         if val > 0 and g.element_weight(el) is None:
             raise ValueError(f"positive x on uncuttable element {el!r}")
-    rnodes, redges = g.check_removable(removed)
-    if s in rnodes or t in rnodes:
-        return None
-
     def el_cost(el: Element) -> Fraction:
         if g.element_weight(el) is None:
             return Fraction(0)
@@ -189,8 +179,6 @@ def reference_constrained_min_weight_path(
                 continue
             d = layer[v]
             for idx, nb in g.out_arcs(v):
-                if idx in redges or nb in rnodes:
-                    continue
                 nl = level + g.edges[idx].length
                 if nl >= bound:
                     continue

@@ -3,7 +3,6 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
-import itertools
 import math
 import random
 import subprocess
@@ -43,7 +42,6 @@ from cutlab.probspace import (
     efron_stein_influences,
     gamma_rho,
     maximal_correlation,
-    product_points,
 )
 from cutlab.solvers import (
     exact_interdiction,

@@ -341,16 +341,13 @@ class TestScaledOraclesMatchFractionReference:
             g = inst.graph
             cuttable = g.cuttable_elements(mode)
             x = mixed_x(rng, cuttable)
-            removed = rng.sample(cuttable, rng.randint(0, 2))
             pairs = [("S", "T")] if kind == "length_bound" else list(inst.problem.pairs)
             for s, t in pairs:
-                got = min_weight_path(g, s, t, x, mode, removed)
-                assert got == helpers.reference_min_weight_path(g, s, t, x, mode, removed), trial
+                got = min_weight_path(g, s, t, x, mode)
+                assert got == helpers.reference_min_weight_path(g, s, t, x, mode), trial
                 for bound in (1, 2, 3, 5, 8, 1 + g.total_length()):
-                    got = constrained_min_weight_path(g, s, t, x, bound, mode, removed)
-                    want = helpers.reference_constrained_min_weight_path(
-                        g, s, t, x, bound, mode, removed
-                    )
+                    got = constrained_min_weight_path(g, s, t, x, bound, mode)
+                    want = helpers.reference_constrained_min_weight_path(g, s, t, x, bound, mode)
                     assert got == want, (trial, bound)
 
     @pytest.mark.parametrize(

@@ -13,7 +13,13 @@ import cutlab
 import helpers
 from cutlab import gadgets, lp
 from cutlab.cli import main, parse_params
-from cutlab.errors import CertificateFailed, CutLabError, Infeasible
+from cutlab.errors import (
+    CertificateFailed,
+    CutLabError,
+    Infeasible,
+    RowPoolExceeded,
+    SizeGuard,
+)
 from cutlab.gadgets import DictParamsE, build_dict_edge, build_saks_gap, dictator_cut
 from cutlab.graphs import (
     EDGE,
@@ -404,6 +410,19 @@ class TestMulticutLp:
         inst = CutInstance(graph=g, mode=VERTEX, problem=Multicut((("s", "t"),)))
         with pytest.raises(Infeasible):
             multicut_lp(inst)
+
+    def test_row_pool_cap(self, monkeypatch):
+        # saks r=3 k=2 needs more than one row
+        monkeypatch.setattr(lp, "ROW_POOL_CAP", 1)
+        with pytest.raises(RowPoolExceeded, match="row pool exceeded 1"):
+            multicut_lp(build_saks_gap(3, 2))
+
+    def test_recheck_step_cap(self, monkeypatch):
+        # the LP reaches its optimum; the exhaustive recheck of that optimum
+        # walks more than 10 steps and stops at the cap
+        monkeypatch.setattr(lp, "DFS_STEP_CAP", 10)
+        with pytest.raises(SizeGuard, match="exceeded its step cap"):
+            multicut_lp(build_saks_gap(3, 2))
 
 
 class TestShortPathCoverLp:

@@ -88,10 +88,11 @@ class TestExactMulticut:
         with pytest.raises(Infeasible):
             exact_min_multicut(inst)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(solvers, "BB_ELEMENT_LIMIT", 2)
         inst = build_saks_gap(2, 2)
         with pytest.raises(SizeGuard):
-            exact_min_multicut(inst, element_limit=2)
+            exact_min_multicut(inst)
 
     def test_feasibility_certificate_survives_optimize_flag(self):
         # python -O strips asserts; the type guard, the min-cut and branch
@@ -225,26 +226,30 @@ class TestExclusionBranching:
             ("multicut", exact_min_multicut),
             ("length_bound", exact_min_length_bounded_cut),
         ]:
-            for mode, cols in [(VERTEX, 4), (EDGE, 3)]:
+            is_feasible = multicut_is_feasible if kind == "multicut" else length_bound_is_feasible
+            # 15 cells, or 2 x 5 + 1 x 6 = 16 side links
+            for mode, rows, cols in [(VERTEX, 3, 5), (EDGE, 2, 6)]:
                 for trial in range(6):
-                    inst = helpers.random_grid_instance(rng, kind, mode, cols=cols)
-                    assert len(inst.cuttable_elements()) <= 22
-                    try:
-                        oracle = brute_force_min_cut(inst)
-                    except Infeasible:
+                    inst = helpers.random_grid_instance(rng, kind, mode, rows, cols)
+                    assert len(inst.cuttable_elements()) in (15, 16)
+                    if not is_feasible(inst, inst.cuttable_elements()):
+                        # removing more never makes a cut infeasible, so no
+                        # subset is feasible either
                         with pytest.raises(Infeasible):
                             solve(inst)
                         continue
+                    oracle = brute_force_min_cut(inst)
                     sol = solve(inst)
                     assert sol.cost == oracle.cost, (kind, mode, trial)
                     assert solution_cost(inst, sol.elements) == sol.cost
-                    feasible = (
-                        multicut_is_feasible(inst, sol.elements)
-                        if kind == "multicut"
-                        else length_bound_is_feasible(inst, sol.elements)
-                    )
-                    assert feasible, (kind, mode, trial)
+                    assert is_feasible(inst, sol.elements), (kind, mode, trial)
         assert forbidden_probe["some"] > 0
+
+    def test_brute_force_size_guard(self):
+        inst = build_saks_gap(5, 2)
+        assert len(inst.cuttable_elements()) == 25 > solvers.BRUTE_ELEMENT_LIMIT
+        with pytest.raises(SizeGuard, match=r"25 cuttable elements \(cap 22\)"):
+            brute_force_min_cut(inst)
 
     def test_path_of_forbidden_elements_prunes(self, forbidden_probe):
         # the root path s-a-b-t branches into "cut a" and "cut b, forbid a";
@@ -438,6 +443,23 @@ class TestRmfcDecision:
         assert savable and schedule.days[0] == frozenset(targets)
         savable, _ = exact_rmfc_decision(inst, Fraction(2))
         assert not savable
+
+    def test_size_guard(self):
+        # a path s - v0 - ... - t with n savable vertices, saved on day one
+        def path(n):
+            g = WeightedGraph()
+            names = ["s", *(f"v{i}" for i in range(n)), "t"]
+            for v in names:
+                g.add_node(v, None if v in ("s", "t") else Fraction(1))
+            for a, b in zip(names, names[1:]):
+                g.add_edge(a, b, directed=False)
+            return CutInstance(graph=g, mode=VERTEX, problem=Rmfc("s", frozenset({"t"})))
+
+        limit = solvers.RMFC_VERTEX_LIMIT
+        assert limit == 14
+        assert exact_rmfc_decision(path(limit), Fraction(1))[0]
+        with pytest.raises(SizeGuard, match=r"15 cuttable vertices \(cap 14\)"):
+            exact_rmfc_decision(path(limit + 1), Fraction(1))
 
     def test_path_needs_unit_budget(self):
         g = WeightedGraph()

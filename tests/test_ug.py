@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from cutlab import gadgets, ug
 from cutlab.errors import (
     InfeasibleDegrees,
     LabelingNotPerfectOnWPrime,
     LabelMismatch,
+    SizeGuard,
 )
 from cutlab.gadgets import (
     DictParamsE,
@@ -23,7 +25,10 @@ from cutlab.gadgets import (
 from cutlab.graphs import (
     EDGE,
     VERTEX,
+    CutInstance,
+    LengthBound,
     Schedule,
+    WeightedGraph,
     instance_to_json_str,
     shortest_path_length,
 )
@@ -111,6 +116,17 @@ class TestCompose:
     def test_label_count_must_match(self):
         with pytest.raises(LabelMismatch):
             compose(identity_ug(2), "dict_vertex", DictParamsV(4, 4, 3, 1, Fraction(1, 20)))
+
+    def test_node_cap(self, monkeypatch):
+        # the gadget has 11 nodes, 9 of them inner; two copies need 2 * 9 + 2
+        p = DictParamsV(2, 2, 2, 1, Fraction(1, 5))
+        monkeypatch.setattr(gadgets, "DEFAULT_MAX_NODES", 11)
+        assert len(compose(identity_ug(1), "dict_vertex", p).graph.nodes) == 11
+        two = UniqueGamesInstance(
+            ["u0"], ["w0", "w1"], 1, [UGEdge("u0", "w0", (0,)), UGEdge("u0", "w1", (0,))]
+        )
+        with pytest.raises(SizeGuard, match=r"composition would have 20 nodes \(cap 11\)"):
+            compose(two, "dict_vertex", p)
 
     def test_identity_preserves_vertex_weights(self):
         p = DictParamsV(4, 4, 3, 1, Fraction(1, 20))
@@ -269,6 +285,33 @@ class TestCompletenessCut:
 
 
 class TestReachableSetInfluences:
+    def test_table_cap(self, monkeypatch):
+        # R = 2 over the 3 atoms {*, 1, 2}: a table of 9 points
+        inst = build_dict_vertex(DictParamsV(2, 2, 2, 2, Fraction(1, 5)))
+        monkeypatch.setattr(ug, "INFLUENCE_TABLE_CAP", 9)
+        assert reachable_set_influences(inst, frozenset(), 1, Fraction(1, 100)).blocks
+        monkeypatch.setattr(ug, "INFLUENCE_TABLE_CAP", 8)
+        with pytest.raises(SizeGuard, match="hypercube too large"):
+            reachable_set_influences(inst, frozenset(), 1, Fraction(1, 100))
+
+    def test_more_than_eight_coordinates(self):
+        # 2^9 points fit the table cap, but R = 9 is refused. The guard reads
+        # the test from the provenance before the graph, so a two-node stand-in
+        # replaces the real R = 9 test, whose 263k edges take seconds to build
+        g = WeightedGraph()
+        g.add_node("s")
+        g.add_node("t")
+        g.add_edge("s", "t", directed=True, weight=Fraction(1))
+        inst = CutInstance(
+            graph=g,
+            mode=EDGE,
+            problem=LengthBound("s", "t", 2),
+            provenance={"generator": "dict_edge", "params": {"a": 1, "b": 1, "r": 2, "R": 9}},
+        )
+        assert 2**9 <= ug.INFLUENCE_TABLE_CAP
+        with pytest.raises(SizeGuard, match="hypercube too large"):
+            reachable_set_influences(inst, frozenset(), 1, Fraction(1, 100))
+
     def test_empty_cut_all_ones(self):
         p = DictParamsV(2, 2, 2, 1, Fraction(1, 5))
         inst = build_dict_vertex(p)
