@@ -41,6 +41,7 @@ from .gadgets import (
     build_dict_rmfc,
     build_dict_vertex,
     build_saks_gap,
+    declared_symmetries,
     dictator_cut,
 )
 from .solvers import (

@@ -171,7 +171,7 @@ def cmd_lp(args: argparse.Namespace) -> int:
 def cmd_exact(args: argparse.Namespace) -> int:
     inst = load_instance(args)
     if isinstance(inst.problem, Multicut):
-        sol = solvers.exact_min_multicut(inst)
+        sol = solvers.exact_min_multicut(inst, gadgets.declared_symmetries(inst))
     elif isinstance(inst.problem, LengthBound):
         sol = solvers.exact_min_length_bounded_cut(inst)
     else:
@@ -266,7 +266,7 @@ def cmd_gap_table(args: argparse.Namespace) -> int:
         started = time.monotonic()
         try:
             inst = family.build(family.params(point), args.max_nodes)
-            report = lp.gap_report(inst)
+            report = lp.gap_report(inst, gadgets.declared_symmetries(inst))
             cells = report.csv_cells()
         except CutLabError as exc:
             failures += 1

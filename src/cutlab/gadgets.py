@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, get_type_hints
 
 from .errors import (
-    CoordinateOutOfRange, ParamOutOfRange, SizeGuard, UnknownGenerator, require
+    CoordinateOutOfRange, CutLabError, ParamOutOfRange, SizeGuard, UnknownGenerator,
+    require,
 )
 from .graphs import (
     EDGE,
@@ -31,6 +32,7 @@ from .graphs import (
     CutInstance,
     CutSolution,
     EdgeRecord,
+    Element,
     LengthBound,
     Multicut,
     Rmfc,
@@ -42,6 +44,7 @@ from .probspace import Atom, CorrelatedSpace, FiniteProbSpace, product_mass
 from .solvers import rmfc_simulate
 
 DEFAULT_MAX_NODES = 200_000
+DEFAULT_MAX_EDGES = 500_000
 DEFAULT_MAX_FIRE_DEPTH = 4
 
 STAR = "*"
@@ -306,6 +309,18 @@ def _guard_nodes(count: int, max_nodes: int) -> None:
         raise SizeGuard(f"instance would have {count} nodes (cap {max_nodes})")
 
 
+def _guard_edges(count: int) -> None:
+    if count > DEFAULT_MAX_EDGES:
+        raise SizeGuard(f"instance would have {count} edges (cap {DEFAULT_MAX_EDGES})")
+
+
+def _support_total(space: CorrelatedSpace, coordinates: int) -> int:
+    """How many (x, y) pairs ``_support_positions`` lists over every point
+    of ``coordinates`` coordinates: each coordinate's support sizes summed
+    over its atoms, to the power of the coordinate count."""
+    return sum(len(space.partners[a]) for a in space.left.atoms) ** coordinates
+
+
 # -- generators --------------------------------------------------------------
 
 
@@ -364,6 +379,12 @@ def build_dict_multicut(
     wild)."""
     _guard_nodes(p.r**p.k * (p.r + 1) ** p.R + 2 * p.k, max_nodes)
     noise = star_noise_space(p.r, p.eps)
+    # slab edges of the k pairs, then one block per ordered pair of grid
+    # neighbours, of which there are (3r-2)^k - r^k
+    _guard_edges(
+        2 * p.k * p.r ** (p.k - 1) * (p.r + 1) ** p.R
+        + ((3 * p.r - 2) ** p.k - p.r**p.k) * _support_total(noise, p.R)
+    )
     points = list(itertools.product(noise.left.atoms, repeat=p.R))
     moves = _support_positions(noise, points)
     alphas = itertools.product(range(1, p.r + 1), repeat=p.k)
@@ -407,6 +428,8 @@ def build_dict_edge(p: DictParamsE, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cu
     unit edges weighted by the product successor noise."""
     _guard_nodes((p.b + 1) * p.r**p.R + 2, max_nodes)
     noise = edge_noise_space(p.r)
+    # terminal and long edges, then b blocks of short edges
+    _guard_edges((p.b + 2) * p.r**p.R + p.b * _support_total(noise, p.R))
     points = list(itertools.product(noise.left.atoms, repeat=p.R))
     moves = [
         [(m, noise.product_pair_mass(x, points[m])) for m in ms]
@@ -454,6 +477,11 @@ def build_dict_vertex(
     terminal edges whose lengths grow with the layer index."""
     _guard_nodes((p.b + 1) * (p.r + 1) ** p.R + 2, max_nodes)
     noise = star_noise_space(p.r, p.eps)
+    # two terminal edges per node, then one block per pair of layers
+    _guard_edges(
+        2 * (p.b + 1) * (p.r + 1) ** p.R
+        + (p.b + 1) * p.b // 2 * _support_total(noise, p.R)
+    )
     points = list(itertools.product(noise.left.atoms, repeat=p.R))
     moves = _support_positions(noise, points)
     ids = _layer_ids(range(p.b + 1), points)
@@ -564,6 +592,10 @@ class Family:
       is removed outright;
     - ``check(params, inst, solution)``: the post-cut property, as
       ``(label, ok, detail)``.
+
+    A family may also declare ``symmetries(params)``: permutations of the
+    cuttable elements of its build that keep multicut feasibility and
+    cost, which the exact search prunes with (see ``declared_symmetries``).
     """
 
     kind: str
@@ -574,6 +606,7 @@ class Family:
     exact_cost: Callable[[Any], Fraction] | None = None
     cost_bound: Callable[[Any, Fraction], Fraction] | None = None
     check: Callable[[Any, CutInstance, Any], Verdict] | None = None
+    symmetries: Callable[[Any], list[dict[Element, Element]]] | None = None
 
     def check_names(self, names: Iterable[str]) -> None:
         """Raise ParamOutOfRange unless ``names`` are the record's fields."""
@@ -648,9 +681,39 @@ def _target_saved(p: DictParamsF, inst: CutInstance, schedule: Schedule) -> Verd
     return "target never burnt", not burnt, {"target_burnt": burnt}
 
 
+def _saks_symmetries(p: SaksParams) -> list[dict[Element, Element]]:
+    """Every element but the identity of the hyperoctahedral group on the
+    grid [r]^k, as a map of grid node ids: permute the k coordinates and
+    reflect any of them (alpha_i -> r+1-alpha_i). Permuting coordinates
+    permutes the pairs. A reflection swaps the slab s_i feeds with the one
+    feeding t_i; it is not a digraph automorphism, but grid arcs run both
+    ways, so a slab-to-slab path survives a cut exactly when its reverse
+    survives the reflected cut. Every grid node weighs 1."""
+    ids = {
+        alpha: grid_node_id(alpha)
+        for alpha in itertools.product(range(1, p.r + 1), repeat=p.k)
+    }
+    out = []
+    for perm in itertools.permutations(range(p.k)):
+        for flips in itertools.product((False, True), repeat=p.k):
+            if perm == tuple(range(p.k)) and not any(flips):
+                continue
+            moved = {
+                alpha: tuple(
+                    p.r + 1 - alpha[c] if flip else alpha[c] for c, flip in zip(perm, flips)
+                )
+                for alpha in ids
+            }
+            out.append({v: ids[moved[alpha]] for alpha, v in ids.items()})
+    return out
+
+
 FAMILIES = {
     "saks": Family(
-        "saks", SaksParams, lambda p, n: build_saks_gap(p.r, p.k, max_nodes=n)
+        "saks",
+        SaksParams,
+        lambda p, n: build_saks_gap(p.r, p.k, max_nodes=n),
+        symmetries=_saks_symmetries,
     ),
     "dict-m": Family(
         "dict_multicut",
@@ -693,6 +756,34 @@ FAMILIES = {
         check=_target_saved,
     ),
 }
+
+
+def declared_symmetries(inst: CutInstance) -> list[dict[Element, Element]]:
+    """The symmetries that ``inst``'s family declares at its provenance
+    params, for ``solvers.exact_min_multicut``; empty unless the family
+    declares some and ``inst`` equals a fresh build from those params in
+    mode, problem, node weights and edge list. Provenance alone is never
+    trusted: a file can name a family and differ from its build."""
+    prov = inst.provenance or {}
+    family = next(
+        (f for f in FAMILIES.values() if f.kind == prov.get("generator")), None
+    )
+    if family is None or family.symmetries is None:
+        return []
+    try:
+        params = family.params(prov.get("params"))
+        # a build with more nodes than inst cannot equal it
+        fresh = family.build(params, len(inst.graph.nodes))
+    except CutLabError:
+        return []
+    g, h = inst.graph, fresh.graph
+    same = (
+        inst.mode == fresh.mode
+        and inst.problem == fresh.problem
+        and g.edges == h.edges
+        and {v: g.node_weight(v) for v in g.nodes} == {v: h.node_weight(v) for v in h.nodes}
+    )
+    return family.symmetries(params) if same else []
 
 
 def dictator_family(kind: str | None) -> Family:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import solvers
 from .errors import (
@@ -367,10 +367,13 @@ class GapReport:
         ]
 
 
-def gap_report(inst: CutInstance) -> GapReport:
-    """Run the exact solver and the LP, check integral >= LP, emit the ratio."""
+def gap_report(
+    inst: CutInstance, symmetries: Sequence[Mapping[Element, Element]] = ()
+) -> GapReport:
+    """Run the exact solver and the LP, check integral >= LP, emit the ratio.
+    ``symmetries`` go to ``solvers.exact_min_multicut`` on a multicut."""
     if isinstance(inst.problem, Multicut):
-        integral = solvers.exact_min_multicut(inst).cost
+        integral = solvers.exact_min_multicut(inst, symmetries).cost
         lp_value, _ = multicut_lp(inst)
     else:
         integral = solvers.exact_min_length_bounded_cut(inst).cost

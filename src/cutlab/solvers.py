@@ -7,7 +7,7 @@ schedule search.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -83,6 +83,12 @@ class PathSearch:
             ]
             for v in self.names
         ]
+        # multicut arcs without the step, for the node-keyed search
+        self.node_arcs = (
+            [[(e, w, el) for e, w, _, el in out] for out in self.arcs]
+            if isinstance(p, Multicut)
+            else None
+        )
         if self.vertex_mode:
             self.weights = [g.node_weight(v) for v in self.names]
         else:
@@ -101,13 +107,19 @@ class PathSearch:
         """BFS for a fewest-edge s-t path avoiding removed elements; among
         those, the first one found in arc order. With ``max_hops``, None
         unless such a path has at most that many edges."""
-        width, arcs, removed = self.width, self.arcs, self.removed
-        start = s * width
-        prev: dict[int, tuple[int, int] | None] = {start: None}
         if max_hops is not None and max_hops < 0:
             return None
         if s == t:
-            return self._path(prev, start)
+            return Path((self.names[s],), (), 0)
+        if self.node_arcs is None:
+            return self._layered_min_hop(s, t, max_hops)
+        return self._node_min_hop(s, t, max_hops)
+
+    def _layered_min_hop(self, s: int, t: int, max_hops: int | None) -> Path | None:
+        """``min_hop`` over (node, length) states, s != t."""
+        width, arcs, removed = self.width, self.arcs, self.removed
+        start = s * width
+        prev: dict[int, tuple[int, int] | None] = {start: None}
         # level by level, which visits states in the order of one FIFO queue
         level = [start]
         hops = 0
@@ -127,6 +139,42 @@ class PathSearch:
                     if w == t:
                         return self._path(prev, nxt)
                     following.append(nxt)
+            level = following
+        return None
+
+    def _node_min_hop(self, s: int, t: int, max_hops: int | None) -> Path | None:
+        """``min_hop`` over nodes, s != t: the multicut case, where every
+        step is 0. It visits in the same order as ``_layered_min_hop`` at
+        width 1 and returns the same path."""
+        arcs, removed = self.node_arcs, self.removed
+        # a removed node is never entered, so in vertex mode it starts seen
+        seen = bytearray(removed) if self.vertex_mode else bytearray(len(self.names))
+        seen[s] = 1
+        prev: dict[int, tuple[int, int]] = {}
+        level = [s]
+        hops = 0
+        while level and (max_hops is None or hops < max_hops):
+            hops += 1
+            following = []
+            for v in level:
+                for e, w, el in arcs[v]:
+                    if seen[w] or removed[el]:
+                        continue
+                    seen[w] = 1
+                    prev[w] = (v, e)
+                    if w == t:
+                        nodes, edges = [t], []
+                        while w != s:
+                            w, e = prev[w]
+                            nodes.append(w)
+                            edges.append(e)
+                        names, lengths = self.names, self.lengths
+                        return Path(
+                            tuple([names[v] for v in reversed(nodes)]),
+                            tuple(reversed(edges)),
+                            sum(lengths[e] for e in edges),
+                        )
+                    following.append(w)
             level = following
         return None
 
@@ -226,16 +274,57 @@ def per_pair_cut_union(inst: CutInstance) -> frozenset[Element]:
 # -- branch and bound ---------------------------------------------------------
 
 
+class _Frame:
+    """A branching node of a search with declared symmetries.
+
+    ``cut`` is the node's cut set R as a bitmask over element ids and
+    ``bits[i]`` the bit of its free element ``free[i]``. ``before[g][i]``
+    is the bitmask of g^-1(free[:i]) for symmetry g, so a cut set R' has
+    g(R') meet free[:i] when ``before[g][i] & R'`` is nonzero. ``child``
+    is the child being searched.
+    """
+
+    __slots__ = ("cut", "bits", "before", "child")
+
+    def __init__(self, cut: int, free: list[int], inverses: list[list[int]]) -> None:
+        self.cut = cut
+        self.bits = [1 << el for el in free]
+        self.before = []
+        for inverse in inverses:
+            masks = [0]
+            for el in free:
+                masks.append(masks[-1] | inverse[el])
+            self.before.append(masks)
+        self.child = 0
+
+
 class _ExclusionBranching:
     """Depth-first search over cut sets for one solve.
 
     Costs are integers over the common denominator of the cuttable
     weights. The cut lives in the search's ``removed`` array; ``forbidden``
     flags the element ids that the current subtree may not cut.
+
+    Every feasible cut set S descends the search tree: at a node whose
+    free list is c_1..c_m, to the child of the first c_i in S. Searched
+    depth first, a subtree left of the current node has been finished:
+    the incumbent costs no more than any feasible set descending into it.
+    ``symmetries`` are permutations of the cuttable elements that keep
+    feasibility and cost. With any, the search skips node N, with cut
+    R_N, when for some symmetry g and some ancestor A of N, with N below
+    A's child j, g(R_N) holds some c_i with i < j, while at every ancestor
+    above A it holds the element leading toward N and none before it.
+    Then for every completion S of N, g(S) descends left of N, so S
+    costs no less than the incumbent. The incumbent moves only on a
+    strict improvement, so N's subtree could not have moved it, and the
+    answer is the unpruned one, elements included.
     """
 
     def __init__(
-        self, search: PathSearch, incumbent: tuple[Fraction, frozenset[Element]]
+        self,
+        search: PathSearch,
+        incumbent: tuple[Fraction, frozenset[Element]],
+        symmetries: Sequence[Mapping[Element, Element]] = (),
     ) -> None:
         weights = search.weights
         cuttable = [el for el, w in enumerate(weights) if w is not None]
@@ -252,6 +341,22 @@ class _ExclusionBranching:
         # the incumbent sums cuttable weights, so its denominator divides scale
         cost, self.best_set = incumbent
         self.best_cost = cost.numerator * (self.scale // cost.denominator)
+        # per symmetry g, the bit of g^-1(el) at each element id el
+        self.inverses = [self._inverse_bits(g, cuttable) for g in symmetries]
+        self.frames: list[_Frame] | None = [] if self.inverses else None
+
+    def _inverse_bits(self, g: Mapping[Element, Element], cuttable: list[int]) -> list[int]:
+        search = self.search
+        ids = {search.element(el): el for el in cuttable}
+        require(
+            set(g) == set(ids) == set(g.values())
+            and all(search.weights[ids[a]] == search.weights[ids[b]] for a, b in g.items()),
+            "a symmetry must permute the cuttable elements and keep their weights",
+        )
+        inverse = [0] * len(search.weights)
+        for a, b in g.items():
+            inverse[ids[b]] = 1 << ids[a]
+        return inverse
 
     def explore(self, cost: int) -> None:
         """Search below the current cut, which costs ``cost``."""
@@ -270,18 +375,46 @@ class _ExclusionBranching:
         )
         if not free or self._bound(cost, free) >= self.best_cost:
             return
+        frames = self.frames
+        if frames is not None:
+            self._push(free)
         # child j cuts free[j] and forbids free[:j], so every cut set is
         # reached at most once
-        for el in free:
+        for j, el in enumerate(free):
             child = cost + self.weight[el]
             if child >= self.best_cost:
                 break  # free is sorted by weight, so later children cost more
-            removed[el] = 1
-            self.explore(child)
-            removed[el] = 0
+            if frames is None or not self._covered(j):
+                removed[el] = 1
+                self.explore(child)
+                removed[el] = 0
             forbidden[el] = 1
         for el in free:
             forbidden[el] = 0
+        if frames is not None:
+            frames.pop()
+
+    def _push(self, free: list[int]) -> None:
+        """Open the frame of the node being explored, from its parent's."""
+        frames = self.frames
+        cut = frames[-1].cut | frames[-1].bits[frames[-1].child] if frames else 0
+        frames.append(_Frame(cut, free, self.inverses))
+
+    def _covered(self, j: int) -> bool:
+        """Make child j the top frame's current child (``_push`` builds
+        its frame from that) and report whether the skip rule holds."""
+        frames = self.frames
+        top = frames[-1]
+        top.child = j
+        cut = top.cut | top.bits[j]
+        for g in range(len(self.inverses)):
+            for frame in frames:
+                before, i = frame.before[g], frame.child
+                if before[i] & cut:
+                    return True  # g(cut) meets an earlier child's element
+                if not before[i + 1] & cut:
+                    break  # nor the element leading here: g(S) may go right
+        return False
 
     def _bound(self, cost: int, free: list[int]) -> int:
         """``cost`` plus the cheapest free element of each path in a greedy
@@ -314,6 +447,7 @@ def _branch_and_bound(
     inst: CutInstance,
     bound: int | None,
     incumbent: tuple[Fraction, frozenset[Element]],
+    symmetries: Sequence[Mapping[Element, Element]] = (),
 ) -> tuple[Fraction, frozenset[Element]]:
     """Cheapest cut set strictly below the incumbent, or the incumbent.
 
@@ -323,20 +457,27 @@ def _branch_and_bound(
     c_1..c_(j-1), so each cut set is reached once and no visited table is
     needed. A node is pruned when its cost plus the disjoint-path bound
     reaches the incumbent, or when a violated path has only forbidden
-    elements. Every path comes from ``find_violating_path``.
+    elements. Every path comes from ``find_violating_path``. Declared
+    ``symmetries`` skip nodes whose subtrees map into finished ones (see
+    ``_ExclusionBranching``); the answer is the same with or without them.
     """
-    bb = _ExclusionBranching(PathSearch(inst, bound), incumbent)
+    bb = _ExclusionBranching(PathSearch(inst, bound), incumbent, symmetries)
     bb.explore(0)
     return Fraction(bb.best_cost, bb.scale), bb.best_set
 
 
-def exact_min_multicut(inst: CutInstance) -> CutSolution:
+def exact_min_multicut(
+    inst: CutInstance, symmetries: Sequence[Mapping[Element, Element]] = ()
+) -> CutSolution:
     """Minimum-cost element set disconnecting every terminal pair.
 
     Lazy branch and bound (``_branch_and_bound``): exclusion branching on
     the cuttable elements of a surviving minimum-hop pair path, pruned by
     a bound from pair paths that share no free element. The incumbent is
-    seeded with the union of per-pair minimum cuts.
+    seeded with the union of per-pair minimum cuts. ``symmetries`` are
+    permutations of the cuttable elements that keep feasibility and cost,
+    such as ``gadgets.declared_symmetries`` returns; they prune the search
+    and leave the answer, elements included, unchanged.
     """
     require_problem(inst.problem, Multicut)
     cuttable = inst.cuttable_elements()
@@ -344,7 +485,9 @@ def exact_min_multicut(inst: CutInstance) -> CutSolution:
         raise SizeGuard(f"{len(cuttable)} cuttable elements (cap {BB_ELEMENT_LIMIT})")
     _check_infeasible(inst)
     seed = per_pair_cut_union(inst)
-    cost, elements = _branch_and_bound(inst, None, (solution_cost(inst, seed), seed))
+    cost, elements = _branch_and_bound(
+        inst, None, (solution_cost(inst, seed), seed), symmetries
+    )
     require(multicut_is_feasible(inst, elements), "branch and bound left a pair connected")
     return CutSolution(elements, cost)
 
@@ -388,6 +531,10 @@ def brute_force_min_cut(inst: CutInstance, bound: int | None = None) -> CutSolut
         feasible = lambda els: length_bound_is_feasible(inst, els, bound)
     else:
         raise ValueError("brute force covers multicut and length bound")
+    # cutting more never breaks feasibility, so no subset is feasible
+    # unless the whole set is
+    if not feasible(cuttable):
+        raise Infeasible("no cuttable subset is feasible")
     # costs are integers over the common denominator of the weights
     scale, units = _over_lcm([inst.graph.element_weight(el) for el in cuttable])
     indices = range(len(cuttable))
@@ -399,8 +546,6 @@ def brute_force_min_cut(inst: CutInstance, bound: int | None = None) -> CutSolut
         subset = [cuttable[i] for i in indices if mask >> i & 1]
         if feasible(subset):
             best = (cost, frozenset(subset))
-    if best is None:
-        raise Infeasible("no cuttable subset is feasible")
     return CutSolution(best[1], Fraction(best[0], scale))
 
 

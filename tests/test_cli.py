@@ -321,6 +321,81 @@ class TestGapTable:
         assert costs == sorted(costs)
 
 
+class TestExactSearchFrozen:
+    """``exact`` and ``gap-table`` print the bytes they printed before the
+    search pruned by declared symmetries, elements included."""
+
+    # SHA-256 of ``exact --family saks`` stdout, recorded without pruning
+    EXACT_SHA256 = {
+        "r=2,k=2": "e32858b937495218f2d3a1fa44720b0f4e4e2b916de64008d061846787368d73",
+        "r=3,k=2": "0fd7e66fc109f272dae3a986cd985c22d8f40a5e75d54326fdcb91ec743870ee",
+        "r=4,k=2": "4037626b64e953db52bfdfbb1a3c615d5626e67a92f253520cfa806fece775af",
+        "r=5,k=2": "872558c850afdc3d89d4909730cdcb3210efb776bb66f6b08458c675a13c6392",
+        "r=6,k=2": "38442443ddcb626ebbc6f9610e46f21d208933d6ab83cf7cc70cf995596e588d",
+        "r=2,k=3": "fc80585b1c04067844e5f903616add9b5c69ade080978bcc09baa6fda21e1376",
+        "r=3,k=3": "4f96e698d27a485b251814cf512bff27a9978439dbb57f0816a30787bf9ca3a6",
+    }
+    GAP_TABLES = {
+        ("saks", "k=2,r=2..5"): [
+            "saks,k=2;r=2,2/1,3/1,3/2,0",
+            "saks,k=2;r=3,3/1,5/1,5/3,0",
+            "saks,k=2;r=4,4/1,7/1,7/4,0",
+            "saks,k=2;r=5,5/1,9/1,9/5,0",
+        ],
+        ("saks", "k=3,r=2..3"): [
+            "saks,k=3;r=2,4/1,7/1,7/4,0",
+            "saks,k=3;r=3,9/1,19/1,19/9,0",
+        ],
+        ("dict-m", "r=2,k=2,R=1..2,eps=1/5"): [
+            "dict-m,R=1;eps=1/5;k=2;r=2,2/1,12/5,6/5,0",
+            "dict-m,R=2;eps=1/5;k=2;r=2,2/1,12/5,6/5,0",
+        ],
+        ("dict-m", "r=2,k=3,R=1,eps=1/5"): ["dict-m,R=1;eps=1/5;k=3;r=2,4/1,24/5,6/5,0"],
+        ("dict-m", "r=3,k=2,R=1,eps=1/10"): ["dict-m,R=1;eps=1/10;k=2;r=3,3/1,18/5,6/5,0"],
+    }
+
+    @pytest.mark.parametrize("params", sorted(EXACT_SHA256))
+    def test_exact_bytes(self, params, capsys):
+        code, out, _ = run_cli(capsys, ["exact", "--family", "saks", "--params", params])
+        assert code == 0
+        r, k = (int(part.split("=")[1]) for part in params.split(","))
+        assert json.loads(out)["cost"] == f"{r**k - (r - 1) ** k}/1"
+        assert hashlib.sha256(out.encode()).hexdigest() == self.EXACT_SHA256[params]
+
+    @pytest.mark.parametrize("family, params", sorted(GAP_TABLES))
+    def test_gap_table_bytes(self, family, params, capsys):
+        code, out, _ = run_cli(capsys, ["gap-table", "--family", family, "--params", params])
+        assert code == 0
+        rows = self.GAP_TABLES[(family, params)]
+        assert out == "\n".join(["family,params,lp_value,integral_value,gap,wall_ms", *rows]) + "\n"
+
+    def test_instance_file_same_bytes(self, tmp_path, capsys):
+        path = tmp_path / "saks.json"
+        argv = ["generate", "--family", "saks", "--params", "r=5,k=2", "--out", str(path)]
+        assert main(argv) == 0
+        code, out, _ = run_cli(capsys, ["exact", "--instance", str(path)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.EXACT_SHA256["r=5,k=2"]
+
+    def test_tampered_file_is_searched_in_full(self, tmp_path, capsys):
+        # the file keeps saks provenance but loses the arc v[3,1] -> t1, so
+        # the saks group no longer holds. Pruned with it, the search would
+        # answer 5; the optimum is brute force's 4
+        from cutlab.graphs import instance_from_json_str
+        from cutlab.solvers import brute_force_min_cut
+
+        path = tmp_path / "saks.json"
+        argv = ["generate", "--family", "saks", "--params", "r=3,k=2", "--out", str(path)]
+        assert main(argv) == 0
+        doc = json.loads(path.read_text())
+        doc["edges"] = [e for e in doc["edges"] if (e["tail"], e["head"]) != ("v[3,1]", "t1")]
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, ["exact", "--instance", str(path)])
+        assert code == 0
+        assert brute_force_min_cut(instance_from_json_str(path.read_text())).cost == 4
+        assert json.loads(out)["cost"] == "4/1"
+
+
 class TestGammaAndCorrelation:
     def test_numpy_loaded_only_by_its_commands(self):
         # a fresh interpreter: importing the package and its command modules

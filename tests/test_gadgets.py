@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cutlab import gadgets
 from cutlab.errors import CoordinateOutOfRange, ParamOutOfRange, SizeGuard
 from cutlab.gadgets import (
     DictParamsE,
@@ -226,6 +227,35 @@ class TestDictRmfc:
     def test_depth_guard(self):
         with pytest.raises(SizeGuard):
             build_dict_rmfc(DictParamsF(5, 1, Fraction(1, 10**9)))
+
+
+class TestEdgeGuard:
+    CASES = [
+        (build_dict_multicut, DictParamsM(2, 2, 1, Fraction(1, 5))),
+        (build_dict_multicut, DictParamsM(3, 2, 2, Fraction(1, 10))),
+        (build_dict_multicut, DictParamsM(2, 3, 1, Fraction(1, 5))),
+        (build_dict_edge, DictParamsE(2, 3, 2, 3)),
+        (build_dict_edge, DictParamsE(4, 3, 3, 2)),
+        (build_dict_vertex, DictParamsV(2, 3, 3, 2, Fraction(1, 20))),
+        (build_dict_vertex, DictParamsV(1, 1, 2, 2, Fraction(1, 5))),
+    ]
+
+    @pytest.mark.parametrize("build, params", CASES)
+    def test_count_is_exact(self, build, params, monkeypatch):
+        # build counts its edges before it makes them: a cap of that count
+        # passes and one less refuses
+        edges = len(build(params).graph.edges)
+        monkeypatch.setattr(gadgets, "DEFAULT_MAX_EDGES", edges)
+        assert len(build(params).graph.edges) == edges
+        monkeypatch.setattr(gadgets, "DEFAULT_MAX_EDGES", edges - 1)
+        with pytest.raises(SizeGuard, match=rf"would have {edges} edges \(cap {edges - 1}\)"):
+            build(params)
+
+    def test_refuses_before_building(self):
+        # 78,732 nodes, under the node cap, and 484,400,748 edges; the build
+        # ran for minutes before the edge cap
+        with pytest.raises(SizeGuard, match="484400748 edges"):
+            build_dict_multicut(DictParamsM(2, 2, 9, Fraction(1, 5)))
 
 
 class TestDeterminism:

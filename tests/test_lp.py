@@ -382,10 +382,14 @@ class TestMulticutLp:
         value, _ = multicut_lp(build_saks_gap(2, 2))
         assert value == 2
 
-    @pytest.mark.parametrize("r,k", [(2, 2), (3, 2), (2, 3)])
-    def test_saks_at_most_fractional_solution(self, r, k):
+    @pytest.mark.parametrize(
+        "r,k", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3)]
+    )
+    def test_saks_lp_closed_form(self, r, k):
+        # the LP side of the gap: r^(k-1), the value of weight 1/r on every
+        # grid node (the integral side is test_saks_optimum_closed_form)
         value, _ = multicut_lp(build_saks_gap(r, k))
-        assert value <= Fraction(r) ** (k - 1)
+        assert value == Fraction(r) ** (k - 1)
 
     def test_long_directed_vertex_path_needs_no_recursion(self):
         # the DFS recheck walks all 2,000 nodes, past Python's recursion limit

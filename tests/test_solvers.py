@@ -9,14 +9,15 @@ import pytest
 
 import cutlab
 import helpers
-from cutlab import solvers
-from cutlab.errors import Infeasible, SaveBurntVertex, SizeGuard
+from cutlab import gadgets, solvers
+from cutlab.errors import CertificateFailed, Infeasible, SaveBurntVertex, SizeGuard
 from cutlab.gadgets import (
     DictParamsE,
     DictParamsF,
     build_dict_edge,
     build_dict_rmfc,
     build_saks_gap,
+    declared_symmetries,
     dictator_cut,
     harmonic,
 )
@@ -245,6 +246,28 @@ class TestExclusionBranching:
                     assert is_feasible(inst, sol.elements), (kind, mode, trial)
         assert forbidden_probe["some"] > 0
 
+    def test_brute_force_checks_the_full_set_first(self, monkeypatch):
+        # s-m-t with m uncuttable, beside 12 cuttable nodes: one feasibility
+        # check of the whole cuttable set settles it, not 2^12
+        g = WeightedGraph()
+        for v in ("s", "m", "t"):
+            g.add_node(v)
+        g.add_edge("s", "m", directed=True)
+        g.add_edge("m", "t", directed=True)
+        for i in range(12):
+            g.add_node(f"c{i}", Fraction(1))
+            g.add_edge("s", f"c{i}", directed=True)
+            g.add_edge(f"c{i}", "t", directed=True)
+        inst = CutInstance(graph=g, mode=VERTEX, problem=Multicut((("s", "t"),)))
+        calls = []
+        real = solvers.multicut_is_feasible
+        monkeypatch.setattr(
+            solvers, "multicut_is_feasible", lambda *args: calls.append(args) or real(*args)
+        )
+        with pytest.raises(Infeasible, match="no cuttable subset is feasible"):
+            brute_force_min_cut(inst)
+        assert len(calls) == 1
+
     def test_brute_force_size_guard(self):
         inst = build_saks_gap(5, 2)
         assert len(inst.cuttable_elements()) == 25 > solvers.BRUTE_ELEMENT_LIMIT
@@ -281,6 +304,25 @@ class TestMinHop:
         assert search.min_hop(s, s, 0).edges == ()
         assert search.min_hop(s, s, -1) is None
 
+    @pytest.mark.parametrize("mode", [VERTEX, EDGE])
+    def test_node_loop_matches_layered_loop(self, mode):
+        # the multicut loop keyed by node against the (node, length) loop at
+        # width 1, which length-bound searches use
+        rng = random.Random(7)
+        instances = [helpers.random_grid_instance(rng, "multicut", mode) for _ in range(10)]
+        if mode == VERTEX:
+            instances += [build_saks_gap(4, 2), build_saks_gap(3, 3)]
+        for inst in instances:
+            search = solvers.PathSearch(inst)
+            assert search.width == 1
+            for _ in range(20):
+                for el, w in enumerate(search.weights):
+                    search.removed[el] = w is not None and rng.random() < 0.3
+                for s, t in search.pairs:
+                    for hops in (None, 0, 1, 2, 3, 5):
+                        want = search._layered_min_hop(s, t, hops)
+                        assert search._node_min_hop(s, t, hops) == want
+
     def test_violating_path_is_first_fewest_hop_pair(self):
         # the earliest pair among those with the fewest hops, each pair
         # searched without a limit
@@ -295,12 +337,15 @@ class TestMinHop:
             assert solvers.find_violating_path(search) == want, trial
 
 
-# calls to find_violating_path before exclusion branching: 23,547 on saks
-# r=5 k=2 and 83,009 on r=3 k=3; the gate is a quarter of each
-SAKS_ORACLE_CAPS = {(5, 2): 5886, (3, 3): 20752}
+# calls to find_violating_path with the declared symmetries. Without them
+# the search makes 5,043 on saks r=5 k=2, 69,772 on r=6 k=2 and 19,177 on
+# r=3 k=3 (23,547 and 83,009 on the first two before exclusion branching)
+SAKS_ORACLE_CAPS = {(5, 2): 1427, (6, 2): 14753, (3, 3): 2856}
 
 
-@pytest.mark.parametrize("r,k", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize(
+    "r,k", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3)]
+)
 def test_saks_optimum_closed_form(r, k, monkeypatch):
     calls = [0]
     oracle = solvers.find_violating_path
@@ -310,8 +355,193 @@ def test_saks_optimum_closed_form(r, k, monkeypatch):
         return oracle(search)
 
     monkeypatch.setattr(solvers, "find_violating_path", counted)
-    assert exact_min_multicut(build_saks_gap(r, k)).cost == r**k - (r - 1) ** k
+    inst = build_saks_gap(r, k)
+    assert exact_min_multicut(inst, declared_symmetries(inst)).cost == r**k - (r - 1) ** k
     assert calls[0] <= SAKS_ORACLE_CAPS.get((r, k), calls[0])
+
+
+def doubled(inst):
+    """Two disjoint copies of ``inst`` with the pairs of both, and the
+    swap of the copies as a map of cuttable elements."""
+    g, h = inst.graph, WeightedGraph()
+    for side in "ab":
+        for v in g.nodes:
+            h.add_node(f"{side}:{v}", g.node_weight(v))
+    for side in "ab":
+        h.add_edges(
+            (f"{side}:{e.tail}", f"{side}:{e.head}", e.directed, e.length, e.weight)
+            for e in g.edges
+        )
+    pairs = tuple((f"{side}:{s}", f"{side}:{t}") for side in "ab" for s, t in inst.problem.pairs)
+    twin = CutInstance(graph=h, mode=inst.mode, problem=Multicut(pairs))
+    if inst.mode == VERTEX:
+        swap = {f"{a}:{v}": f"{b}:{v}" for a, b in ("ab", "ba") for v in inst.cuttable_elements()}
+    else:
+        m = len(g.edges)
+        swap = {el + m * a: el + m * (1 - a) for a in (0, 1) for el in inst.cuttable_elements()}
+    return twin, swap
+
+
+def reweighted_saks(r, k, rng, mode):
+    """Saks r, k with a random weight per orbit of the declared group (a
+    node's orbit is fixed by the sorted distances of its coordinates from
+    the grid's edge), and that group on its cuttable elements. In edge mode
+    each grid node v becomes v/in -> v/out, a cuttable edge."""
+    saks = build_saks_gap(r, k)
+    group = declared_symmetries(saks)
+    g, h = saks.graph, WeightedGraph()
+    orbit_weight = {}
+
+    def weight(v):
+        alpha = gadgets.parse_point(v[1:])
+        key = tuple(sorted(min(a, r + 1 - a) for a in alpha))
+        return orbit_weight.setdefault(key, Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+
+    grid = [v for v in g.nodes if g.node_weight(v) is not None]
+    if mode == VERTEX:
+        for v in g.nodes:
+            h.add_node(v, weight(v) if v in grid else None)
+        h.add_edges(g.edges)
+        return CutInstance(graph=h, mode=VERTEX, problem=saks.problem), group
+    for v in g.nodes:
+        for end in ("/in", "/out") if v in grid else ("",):
+            h.add_node(v + end)
+    edge = {v: h.add_edge(v + "/in", v + "/out", directed=True, weight=weight(v)) for v in grid}
+    h.add_edges(
+        (e.tail + ("/out" if e.tail in edge else ""), e.head + ("/in" if e.head in edge else ""),
+         True, 1, None)
+        for e in g.edges
+    )
+    inst = CutInstance(graph=h, mode=EDGE, problem=saks.problem)
+    return inst, [{edge[a]: edge[b] for a, b in perm.items()} for perm in group]
+
+
+class TestSymmetryPruning:
+    @staticmethod
+    def subsets(inst, rng, count):
+        """Every cuttable subset, or ``count`` random ones when there are
+        more than 2^9."""
+        cuttable = inst.cuttable_elements()
+        if len(cuttable) <= 9:
+            return [
+                frozenset(el for i, el in enumerate(cuttable) if mask >> i & 1)
+                for mask in range(1 << len(cuttable))
+            ]
+        return [frozenset(el for el in cuttable if rng.random() < 0.5) for _ in range(count)]
+
+    @pytest.mark.parametrize(
+        "r,k,order", [(2, 2, 8), (3, 2, 8), (2, 3, 48), (4, 2, 8), (5, 2, 8), (3, 3, 48)]
+    )
+    def test_saks_symmetries_keep_weight_and_feasibility(self, r, k, order):
+        inst = build_saks_gap(r, k)
+        group = declared_symmetries(inst)
+        assert len(group) == order - 1
+        cuttable = set(inst.cuttable_elements())
+        weight = inst.graph.node_weight
+        feasible = {}
+        for cut in self.subsets(inst, random.Random(r * 10 + k), 100):
+            feasible[cut] = multicut_is_feasible(inst, cut)
+        for g in group:
+            assert set(g) == cuttable == set(g.values())
+            assert all(weight(a) == weight(b) for a, b in g.items())
+            for cut, ok in feasible.items():
+                image = frozenset(g[el] for el in cut)
+                want = feasible[image] if image in feasible else multicut_is_feasible(inst, image)
+                assert want == ok, (g, sorted(cut))
+
+    @pytest.mark.parametrize("r,k", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)])
+    def test_saks_answer_unchanged_by_pruning(self, r, k):
+        inst = build_saks_gap(r, k)
+        group = declared_symmetries(inst)
+        plain = exact_min_multicut(inst)
+        assert exact_min_multicut(inst, group) == plain
+        # any subset of the declared maps is sound on its own
+        some = random.Random(r + k).sample(group, len(group) // 2)
+        assert exact_min_multicut(inst, some) == plain
+
+    @pytest.fixture
+    def skips(self, monkeypatch):
+        """Counts the nodes the skip rule prunes."""
+        skipped = [0]
+        covered = solvers._ExclusionBranching._covered
+
+        def counted(bb, j):
+            found = covered(bb, j)
+            skipped[0] += found
+            return found
+
+        monkeypatch.setattr(solvers._ExclusionBranching, "_covered", counted)
+        return skipped
+
+    def test_swapped_copies_answer_unchanged(self, skips):
+        # random grids with random weights, and the swap of two copies
+        rng = random.Random(3)
+        for trial in range(8):
+            twin, swap = doubled(helpers.random_grid_instance(rng, "multicut", VERTEX, 3, 3))
+            assert exact_min_multicut(twin, [swap]) == exact_min_multicut(twin), trial
+        assert skips[0] > 0
+
+    @pytest.mark.parametrize("mode", [VERTEX, EDGE])
+    def test_reweighted_saks_answer_unchanged(self, mode, skips):
+        # weights constant on the group's orbits, and in edge mode each grid
+        # node split into an in-node, a cuttable edge and an out-node
+        rng = random.Random(0)
+        for r, k, weightings in [(3, 2, 6), (4, 2, 4), (2, 3, 6), (3, 3, 1)]:
+            for _ in range(weightings):
+                inst, group = reweighted_saks(r, k, rng, mode)
+                plain = exact_min_multicut(inst)
+                assert exact_min_multicut(inst, group) == plain, (r, k)
+                if len(inst.cuttable_elements()) <= 9:
+                    assert plain.cost == brute_force_min_cut(inst).cost
+        assert skips[0] > 0
+
+    def test_symmetry_must_keep_weights(self):
+        inst = build_saks_gap(2, 2)
+        g = inst.graph
+        heavy = WeightedGraph()
+        for v in g.nodes:
+            heavy.add_node(v, Fraction(2) if v == "v[1,1]" else g.node_weight(v))
+        heavy.add_edges(g.edges)
+        other = CutInstance(graph=heavy, mode=VERTEX, problem=inst.problem)
+        with pytest.raises(CertificateFailed, match="keep their weights"):
+            exact_min_multicut(other, declared_symmetries(inst))
+
+    @pytest.mark.parametrize("tail, head", [("v[3,1]", "t1"), ("v[2,2]", "v[2,3]")])
+    def test_tampered_saks_gets_no_group(self, tail, head):
+        # drop one arc and keep the provenance
+        inst = build_saks_gap(3, 2)
+        g, cut = inst.graph, WeightedGraph()
+        for v in g.nodes:
+            cut.add_node(v, g.node_weight(v))
+        cut.add_edges(e for e in g.edges if (e.tail, e.head) != (tail, head))
+        assert len(cut.edges) == len(g.edges) - 1
+        tampered = CutInstance(
+            graph=cut, mode=VERTEX, problem=inst.problem, provenance=inst.provenance
+        )
+        assert declared_symmetries(inst) and declared_symmetries(tampered) == []
+        sol = exact_min_multicut(tampered, declared_symmetries(tampered))
+        assert sol.cost == brute_force_min_cut(tampered).cost
+        assert multicut_is_feasible(tampered, sol.elements)
+        if tail == "v[3,1]":
+            # the untampered group would prune the optimum away
+            assert sol.cost == 4
+            assert exact_min_multicut(tampered, declared_symmetries(inst)).cost == 5
+
+    @pytest.mark.parametrize(
+        "provenance",
+        [
+            None,
+            {"generator": "saks", "params": {"r": 2, "k": 2}},
+            {"generator": "saks", "params": {"r": 3}},
+            {"generator": "saks", "params": {"r": 3, "k": 2, "R": 1}},
+            {"generator": "saks", "params": {"r": 1, "k": 2}},
+            {"generator": "dict_multicut", "params": {"r": 3, "k": 2}},
+        ],
+    )
+    def test_group_needs_matching_provenance(self, provenance):
+        inst = build_saks_gap(3, 2)
+        inst.provenance = provenance
+        assert declared_symmetries(inst) == []
 
 
 class TestInterdiction:
