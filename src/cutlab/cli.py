@@ -266,7 +266,7 @@ def cmd_gap_table(args: argparse.Namespace) -> int:
         started = time.monotonic()
         try:
             inst = family.build(family.params(point), args.max_nodes)
-            report = lp.gap_report(inst, gadgets.declared_symmetries(inst))
+            report = lp.gap_report(inst)
             cells = report.csv_cells()
         except CutLabError as exc:
             failures += 1

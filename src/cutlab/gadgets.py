@@ -333,6 +333,9 @@ def build_saks_gap(r: int, k: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cut
     """
     if r < 2 or k < 1:
         raise ParamOutOfRange("need r >= 2, k >= 1")
+    # r**k >= 2**k > max_nodes here; refuse before computing the power
+    if k > max_nodes.bit_length():
+        raise SizeGuard(f"instance would have over {max_nodes} nodes (cap {max_nodes})")
     _guard_nodes(r**k + 2 * k, max_nodes)
     g = WeightedGraph()
     pairs = []
@@ -606,7 +609,7 @@ class Family:
     exact_cost: Callable[[Any], Fraction] | None = None
     cost_bound: Callable[[Any, Fraction], Fraction] | None = None
     check: Callable[[Any, CutInstance, Any], Verdict] | None = None
-    symmetries: Callable[[Any], list[dict[Element, Element]]] | None = None
+    symmetries: Callable[[Any], Iterable[dict[Element, Element]]] | None = None
 
     def check_names(self, names: Iterable[str]) -> None:
         """Raise ParamOutOfRange unless ``names`` are the record's fields."""
@@ -681,7 +684,7 @@ def _target_saved(p: DictParamsF, inst: CutInstance, schedule: Schedule) -> Verd
     return "target never burnt", not burnt, {"target_burnt": burnt}
 
 
-def _saks_symmetries(p: SaksParams) -> list[dict[Element, Element]]:
+def _saks_symmetries(p: SaksParams) -> Iterator[dict[Element, Element]]:
     """Every element but the identity of the hyperoctahedral group on the
     grid [r]^k, as a map of grid node ids: permute the k coordinates and
     reflect any of them (alpha_i -> r+1-alpha_i). Permuting coordinates
@@ -693,7 +696,6 @@ def _saks_symmetries(p: SaksParams) -> list[dict[Element, Element]]:
         alpha: grid_node_id(alpha)
         for alpha in itertools.product(range(1, p.r + 1), repeat=p.k)
     }
-    out = []
     for perm in itertools.permutations(range(p.k)):
         for flips in itertools.product((False, True), repeat=p.k):
             if perm == tuple(range(p.k)) and not any(flips):
@@ -704,8 +706,7 @@ def _saks_symmetries(p: SaksParams) -> list[dict[Element, Element]]:
                 )
                 for alpha in ids
             }
-            out.append({v: ids[moved[alpha]] for alpha, v in ids.items()})
-    return out
+            yield {v: ids[moved[alpha]] for alpha, v in ids.items()}
 
 
 FAMILIES = {
@@ -758,24 +759,28 @@ FAMILIES = {
 }
 
 
-def declared_symmetries(inst: CutInstance) -> list[dict[Element, Element]]:
+def declared_symmetries(inst: CutInstance) -> Iterator[dict[Element, Element]]:
     """The symmetries that ``inst``'s family declares at its provenance
-    params, for ``solvers.exact_min_multicut``; empty unless the family
+    params, for ``solvers.exact_min_multicut``; none unless the family
     declares some and ``inst`` equals a fresh build from those params in
     mode, problem, node weights and edge list. Provenance alone is never
-    trusted: a file can name a family and differ from its build."""
+    trusted: a file can name a family and differ from its build.
+
+    Lazy: nothing is built before the first item is asked for, so the
+    search's size guard refuses a large instance before its group (of
+    order 2^k k! for saks) or the fresh build is made."""
     prov = inst.provenance or {}
     family = next(
         (f for f in FAMILIES.values() if f.kind == prov.get("generator")), None
     )
     if family is None or family.symmetries is None:
-        return []
+        return
     try:
         params = family.params(prov.get("params"))
         # a build with more nodes than inst cannot equal it
         fresh = family.build(params, len(inst.graph.nodes))
     except CutLabError:
-        return []
+        return
     g, h = inst.graph, fresh.graph
     same = (
         inst.mode == fresh.mode
@@ -783,7 +788,8 @@ def declared_symmetries(inst: CutInstance) -> list[dict[Element, Element]]:
         and g.edges == h.edges
         and {v: g.node_weight(v) for v in g.nodes} == {v: h.node_weight(v) for v in h.nodes}
     )
-    return family.symmetries(params) if same else []
+    if same:
+        yield from family.symmetries(params)
 
 
 def dictator_family(kind: str | None) -> Family:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
-from . import solvers
+from . import gadgets, solvers
 from .errors import (
     CutLabError,
     Infeasible,
@@ -367,13 +367,11 @@ class GapReport:
         ]
 
 
-def gap_report(
-    inst: CutInstance, symmetries: Sequence[Mapping[Element, Element]] = ()
-) -> GapReport:
+def gap_report(inst: CutInstance) -> GapReport:
     """Run the exact solver and the LP, check integral >= LP, emit the ratio.
-    ``symmetries`` go to ``solvers.exact_min_multicut`` on a multicut."""
+    A multicut search prunes by the family's declared symmetries."""
     if isinstance(inst.problem, Multicut):
-        integral = solvers.exact_min_multicut(inst, symmetries).cost
+        integral = solvers.exact_min_multicut(inst, gadgets.declared_symmetries(inst)).cost
         lp_value, _ = multicut_lp(inst)
     else:
         integral = solvers.exact_min_length_bounded_cut(inst).cost

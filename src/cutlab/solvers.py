@@ -7,7 +7,7 @@ schedule search.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (
     BudgetExceeded,
@@ -66,10 +66,12 @@ class PathSearch:
             pairs = p.pairs
             steps = [0] * len(self.lengths)
             self.width = 1
+            self.node_keyed = True
         elif isinstance(p, LengthBound):
             pairs = ((p.source, p.sink),)
             steps = self.lengths
             self.width = max(p.bound if bound is None else bound, 1)
+            self.node_keyed = False
         else:
             raise WrongProblemType(
                 "violating paths are defined for multicut and length bound"
@@ -83,12 +85,6 @@ class PathSearch:
             ]
             for v in self.names
         ]
-        # multicut arcs without the step, for the node-keyed search
-        self.node_arcs = (
-            [[(e, w, el) for e, w, _, el in out] for out in self.arcs]
-            if isinstance(p, Multicut)
-            else None
-        )
         if self.vertex_mode:
             self.weights = [g.node_weight(v) for v in self.names]
         else:
@@ -111,9 +107,9 @@ class PathSearch:
             return None
         if s == t:
             return Path((self.names[s],), (), 0)
-        if self.node_arcs is None:
-            return self._layered_min_hop(s, t, max_hops)
-        return self._node_min_hop(s, t, max_hops)
+        if self.node_keyed:
+            return self._node_min_hop(s, t, max_hops)
+        return self._layered_min_hop(s, t, max_hops)
 
     def _layered_min_hop(self, s: int, t: int, max_hops: int | None) -> Path | None:
         """``min_hop`` over (node, length) states, s != t."""
@@ -146,7 +142,7 @@ class PathSearch:
         """``min_hop`` over nodes, s != t: the multicut case, where every
         step is 0. It visits in the same order as ``_layered_min_hop`` at
         width 1 and returns the same path."""
-        arcs, removed = self.node_arcs, self.removed
+        arcs, removed = self.arcs, self.removed
         # a removed node is never entered, so in vertex mode it starts seen
         seen = bytearray(removed) if self.vertex_mode else bytearray(len(self.names))
         seen[s] = 1
@@ -157,7 +153,7 @@ class PathSearch:
             hops += 1
             following = []
             for v in level:
-                for e, w, el in arcs[v]:
+                for e, w, _, el in arcs[v]:
                     if seen[w] or removed[el]:
                         continue
                     seen[w] = 1
@@ -324,7 +320,7 @@ class _ExclusionBranching:
         self,
         search: PathSearch,
         incumbent: tuple[Fraction, frozenset[Element]],
-        symmetries: Sequence[Mapping[Element, Element]] = (),
+        symmetries: Iterable[Mapping[Element, Element]] = (),
     ) -> None:
         weights = search.weights
         cuttable = [el for el, w in enumerate(weights) if w is not None]
@@ -447,7 +443,7 @@ def _branch_and_bound(
     inst: CutInstance,
     bound: int | None,
     incumbent: tuple[Fraction, frozenset[Element]],
-    symmetries: Sequence[Mapping[Element, Element]] = (),
+    symmetries: Iterable[Mapping[Element, Element]] = (),
 ) -> tuple[Fraction, frozenset[Element]]:
     """Cheapest cut set strictly below the incumbent, or the incumbent.
 
@@ -467,7 +463,7 @@ def _branch_and_bound(
 
 
 def exact_min_multicut(
-    inst: CutInstance, symmetries: Sequence[Mapping[Element, Element]] = ()
+    inst: CutInstance, symmetries: Iterable[Mapping[Element, Element]] = ()
 ) -> CutSolution:
     """Minimum-cost element set disconnecting every terminal pair.
 
@@ -476,8 +472,9 @@ def exact_min_multicut(
     a bound from pair paths that share no free element. The incumbent is
     seeded with the union of per-pair minimum cuts. ``symmetries`` are
     permutations of the cuttable elements that keep feasibility and cost,
-    such as ``gadgets.declared_symmetries`` returns; they prune the search
-    and leave the answer, elements included, unchanged.
+    such as ``gadgets.declared_symmetries`` returns; they are read once,
+    after the size guard, prune the search and leave the answer, elements
+    included, unchanged.
     """
     require_problem(inst.problem, Multicut)
     cuttable = inst.cuttable_elements()

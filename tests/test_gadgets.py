@@ -65,6 +65,14 @@ class TestSaksGap:
         with pytest.raises(SizeGuard):
             build_saks_gap(10, 7, max_nodes=1000)
 
+    def test_size_guard_before_the_power(self):
+        # (10**6)**(10**6) has six million digits; k alone refuses
+        with pytest.raises(SizeGuard, match=r"over 200000 nodes \(cap 200000\)"):
+            build_saks_gap(10**6, 10**6)
+        # from k > max_nodes.bit_length() on
+        with pytest.raises(SizeGuard, match=r"over 100 nodes"):
+            build_saks_gap(2, 8, max_nodes=100)
+
 
 class TestDictMulticut:
     def test_total_weight_is_grid_count(self):

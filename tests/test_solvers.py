@@ -388,7 +388,7 @@ def reweighted_saks(r, k, rng, mode):
     the grid's edge), and that group on its cuttable elements. In edge mode
     each grid node v becomes v/in -> v/out, a cuttable edge."""
     saks = build_saks_gap(r, k)
-    group = declared_symmetries(saks)
+    group = list(declared_symmetries(saks))
     g, h = saks.graph, WeightedGraph()
     orbit_weight = {}
 
@@ -434,7 +434,7 @@ class TestSymmetryPruning:
     )
     def test_saks_symmetries_keep_weight_and_feasibility(self, r, k, order):
         inst = build_saks_gap(r, k)
-        group = declared_symmetries(inst)
+        group = list(declared_symmetries(inst))
         assert len(group) == order - 1
         cuttable = set(inst.cuttable_elements())
         weight = inst.graph.node_weight
@@ -452,7 +452,7 @@ class TestSymmetryPruning:
     @pytest.mark.parametrize("r,k", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)])
     def test_saks_answer_unchanged_by_pruning(self, r, k):
         inst = build_saks_gap(r, k)
-        group = declared_symmetries(inst)
+        group = list(declared_symmetries(inst))
         plain = exact_min_multicut(inst)
         assert exact_min_multicut(inst, group) == plain
         # any subset of the declared maps is sound on its own
@@ -518,7 +518,7 @@ class TestSymmetryPruning:
         tampered = CutInstance(
             graph=cut, mode=VERTEX, problem=inst.problem, provenance=inst.provenance
         )
-        assert declared_symmetries(inst) and declared_symmetries(tampered) == []
+        assert list(declared_symmetries(inst)) and list(declared_symmetries(tampered)) == []
         sol = exact_min_multicut(tampered, declared_symmetries(tampered))
         assert sol.cost == brute_force_min_cut(tampered).cost
         assert multicut_is_feasible(tampered, sol.elements)
@@ -535,13 +535,31 @@ class TestSymmetryPruning:
             {"generator": "saks", "params": {"r": 3}},
             {"generator": "saks", "params": {"r": 3, "k": 2, "R": 1}},
             {"generator": "saks", "params": {"r": 1, "k": 2}},
+            # refused before r**k is computed
+            {"generator": "saks", "params": {"r": 3, "k": 10**12}},
             {"generator": "dict_multicut", "params": {"r": 3, "k": 2}},
         ],
     )
     def test_group_needs_matching_provenance(self, provenance):
         inst = build_saks_gap(3, 2)
         inst.provenance = provenance
-        assert declared_symmetries(inst) == []
+        assert list(declared_symmetries(inst)) == []
+
+    def test_group_is_built_after_the_size_guard(self, monkeypatch):
+        # saks r=2 k=6 has 64 cuttable nodes (cap 40) and a group of order
+        # 46,080; neither it nor the fresh build may be made for a refusal
+        builds = [0]
+        build = gadgets.build_saks_gap
+
+        def counted(*args, **kwargs):
+            builds[0] += 1
+            return build(*args, **kwargs)
+
+        inst = build_saks_gap(2, 6)
+        monkeypatch.setattr(gadgets, "build_saks_gap", counted)
+        with pytest.raises(SizeGuard, match="64 cuttable elements"):
+            exact_min_multicut(inst, declared_symmetries(inst))
+        assert builds[0] == 0
 
 
 class TestInterdiction:
