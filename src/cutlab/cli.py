@@ -24,6 +24,7 @@ from .graphs import (
     Schedule,
     instance_from_json_str,
     instance_to_json_str,
+    parse_rational,
     rational_str,
     schedule_from_json,
 )
@@ -35,7 +36,7 @@ def parse_rational_arg(name: str, raw: str) -> Fraction:
     """``raw`` as a Fraction, or ParamOutOfRange naming ``name`` when it is
     not a rational (a zero denominator included)."""
     try:
-        return Fraction(raw)
+        return parse_rational(raw)
     except (ValueError, ZeroDivisionError):
         raise ParamOutOfRange(f"{name} = {raw} is not a rational") from None
 

@@ -38,6 +38,7 @@ from .graphs import (
     Rmfc,
     Schedule,
     WeightedGraph,
+    parse_rational,
     shortest_path_length,
 )
 from .probspace import Atom, CorrelatedSpace, FiniteProbSpace, product_mass
@@ -636,7 +637,7 @@ class Family:
 
 def param_value(name: str, kind: type, raw: Any) -> int | Fraction:
     try:
-        value = Fraction(str(raw))
+        value = parse_rational(str(raw))
     except (ValueError, ZeroDivisionError):
         raise ParamOutOfRange(f"parameter {name} = {raw!r} is not a rational") from None
     if kind is int:

@@ -42,6 +42,25 @@ def rational_str(value: Weight) -> str | None:
     return f"{value.numerator}/{value.denominator}"
 
 
+# the largest decimal exponent a rational string may carry: Fraction("1e<n>")
+# computes 10**n, so "1e999999999" would run for minutes; 4300 is the digit
+# limit CPython already applies to integer strings
+MAX_EXPONENT = 4300
+
+
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, with ValueError for a decimal exponent whose
+    absolute value exceeds ``MAX_EXPONENT``."""
+    exponent = text.lower().partition("e")[2]
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    # the length test keeps int() off a long digit string
+    if digits.isdecimal() and (
+        len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT
+    ):
+        raise ValueError(f"exponent of {text!r} exceeds {MAX_EXPONENT}")
+    return Fraction(text)
+
+
 def _over_lcm(values: Collection[Fraction | int]) -> tuple[int, list[int]]:
     """The lcm of the values' denominators and each value times it."""
     # folded pairwise: lcm(*args) builds an argument tuple per call, and
@@ -101,18 +120,19 @@ class WeightedGraph:
         # node -> weight, in insertion order
         self._weights: dict[str, Weight] = {}
         self.edges: list[GraphEdge] = []
-        # arcs usable when leaving a node: list of (edge_index, neighbor)
-        self._out: dict[str, list[tuple[int, str]]] = {}
+        # arcs usable when leaving a node: list of (edge_index, neighbor);
+        # built by the first out_arcs call, dropped by every addition
+        self._out: dict[str, list[tuple[int, str]]] | None = None
 
     # -- construction -------------------------------------------------
 
     def add_node(self, node: str, weight: Weight = None) -> None:
+        self._out = None
         if node in self._weights:
             raise ValueError(f"duplicate node {node!r}")
         if weight is not None and weight < 0:
             raise ValueError(f"negative weight on node {node!r}")
         self._weights[node] = weight
-        self._out[node] = []
 
     def add_edge(
         self,
@@ -132,11 +152,9 @@ class WeightedGraph:
         the endpoints must be declared, the length a positive integer (an
         integral value such as 2.0 is stored as 2) and the weight
         nonnegative or None."""
+        self._out = None
         declared = self._weights
-        out = self._out
-        edges = self.edges
-        make = GraphEdge._make
-        idx = len(edges)
+        append = self.edges.append
         for record in records:
             tail, head, directed, length, weight = record
             if tail not in declared or head not in declared:
@@ -149,11 +167,8 @@ class WeightedGraph:
                 record = (tail, head, directed, int(length), weight)
             if weight is not None and weight < 0:
                 raise ValueError("negative edge weight")
-            edges.append(make(record))
-            out[tail].append((idx, head))
-            if not directed:
-                out[head].append((idx, tail))
-            idx += 1
+            # the 5-way unpack above has checked the arity that _make checks
+            append(tuple.__new__(GraphEdge, record))
 
     # -- inspection ---------------------------------------------------
 
@@ -178,10 +193,23 @@ class WeightedGraph:
         raise UnknownNode(f"unknown element {element!r}")
 
     def out_arcs(self, node: str) -> list[tuple[int, str]]:
+        out = self._out
+        if out is None:
+            out = self._out = self._build_out()
         try:
-            return self._out[node]
+            return out[node]
         except KeyError:
             raise UnknownNode(f"unknown node {node!r}") from None
+
+    def _build_out(self) -> dict[str, list[tuple[int, str]]]:
+        """Every node's arcs in one pass over the edges, in edge order: the
+        tail's arc, then the head's arc when the edge is undirected."""
+        out: dict[str, list[tuple[int, str]]] = {v: [] for v in self._weights}
+        for idx, (tail, head, directed, _, _) in enumerate(self.edges):
+            out[tail].append((idx, head))
+            if not directed:
+                out[head].append((idx, tail))
+        return out
 
     def cuttable_elements(self, mode: str) -> list[Element]:
         if mode == VERTEX:
@@ -765,7 +793,7 @@ def _weight_field(doc: dict, where: str) -> Weight:
         return None
     try:
         if isinstance(w, (str, int)) and not isinstance(w, bool):
-            return Fraction(str(w))
+            return parse_rational(str(w))
     except (ValueError, ZeroDivisionError):
         pass
     raise MalformedInstance(f"{where} weight {w!r} is not a rational")

@@ -1,7 +1,7 @@
-"""Shared test oracles: exhaustive path enumeration, subset brute force,
-the Fraction separation oracles, the Fraction simplex, two closed-form
-correlation bounds, and the seeded random-instance factories used by the
-cross-check suites.
+"""Shared test oracles: the adjacency read off the edge list, exhaustive
+path enumeration, subset brute force, the Fraction separation oracles, the
+Fraction simplex, two closed-form correlation bounds, and the seeded
+random-instance factories used by the cross-check suites.
 
 Everything here is deliberately independent of the package's search code:
 paths come from plain DFS enumeration, optima from subset enumeration,
@@ -36,6 +36,17 @@ from cutlab.graphs import (
 )
 from cutlab.lp import LPProblem
 from cutlab.probspace import Atom, ProductFunction, product_mass
+
+
+def reference_out_arcs(g: WeightedGraph) -> dict[str, list[tuple[int, str]]]:
+    """Every node's ``(edge index, neighbour)`` arcs, read off ``g.edges``
+    one edge at a time: the tail's arc, then the head's when undirected."""
+    out: dict[str, list[tuple[int, str]]] = {v: [] for v in g.nodes}
+    for idx, edge in enumerate(g.edges):
+        out[edge.tail].append((idx, edge.head))
+        if not edge.directed:
+            out[edge.head].append((idx, edge.tail))
+    return out
 
 
 def all_simple_paths(g: WeightedGraph, s: str, t: str):

@@ -650,6 +650,55 @@ class TestMalformedInput:
         assert (code, out) == (1, "")
         assert err == f"error: ParamOutOfRange: {name} = 1/0 is not a rational\n"
 
+    HUGE = "1e999999999"
+
+    @pytest.mark.parametrize(
+        "argv, name, raw",
+        [
+            (["rmfc", "--family", "dict-f", "--params", "b=2,R=1,eps=1/100",
+              "--search-budget", HUGE], "--search-budget", HUGE),
+            (["interdict", "--family", "dict-e", "--params", "a=2,b=3,r=2,R=1",
+              "--budget", HUGE], "--budget", HUGE),
+            (["generate", "--family", "dict-f", "--params", "b=2,R=1,eps=1e-999999999"],
+             "parameter eps", "1e-999999999"),
+            (["generate", "--family", "saks", "--params", f"r=2,k=-{HUGE}"],
+             "parameter k", f"-{HUGE}"),
+        ],
+        ids=["search-budget", "budget", "params-tiny", "params-negative"],
+    )
+    def test_huge_exponent_exits_1(self, argv, name, raw, capsys):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: ParamOutOfRange: {name} = {raw} is not a rational\n"
+
+    def test_huge_exponent_in_provenance_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "dict-e.json"
+        main(["generate", "--family", "dict-e", "--params", "a=2,b=3,r=2,R=1",
+              "--out", str(path)])
+        doc = json.loads(path.read_text())
+        doc["provenance"]["params"]["a"] = f"-{self.HUGE}"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["verify", "--instance", str(path), "--q", "1"])
+        assert (code, out) == (1, "")
+        assert err == f"error: ParamOutOfRange: parameter a = '-{self.HUGE}' is not a rational\n"
+
+    def test_huge_exponent_in_weight_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "saks.json"
+        main(["generate", "--family", "saks", "--params", "r=2,k=2", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        cuttable = next(nd for nd in doc["nodes"] if nd["weight"] is not None)
+        cuttable["weight"] = self.HUGE
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["exact", "--instance", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: MalformedInstance: node weight '{self.HUGE}' is not a rational\n"
+
+    def test_exponent_budget_reads_as_fraction(self, capsys):
+        argv = ["interdict", "--family", "dict-e", "--params", "a=2,b=3,r=2,R=1",
+                "--budget"]
+        got = run_cli(capsys, [*argv, "15e-1"])
+        assert got[0] == 0 and got == run_cli(capsys, [*argv, "3/2"])
+
     @pytest.mark.parametrize(
         "path, value",
         [

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from cutlab import gadgets, lp
-from cutlab.cli import parse_params
+from cutlab import gadgets, lp, ug
+from cutlab.cli import main, parse_params
 from cutlab.errors import MalformedInstance, NoFiniteCut, RemovingUncuttable, UnknownNode
 from cutlab.graphs import (
     EDGE,
@@ -25,6 +25,7 @@ from cutlab.graphs import (
     instance_to_json_str,
     min_st_cut,
     min_weight_path,
+    parse_rational,
     shortest_path_length,
 )
 
@@ -508,6 +509,154 @@ class TestAddEdges:
         for field in GraphEdge._fields:
             with pytest.raises(AttributeError):
                 setattr(edge, field, None)
+
+
+def assert_index_matches_edges(g):
+    """``out_arcs`` of every node equals the adjacency read off ``g.edges``,
+    order included, and an unknown node still raises."""
+    assert {v: g.out_arcs(v) for v in g.nodes} == helpers.reference_out_arcs(g)
+    with pytest.raises(UnknownNode):
+        g.out_arcs("no such node")
+
+
+def count_index_builds(monkeypatch):
+    """A one-item list that counts ``WeightedGraph`` index builds from now."""
+    builds = [0]
+    build = WeightedGraph._build_out
+
+    def counted(self):
+        builds[0] += 1
+        return build(self)
+
+    monkeypatch.setattr(WeightedGraph, "_build_out", counted)
+    return builds
+
+
+class TestOutArcsIndex:
+    """The adjacency is built on the first ``out_arcs`` call and dropped by
+    every addition, with the per-node arcs in the order the edges give."""
+
+    @pytest.mark.parametrize("name", sorted(TestInstanceJson.SMALL_PARAMS))
+    def test_every_family_and_its_json_round_trip(self, name):
+        family = gadgets.FAMILIES[name]
+        params = family.params(parse_params(TestInstanceJson.SMALL_PARAMS[name]))
+        inst = family.build(params, 10_000)
+        assert_index_matches_edges(inst.graph)
+        read = instance_from_json_str(instance_to_json_str(inst)).graph
+        assert_index_matches_edges(read)
+        assert {v: read.out_arcs(v) for v in read.nodes} == {
+            v: inst.graph.out_arcs(v) for v in inst.graph.nodes
+        }
+
+    def test_compose(self):
+        synth = ug.synth_ug(2, 2, 2, 2, mode="planted", seed=3)
+        for kind, p in [
+            ("dict_vertex", gadgets.DictParamsV(2, 1, 2, 2, Fraction(1, 5))),
+            ("dict_edge", gadgets.DictParamsE(2, 3, 2, 2)),
+        ]:
+            assert_index_matches_edges(ug.compose(synth.instance, kind, p).graph)
+
+    def test_expand_node_weights(self):
+        g = chain_graph(weights={"a": Fraction(2), "b": Fraction(3)})
+        g.add_edge("b", "a", directed=True, length=2)
+        assert_index_matches_edges(expand_node_weights(g))
+
+    def test_additions_after_a_read(self):
+        g = chain_graph()
+        assert_index_matches_edges(g)
+        g.add_node("c", Fraction(1))
+        assert g.out_arcs("c") == []
+        g.add_edge("c", "a", directed=False, length=2)
+        assert g.out_arcs("c") == [(3, "a")]
+        g.add_edges([("s", "c", True, 1, None), ("t", "c", False, 1, Fraction(1))])
+        assert g.out_arcs("c") == [(3, "a"), (5, "t")]
+        assert_index_matches_edges(g)
+
+    def test_failed_batch_leaves_index_consistent(self):
+        g = chain_graph()
+        g.out_arcs("s")
+        with pytest.raises(UnknownNode):
+            g.add_edges([
+                ("s", "b", False, 1, None),
+                ("a", "t", True, 1, None),
+                ("a", "x", False, 1, None),
+                ("b", "s", False, 1, None),
+            ])
+        assert len(g.edges) == 5
+        assert g.out_arcs("s") == [(0, "a"), (3, "b")]
+        assert_index_matches_edges(g)
+
+    @pytest.mark.parametrize(
+        "record", [("a", "b", True, 1), ("a", "b", True, 1, None, None)],
+        ids=["4-field", "6-field"],
+    )
+    def test_wrong_arity_rejected(self, record):
+        g = chain_graph()
+        g.out_arcs("a")
+        with pytest.raises(ValueError):
+            g.add_edges([record])
+        assert len(g.edges) == 3
+        assert_index_matches_edges(g)
+
+    def test_built_once_for_verify_and_never_for_generate(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        builds = count_index_builds(monkeypatch)
+        path = str(tmp_path / "dict-v.json")
+        argv = ["--family", "dict-v", "--params", "a=2,b=3,r=3,R=2,eps=1/20"]
+        assert main(["generate", *argv, "--out", path]) == 0
+        assert builds == [0]
+        assert main(["verify", "--instance", path, "--q", "1"]) == 0
+        assert builds == [1]
+        assert capsys.readouterr().out.startswith("PASS")
+
+    def test_never_built_for_the_symmetry_comparison(self, monkeypatch):
+        family = gadgets.FAMILIES["saks"]
+        inst = family.build(family.params({"r": 2, "k": 2}), 10_000)
+        builds = count_index_builds(monkeypatch)
+        assert len(list(gadgets.declared_symmetries(inst))) > 0
+        assert builds == [0]
+
+
+class TestParseRational:
+    """Rational strings read as ``Fraction`` reads them, except that an
+    exponent beyond ``MAX_EXPONENT`` in absolute value is refused before
+    ``Fraction`` would compute ten to its power."""
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("15e-1", Fraction(3, 2)),
+            ("-2/6", Fraction(-1, 3)),
+            (" 1_000 ", Fraction(1000)),
+            ("1e4300", Fraction(10) ** 4300),
+            ("1E-4300", Fraction(1, 10**4300)),
+            ("1e+0004300", Fraction(10) ** 4300),
+            ("2.5e0", Fraction(5, 2)),
+        ],
+    )
+    def test_read_as_fraction(self, text, value):
+        assert parse_rational(text) == value == Fraction(text)
+
+    @pytest.mark.parametrize(
+        "text", ["1e4301", "1e-4301", "1e99999999", "1E+999_999_999", "2.5e" + "9" * 50]
+    )
+    def test_huge_exponent_refused(self, text):
+        with pytest.raises(ValueError, match="exceeds 4300"):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["1e", "e5", "1/0", "x", "1e4_30x"])
+    def test_malformed_still_refused(self, text):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            parse_rational(text)
+
+    @pytest.mark.parametrize("where", ["node", "edge"])
+    def test_huge_weight_exponent_is_malformed(self, where):
+        doc = TestReaderMessages.document(TestReaderMessages.entry())
+        doc["nodes" if where == "node" else "edges"][0]["weight"] = "1e999999999"
+        with pytest.raises(MalformedInstance) as excinfo:
+            instance_from_json(doc)
+        assert str(excinfo.value) == f"{where} weight '1e999999999' is not a rational"
 
 
 class TestReaderMessages:
