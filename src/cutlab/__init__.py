@@ -53,7 +53,7 @@ from .solvers import (
     rmfc_simulate,
 )
 from .lp import GapReport, LPProblem, gap_report, multicut_lp, short_path_cover_lp, simplex_solve
-from .approx import bicut_2approx, threshold_round_lbc, trivial_multicut
+from .approx import threshold_round_lbc, trivial_multicut
 from .ug import (
     Labeling,
     UGEdge,

@@ -1,6 +1,5 @@
-"""Baseline approximation algorithms: per-pair cut union, the two-cut
-bound for the bidirectional pair case, and threshold rounding of the
-short-path covering LP.
+"""Baseline approximation algorithms: per-pair cut union and threshold
+rounding of the short-path covering LP.
 """
 
 from __future__ import annotations
@@ -8,8 +7,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import InfeasibleLpInput, WrongProblemType, require, require_problem
-from .graphs import CutInstance, CutSolution, Element, LengthBound, Multicut
+from .errors import InfeasibleLpInput, require, require_problem
+from .graphs import CutInstance, CutSolution, Element, LengthBound
 from .lp import _dfs_has_cheap_path
 from .solvers import length_bound_is_feasible, per_pair_cut_union, solution_cost
 
@@ -18,16 +17,6 @@ def trivial_multicut(inst: CutInstance) -> CutSolution:
     """Union of per-pair minimum cuts; at most k times the optimum."""
     elements = per_pair_cut_union(inst)
     return CutSolution(elements, solution_cost(inst, elements))
-
-
-def bicut_2approx(inst: CutInstance) -> CutSolution:
-    """Union of the forward and backward minimum cuts for the two-pair
-    instance {(s,t), (t,s)}; at most twice the optimum."""
-    require_problem(inst.problem, Multicut)
-    pairs = inst.problem.pairs
-    if len(pairs) != 2 or pairs[0] != (pairs[1][1], pairs[1][0]):
-        raise WrongProblemType("bicut expects pairs ((s,t), (t,s))")
-    return trivial_multicut(inst)
 
 
 def threshold_round_lbc(

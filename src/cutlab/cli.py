@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 
 from . import approx, gadgets, lp, solvers
-from .errors import CoordinateOutOfRange, CutLabError, ParamOutOfRange
+from .errors import CoordinateOutOfRange, CutLabError, ParamOutOfRange, SizeGuard
 from .graphs import (
     CutInstance,
     LengthBound,
@@ -30,6 +31,10 @@ from .graphs import (
 )
 
 CSV_HEADER = "family,params,lp_value,integral_value,gap,wall_ms"
+# gap-table rows, counted from the range lengths before any range is listed
+GAP_TABLE_ROW_CAP = 1_000
+# the r or B of `correlation`, refused before its space is built
+CORRELATION_ALPHABET_CAP = 256
 
 
 def parse_rational_arg(name: str, raw: str) -> Fraction:
@@ -42,7 +47,8 @@ def parse_rational_arg(name: str, raw: str) -> Fraction:
 
 
 def parse_params(text: str, *, ranges: bool = False) -> dict:
-    """Parse "r=3,k=2,eps=1/20"; with ranges, "r=2..4" expands later."""
+    """Parse "r=3,k=2,eps=1/20"; with ranges, "r=2..4" becomes [2, 3, 4],
+    and a grid of more than ``GAP_TABLE_ROW_CAP`` points is refused first."""
     out: dict = {}
     if not text:
         return out
@@ -63,10 +69,14 @@ def parse_params(text: str, *, ranges: bool = False) -> dict:
                 ) from None
             if lo > hi:
                 raise ParamOutOfRange(f"range {key}={raw} is empty")
-            out[key] = list(range(lo, hi + 1))
+            out[key] = range(lo, hi + 1)
         else:
             out[key] = parse_rational_arg(f"parameter {key}", raw)
-    return out
+    # stop - start, as len() overflows on a range longer than sys.maxsize
+    rows = math.prod(v.stop - v.start for v in out.values() if isinstance(v, range))
+    if rows > GAP_TABLE_ROW_CAP:
+        raise SizeGuard(f"gap table would have {rows} rows (cap {GAP_TABLE_ROW_CAP})")
+    return {k: list(v) if isinstance(v, range) else v for k, v in out.items()}
 
 
 def family_of(args: argparse.Namespace) -> gadgets.Family:
@@ -297,6 +307,10 @@ def cmd_correlation(args: argparse.Namespace) -> int:
     if missing:
         raise ParamOutOfRange(f"missing parameter(s) {', '.join(missing)}")
     size = gadgets.param_value(need[0], int, params[need[0]])
+    if size > CORRELATION_ALPHABET_CAP:
+        raise SizeGuard(
+            f"{need[0]} = {size} exceeds the alphabet cap {CORRELATION_ALPHABET_CAP}"
+        )
     if args.family == "edge":
         cs = gadgets.edge_noise_space(size)
     elif args.family == "star":

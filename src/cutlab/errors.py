@@ -65,10 +65,6 @@ class SaveBurntVertex(CutLabError):
     """A fire-containment schedule tries to save an already burnt vertex."""
 
 
-class BudgetExceeded(CutLabError):
-    """A schedule day exceeds the declared per-day budget."""
-
-
 class InfeasibleLpInput(CutLabError):
     """A rounding routine received an LP solution that is not feasible."""
 

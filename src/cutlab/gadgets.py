@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, get_type_hints
 
@@ -273,36 +273,13 @@ def split_block_point(node_id: str) -> tuple[str, tuple[Atom, ...]]:
     return block, parse_point(point)
 
 
-def _layer_ids(
-    layers: Iterable[int], points: Sequence[tuple[Atom, ...]]
-) -> dict[int, list[str]]:
-    """The node id of every point in every layer, formatted once and listed
-    in the order of ``points``."""
-    return {i: [layer_node_id(i, x) for x in points] for i in layers}
-
-
-def _support_positions(
+def _support_steps(
     space: CorrelatedSpace, points: Sequence[tuple[Atom, ...]]
-) -> list[list[int]]:
-    """For each point, the positions in ``points`` of its support."""
+) -> list[tuple[int, int]]:
+    """Every (n, m) with ``points[m]`` in the support of ``points[n]``: the
+    moves of one block of edges, by position, in point then support order."""
     position = {x: n for n, x in enumerate(points)}
-    return [[position[y] for y in support(space, x)] for x in points]
-
-
-def _block_edges(
-    src: Sequence[str],
-    dst: Sequence[str],
-    moves: Sequence[Sequence[int]],
-    *,
-    directed: bool,
-    length: int = 1,
-) -> Iterator[EdgeRecord]:
-    """One unweighted edge from ``src[n]`` to ``dst[m]`` for every point
-    position n and every position m in ``moves[n]``."""
-    for n, ms in enumerate(moves):
-        tail = src[n]
-        for m in ms:
-            yield tail, dst[m], directed, length, None
+    return [(n, position[y]) for n, x in enumerate(points) for y in support(space, x)]
 
 
 def _guard_nodes(count: int, max_nodes: int) -> None:
@@ -316,13 +293,93 @@ def _guard_edges(count: int) -> None:
 
 
 def _support_total(space: CorrelatedSpace, coordinates: int) -> int:
-    """How many (x, y) pairs ``_support_positions`` lists over every point
-    of ``coordinates`` coordinates: each coordinate's support sizes summed
-    over its atoms, to the power of the coordinate count."""
+    """How many moves ``_support_steps`` lists over ``coordinates``
+    coordinates: the support sizes of one coordinate's atoms, summed, to
+    the power of the coordinate count."""
     return sum(len(space.partners[a]) for a in space.left.atoms) ** coordinates
 
 
+def _provenance(kind: str, p: Any, dictator_cut: str | None = None) -> dict:
+    """Provenance naming generator ``kind`` and the fields of params record
+    ``p``, in field order, each rational written "p/q"."""
+    params = {k: str(v) if isinstance(v, Fraction) else v for k, v in asdict(p).items()}
+    prov = {"generator": kind, "params": params}
+    return prov if dictator_cut is None else prov | {"dictator_cut": dictator_cut}
+
+
 # -- generators --------------------------------------------------------------
+
+
+def _grid_multicut(
+    r: int,
+    k: int,
+    blocks: Callable[[tuple[int, ...]], list[str]],
+    weights: Sequence[Fraction],
+    steps: Sequence[tuple[int, int]],
+    provenance: dict,
+) -> CutInstance:
+    """The grid multicut skeleton over [r]^k with k terminal pairs.
+
+    Grid point alpha carries the nodes ``blocks(alpha)``, node n weighing
+    ``weights[n]``; s_i feeds every node of the alpha_i = 1 slab, every node
+    of the alpha_i = r slab feeds t_i, and for grid points alpha, beta at
+    l-infinity distance 1 an arc joins node n of alpha's block to node m of
+    beta's for every (n, m) in ``steps``.
+    """
+    ids = {alpha: blocks(alpha) for alpha in itertools.product(range(1, r + 1), repeat=k)}
+    g = WeightedGraph()
+    pairs = tuple((f"s{i}", f"t{i}") for i in range(1, k + 1))
+    for s, t in pairs:
+        g.add_node(s, None)
+        g.add_node(t, None)
+    for block in ids.values():
+        for v, weight in zip(block, weights):
+            g.add_node(v, weight)
+    # r >= 2, so the slabs alpha_i = 1 (fed by s_i) and alpha_i = r (feeding t_i) differ
+    g.add_edges(
+        (f"s{i}", v, True, 1, None) if alpha[i - 1] == 1 else (v, f"t{i}", True, 1, None)
+        for i in range(1, k + 1)
+        for alpha, block in ids.items()
+        if alpha[i - 1] in (1, r)
+        for v in block
+    )
+    # near[a]: the values of 1..r within 1 of a, so each product over alpha's
+    # coordinates, less alpha, lists its grid neighbours lexicographically
+    near = {a: range(max(a - 1, 1), min(a + 1, r) + 1) for a in range(1, r + 1)}
+    g.add_edges(
+        (src[n], dst[m], True, 1, None)
+        for alpha, src in ids.items()
+        for beta in itertools.product(*map(near.__getitem__, alpha))
+        if beta != alpha
+        for dst in [ids[beta]]
+        for n, m in steps
+    )
+    return CutInstance(graph=g, mode=VERTEX, problem=Multicut(pairs), provenance=provenance)
+
+
+def _layered_graph(
+    layers: Iterable[int],
+    points: Sequence[tuple[Atom, ...]],
+    weight: Callable[[int, int], Fraction | None],
+) -> tuple[WeightedGraph, dict[int, list[str]]]:
+    """The layered skeleton: a graph with nodes s, t and then, layer by
+    layer, one node per point, node n of layer i weighing ``weight(i, n)``;
+    returned with each layer's node ids in the order of ``points``."""
+    ids = {i: [layer_node_id(i, x) for x in points] for i in layers}
+    g = WeightedGraph()
+    g.add_node("s", None)
+    g.add_node("t", None)
+    for i, layer in ids.items():
+        for n, v in enumerate(layer):
+            g.add_node(v, weight(i, n))
+    return g, ids
+
+
+def _end_edges(first: Sequence[str], last: Sequence[str]) -> Iterator[EdgeRecord]:
+    """Unit edges from s to ``first`` and from ``last`` to t, point by point."""
+    for v, w in zip(first, last):
+        yield "s", v, False, 1, None
+        yield w, "t", False, 1, None
 
 
 def build_saks_gap(r: int, k: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> CutInstance:
@@ -338,40 +395,14 @@ def build_saks_gap(r: int, k: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cut
     if k > max_nodes.bit_length():
         raise SizeGuard(f"instance would have over {max_nodes} nodes (cap {max_nodes})")
     _guard_nodes(r**k + 2 * k, max_nodes)
-    g = WeightedGraph()
-    pairs = []
-    for i in range(1, k + 1):
-        g.add_node(f"s{i}", None)
-        g.add_node(f"t{i}", None)
-        pairs.append((f"s{i}", f"t{i}"))
-    alphas = itertools.product(range(1, r + 1), repeat=k)
-    ids = {alpha: grid_node_id(alpha) for alpha in alphas}
-    for v in ids.values():
-        g.add_node(v, Fraction(1))
-    # r >= 2, so the slabs alpha_i = 1 (fed by s_i) and alpha_i = r (feeding t_i) differ
-    g.add_edges(
-        (f"s{i}", v, True, 1, None) if alpha[i - 1] == 1 else (v, f"t{i}", True, 1, None)
-        for i in range(1, k + 1)
-        for alpha, v in ids.items()
-        if alpha[i - 1] in (1, r)
+    return _grid_multicut(
+        r,
+        k,
+        lambda alpha: [grid_node_id(alpha)],
+        [Fraction(1)],
+        [(0, 0)],
+        _provenance("saks", SaksParams(r, k)),
     )
-    g.add_edges(
-        (v, ids[beta], True, 1, None)
-        for alpha, v in ids.items()
-        for beta in _grid_neighbours(alpha, r)
-    )
-    return CutInstance(
-        graph=g,
-        mode=VERTEX,
-        problem=Multicut(tuple(pairs)),
-        provenance={"generator": "saks", "params": {"r": r, "k": k}},
-    )
-
-
-def _grid_neighbours(alpha: Sequence[int], r: int) -> list[tuple[int, ...]]:
-    """Points of [r]^k at l-infinity distance 1 from alpha, lexicographically."""
-    steps = [range(max(ai - 1, 1), min(ai + 1, r) + 1) for ai in alpha]
-    return [beta for beta in itertools.product(*steps) if beta != tuple(alpha)]
 
 
 def build_dict_multicut(
@@ -390,39 +421,13 @@ def build_dict_multicut(
         + ((3 * p.r - 2) ** p.k - p.r**p.k) * _support_total(noise, p.R)
     )
     points = list(itertools.product(noise.left.atoms, repeat=p.R))
-    moves = _support_positions(noise, points)
-    alphas = itertools.product(range(1, p.r + 1), repeat=p.k)
-    ids = {alpha: [grid_node_id(alpha, x) for x in points] for alpha in alphas}
-    g = WeightedGraph()
-    pairs = []
-    for i in range(1, p.k + 1):
-        g.add_node(f"s{i}", None)
-        g.add_node(f"t{i}", None)
-        pairs.append((f"s{i}", f"t{i}"))
-    masses = [product_mass(noise.left, x) for x in points]
-    for block in ids.values():
-        for v, mass in zip(block, masses):
-            g.add_node(v, mass)
-    # r >= 2, so the slabs alpha_i = 1 (fed by s_i) and alpha_i = r (feeding t_i) differ
-    g.add_edges(
-        (f"s{i}", v, True, 1, None) if alpha[i - 1] == 1 else (v, f"t{i}", True, 1, None)
-        for i in range(1, p.k + 1)
-        for alpha, block in ids.items()
-        if alpha[i - 1] in (1, p.r)
-        for v in block
-    )
-    for alpha, block in ids.items():
-        for beta in _grid_neighbours(alpha, p.r):
-            g.add_edges(_block_edges(block, ids[beta], moves, directed=True))
-    return CutInstance(
-        graph=g,
-        mode=VERTEX,
-        problem=Multicut(tuple(pairs)),
-        provenance={
-            "generator": "dict_multicut",
-            "params": {"r": p.r, "k": p.k, "R": p.R, "eps": str(p.eps)},
-            "dictator_cut": "nodes with x_q in {*, 0}",
-        },
+    return _grid_multicut(
+        p.r,
+        p.k,
+        lambda alpha: [grid_node_id(alpha, x) for x in points],
+        [product_mass(noise.left, x) for x in points],
+        _support_steps(noise, points),
+        _provenance("dict_multicut", p, "nodes with x_q in {*, 0}"),
     )
 
 
@@ -435,40 +440,22 @@ def build_dict_edge(p: DictParamsE, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cu
     # terminal and long edges, then b blocks of short edges
     _guard_edges((p.b + 2) * p.r**p.R + p.b * _support_total(noise, p.R))
     points = list(itertools.product(noise.left.atoms, repeat=p.R))
-    moves = [
-        [(m, noise.product_pair_mass(x, points[m])) for m in ms]
-        for x, ms in zip(points, _support_positions(noise, points))
+    steps = [
+        (n, m, noise.product_pair_mass(points[n], points[m]))
+        for n, m in _support_steps(noise, points)
     ]
-    ids = _layer_ids(range(p.b + 1), points)
-    g = WeightedGraph()
-    g.add_node("s", None)
-    g.add_node("t", None)
-    for i in range(p.b + 1):
-        for v in ids[i]:
-            g.add_node(v, None)
-    g.add_edges(
-        rec
-        for first, last in zip(ids[0], ids[p.b])
-        for rec in (("s", first, False, 1, None), (last, "t", False, 1, None))
-    )
-    for i in range(p.b):
-        src, dst = ids[i], ids[i + 1]
+    g, ids = _layered_graph(range(p.b + 1), points, lambda i, n: None)
+    g.add_edges(_end_edges(ids[0], ids[p.b]))
+    for src, dst in itertools.pairwise(ids.values()):
         g.add_edges((v, w, False, p.a, None) for v, w in zip(src, dst))
-        g.add_edges(
-            (src[n], dst[m], False, 1, mass)
-            for n, ms in enumerate(moves)
-            for m, mass in ms
-        )
-    bound = max(1, p.a * (p.b - p.r + 1))
+        g.add_edges((src[n], dst[m], False, 1, mass) for n, m, mass in steps)
     return CutInstance(
         graph=g,
         mode=EDGE,
-        problem=LengthBound("s", "t", bound),
-        provenance={
-            "generator": "dict_edge",
-            "params": {"a": p.a, "b": p.b, "r": p.r, "R": p.R},
-            "dictator_cut": "short edges with y_q != x_q+1 mod r, or (x_q,y_q) = (0,1)",
-        },
+        problem=LengthBound("s", "t", max(1, p.a * (p.b - p.r + 1))),
+        provenance=_provenance(
+            "dict_edge", p, "short edges with y_q != x_q+1 mod r, or (x_q,y_q) = (0,1)"
+        ),
     )
 
 
@@ -487,39 +474,29 @@ def build_dict_vertex(
         + (p.b + 1) * p.b // 2 * _support_total(noise, p.R)
     )
     points = list(itertools.product(noise.left.atoms, repeat=p.R))
-    moves = _support_positions(noise, points)
-    ids = _layer_ids(range(p.b + 1), points)
-    g = WeightedGraph()
-    g.add_node("s", None)
-    g.add_node("t", None)
     masses = [product_mass(noise.left, x) for x in points]
-    for i in range(p.b + 1):
-        for v, mass in zip(ids[i], masses):
-            g.add_node(v, mass)
+    g, ids = _layered_graph(range(p.b + 1), points, lambda i, n: masses[n])
     g.add_edges(
         rec
-        for i in range(p.b + 1)
-        for v in ids[i]
+        for i, layer in ids.items()
+        for v in layer
         for rec in (
             ("s", v, False, p.a * i + 1, None),
             (v, "t", False, (p.b - i) * p.a + 1, None),
         )
     )
-    layer_pairs = [(i, i + 1, 1) for i in range(p.b)] + [
-        (i, j, (j - i) * p.a) for i in range(p.b + 1) for j in range(i + 2, p.b + 1)
+    steps = _support_steps(noise, points)
+    blocks = [(ids[i], ids[i + 1], 1) for i in range(p.b)] + [
+        (ids[i], ids[j], (j - i) * p.a) for i in range(p.b + 1) for j in range(i + 2, p.b + 1)
     ]
-    for i, j, length in layer_pairs:
-        g.add_edges(_block_edges(ids[i], ids[j], moves, directed=False, length=length))
-    bound = max(1, p.a * (p.b - p.r + 2))
+    g.add_edges(
+        (src[n], dst[m], False, length, None) for src, dst, length in blocks for n, m in steps
+    )
     return CutInstance(
         graph=g,
         mode=VERTEX,
-        problem=LengthBound("s", "t", bound),
-        provenance={
-            "generator": "dict_vertex",
-            "params": {"a": p.a, "b": p.b, "r": p.r, "R": p.R, "eps": str(p.eps)},
-            "dictator_cut": "nodes with x_q in {*, 0}",
-        },
+        problem=LengthBound("s", "t", max(1, p.a * (p.b - p.r + 2))),
+        provenance=_provenance("dict_vertex", p, "nodes with x_q in {*, 0}"),
     )
 
 
@@ -532,31 +509,22 @@ def build_dict_rmfc(p: DictParamsF, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cu
     _guard_nodes(p.b * (p.big_b + 1) ** p.R + 2, max_nodes)
     noise = fire_noise_space(p.big_b, p.eps)
     points = list(itertools.product(noise.left.atoms, repeat=p.R))
-    moves = _support_positions(noise, points)
-    ids = _layer_ids(range(1, p.b + 1), points)
-    g = WeightedGraph()
-    g.add_node("s", None)
-    g.add_node("t", None)
     masses = [product_mass(noise.left, x) for x in points]
-    for i in range(1, p.b + 1):
-        for v, mass in zip(ids[i], masses):
-            g.add_node(v, i * mass)
+    g, ids = _layered_graph(range(1, p.b + 1), points, lambda i, n: i * masses[n])
+    g.add_edges(_end_edges(ids[1], ids[p.b]))
+    steps = _support_steps(noise, points)
     g.add_edges(
-        rec
-        for first, last in zip(ids[1], ids[p.b])
-        for rec in (("s", first, False, 1, None), (last, "t", False, 1, None))
+        (src[n], dst[m], False, 1, None)
+        for src, dst in itertools.pairwise(ids.values())
+        for n, m in steps
     )
-    for i in range(1, p.b):
-        g.add_edges(_block_edges(ids[i], ids[i + 1], moves, directed=False))
     return CutInstance(
         graph=g,
         mode=VERTEX,
         problem=Rmfc("s", frozenset({"t"})),
-        provenance={
-            "generator": "dict_rmfc",
-            "params": {"b": p.b, "R": p.R, "eps": str(p.eps)},
-            "dictator_cut": "day i saves nodes with x_q = * or B_(i-1) < x_q <= B_i",
-        },
+        provenance=_provenance(
+            "dict_rmfc", p, "day i saves nodes with x_q = * or B_(i-1) < x_q <= B_i"
+        ),
     )
 
 

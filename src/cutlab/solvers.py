@@ -10,7 +10,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import (
-    BudgetExceeded,
     Infeasible,
     RemovingUncuttable,
     SaveBurntVertex,
@@ -608,9 +607,7 @@ def _undirected_neighbors(g: WeightedGraph) -> dict[str, list[str]]:
     return {v: [nb for _, nb in g.out_arcs(v)] for v in g.nodes}
 
 
-def rmfc_simulate(
-    inst: CutInstance, schedule: Schedule, budget: Fraction | None = None
-) -> BurnTrace:
+def rmfc_simulate(inst: CutInstance, schedule: Schedule) -> BurnTrace:
     """Run the save-then-spread process: the source burns on day 0, and on
     each later day the scheduled set is saved before the fire spreads one
     step to unsaved neighbors. Burnt and saved states are permanent.
@@ -629,16 +626,11 @@ def rmfc_simulate(
         day += 1
         if day <= len(schedule.days):
             todays = schedule.days[day - 1]
-            cost = Fraction(0)
             for v in todays:
-                w = g.node_weight(v)
-                if w is None:
+                if g.node_weight(v) is None:
                     raise RemovingUncuttable(f"cannot save uncuttable {v!r}")
                 if v in burnt:
                     raise SaveBurntVertex(f"{v!r} already burnt on day {day}")
-                cost += w
-            if budget is not None and cost > budget:
-                raise BudgetExceeded(f"day {day} cost {cost} over budget {budget}")
             saved |= set(todays)
         spread = {
             nb

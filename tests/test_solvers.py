@@ -670,7 +670,10 @@ class TestRmfcSimulate:
         inst = build_dict_rmfc(p)
         schedule = dictator_cut("dict_rmfc", p, 0)
         bound = 2 * p.eps + 1 / harmonic(2)
-        trace = rmfc_simulate(inst, schedule, budget=bound)
+        trace = rmfc_simulate(inst, schedule)
+        assert all(
+            sum(inst.graph.node_weight(v) for v in day) <= bound for day in schedule.days
+        )
         assert not trace.target_burnt
 
 
@@ -745,7 +748,10 @@ class TestRmfcDecision:
             oracle = brute_force_rmfc(inst, k)
             assert savable == oracle, f"trial {trial}"
             if savable:
-                trace = rmfc_simulate(inst, schedule, budget=k)
+                trace = rmfc_simulate(inst, schedule)
+                assert all(
+                    sum(inst.graph.node_weight(v) for v in day) <= k for day in schedule.days
+                )
                 assert not trace.target_burnt
 
     @pytest.mark.parametrize("seed", range(12))
