@@ -276,7 +276,13 @@ def cmd_gap_table(args: argparse.Namespace) -> int:
         point = {k: grid[k] for k in fixed} | combo
         started = time.monotonic()
         try:
-            inst = family.build(family.params(point), args.max_nodes)
+            params = family.params(point)
+            # refuse what the exact search would refuse, before the build
+            if family.cuttable and family.cuttable(params) > solvers.BB_ELEMENT_LIMIT:
+                raise SizeGuard(
+                    f"instance would have over {solvers.BB_ELEMENT_LIMIT} cuttable elements"
+                )
+            inst = family.build(params, args.max_nodes)
             report = lp.gap_report(inst)
             cells = report.csv_cells()
         except CutLabError as exc:

@@ -42,7 +42,7 @@ from .graphs import (
     shortest_path_length,
 )
 from .probspace import Atom, CorrelatedSpace, FiniteProbSpace, product_mass
-from .solvers import rmfc_simulate
+from .solvers import BB_ELEMENT_LIMIT, rmfc_simulate
 
 DEFAULT_MAX_NODES = 200_000
 DEFAULT_MAX_EDGES = 500_000
@@ -389,8 +389,7 @@ def build_saks_gap(r: int, k: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cut
     alpha_i = 1 slab, the alpha_i = r slab feeds t_i, and grid points at
     l-infinity distance 1 are joined both ways.
     """
-    if r < 2 or k < 1:
-        raise ParamOutOfRange("need r >= 2, k >= 1")
+    params = SaksParams(r, k)
     # r**k >= 2**k > max_nodes here; refuse before computing the power
     if k > max_nodes.bit_length():
         raise SizeGuard(f"instance would have over {max_nodes} nodes (cap {max_nodes})")
@@ -401,7 +400,7 @@ def build_saks_gap(r: int, k: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cut
         lambda alpha: [grid_node_id(alpha)],
         [Fraction(1)],
         [(0, 0)],
-        _provenance("saks", SaksParams(r, k)),
+        _provenance("saks", params),
     )
 
 
@@ -538,6 +537,10 @@ class SaksParams:
     r: int
     k: int
 
+    def __post_init__(self) -> None:
+        if self.r < 2 or self.k < 1:
+            raise ParamOutOfRange("need r >= 2, k >= 1")
+
 
 TestParams = DictParamsM | DictParamsE | DictParamsV | DictParamsF
 # a post-cut property check's (label, ok, detail)
@@ -565,6 +568,11 @@ class Family:
     - ``check(params, inst, solution)``: the post-cut property, as
       ``(label, ok, detail)``.
 
+    A family may declare ``cuttable(params)``: the number of cuttable
+    elements of its build, counted from the params alone, or any number
+    over ``solvers.BB_ELEMENT_LIMIT`` when the count is over it; a caller
+    can then refuse an instance too large for the exact search unbuilt.
+
     A family may also declare ``symmetries(params)``: permutations of the
     cuttable elements of its build that keep multicut feasibility and
     cost, which the exact search prunes with (see ``declared_symmetries``).
@@ -578,6 +586,7 @@ class Family:
     exact_cost: Callable[[Any], Fraction] | None = None
     cost_bound: Callable[[Any, Fraction], Fraction] | None = None
     check: Callable[[Any, CutInstance, Any], Verdict] | None = None
+    cuttable: Callable[[Any], int] | None = None
     symmetries: Callable[[Any], Iterable[dict[Element, Element]]] | None = None
 
     def check_names(self, names: Iterable[str]) -> None:
@@ -653,6 +662,13 @@ def _target_saved(p: DictParamsF, inst: CutInstance, schedule: Schedule) -> Verd
     return "target never burnt", not burnt, {"target_burnt": burnt}
 
 
+def _saks_cuttable(p: SaksParams) -> int:
+    """The r^k grid nodes. The exponent stops at the search cap's bit
+    length: past it r^k >= 2^k is over the cap anyway, and a huge k would
+    make the power itself slow."""
+    return p.r ** min(p.k, BB_ELEMENT_LIMIT.bit_length())
+
+
 def _saks_symmetries(p: SaksParams) -> Iterator[dict[Element, Element]]:
     """Every element but the identity of the hyperoctahedral group on the
     grid [r]^k, as a map of grid node ids: permute the k coordinates and
@@ -683,6 +699,7 @@ FAMILIES = {
         "saks",
         SaksParams,
         lambda p, n: build_saks_gap(p.r, p.k, max_nodes=n),
+        cuttable=_saks_cuttable,
         symmetries=_saks_symmetries,
     ),
     "dict-m": Family(

@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import islice
 from json.encoder import encode_basestring_ascii as json_str
 from math import lcm
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
@@ -215,15 +216,6 @@ class WeightedGraph:
         if mode == VERTEX:
             return [v for v, w in self._weights.items() if w is not None]
         return [i for i, e in enumerate(self.edges) if e.weight is not None]
-
-    def total_finite_weight(self, mode: str) -> Fraction:
-        total = Fraction(0)
-        for el in self.cuttable_elements(mode):
-            total += self.element_weight(el)
-        return total
-
-    def total_length(self) -> int:
-        return sum(e.length for e in self.edges)
 
     # -- removal bookkeeping -------------------------------------------
 
@@ -799,12 +791,15 @@ def _weight_field(doc: dict, where: str) -> Weight:
     raise MalformedInstance(f"{where} weight {w!r} is not a rational")
 
 
-def _edge_records(entries: list) -> Iterator[EdgeRecord]:
+def _edge_records(entries: list, ids: Mapping[str, str]) -> Iterator[EdgeRecord]:
     """The record of each edge entry of an instance document.
 
     One type test accepts an entry as the writer prints it; any other entry
     goes through ``_field`` and ``_weight_field``, which accept or reject it
     with their usual messages. Each distinct weight string is parsed once.
+    An endpoint becomes the string object of its node in ``ids`` (an id to
+    itself), so the graph holds one string per node, not two per edge; an
+    undeclared endpoint keeps its own string for ``add_edges`` to refuse.
     """
     weights: dict[str | None, Weight] = {None: None}
     for ed in entries:
@@ -820,15 +815,16 @@ def _edge_records(entries: list) -> Iterator[EdgeRecord]:
             ):
                 if w not in weights:
                     weights[w] = _weight_field(ed, "edge")
-                yield tail, head, directed, length, weights[w]
+                yield ids.get(tail, tail), ids.get(head, head), directed, length, weights[w]
                 continue
-        yield (
+        tail, head, directed, length, weight = (
             _field(ed, "tail", str, "edge"),
             _field(ed, "head", str, "edge"),
             _field(ed, "directed", bool, "edge"),
             _field(ed, "length", int, "edge"),
             _weight_field(ed, "edge"),
         )
+        yield ids.get(tail, tail), ids.get(head, head), directed, length, weight
 
 
 def instance_from_json(doc: object) -> CutInstance:
@@ -837,7 +833,8 @@ def instance_from_json(doc: object) -> CutInstance:
     g = WeightedGraph()
     for nd in _field(doc, "nodes", list, "instance"):
         g.add_node(_field(nd, "id", str, "node"), _weight_field(nd, "node"))
-    g.add_edges(_edge_records(_field(doc, "edges", list, "instance")))
+    ids = {v: v for v in g.nodes}
+    g.add_edges(_edge_records(_field(doc, "edges", list, "instance"), ids))
     provenance = doc.get("provenance")
     if provenance is not None and not isinstance(provenance, dict):
         raise MalformedInstance("instance field 'provenance' must be an object")
@@ -880,8 +877,41 @@ def _json_nested(value: object) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
-def _json_items(items: list[str]) -> str:
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+# entries joined per block by the writer: it holds one block's entry
+# strings at a time, never one string per edge of a large graph
+_JSON_BLOCK = 1024
+
+
+def _json_array(entries: Iterator[str]) -> Iterator[str]:
+    """The pieces of a JSON array one level inside the document, with its
+    entries joined in blocks of ``_JSON_BLOCK``."""
+    opening = "[\n"
+    while block := ",\n".join(islice(entries, _JSON_BLOCK)):
+        yield opening
+        yield block
+        opening = ",\n"
+    yield "[]" if opening == "[\n" else "\n  ]"
+
+
+def _json_pieces(inst: CutInstance) -> Iterator[str]:
+    g = inst.graph
+    ids = {v: json_str(v) for v in g.nodes}
+    yield '{\n  "edges": '
+    yield from _json_array(
+        f'    {{\n      "directed": {"true" if e.directed else "false"},\n'
+        f'      "head": {ids[e.head]},\n      "length": {e.length},\n'
+        f'      "tail": {ids[e.tail]},\n      "weight": {_json_weight(e.weight)}\n    }}'
+        for e in g.edges
+    )
+    yield f',\n  "mode": {json_str(inst.mode)},\n  "nodes": '
+    yield from _json_array(
+        f'    {{\n      "id": {ids[v]},\n      "weight": {_json_weight(g.node_weight(v))}\n    }}'
+        for v in g.nodes
+    )
+    yield f',\n  "problem": {_json_nested(_problem_to_json(inst.problem))}'
+    if inst.provenance is not None:
+        yield f',\n  "provenance": {_json_nested(inst.provenance)}'
+    yield "\n}\n"
 
 
 def instance_to_json_str(inst: CutInstance) -> str:
@@ -891,29 +921,15 @@ def instance_to_json_str(inst: CutInstance) -> str:
     Nodes and edges are written from fixed templates with their keys in
     sorted order and strings escaped by the stdlib's C escaper; only the
     small ``problem`` and ``provenance`` values go through ``json.dumps``.
+    The pieces, edges joined in blocks, are joined once into the result,
+    so the writer holds about two copies of the text at its peak.
     """
-    g = inst.graph
-    ids = {v: json_str(v) for v in g.nodes}
-    nodes = [
-        f'    {{\n      "id": {ids[v]},\n      "weight": {_json_weight(g.node_weight(v))}\n    }}'
-        for v in g.nodes
-    ]
-    edges = [
-        f'    {{\n      "directed": {"true" if e.directed else "false"},\n'
-        f'      "head": {ids[e.head]},\n      "length": {e.length},\n'
-        f'      "tail": {ids[e.tail]},\n      "weight": {_json_weight(e.weight)}\n    }}'
-        for e in g.edges
-    ]
-    members = [
-        f'  "edges": {_json_items(edges)}',
-        f'  "mode": {json_str(inst.mode)}',
-        f'  "nodes": {_json_items(nodes)}',
-        f'  "problem": {_json_nested(_problem_to_json(inst.problem))}',
-    ]
-    if inst.provenance is not None:
-        members.append(f'  "provenance": {_json_nested(inst.provenance)}')
-    return "{\n" + ",\n".join(members) + "\n}\n"
+    return "".join(_json_pieces(inst))
 
 
 def instance_from_json_str(text: str) -> CutInstance:
-    return instance_from_json(json.loads(text))
+    """Parse and rebuild an instance document. The text is released once
+    parsed, so the graph is built without it held."""
+    doc = json.loads(text)
+    del text
+    return instance_from_json(doc)

@@ -78,6 +78,15 @@ def path_length(g: WeightedGraph, edges) -> int:
     return sum(g.edges[i].length for i in edges)
 
 
+def total_length(g: WeightedGraph) -> int:
+    return path_length(g, range(len(g.edges)))
+
+
+def total_finite_weight(g: WeightedGraph, mode: str) -> Fraction:
+    """The summed weight of every cuttable element of ``g`` in ``mode``."""
+    return sum((g.element_weight(el) for el in g.cuttable_elements(mode)), Fraction(0))
+
+
 def path_x_weight(g: WeightedGraph, nodes, edges, x, mode) -> Fraction:
     elements = nodes if mode == VERTEX else edges
     total = Fraction(0)
@@ -322,8 +331,11 @@ def random_instance(
         add(a, b)
         used += 1
     inst = CutInstance(graph=g, mode=mode, problem=problem)
-    if mode == EDGE:
-        assert len(inst.cuttable_elements()) <= max_cuttable
+    # a raise, not an assert: pytest does not rewrite this module, so an
+    # assert here would vanish under python -O
+    cuttable = len(inst.cuttable_elements())
+    if mode == EDGE and cuttable > max_cuttable:
+        raise ValueError(f"{cuttable} cuttable edges exceed max_cuttable = {max_cuttable}")
     return inst
 
 

@@ -342,6 +342,30 @@ class TestGapTable:
         over = ["gap-table", "--family", "dict-e", "--params", "a=1..5,b=1,r=2,R=1"]
         assert run_cli(capsys, over)[:2] == (1, "")
 
+    def test_saks_rows_over_the_search_cap_are_not_built(self, monkeypatch, capsys):
+        """Past r=3 at k=3 the exact search's cap refuses every row, so
+        r=4..1001 print SizeGuard without a build; one such build takes
+        seconds at r=58."""
+        built = []
+        real = cutlab.gadgets.build_saks_gap
+
+        def counted(r, k, **kwargs):
+            built.append(r)
+            return real(r, k, **kwargs)
+
+        monkeypatch.setattr(cutlab.gadgets, "build_saks_gap", counted)
+        argv = ["gap-table", "--family", "saks", "--params", "k=3,r=3..1001"]
+        code, out, err = run_cli(capsys, argv)
+        refused = [f"saks,k=3;r={r},error,error,error:SizeGuard,0" for r in range(4, 1002)]
+        assert (code, err) == (1, "")
+        assert out.split("\n") == [
+            "family,params,lp_value,integral_value,gap,wall_ms",
+            "saks,k=3;r=3,9/1,19/1,19/9,0",
+            *refused,
+            "",
+        ]
+        assert set(built) == {3}
+
     def test_dict_e_bound_sweep_monotone(self, tmp_path):
         from fractions import Fraction
 

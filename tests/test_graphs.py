@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from cutlab.graphs import (
     Multicut,
     Rmfc,
     WeightedGraph,
+    _JSON_BLOCK,
     _scaled_costs,
     constrained_min_weight_path,
     expand_node_weights,
@@ -82,6 +84,14 @@ class TestShortestPath:
             if d_big is None:
                 continue
             assert d_small is not None and d_small <= d_big
+
+
+def test_random_instance_caps_cuttable_edges():
+    """``random_instance`` refuses more cuttable edges than ``max_cuttable``
+    (12 interior nodes make a 13-edge backbone); the check is a raise, so
+    it also holds under python -O."""
+    with pytest.raises(ValueError, match="13 cuttable edges exceed max_cuttable = 10"):
+        helpers.random_instance(random.Random(0), "length_bound", EDGE, n_nodes=12)
 
 
 class TestMinStCut:
@@ -215,7 +225,7 @@ class TestConstrainedMinWeightPath:
                 el: Fraction(rng.randint(0, 5), rng.randint(1, 4))
                 for el in g.cuttable_elements(mode)
             }
-            loose = 1 + g.total_length()
+            loose = 1 + helpers.total_length(g)
             a = constrained_min_weight_path(g, "S", "T", x, loose, mode)
             b = min_weight_path(g, "S", "T", x, mode)
             assert (a is None) == (b is None)
@@ -346,7 +356,7 @@ class TestScaledOraclesMatchFractionReference:
             for s, t in pairs:
                 got = min_weight_path(g, s, t, x, mode)
                 assert got == helpers.reference_min_weight_path(g, s, t, x, mode), trial
-                for bound in (1, 2, 3, 5, 8, 1 + g.total_length()):
+                for bound in (1, 2, 3, 5, 8, 1 + helpers.total_length(g)):
                     got = constrained_min_weight_path(g, s, t, x, bound, mode)
                     want = helpers.reference_constrained_min_weight_path(g, s, t, x, bound, mode)
                     assert got == want, (trial, bound)
@@ -448,6 +458,58 @@ class TestInstanceJson:
         text = self.assert_canonical(inst)
         assert text.isascii()
         assert instance_from_json_str(text).graph.nodes == chain
+
+    def odd_id_instance(self, count):
+        """``count`` edges over the ``ODD_IDS`` chain, directions, lengths
+        and weights varying; no edge is a loop."""
+        chain = ["s", *self.ODD_IDS, "t"]
+        g = WeightedGraph()
+        for v in chain:
+            g.add_node(v)
+        n = len(chain)
+        for i in range(count):
+            tail = chain[i % n]
+            head = chain[(i + 1 + i // n % (n - 1)) % n]
+            weight = None if i % 4 == 0 else Fraction(i % 5, 3)
+            g.add_edge(tail, head, directed=i % 2 == 0, length=1 + i % 3, weight=weight)
+        return CutInstance(graph=g, mode=EDGE, problem=LengthBound("s", "t", 3))
+
+    @pytest.mark.parametrize(
+        "count",
+        [0, 1, _JSON_BLOCK, _JSON_BLOCK + 1, 3 * _JSON_BLOCK + 5],
+        ids=["none", "one", "block", "block+1", "blocks"],
+    )
+    def test_edge_block_boundaries(self, count):
+        text = self.assert_canonical(self.odd_id_instance(count))
+        assert text.count('"tail"') == count
+
+    def test_endpoints_share_node_ids(self):
+        """Every endpoint read back is the string object of its node, on
+        the writer's entries and on an entry that takes the checked path
+        (an integer weight)."""
+        doc = json.loads(instance_to_json_str(self.odd_id_instance(50)))
+        doc["edges"][7]["weight"] = 3
+        for inst in (instance_from_json_str(json.dumps(doc)), instance_from_json(doc)):
+            g = inst.graph
+            node = {id(v) for v in g.nodes}
+            assert all(id(e.tail) in node and id(e.head) in node for e in g.edges)
+
+    def test_writer_peak_memory(self):
+        """The writer allocates at most three times its text at its peak,
+        over what was held before the call, on a 62k-edge dict-v test
+        (the text, plus the edge blocks it is joined from)."""
+        family = gadgets.FAMILIES["dict-v"]
+        params = family.params(parse_params("a=2,b=3,r=3,R=4,eps=1/20"))
+        inst = family.build(params, 200_000)
+        assert len(inst.graph.edges) >= 10_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            text = instance_to_json_str(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 3 * len(text)
 
 
 class TestAddEdges:
