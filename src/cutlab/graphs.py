@@ -893,27 +893,6 @@ def _json_array(entries: Iterator[str]) -> Iterator[str]:
     yield "[]" if opening == "[\n" else "\n  ]"
 
 
-def _json_pieces(inst: CutInstance) -> Iterator[str]:
-    g = inst.graph
-    ids = {v: json_str(v) for v in g.nodes}
-    yield '{\n  "edges": '
-    yield from _json_array(
-        f'    {{\n      "directed": {"true" if e.directed else "false"},\n'
-        f'      "head": {ids[e.head]},\n      "length": {e.length},\n'
-        f'      "tail": {ids[e.tail]},\n      "weight": {_json_weight(e.weight)}\n    }}'
-        for e in g.edges
-    )
-    yield f',\n  "mode": {json_str(inst.mode)},\n  "nodes": '
-    yield from _json_array(
-        f'    {{\n      "id": {ids[v]},\n      "weight": {_json_weight(g.node_weight(v))}\n    }}'
-        for v in g.nodes
-    )
-    yield f',\n  "problem": {_json_nested(_problem_to_json(inst.problem))}'
-    if inst.provenance is not None:
-        yield f',\n  "provenance": {_json_nested(inst.provenance)}'
-    yield "\n}\n"
-
-
 def instance_to_json_str(inst: CutInstance) -> str:
     """The instance document, byte for byte as ``json.dumps(doc, indent=2,
     sort_keys=True)`` prints it, plus a newline.
@@ -924,7 +903,27 @@ def instance_to_json_str(inst: CutInstance) -> str:
     The pieces, edges joined in blocks, are joined once into the result,
     so the writer holds about two copies of the text at its peak.
     """
-    return "".join(_json_pieces(inst))
+    g = inst.graph
+    ids = {v: json_str(v) for v in g.nodes}
+    pieces = [
+        '{\n  "edges": ',
+        *_json_array(
+            f'    {{\n      "directed": {"true" if e.directed else "false"},\n'
+            f'      "head": {ids[e.head]},\n      "length": {e.length},\n'
+            f'      "tail": {ids[e.tail]},\n      "weight": {_json_weight(e.weight)}\n    }}'
+            for e in g.edges
+        ),
+        f',\n  "mode": {json_str(inst.mode)},\n  "nodes": ',
+        *_json_array(
+            f'    {{\n      "id": {ids[v]},\n      "weight": {_json_weight(g.node_weight(v))}\n    }}'
+            for v in g.nodes
+        ),
+        f',\n  "problem": {_json_nested(_problem_to_json(inst.problem))}',
+    ]
+    if inst.provenance is not None:
+        pieces.append(f',\n  "provenance": {_json_nested(inst.provenance)}')
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 def instance_from_json_str(text: str) -> CutInstance:
