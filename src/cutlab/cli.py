@@ -35,6 +35,13 @@ CSV_HEADER = "family,params,lp_value,integral_value,gap,wall_ms"
 GAP_TABLE_ROW_CAP = 1_000
 # the r or B of `correlation`, refused before its space is built
 CORRELATION_ALPHABET_CAP = 256
+# `correlation` family -> (its keys, the alphabet size first; its space from
+# the size and eps, looked up in `gadgets` when called)
+CORRELATION_SPACES = {
+    "edge": (("r",), lambda size, eps: gadgets.edge_noise_space(size)),
+    "star": (("r", "eps"), lambda size, eps: gadgets.star_noise_space(size, eps)),
+    "fire": (("B", "eps"), lambda size, eps: gadgets.fire_noise_space(size, eps)),
+}
 
 
 def parse_rational_arg(name: str, raw: str) -> Fraction:
@@ -278,10 +285,9 @@ def cmd_gap_table(args: argparse.Namespace) -> int:
         try:
             params = family.params(point)
             # refuse what the exact search would refuse, before the build
-            if family.cuttable and family.cuttable(params) > solvers.BB_ELEMENT_LIMIT:
-                raise SizeGuard(
-                    f"instance would have over {solvers.BB_ELEMENT_LIMIT} cuttable elements"
-                )
+            if family.cuttable:
+                limit = solvers.BB_ELEMENT_LIMIT
+                gadgets.guard(family.cuttable(params), limit, "cuttable elements")
             inst = family.build(params, args.max_nodes)
             report = lp.gap_report(inst)
             cells = report.csv_cells()
@@ -307,22 +313,19 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 def cmd_correlation(args: argparse.Namespace) -> int:
     from .probspace import connectedness_bound, maximal_correlation
 
+    names, space = CORRELATION_SPACES[args.family]
     params = parse_params(args.params)
-    need = {"edge": ["r"], "star": ["r", "eps"], "fire": ["B", "eps"]}[args.family]
-    missing = [name for name in need if name not in params]
-    if missing:
-        raise ParamOutOfRange(f"missing parameter(s) {', '.join(missing)}")
-    size = gadgets.param_value(need[0], int, params[need[0]])
+    gadgets.require_names(params, names)
+    key = names[0]
+    size = gadgets.param_value(key, int, params[key])
+    if size < 1:
+        raise ParamOutOfRange(f"need {key} >= 1")
     if size > CORRELATION_ALPHABET_CAP:
-        raise SizeGuard(
-            f"{need[0]} = {size} exceeds the alphabet cap {CORRELATION_ALPHABET_CAP}"
-        )
-    if args.family == "edge":
-        cs = gadgets.edge_noise_space(size)
-    elif args.family == "star":
-        cs = gadgets.star_noise_space(size, params["eps"])
-    else:
-        cs = gadgets.fire_noise_space(size, params["eps"])
+        raise SizeGuard(f"{key} = {size} exceeds the alphabet cap {CORRELATION_ALPHABET_CAP}")
+    eps = params.get("eps")
+    if eps is not None and not 0 < eps < 1:
+        raise ParamOutOfRange("need 0 < eps < 1")
+    cs = space(size, eps)
     doc = {
         "rho": maximal_correlation(cs),
         "connectedness_bound": connectedness_bound(cs),
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     gamma.add_argument("--out", default=None)
 
     corr = subs.add_parser("correlation", help="maximal correlation of a test space")
-    corr.add_argument("--family", choices=["edge", "star", "fire"], required=True)
+    corr.add_argument("--family", choices=tuple(CORRELATION_SPACES), required=True)
     corr.add_argument("--params", default="")
     corr.add_argument("--out", default=None)
 

@@ -42,7 +42,7 @@ from .graphs import (
     shortest_path_length,
 )
 from .probspace import Atom, CorrelatedSpace, FiniteProbSpace, product_mass
-from .solvers import BB_ELEMENT_LIMIT, rmfc_simulate
+from . import solvers
 
 DEFAULT_MAX_NODES = 200_000
 DEFAULT_MAX_EDGES = 500_000
@@ -54,37 +54,12 @@ STAR = "*"
 # -- probability spaces of the tests ---------------------------------------
 
 
-def starred_space(values: Sequence[int], eps: Fraction) -> FiniteProbSpace:
-    """Atoms (*, *values) with mass eps on * and (1-eps)/|values| elsewhere."""
-    eps = Fraction(eps)
-    atoms: list[Atom] = [STAR, *values]
-    mass = {STAR: eps}
-    for i in values:
-        mass[i] = (1 - eps) / len(values)
-    return FiniteProbSpace(atoms, mass)
-
-
-def star_space(r: int, eps: Fraction) -> FiniteProbSpace:
-    """Atoms (*, 0..r-1) with mass eps on * and (1-eps)/r elsewhere."""
-    return starred_space(range(r), eps)
-
-
-def uniform_cycle_space(r: int) -> FiniteProbSpace:
-    """Uniform atoms 0..r-1."""
-    return FiniteProbSpace.uniform(list(range(r)))
-
-
-def fire_space(big_b: int, eps: Fraction) -> FiniteProbSpace:
-    """Atoms (*, 1..B) with mass eps on * and (1-eps)/B elsewhere."""
-    return starred_space(range(1, big_b + 1), eps)
-
-
 def edge_noise_space(r: int) -> CorrelatedSpace:
     """Successor pair (x, x+1 mod r), resampled independently w.p. 1/r.
 
     Both marginals are uniform on 0..r-1.
     """
-    base = uniform_cycle_space(r)
+    base = FiniteProbSpace.uniform(list(range(r)))
     joint: dict[tuple[Atom, Atom], Fraction] = {}
     stay = (1 - Fraction(1, r)) * Fraction(1, r)
     noise = Fraction(1, r) * Fraction(1, r * r)
@@ -98,10 +73,12 @@ def starred_noise_space(
     values: Sequence[int], eps: Fraction, partner: Callable[[int], int]
 ) -> CorrelatedSpace:
     """Pair (x, partner(x)) with x uniform on ``values``, each side starred
-    independently w.p. eps."""
+    independently w.p. eps: both marginals have atoms (*, *values), with
+    mass eps on * and (1-eps)/|values| elsewhere."""
     eps = Fraction(eps)
-    base = starred_space(values, eps)
     share = Fraction(1, len(values))
+    mass = {STAR: eps} | {x: (1 - eps) * share for x in values}
+    base = FiniteProbSpace([STAR, *values], mass)
     joint: dict[tuple[Atom, Atom], Fraction] = {(STAR, STAR): eps * eps}
     for y in values:
         joint[(STAR, y)] = eps * (1 - eps) * share
@@ -151,11 +128,9 @@ class DictParamsM:
     eps: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eps", Fraction(self.eps))
         if self.r < 2 or self.k < 2 or self.R < 1:
             raise ParamOutOfRange("need r >= 2, k >= 2, R >= 1")
-        if not 0 < self.eps < Fraction(1, 2 * self.r):
-            raise ParamOutOfRange("need 0 < eps < 1/(2r)")
+        _check_eps(self, Fraction(1, 2 * self.r), "1/(2r)")
 
 
 @dataclass(frozen=True)
@@ -186,11 +161,9 @@ class DictParamsV:
     eps: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eps", Fraction(self.eps))
         if self.a < 1 or self.b < 1 or self.r < 2 or self.R < 1:
             raise ParamOutOfRange("need a,b >= 1, r >= 2, R >= 1")
-        if not 0 < self.eps < Fraction(1, 2 * self.r):
-            raise ParamOutOfRange("need 0 < eps < 1/(2r)")
+        _check_eps(self, Fraction(1, 2 * self.r), "1/(2r)")
         if self.b < self.r - 2:
             raise ParamOutOfRange("need b >= r - 2")
 
@@ -198,22 +171,30 @@ class DictParamsV:
 @dataclass(frozen=True)
 class DictParamsF:
     """Parameters of the fire-containment test: depth b, coordinates R,
-    star mass eps < 1/(2B) where B = b! * sum_i b!/i."""
+    star mass eps < 1/(2B) where B = b! * sum_i b!/i, which has about
+    b log b digits, so the depth cap is checked first."""
 
     b: int
     R: int
     eps: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eps", Fraction(self.eps))
         if self.b < 1 or self.R < 1:
             raise ParamOutOfRange("need b >= 1, R >= 1")
-        if not 0 < self.eps < Fraction(1, 2 * self.big_b):
-            raise ParamOutOfRange("need 0 < eps < 1/(2B)")
+        if self.b > DEFAULT_MAX_FIRE_DEPTH:
+            raise SizeGuard(f"b = {self.b} exceeds depth cap {DEFAULT_MAX_FIRE_DEPTH}")
+        _check_eps(self, Fraction(1, 2 * self.big_b), "1/(2B)")
 
     @property
     def big_b(self) -> int:
         return fire_alphabet_size(self.b)
+
+
+def _check_eps(p: Any, bound: Fraction, text: str) -> None:
+    """Store a params record's eps as a Fraction, requiring 0 < eps < bound."""
+    object.__setattr__(p, "eps", Fraction(p.eps))
+    if not 0 < p.eps < bound:
+        raise ParamOutOfRange(f"need 0 < eps < {text}")
 
 
 def harmonic(i: int) -> Fraction:
@@ -247,14 +228,14 @@ def fmt_point(xs: Sequence[Atom]) -> str:
     return "[" + ",".join(str(a) for a in xs) + "]"
 
 
-def grid_node_id(alpha: Sequence[int], x: Sequence[Atom] | None = None) -> str:
-    if x is None:
-        return f"v{fmt_point(alpha)}"
-    return f"v{fmt_point(alpha)}/{fmt_point(x)}"
+def point_id(block: str, x: Sequence[Atom]) -> str:
+    """Node id of point x of a block; ``split_block_point`` splits it."""
+    return f"{block}/{fmt_point(x)}"
 
 
-def layer_node_id(i: int, x: Sequence[Atom]) -> str:
-    return f"v[{i}]/{fmt_point(x)}"
+def composed_id(owner: str, v: str) -> str:
+    """Node v of ``owner``'s test copy in a composition, read by ``rule_cut``."""
+    return f"{owner}::{v}"
 
 
 def parse_point(text: str) -> tuple[Atom, ...]:
@@ -282,21 +263,34 @@ def _support_steps(
     return [(n, position[y]) for n, x in enumerate(points) for y in support(space, x)]
 
 
-def _guard_nodes(count: int, max_nodes: int) -> None:
-    if count > max_nodes:
-        raise SizeGuard(f"instance would have {count} nodes (cap {max_nodes})")
+def _capped_power(base: int, exponent: int, cap: int, what: str) -> int:
+    """``base ** exponent`` (base >= 2) in a count of ``what`` capped at ``cap``;
+    an exponent past the cap's bit length puts it over (base^e >= 2^e > cap),
+    so SizeGuard is raised before the power, which that exponent makes slow."""
+    if exponent > cap.bit_length():
+        raise SizeGuard(f"instance would have over {cap} {what} (cap {cap})")
+    return base**exponent
 
 
-def _guard_edges(count: int) -> None:
-    if count > DEFAULT_MAX_EDGES:
-        raise SizeGuard(f"instance would have {count} edges (cap {DEFAULT_MAX_EDGES})")
+def guard(count: int, cap: int, what: str) -> None:
+    """SizeGuard when an instance would have more than ``cap`` ``what``."""
+    if count > cap:
+        # Python refuses to print an integer of over 4,300 digits (14,284 bits)
+        shown = count if count.bit_length() < 14_000 else f"over {cap}"
+        raise SizeGuard(f"instance would have {shown} {what} (cap {cap})")
 
 
 def _support_total(space: CorrelatedSpace, coordinates: int) -> int:
     """How many moves ``_support_steps`` lists over ``coordinates``
     coordinates: the support sizes of one coordinate's atoms, summed, to
     the power of the coordinate count."""
-    return sum(len(space.partners[a]) for a in space.left.atoms) ** coordinates
+    total = sum(len(space.partners[a]) for a in space.left.atoms)
+    return _capped_power(total, coordinates, DEFAULT_MAX_EDGES, "edges")
+
+
+def _cuttable(base: int, exponent: int) -> int:
+    """``base ** exponent`` in a count of cuttable elements for the search."""
+    return _capped_power(base, exponent, solvers.BB_ELEMENT_LIMIT, "cuttable elements")
 
 
 def _provenance(kind: str, p: Any, dictator_cut: str | None = None) -> dict:
@@ -310,51 +304,47 @@ def _provenance(kind: str, p: Any, dictator_cut: str | None = None) -> dict:
 # -- generators --------------------------------------------------------------
 
 
-def _grid_multicut(
-    r: int,
-    k: int,
-    blocks: Callable[[tuple[int, ...]], list[str]],
-    weights: Sequence[Fraction],
-    steps: Sequence[tuple[int, int]],
-    provenance: dict,
-) -> CutInstance:
-    """The grid multicut skeleton over [r]^k with k terminal pairs.
+def _grid_ids(r: int, k: int) -> dict[tuple[int, ...], str]:
+    """The node id of every point of the grid [r]^k, in lexicographic order."""
+    grid = itertools.product(range(1, r + 1), repeat=k)
+    return {alpha: f"v{fmt_point(alpha)}" for alpha in grid}
 
-    Grid point alpha carries the nodes ``blocks(alpha)``, node n weighing
-    ``weights[n]``; s_i feeds every node of the alpha_i = 1 slab, every node
-    of the alpha_i = r slab feeds t_i, and for grid points alpha, beta at
-    l-infinity distance 1 an arc joins node n of alpha's block to node m of
-    beta's for every (n, m) in ``steps``.
-    """
-    ids = {alpha: blocks(alpha) for alpha in itertools.product(range(1, r + 1), repeat=k)}
-    g = WeightedGraph()
-    pairs = tuple((f"s{i}", f"t{i}") for i in range(1, k + 1))
-    for s, t in pairs:
-        g.add_node(s, None)
-        g.add_node(t, None)
-    for block in ids.values():
-        for v, weight in zip(block, weights):
-            g.add_node(v, weight)
-    # r >= 2, so the slabs alpha_i = 1 (fed by s_i) and alpha_i = r (feeding t_i) differ
-    g.add_edges(
-        (f"s{i}", v, True, 1, None) if alpha[i - 1] == 1 else (v, f"t{i}", True, 1, None)
-        for i in range(1, k + 1)
-        for alpha, block in ids.items()
-        if alpha[i - 1] in (1, r)
-        for v in block
-    )
-    # near[a]: the values of 1..r within 1 of a, so each product over alpha's
-    # coordinates, less alpha, lists its grid neighbours lexicographically
-    near = {a: range(max(a - 1, 1), min(a + 1, r) + 1) for a in range(1, r + 1)}
-    g.add_edges(
-        (src[n], dst[m], True, 1, None)
-        for alpha, src in ids.items()
-        for beta in itertools.product(*map(near.__getitem__, alpha))
-        if beta != alpha
-        for dst in [ids[beta]]
-        for n, m in steps
-    )
-    return CutInstance(graph=g, mode=VERTEX, problem=Multicut(pairs), provenance=provenance)
+
+def _blow_up(
+    gap: CutInstance, noise: CorrelatedSpace, R: int, provenance: dict, max_nodes: int
+) -> CutInstance:
+    """The gap-to-test conversion with every arc advancing one step: each
+    cuttable node v of the vertex multicut instance ``gap`` becomes a block
+    of nodes v/x, one per point x of the R-fold product of the noise atoms,
+    weighing w_v times the product mass of x under the noise marginal. The
+    terminals stay single nodes, and an arc at one fans out point by point;
+    an arc u -> v between blocks joins u/x to v/y for every y in the
+    support of x."""
+    g = gap.graph
+    cuttable = {v for v in g.nodes if g.node_weight(v) is not None}
+    size = _capped_power(len(noise.left.atoms), R, max_nodes, "nodes")
+    guard(len(cuttable) * size + len(g.nodes) - len(cuttable), max_nodes, "nodes")
+    # per arc, how many of its ends are blocks: it becomes 1, size or moves arcs
+    ends = [(e.tail in cuttable) + (e.head in cuttable) for e in g.edges]
+    moves = _support_total(noise, R)
+    guard(sum((1, size, moves)[c] for c in ends), DEFAULT_MAX_EDGES, "edges")
+    points = list(itertools.product(noise.left.atoms, repeat=R))
+    masses = [product_mass(noise.left, x) for x in points]
+    ids = {v: [point_id(v, x) for x in points] if v in cuttable else [v] for v in g.nodes}
+    out = WeightedGraph()
+    for v, copies in ids.items():
+        weight = g.node_weight(v)
+        # a terminal's one copy stays uncuttable
+        for u, mass in zip(copies, masses):
+            out.add_node(u, None if weight is None else weight * mass)
+    steps = _support_steps(noise, points)
+    for (tail, head, directed, length, weight), c in zip(g.edges, ends):
+        src, dst = ids[tail], ids[head]
+        if c == 2:
+            out.add_edges((src[n], dst[m], directed, length, weight) for n, m in steps)
+        else:
+            out.add_edges((a, b, directed, length, weight) for a in src for b in dst)
+    return CutInstance(graph=out, mode=gap.mode, problem=gap.problem, provenance=provenance)
 
 
 def _layered_graph(
@@ -365,7 +355,7 @@ def _layered_graph(
     """The layered skeleton: a graph with nodes s, t and then, layer by
     layer, one node per point, node n of layer i weighing ``weight(i, n)``;
     returned with each layer's node ids in the order of ``points``."""
-    ids = {i: [layer_node_id(i, x) for x in points] for i in layers}
+    ids = {i: [point_id(f"v[{i}]", x) for x in points] for i in layers}
     g = WeightedGraph()
     g.add_node("s", None)
     g.add_node("t", None)
@@ -390,43 +380,54 @@ def build_saks_gap(r: int, k: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cut
     l-infinity distance 1 are joined both ways.
     """
     params = SaksParams(r, k)
-    # r**k >= 2**k > max_nodes here; refuse before computing the power
-    if k > max_nodes.bit_length():
-        raise SizeGuard(f"instance would have over {max_nodes} nodes (cap {max_nodes})")
-    _guard_nodes(r**k + 2 * k, max_nodes)
-    return _grid_multicut(
-        r,
-        k,
-        lambda alpha: [grid_node_id(alpha)],
-        [Fraction(1)],
-        [(0, 0)],
-        _provenance("saks", params),
+    grid = _capped_power(r, k, max_nodes, "nodes")
+    guard(grid + 2 * k, max_nodes, "nodes")
+    # near[a]: the values of 1..r within 1 of a, so each product over alpha's
+    # coordinates, less alpha, lists its grid neighbours lexicographically
+    near = {a: range(max(a - 1, 1), min(a + 1, r) + 1) for a in range(1, r + 1)}
+    # two slabs of r^(k-1) points per pair, then every point's neighbours
+    reach = _capped_power(sum(map(len, near.values())), k, DEFAULT_MAX_EDGES, "edges")
+    guard(2 * k * grid // r + reach - grid, DEFAULT_MAX_EDGES, "edges")
+    ids = _grid_ids(r, k)
+    g = WeightedGraph()
+    pairs = tuple((f"s{i}", f"t{i}") for i in range(1, k + 1))
+    for s, t in pairs:
+        g.add_node(s, None)
+        g.add_node(t, None)
+    for v in ids.values():
+        g.add_node(v, Fraction(1))
+    # r >= 2, so the slabs alpha_i = 1 (fed by s_i) and alpha_i = r (feeding t_i) differ
+    g.add_edges(
+        (f"s{i}", v, True, 1, None) if alpha[i - 1] == 1 else (v, f"t{i}", True, 1, None)
+        for i in range(1, k + 1)
+        for alpha, v in ids.items()
+        if alpha[i - 1] in (1, r)
+    )
+    g.add_edges(
+        (v, ids[beta], True, 1, None)
+        for alpha, v in ids.items()
+        for beta in itertools.product(*map(near.__getitem__, alpha))
+        if beta != alpha
+    )
+    return CutInstance(
+        graph=g, mode=VERTEX, problem=Multicut(pairs), provenance=_provenance("saks", params)
     )
 
 
-def build_dict_multicut(
-    p: DictParamsM, *, max_nodes: int = DEFAULT_MAX_NODES
-) -> CutInstance:
-    """Multicut test: each grid point of the gap instance carries a
-    hypercube over (*, 0..r-1)^R; a grid move joins x to the support of x
-    under the star noise space (every coordinate advances by one, stars are
-    wild)."""
-    _guard_nodes(p.r**p.k * (p.r + 1) ** p.R + 2 * p.k, max_nodes)
-    noise = star_noise_space(p.r, p.eps)
-    # slab edges of the k pairs, then one block per ordered pair of grid
-    # neighbours, of which there are (3r-2)^k - r^k
-    _guard_edges(
-        2 * p.k * p.r ** (p.k - 1) * (p.r + 1) ** p.R
-        + ((3 * p.r - 2) ** p.k - p.r**p.k) * _support_total(noise, p.R)
-    )
-    points = list(itertools.product(noise.left.atoms, repeat=p.R))
-    return _grid_multicut(
-        p.r,
-        p.k,
-        lambda alpha: [grid_node_id(alpha, x) for x in points],
-        [product_mass(noise.left, x) for x in points],
-        _support_steps(noise, points),
+def build_dict_multicut(p: DictParamsM, *, max_nodes: int = DEFAULT_MAX_NODES) -> CutInstance:
+    """Multicut test: the saks gap instance blown up (``_blow_up``) by the
+    star noise space, so each grid point carries a hypercube over
+    (*, 0..r-1)^R and a grid move joins x to the support of x (every
+    coordinate advances by one, stars are wild)."""
+    # the test's r^k (r+1)^R nodes, refused before the gap instance is built
+    size = _capped_power(p.r + 1, p.R, max_nodes, "nodes")
+    guard(_capped_power(p.r, p.k, max_nodes, "nodes") * size + 2 * p.k, max_nodes, "nodes")
+    return _blow_up(
+        build_saks_gap(p.r, p.k, max_nodes=max_nodes),
+        star_noise_space(p.r, p.eps),
+        p.R,
         _provenance("dict_multicut", p, "nodes with x_q in {*, 0}"),
+        max_nodes,
     )
 
 
@@ -434,10 +435,11 @@ def build_dict_edge(p: DictParamsE, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cu
     """Edge-cut length test: b+1 layers of hypercubes over (0..r-1)^R,
     uncuttable long edges of length a between equal points, and short
     unit edges weighted by the product successor noise."""
-    _guard_nodes((p.b + 1) * p.r**p.R + 2, max_nodes)
+    size = _capped_power(p.r, p.R, max_nodes, "nodes")
+    guard((p.b + 1) * size + 2, max_nodes, "nodes")
     noise = edge_noise_space(p.r)
     # terminal and long edges, then b blocks of short edges
-    _guard_edges((p.b + 2) * p.r**p.R + p.b * _support_total(noise, p.R))
+    guard((p.b + 2) * size + p.b * _support_total(noise, p.R), DEFAULT_MAX_EDGES, "edges")
     points = list(itertools.product(noise.left.atoms, repeat=p.R))
     steps = [
         (n, m, noise.product_pair_mass(points[n], points[m]))
@@ -465,13 +467,12 @@ def build_dict_vertex(
     the support of x under the star noise space by unit edges to the next
     layer and by long skip edges of length (j-i)a to later layers j, and
     terminal edges whose lengths grow with the layer index."""
-    _guard_nodes((p.b + 1) * (p.r + 1) ** p.R + 2, max_nodes)
+    nodes = (p.b + 1) * _capped_power(p.r + 1, p.R, max_nodes, "nodes")
+    guard(nodes + 2, max_nodes, "nodes")
     noise = star_noise_space(p.r, p.eps)
     # two terminal edges per node, then one block per pair of layers
-    _guard_edges(
-        2 * (p.b + 1) * (p.r + 1) ** p.R
-        + (p.b + 1) * p.b // 2 * _support_total(noise, p.R)
-    )
+    moves = (p.b + 1) * p.b // 2 * _support_total(noise, p.R)
+    guard(2 * nodes + moves, DEFAULT_MAX_EDGES, "edges")
     points = list(itertools.product(noise.left.atoms, repeat=p.R))
     masses = [product_mass(noise.left, x) for x in points]
     g, ids = _layered_graph(range(p.b + 1), points, lambda i, n: masses[n])
@@ -503,15 +504,17 @@ def build_dict_rmfc(p: DictParamsF, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cu
     """Fire-containment test: layers 1..b over (*, 1..B)^R, with x joined
     to the support of x under the fire noise space (equal points, stars
     wild) in the next layer; layer i weighted by factor i."""
-    if p.b > DEFAULT_MAX_FIRE_DEPTH:
-        raise SizeGuard(f"b = {p.b} exceeds depth cap {DEFAULT_MAX_FIRE_DEPTH}")
-    _guard_nodes(p.b * (p.big_b + 1) ** p.R + 2, max_nodes)
+    size = _capped_power(p.big_b + 1, p.R, max_nodes, "nodes")
+    guard(p.b * size + 2, max_nodes, "nodes")
     noise = fire_noise_space(p.big_b, p.eps)
+    # end edges, then one block per pair of consecutive layers
+    guard(2 * size + (p.b - 1) * _support_total(noise, p.R), DEFAULT_MAX_EDGES, "edges")
     points = list(itertools.product(noise.left.atoms, repeat=p.R))
     masses = [product_mass(noise.left, x) for x in points]
     g, ids = _layered_graph(range(1, p.b + 1), points, lambda i, n: i * masses[n])
     g.add_edges(_end_edges(ids[1], ids[p.b]))
-    steps = _support_steps(noise, points)
+    # one layer has no block of moves to list; there can be size^2 of them
+    steps = _support_steps(noise, points) if p.b > 1 else []
     g.add_edges(
         (src[n], dst[m], False, 1, None)
         for src, dst in itertools.pairwise(ids.values())
@@ -569,9 +572,10 @@ class Family:
       ``(label, ok, detail)``.
 
     A family may declare ``cuttable(params)``: the number of cuttable
-    elements of its build, counted from the params alone, or any number
-    over ``solvers.BB_ELEMENT_LIMIT`` when the count is over it; a caller
-    can then refuse an instance too large for the exact search unbuilt.
+    elements of its build, counted from the params alone, or SizeGuard
+    when an exponent alone puts it over ``solvers.BB_ELEMENT_LIMIT``
+    (``_capped_power``); a caller can then refuse an instance too large
+    for the exact search unbuilt.
 
     A family may also declare ``symmetries(params)``: permutations of the
     cuttable elements of its build that keep multicut feasibility and
@@ -591,14 +595,7 @@ class Family:
 
     def check_names(self, names: Iterable[str]) -> None:
         """Raise ParamOutOfRange unless ``names`` are the record's fields."""
-        names = set(names)
-        want = [f.name for f in fields(self.record)]
-        missing = [name for name in want if name not in names]
-        if missing:
-            raise ParamOutOfRange(f"missing parameter(s) {', '.join(missing)}")
-        unknown = sorted(names - set(want))
-        if unknown:
-            raise ParamOutOfRange(f"unknown parameter(s) {', '.join(unknown)}")
+        require_names(names, [f.name for f in fields(self.record)])
 
     def params(self, values: Any) -> Any:
         """The params record from a name -> value mapping, such as parsed
@@ -610,6 +607,17 @@ class Family:
         return self.record(
             **{name: param_value(name, types[name], raw) for name, raw in values.items()}
         )
+
+
+def require_names(names: Iterable[str], want: Sequence[str]) -> None:
+    """Raise ParamOutOfRange unless ``names`` are exactly ``want``."""
+    names = set(names)
+    missing = [name for name in want if name not in names]
+    if missing:
+        raise ParamOutOfRange(f"missing parameter(s) {', '.join(missing)}")
+    unknown = sorted(names - set(want))
+    if unknown:
+        raise ParamOutOfRange(f"unknown parameter(s) {', '.join(unknown)}")
 
 
 def param_value(name: str, kind: type, raw: Any) -> int | Fraction:
@@ -658,15 +666,8 @@ def _distance_kept(need: int, inst: CutInstance, cut: CutSolution) -> Verdict:
 
 
 def _target_saved(p: DictParamsF, inst: CutInstance, schedule: Schedule) -> Verdict:
-    burnt = rmfc_simulate(inst, schedule).target_burnt
+    burnt = solvers.rmfc_simulate(inst, schedule).target_burnt
     return "target never burnt", not burnt, {"target_burnt": burnt}
-
-
-def _saks_cuttable(p: SaksParams) -> int:
-    """The r^k grid nodes. The exponent stops at the search cap's bit
-    length: past it r^k >= 2^k is over the cap anyway, and a huge k would
-    make the power itself slow."""
-    return p.r ** min(p.k, BB_ELEMENT_LIMIT.bit_length())
 
 
 def _saks_symmetries(p: SaksParams) -> Iterator[dict[Element, Element]]:
@@ -677,10 +678,7 @@ def _saks_symmetries(p: SaksParams) -> Iterator[dict[Element, Element]]:
     feeding t_i; it is not a digraph automorphism, but grid arcs run both
     ways, so a slab-to-slab path survives a cut exactly when its reverse
     survives the reflected cut. Every grid node weighs 1."""
-    ids = {
-        alpha: grid_node_id(alpha)
-        for alpha in itertools.product(range(1, p.r + 1), repeat=p.k)
-    }
+    ids = _grid_ids(p.r, p.k)
     for perm in itertools.permutations(range(p.k)):
         for flips in itertools.product((False, True), repeat=p.k):
             if perm == tuple(range(p.k)) and not any(flips):
@@ -699,45 +697,48 @@ FAMILIES = {
         "saks",
         SaksParams,
         lambda p, n: build_saks_gap(p.r, p.k, max_nodes=n),
-        cuttable=_saks_cuttable,
+        cuttable=lambda p: _cuttable(p.r, p.k),
         symmetries=_saks_symmetries,
     ),
     "dict-m": Family(
         "dict_multicut",
         DictParamsM,
         lambda p, n: build_dict_multicut(p, max_nodes=n),
-        space=lambda p: star_space(p.r, p.eps),
+        space=lambda p: star_noise_space(p.r, p.eps).left,
         rule=_star_or_zero,
         exact_cost=lambda p: Fraction(p.r) ** p.k * (p.eps + (1 - p.eps) / p.r),
         cost_bound=lambda p, eta: (
             Fraction(p.r) ** (p.k - 1) * (1 + p.r * p.eps + p.r * eta)
         ),
         check=_pairs_cut,
+        cuttable=lambda p: _cuttable(p.r, p.k) * _cuttable(p.r + 1, p.R),
     ),
     "dict-e": Family(
         "dict_edge",
         DictParamsE,
         lambda p, n: build_dict_edge(p, max_nodes=n),
-        space=lambda p: uniform_cycle_space(p.r),
+        space=lambda p: edge_noise_space(p.r).left,
         rule=_broken_step,
         cost_bound=lambda p, eta: Fraction(2 * p.b, p.r) + 2 * eta * p.b,
         check=lambda p, inst, cut: _distance_kept(p.a * (p.b - p.r + 1), inst, cut),
+        cuttable=lambda p: p.b * _cuttable(p.r * p.r, p.R),
     ),
     "dict-v": Family(
         "dict_vertex",
         DictParamsV,
         lambda p, n: build_dict_vertex(p, max_nodes=n),
-        space=lambda p: star_space(p.r, p.eps),
+        space=lambda p: star_noise_space(p.r, p.eps).left,
         rule=_star_or_zero,
         exact_cost=_vertex_cost,
         cost_bound=lambda p, eta: _vertex_cost(p) + eta * (p.b + 1),
         check=lambda p, inst, cut: _distance_kept(p.a * (p.b - p.r + 2), inst, cut),
+        cuttable=lambda p: (p.b + 1) * _cuttable(p.r + 1, p.R),
     ),
     "dict-f": Family(
         "dict_rmfc",
         DictParamsF,
         lambda p, n: build_dict_rmfc(p, max_nodes=n),
-        space=lambda p: fire_space(p.big_b, p.eps),
+        space=lambda p: fire_noise_space(p.big_b, p.eps).left,
         rule=_fire_day,
         cost_bound=lambda p, eta: p.b * p.eps + 1 / harmonic(p.b) + p.b * eta,
         check=_target_saved,

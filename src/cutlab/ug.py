@@ -27,7 +27,6 @@ from .gadgets import (
     Family,
     TestParams,
     dictator_family,
-    fmt_point,
     rule_cut,
     split_block_point,
 )
@@ -206,10 +205,6 @@ def apply_perm(x: Sequence, perm: Sequence[int]) -> tuple:
     return tuple(x[perm[j]] for j in range(len(perm)))
 
 
-def _composed_id(w: str, block: str, point: Sequence) -> str:
-    return f"{w}::{block}/{fmt_point(point)}"
-
-
 def compose(
     ug: UniqueGamesInstance,
     kind: str,
@@ -245,15 +240,15 @@ def compose(
     for w in ug.W:
         for v in inner:
             out.add_node(
-                f"{w}::{v}",
+                gadgets.composed_id(w, v),
                 None if gg.node_weight(v) is None else gg.node_weight(v) / n_w,
             )
 
     # terminal attachments, replicated per w
     out.add_edges(
         (
-            e.tail if e.tail in terminals else f"{w}::{e.tail}",
-            e.head if e.head in terminals else f"{w}::{e.head}",
+            e.tail if e.tail in terminals else gadgets.composed_id(w, e.tail),
+            e.head if e.head in terminals else gadgets.composed_id(w, e.head),
             e.directed,
             e.length,
             e.weight,
@@ -275,7 +270,7 @@ def compose(
     def copy_ids(edge: UGEdge) -> dict[str, str]:
         """Each inner node's id in w's copy, relabelled through the edge."""
         return {
-            v: _composed_id(edge.w, block, apply_perm(x, edge.perm))
+            v: gadgets.composed_id(edge.w, gadgets.point_id(block, apply_perm(x, edge.perm)))
             for v, (block, x) in parsed.items()
         }
 
@@ -426,7 +421,7 @@ def reachable_set_influences(
     family, params = _test_of(inst)
     space = family.space(params)
     r_coords = params.R
-    if len(space) ** r_coords > INFLUENCE_TABLE_CAP or r_coords > 8:
+    if r_coords > 8 or len(space) ** r_coords > INFLUENCE_TABLE_CAP:
         raise SizeGuard("hypercube too large for influence diagnostics")
 
     elements = cut.elements if isinstance(cut, CutSolution) else frozenset(cut)

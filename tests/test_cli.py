@@ -105,6 +105,38 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "SizeGuard" in err and "2097166" in err
 
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("saks", "r=2,k=10000000"),
+            ("dict-m", "r=2,k=2,R=10000000,eps=1/5"),
+            ("dict-e", "a=1,b=1,r=2,R=10000000"),
+            ("dict-v", "a=1,b=1,r=2,R=10000000,eps=1/5"),
+            ("dict-f", "b=1,R=10000000,eps=1/3"),
+        ],
+    )
+    def test_huge_exponent_refused_before_the_power(self, family, params, capsys):
+        """An exponent past the node cap's bit length refuses the build
+        before the power is computed. Computing 3^(10^7) alone takes
+        seconds, and its 4.8 million digits could not be printed."""
+        argv = ["generate", "--family", family, "--params", params]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "error: SizeGuard: instance would have over 200000 nodes (cap 200000)\n"
+
+    def test_fire_depth_refused_before_the_alphabet(self, monkeypatch, capsys):
+        """B = b! * sum_i b!/i has about b log b digits, so the depth cap is
+        checked before B is computed, which takes seconds at b = 50000."""
+
+        def unbuilt(b):
+            raise AssertionError("the fire alphabet size was computed")
+
+        monkeypatch.setattr(cutlab.gadgets, "fire_alphabet_size", unbuilt)
+        argv = ["generate", "--family", "dict-f", "--params", "b=50000,R=1,eps=1/3"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "error: SizeGuard: b = 50000 exceeds depth cap 4\n"
+
 
     # SHA-256 of the generate output, recorded before the generators built
     # edges from the support of each test's correlated space
@@ -365,6 +397,28 @@ class TestGapTable:
             "",
         ]
         assert set(built) == {3}
+
+    def test_dict_m_rows_over_the_search_cap_are_not_built(self, monkeypatch, capsys):
+        """dict-m r=3,k=2,R=2 has 3^2 * 4^2 = 144 cuttable nodes, over the
+        exact search's cap of 40, so its row is refused unbuilt."""
+        built = []
+        real = cutlab.gadgets.build_dict_multicut
+
+        def counted(p, **kwargs):
+            built.append(p)
+            return real(p, **kwargs)
+
+        monkeypatch.setattr(cutlab.gadgets, "build_dict_multicut", counted)
+        argv = ["gap-table", "--family", "dict-m", "--params", "r=2..3,k=2,R=2,eps=1/10"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (1, "")
+        assert out.split("\n") == [
+            "family,params,lp_value,integral_value,gap,wall_ms",
+            "dict-m,R=2;eps=1/10;k=2;r=2,2/1,11/5,11/10,0",
+            "dict-m,R=2;eps=1/10;k=2;r=3,error,error,error:SizeGuard,0",
+            "",
+        ]
+        assert [p.r for p in built] == [2]
 
     def test_dict_e_bound_sweep_monotone(self, tmp_path):
         from fractions import Fraction
@@ -683,6 +737,26 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, argv + ["--q", q])
         assert (code, out) == (1, "")
         assert err == f"error: CoordinateOutOfRange: --q = {q} outside 1..1\n"
+
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("edge", "r=2,eps=1/5,zzz=3", "unknown parameter(s) eps, zzz"),
+            ("fire", "B=2,eps=1/5,r=2", "unknown parameter(s) r"),
+            ("star", "r=3,eps=0", "need 0 < eps < 1"),
+            ("star", "r=3,eps=1", "need 0 < eps < 1"),
+            ("fire", "B=2,eps=-1/5", "need 0 < eps < 1"),
+            ("edge", "r=0", "need r >= 1"),
+            ("star", "r=-2,eps=1/5", "need r >= 1"),
+            ("fire", "B=0,eps=1/5", "need B >= 1"),
+        ],
+        ids=["unknown", "unknown-size", "eps-0", "eps-1", "eps-negative", "r-0", "r-negative", "B-0"],
+    )
+    def test_correlation_params_refused(self, family, params, message, capsys):
+        argv = ["correlation", "--family", family, "--params", params]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: ParamOutOfRange: {message}\n"
 
     def test_correlation_size_must_be_integer(self, capsys):
         argv = ["correlation", "--family", "star", "--params", "r=5/2,eps=1/4"]

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import helpers
 from cutlab import gadgets
 from cutlab.errors import CoordinateOutOfRange, ParamOutOfRange, SizeGuard
+from cutlab.probspace import product_mass
 from cutlab.gadgets import (
     DictParamsE,
     DictParamsF,
@@ -21,6 +23,7 @@ from cutlab.gadgets import (
     fire_alphabet_size,
     fire_noise_space,
     fire_thresholds,
+    SaksParams,
     harmonic,
     star_noise_space,
     support,
@@ -28,7 +31,9 @@ from cutlab.gadgets import (
 from cutlab.graphs import (
     EDGE,
     VERTEX,
+    CutInstance,
     Multicut,
+    WeightedGraph,
     instance_to_json_str,
     min_weight_path,
     shortest_path_length,
@@ -73,6 +78,16 @@ class TestSaksGap:
         # from k > max_nodes.bit_length() on
         with pytest.raises(SizeGuard, match=r"over 100 nodes"):
             build_saks_gap(2, 8, max_nodes=100)
+        # a count too long for Python to print is named by the cap
+        with pytest.raises(SizeGuard, match=r"over 200000 nodes \(cap 200000\)"):
+            build_saks_gap(10**250, 18)
+
+    def test_edge_guard(self):
+        # 131,106 nodes fit the node cap, but each of the 2^17 grid points
+        # has 2^17 - 1 neighbours
+        edges = 17 * 2**17 + 4**17 - 2**17
+        with pytest.raises(SizeGuard, match=rf"would have {edges} edges \(cap 500000\)"):
+            build_saks_gap(2, 17)
 
 
 class TestDictMulticut:
@@ -237,6 +252,21 @@ class TestDictRmfc:
         with pytest.raises(SizeGuard):
             build_dict_rmfc(DictParamsF(5, 1, Fraction(1, 10**9)))
 
+    def test_edge_guard(self):
+        # 33,616 nodes; the one block of moves has 19^5 edges
+        with pytest.raises(SizeGuard, match=r"would have 2509713 edges \(cap 500000\)"):
+            build_dict_rmfc(DictParamsF(2, 5, Fraction(1, 100)))
+
+    def test_one_layer_lists_no_moves(self, monkeypatch):
+        # one layer has only its end edges; its (*, 1)^R block would list
+        # 4^R moves
+        def unlisted(space, points):
+            raise AssertionError("moves were listed")
+
+        monkeypatch.setattr(gadgets, "_support_steps", unlisted)
+        inst = build_dict_rmfc(DictParamsF(1, 3, Fraction(1, 3)))
+        assert len(inst.graph.edges) == 2 * 2**3
+
 
 class TestEdgeGuard:
     CASES = [
@@ -247,6 +277,11 @@ class TestEdgeGuard:
         (build_dict_edge, DictParamsE(4, 3, 3, 2)),
         (build_dict_vertex, DictParamsV(2, 3, 3, 2, Fraction(1, 20))),
         (build_dict_vertex, DictParamsV(1, 1, 2, 2, Fraction(1, 5))),
+        (lambda p: build_saks_gap(*p), (3, 2)),
+        (lambda p: build_saks_gap(*p), (2, 4)),
+        (build_dict_rmfc, DictParamsF(2, 2, Fraction(1, 100))),
+        (build_dict_rmfc, DictParamsF(1, 2, Fraction(1, 3))),
+        (build_dict_rmfc, DictParamsF(3, 1, Fraction(1, 1000))),
     ]
 
     @pytest.mark.parametrize("build, params", CASES)
@@ -265,6 +300,101 @@ class TestEdgeGuard:
         # ran for minutes before the edge cap
         with pytest.raises(SizeGuard, match="484400748 edges"):
             build_dict_multicut(DictParamsM(2, 2, 9, Fraction(1, 5)))
+
+
+class TestDeclaredCounts:
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("saks", "r=3,k=2"),
+            ("saks", "r=2,k=4"),
+            ("dict-m", "r=2,k=2,R=1,eps=1/5"),
+            ("dict-m", "r=3,k=2,R=2,eps=1/10"),
+            ("dict-m", "r=2,k=3,R=1,eps=1/5"),
+            ("dict-e", "a=2,b=3,r=2,R=2"),
+            ("dict-e", "a=1,b=2,r=3,R=1"),
+            ("dict-v", "a=1,b=1,r=2,R=2,eps=1/5"),
+            ("dict-v", "a=2,b=3,r=3,R=1,eps=1/20"),
+        ],
+    )
+    def test_cuttable_matches_the_build(self, family, params):
+        from cutlab.cli import parse_params
+
+        fam = gadgets.FAMILIES[family]
+        p = fam.params(parse_params(params))
+        built = fam.build(p, gadgets.DEFAULT_MAX_NODES)
+        assert fam.cuttable(p) == len(built.cuttable_elements())
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("saks", SaksParams(2, 10**9)),
+            ("dict-m", DictParamsM(2, 2, 10**9, Fraction(1, 5))),
+            ("dict-e", DictParamsE(1, 1, 2, 10**9)),
+            ("dict-v", DictParamsV(1, 1, 2, 10**9, Fraction(1, 5))),
+        ],
+    )
+    def test_huge_exponent_refused_uncounted(self, family, params):
+        with pytest.raises(SizeGuard, match=r"over 40 cuttable elements \(cap 40\)"):
+            gadgets.FAMILIES[family].cuttable(params)
+
+
+class TestEpsRange:
+    @pytest.mark.parametrize(
+        "record, bound, message",
+        [
+            (lambda eps: DictParamsM(3, 2, 1, eps), Fraction(1, 6), "1/(2r)"),
+            (lambda eps: DictParamsV(1, 1, 3, 1, eps), Fraction(1, 6), "1/(2r)"),
+            (lambda eps: DictParamsF(2, 1, eps), Fraction(1, 12), "1/(2B)"),
+        ],
+        ids=["dict-m", "dict-v", "dict-f"],
+    )
+    def test_bounds_and_coercion(self, record, bound, message):
+        # the bound is 1/(2r) at r = 3 and 1/(2B) at b = 2, where B = 6
+        for eps in (Fraction(0), bound, Fraction(-1, 7)):
+            with pytest.raises(ParamOutOfRange, match=rf"need 0 < eps < {re.escape(message)}"):
+                record(eps)
+        assert record("1/20").eps == Fraction(1, 20)
+        assert isinstance(record("1/20").eps, Fraction)
+
+
+class TestBlowUp:
+    def test_path_instance(self):
+        """s -> a -> b -> t, with a and b cuttable: each block carries w_v
+        times the point mass, the terminal arcs fan out point by point, the
+        arc a -> b joins x to its support, and a coordinate dictator cut
+        costs eps W + (1 - eps) W / r and disconnects the pair."""
+        g = WeightedGraph()
+        for v, w in [("s", None), ("t", None), ("a", Fraction(2)), ("b", Fraction(1, 2))]:
+            g.add_node(v, w)
+        g.add_edges([("s", "a", True, 1, None), ("a", "b", True, 1, None), ("b", "t", True, 1, None)])
+        gap = CutInstance(graph=g, mode=VERTEX, problem=Multicut((("s", "t"),)))
+        noise = star_noise_space(2, Fraction(1, 5))
+        test = gadgets._blow_up(gap, noise, 2, {"generator": "path"}, 100)
+        h = test.graph
+        points = list(itertools.product(noise.left.atoms, repeat=2))
+        a = [gadgets.point_id("a", x) for x in points]
+        b = [gadgets.point_id("b", x) for x in points]
+        assert h.nodes == ["s", "t", *a, *b]
+        for x, u, v in zip(points, a, b):
+            assert h.node_weight(u) == 2 * product_mass(noise.left, x)
+            assert h.node_weight(v) == product_mass(noise.left, x) / 2
+        moves = [
+            (gadgets.point_id("a", x), gadgets.point_id("b", y))
+            for x in points
+            for y in support(noise, x)
+        ]
+        expect = [("s", u) for u in a] + moves + [(v, "t") for v in b]
+        assert [(e.tail, e.head) for e in h.edges] == expect
+        assert (test.mode, test.problem, test.provenance) == (VERTEX, gap.problem, {"generator": "path"})
+        for q in range(2):
+            cut = {
+                v for v in a + b if gadgets.split_block_point(v)[1][q] in (gadgets.STAR, 0)
+            }
+            assert sum(h.node_weight(v) for v in cut) == Fraction(5, 2) * (
+                Fraction(1, 5) + Fraction(4, 5) / 2
+            )
+            assert shortest_path_length(h, "s", "t", cut) is None
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from cutlab.errors import DegenerateMarginal, DisconnectedSupport, UnknownAtom
-from cutlab.gadgets import edge_noise_space, fire_noise_space, star_noise_space, star_space
+from cutlab.gadgets import edge_noise_space, fire_noise_space, star_noise_space
 from cutlab.probspace import (
     CorrelatedSpace,
     FiniteProbSpace,
@@ -51,11 +51,11 @@ class TestProductMass:
         assert product_mass(sp, (0, 2)) == Fraction(1, 9)
 
     def test_star_mass_product(self):
-        sp = star_space(3, Fraction(1, 20))
+        sp = star_noise_space(3, Fraction(1, 20)).left
         assert product_mass(sp, ("*", 0)) == Fraction(1, 20) * Fraction(19, 60)
 
     def test_total_mass_one(self):
-        sp = star_space(2, Fraction(1, 5))
+        sp = star_noise_space(2, Fraction(1, 5)).left
         total = sum(product_mass(sp, p) for p in product_points(sp, 3))
         assert total == 1
 
@@ -100,7 +100,7 @@ class TestEfronSteinInfluences:
 
     def test_parseval_and_monotone_bounds(self):
         rng = random.Random(99)
-        sp = star_space(2, Fraction(1, 5))
+        sp = star_noise_space(2, Fraction(1, 5)).left
         values = {p: Fraction(rng.randint(0, 3), 3) for p in product_points(sp, 2)}
         f = ProductFunction(sp, 2, values)
         norms = helpers.reference_efron_stein_norms(f)
@@ -160,13 +160,13 @@ class TestLowDegreeInfluence:
     @pytest.mark.parametrize("seed", range(3))
     def test_star_space_indicator_blocks(self, seed):
         rng = random.Random(3000 + seed)
-        sp = star_space(3, Fraction(1, 20))
+        sp = star_noise_space(3, Fraction(1, 20)).left
         members = {p for p in product_points(sp, 4) if rng.random() < 0.4}
         f = ProductFunction.indicator(sp, 4, lambda p: p in members)
         assert_matches_reference(f)
 
     def test_star_space_dictator_block(self):
-        sp = star_space(3, Fraction(1, 20))
+        sp = star_noise_space(3, Fraction(1, 20)).left
         f = ProductFunction.indicator(sp, 4, lambda p: p[2] in ("*", 0))
         assert_matches_reference(f)
 
