@@ -16,7 +16,9 @@ import time
 from fractions import Fraction
 
 from . import approx, gadgets, lp, solvers
-from .errors import CoordinateOutOfRange, CutLabError, ParamOutOfRange, SizeGuard
+from .errors import (
+    CoordinateOutOfRange, CutLabError, ParamOutOfRange, SizeGuard, WrongProblemType,
+)
 from .graphs import (
     CutInstance,
     LengthBound,
@@ -285,6 +287,8 @@ def cmd_gap_table(args: argparse.Namespace) -> int:
         try:
             params = family.params(point)
             # refuse what the exact search would refuse, before the build
+            if not issubclass(family.problem, (Multicut, LengthBound)):
+                raise WrongProblemType("gap tables cover multicut and length bound")
             if family.cuttable:
                 limit = solvers.BB_ELEMENT_LIMIT
                 gadgets.guard(family.cuttable(params), limit, "cuttable elements")

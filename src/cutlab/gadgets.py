@@ -555,9 +555,11 @@ class Family:
     """One generator family, keyed in ``FAMILIES`` by its CLI name.
 
     ``kind`` is the generator name written to provenance, ``record`` the
-    params record class, and ``build(params, max_nodes)`` calls the builder
-    through its module attribute, so a wrapper installed there sees every
-    build. The dictatorship tests also carry:
+    params record class, ``problem`` the problem class of every build
+    (``Multicut``, ``LengthBound`` or ``Rmfc``), and ``build(params,
+    max_nodes)`` calls the builder through its module attribute, so a
+    wrapper installed there sees every build. The dictatorship tests also
+    carry:
 
     - ``space(params)``: the base probability space of one coordinate;
     - ``rule(params)``: the coordinate-q dictator rule, a predicate on the
@@ -584,6 +586,7 @@ class Family:
 
     kind: str
     record: type
+    problem: type
     build: Callable[[Any, int], CutInstance]
     space: Callable[[Any], FiniteProbSpace] | None = None
     rule: Callable[[Any], Callable[..., bool]] | None = None
@@ -696,6 +699,7 @@ FAMILIES = {
     "saks": Family(
         "saks",
         SaksParams,
+        Multicut,
         lambda p, n: build_saks_gap(p.r, p.k, max_nodes=n),
         cuttable=lambda p: _cuttable(p.r, p.k),
         symmetries=_saks_symmetries,
@@ -703,6 +707,7 @@ FAMILIES = {
     "dict-m": Family(
         "dict_multicut",
         DictParamsM,
+        Multicut,
         lambda p, n: build_dict_multicut(p, max_nodes=n),
         space=lambda p: star_noise_space(p.r, p.eps).left,
         rule=_star_or_zero,
@@ -716,6 +721,7 @@ FAMILIES = {
     "dict-e": Family(
         "dict_edge",
         DictParamsE,
+        LengthBound,
         lambda p, n: build_dict_edge(p, max_nodes=n),
         space=lambda p: edge_noise_space(p.r).left,
         rule=_broken_step,
@@ -726,6 +732,7 @@ FAMILIES = {
     "dict-v": Family(
         "dict_vertex",
         DictParamsV,
+        LengthBound,
         lambda p, n: build_dict_vertex(p, max_nodes=n),
         space=lambda p: star_noise_space(p.r, p.eps).left,
         rule=_star_or_zero,
@@ -737,6 +744,7 @@ FAMILIES = {
     "dict-f": Family(
         "dict_rmfc",
         DictParamsF,
+        Rmfc,
         lambda p, n: build_dict_rmfc(p, max_nodes=n),
         space=lambda p: fire_noise_space(p.big_b, p.eps).left,
         rule=_fire_day,

@@ -382,6 +382,16 @@ def constrained_min_weight_path(
     bounded by bound * |V| and the nonnegative minimum is attained by a
     simple path. The returned path is simple (shortcuts removed) and its
     weight sums x over distinct cuttable elements.
+
+    Levels are expanded by increasing length, and (v, L) is not expanded
+    when its cost is at least ``settled[v]``, the least cost of v at a
+    shorter length. Such a state is dominated: an arc from it reaches a
+    state that the same arc from the cheaper, shorter state reaches at a
+    shorter length for no more. So every state it would be first to give
+    a cost is dominated too. Skipping them keeps the cost and parent of
+    every undominated state and can only raise the others, so the least
+    (cost, length) state at t, which is undominated, and its chain of
+    parents are unchanged.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -403,6 +413,8 @@ def constrained_min_weight_path(
     best: list[dict[str, int]] = [{} for _ in range(bound)]
     parent: dict[tuple[str, int], tuple[str, int, int]] = {}
     best[0][s] = 0 if edge_mode else cost.get(s, 0)
+    # the least cost of each node at the levels already expanded
+    settled: dict[str, int] = {}
     for level in range(bound):
         layer = best[level]
         if not layer:
@@ -411,6 +423,9 @@ def constrained_min_weight_path(
             if v not in layer:
                 continue
             d = layer[v]
+            if v in settled and d >= settled[v]:
+                continue
+            settled[v] = d
             for nb, idx, length, step in arcs[v]:
                 nl = level + length
                 if nl >= bound:

@@ -49,8 +49,9 @@ class PathSearch:
     element id is a node index in vertex mode and an edge index in edge
     mode; ``removed`` flags the element ids a search must avoid, and a
     branch and bound sets and clears it in place. Multicut searches are
-    keyed by node. Length-bound searches are keyed by (node, length) and
-    keep only walks shorter than the bound. Only cuttable elements are
+    keyed by node. Length-bound searches run over (node, length) states,
+    each node re-entered only at a shorter length (``_layered_min_hop``),
+    and keep only walks shorter than the bound. Only cuttable elements are
     ever removed, so the uncuttable terminals never are.
     """
 
@@ -111,28 +112,31 @@ class PathSearch:
         return self._layered_min_hop(s, t, max_hops)
 
     def _layered_min_hop(self, s: int, t: int, max_hops: int | None) -> Path | None:
-        """``min_hop`` over (node, length) states, s != t."""
+        """``min_hop`` over states (node, length, edge in, parent), s != t,
+        entering (w, l) only when l < best[w], the least length at which w
+        was entered. A state with l >= best[w] comes later in FIFO order
+        than (w, best[w]), at no fewer hops, and each of its continuations
+        is one of that earlier state, found no later; so the first state at
+        t and its parents are those found by entering every state once."""
         width, arcs, removed = self.width, self.arcs, self.removed
-        start = s * width
-        prev: dict[int, tuple[int, int] | None] = {start: None}
+        best = [width] * len(arcs)
+        best[s] = 0
         # level by level, which visits states in the order of one FIFO queue
-        level = [start]
+        level = [(s, 0, -1, None)]
         hops = 0
         while level and (max_hops is None or hops < max_hops):
             hops += 1
             following = []
             for state in level:
-                v, lvl = divmod(state, width)
-                for e, w, step, el in arcs[v]:
+                lvl = state[1]
+                for e, w, step, el in arcs[state[0]]:
                     nl = lvl + step
-                    if removed[el] or nl >= width:
+                    if nl >= best[w] or removed[el]:
                         continue
-                    nxt = w * width + nl
-                    if nxt in prev:
-                        continue
-                    prev[nxt] = (state, e)
+                    best[w] = nl
+                    nxt = (w, nl, e, state)
                     if w == t:
-                        return self._path(prev, nxt)
+                        return self._path(nxt)
                     following.append(nxt)
             level = following
         return None
@@ -173,15 +177,12 @@ class PathSearch:
             level = following
         return None
 
-    def _path(self, prev: dict[int, tuple[int, int] | None], state: int) -> Path:
-        nodes = [self.names[state // self.width]]
-        edges = []
-        step = prev[state]
-        while step is not None:
-            state, e = step
-            nodes.append(self.names[state // self.width])
+    def _path(self, state: tuple) -> Path:
+        nodes, edges = [self.names[state[0]]], []
+        while state[3] is not None:
+            _, _, e, state = state
+            nodes.append(self.names[state[0]])
             edges.append(e)
-            step = prev[state]
         nodes.reverse()
         edges.reverse()
         return Path(tuple(nodes), tuple(edges), sum(self.lengths[e] for e in edges))
@@ -205,11 +206,11 @@ def find_violating_path(search: PathSearch) -> Path | None:
     return best
 
 
-def _check_infeasible(inst: CutInstance, bound: int | None = None) -> None:
-    """Raise Infeasible when a violating path has no cuttable element."""
+def _check_infeasible(inst: CutInstance, bound: int | None = None) -> PathSearch:
+    """Raise Infeasible when a violating path has no cuttable element, else
+    return the instance's search with nothing removed."""
     search = PathSearch(inst, bound)
-    for el, w in enumerate(search.weights):
-        search.removed[el] = w is not None
+    search.removed = bytearray(w is not None for w in search.weights)
     for s, t in search.pairs:
         if search.min_hop(s, t) is None:
             continue
@@ -217,6 +218,8 @@ def _check_infeasible(inst: CutInstance, bound: int | None = None) -> None:
             pair = f"({search.names[s]},{search.names[t]})"
             raise Infeasible(f"pair {pair} joined by uncuttable path")
         raise Infeasible("short uncuttable path exists")
+    search.removed = bytearray(len(search.weights))
+    return search
 
 
 # -- feasibility checkers (independent of the solvers) ----------------------
@@ -439,8 +442,7 @@ class _ExclusionBranching:
 
 
 def _branch_and_bound(
-    inst: CutInstance,
-    bound: int | None,
+    search: PathSearch,
     incumbent: tuple[Fraction, frozenset[Element]],
     symmetries: Iterable[Mapping[Element, Element]] = (),
 ) -> tuple[Fraction, frozenset[Element]]:
@@ -456,7 +458,7 @@ def _branch_and_bound(
     ``symmetries`` skip nodes whose subtrees map into finished ones (see
     ``_ExclusionBranching``); the answer is the same with or without them.
     """
-    bb = _ExclusionBranching(PathSearch(inst, bound), incumbent, symmetries)
+    bb = _ExclusionBranching(search, incumbent, symmetries)
     bb.explore(0)
     return Fraction(bb.best_cost, bb.scale), bb.best_set
 
@@ -479,10 +481,10 @@ def exact_min_multicut(
     cuttable = inst.cuttable_elements()
     if len(cuttable) > BB_ELEMENT_LIMIT:
         raise SizeGuard(f"{len(cuttable)} cuttable elements (cap {BB_ELEMENT_LIMIT})")
-    _check_infeasible(inst)
+    search = _check_infeasible(inst)
     seed = per_pair_cut_union(inst)
     cost, elements = _branch_and_bound(
-        inst, None, (solution_cost(inst, seed), seed), symmetries
+        search, (solution_cost(inst, seed), seed), symmetries
     )
     require(multicut_is_feasible(inst, elements), "branch and bound left a pair connected")
     return CutSolution(elements, cost)
@@ -497,13 +499,13 @@ def exact_min_length_bounded_cut(
     cuttable = inst.cuttable_elements()
     if len(cuttable) > BB_ELEMENT_LIMIT:
         raise SizeGuard(f"{len(cuttable)} cuttable elements (cap {BB_ELEMENT_LIMIT})")
-    _check_infeasible(inst, use)
+    search = _check_infeasible(inst, use)
     require(
         length_bound_is_feasible(inst, cuttable, use),
         "removing every cuttable element leaves a short path",
     )
     cost, elements = _branch_and_bound(
-        inst, use, (solution_cost(inst, cuttable), frozenset(cuttable))
+        search, (solution_cost(inst, cuttable), frozenset(cuttable))
     )
     require(
         length_bound_is_feasible(inst, elements, use),

@@ -96,6 +96,50 @@ def path_x_weight(g: WeightedGraph, nodes, edges, x, mode) -> Fraction:
     return total
 
 
+def reference_layered_min_hop(
+    g: WeightedGraph,
+    mode: str,
+    removed: set[Element],
+    s: str,
+    t: str,
+    width: int,
+    max_hops: int | None,
+) -> Path | None:
+    """Fewest-edge s-t walk, s != t, of length below ``width`` that enters
+    no element of ``removed`` and, with ``max_hops``, has at most that many
+    edges: the first found by a BFS over (node, length) states that enters
+    each state once, the first time it is reached, in arc order. The
+    unpruned reference for ``PathSearch._layered_min_hop``, which also
+    skips a state when its node was entered before at no greater length."""
+    out = reference_out_arcs(g)
+    prev: dict[tuple[str, int], tuple[tuple[str, int], int] | None] = {(s, 0): None}
+    level = [(s, 0)]
+    hops = 0
+    while level and (max_hops is None or hops < max_hops):
+        hops += 1
+        following = []
+        for state in level:
+            v, length = state
+            for idx, nb in out[v]:
+                nxt = (nb, length + g.edges[idx].length)
+                entered = nb if mode == VERTEX else idx
+                if nxt[1] >= width or nxt in prev or entered in removed:
+                    continue
+                prev[nxt] = (state, idx)
+                if nb == t:
+                    nodes, edges = [t], []
+                    while prev[nxt] is not None:
+                        nxt, idx = prev[nxt]
+                        nodes.append(nxt[0])
+                        edges.append(idx)
+                    nodes.reverse()
+                    edges.reverse()
+                    return Path(tuple(nodes), tuple(edges), path_length(g, edges))
+                following.append(nxt)
+        level = following
+    return None
+
+
 def reference_min_weight_path(
     g: WeightedGraph,
     s: str,

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import cutlab
-from cutlab.cli import main, parse_params
+from cutlab.cli import CSV_HEADER, main, parse_params
 
 
 class TestParseParams:
@@ -420,6 +420,28 @@ class TestGapTable:
         ]
         assert [p.r for p in built] == [2]
 
+    def test_fire_rows_are_not_built(self, monkeypatch, capsys):
+        """The gap report covers multicut and length bound only, so dict-f
+        rows are refused before the build; b=4 took 151 ms to build."""
+        built = []
+        real = cutlab.gadgets.build_dict_rmfc
+
+        def counted(p, **kwargs):
+            built.append(p)
+            return real(p, **kwargs)
+
+        monkeypatch.setattr(cutlab.gadgets, "build_dict_rmfc", counted)
+        argv = ["gap-table", "--family", "dict-f", "--params", "b=4,R=1..2,eps=1/100000"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (1, "")
+        assert out.split("\n") == [
+            "family,params,lp_value,integral_value,gap,wall_ms",
+            "dict-f,R=1;b=4;eps=1/100000,error,error,error:WrongProblemType,0",
+            "dict-f,R=2;b=4;eps=1/100000,error,error,error:WrongProblemType,0",
+            "",
+        ]
+        assert built == []
+
     def test_dict_e_bound_sweep_monotone(self, tmp_path):
         from fractions import Fraction
 
@@ -514,6 +536,51 @@ class TestExactSearchFrozen:
         assert code == 0
         assert brute_force_min_cut(instance_from_json_str(path.read_text())).cost == 4
         assert json.loads(out)["cost"] == "4/1"
+
+
+class TestLengthSearchWork:
+    """Calls of ``find_violating_path`` by the length-bound branch and bound
+    and the answers printed, recorded before the min-hop search skipped
+    dominated (node, length) states: the search tree is unchanged."""
+
+    CASES = [
+        (["gap-table", "--family", "dict-e", "--params", "a=4,b=3,r=2,R=1"], 69,
+         "dict-e,R=1;a=4;b=3;r=2,1/1,1/1,1/1,0"),
+        (["gap-table", "--family", "dict-e", "--params", "a=6,b=3,r=2,R=1"], 88,
+         "dict-e,R=1;a=6;b=3;r=2,3/2,13/8,13/12,0"),
+        (["gap-table", "--family", "dict-v", "--params", "a=4,b=4,r=3,R=1,eps=1/20"], 261,
+         "dict-v,R=1;a=4;b=4;eps=1/20;r=3,1/1,1/1,1/1,0"),
+        (["interdict", "--family", "dict-e", "--params", "a=4,b=3,r=2,R=1",
+          "--budget", "15/8"], 169,
+         {"best_distance": 11, "cut_cost": "13/8",
+          "elements": ["12", "13", "15", "18", "19", "7", "9"]}),
+        (["interdict", "--family", "dict-v", "--params", "a=4,b=4,r=3,R=1,eps=1/20",
+          "--budget", "3/2"], 1162,
+         {"best_distance": 12, "cut_cost": "1/1",
+          "elements": ["v[1]/[*]", "v[1]/[0]", "v[1]/[1]", "v[1]/[2]"]}),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, calls, answer", CASES,
+        ids=["gap-dict-e-a4", "gap-dict-e-a6", "gap-dict-v", "interdict-dict-e",
+             "interdict-dict-v"],
+    )
+    def test_oracle_calls_and_answer(self, argv, calls, answer, monkeypatch, capsys):
+        made = [0]
+        oracle = cutlab.solvers.find_violating_path
+
+        def counted(search):
+            made[0] += 1
+            return oracle(search)
+
+        monkeypatch.setattr(cutlab.solvers, "find_violating_path", counted)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        if argv[0] == "gap-table":
+            assert out == "\n".join([CSV_HEADER, answer]) + "\n"
+        else:
+            assert out == json.dumps(answer, indent=2, sort_keys=True) + "\n"
+        assert made[0] == calls
 
 
 class TestGammaAndCorrelation:

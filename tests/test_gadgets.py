@@ -328,6 +328,23 @@ class TestDeclaredCounts:
     @pytest.mark.parametrize(
         "family, params",
         [
+            ("saks", "r=2,k=2"),
+            ("dict-m", "r=2,k=2,R=1,eps=1/5"),
+            ("dict-e", "a=1,b=2,r=3,R=1"),
+            ("dict-v", "a=1,b=1,r=2,R=2,eps=1/5"),
+            ("dict-f", "b=2,R=1,eps=1/100"),
+        ],
+    )
+    def test_problem_matches_the_build(self, family, params):
+        from cutlab.cli import parse_params
+
+        fam = gadgets.FAMILIES[family]
+        built = fam.build(fam.params(parse_params(params)), gadgets.DEFAULT_MAX_NODES)
+        assert type(built.problem) is fam.problem
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
             ("saks", SaksParams(2, 10**9)),
             ("dict-m", DictParamsM(2, 2, 10**9, Fraction(1, 5))),
             ("dict-e", DictParamsE(1, 1, 2, 10**9)),

@@ -156,6 +156,25 @@ class TestExactLengthBoundedCut:
         assert sol.cost <= dict_cut.cost
         assert length_bound_is_feasible(inst, sol.elements, 8)
 
+    def test_one_search_per_solve(self, monkeypatch):
+        # the infeasibility check and the branch and bound index the
+        # instance once, so interdiction indexes it once per round: from
+        # distance 5 it solves at bounds 6, 9 and 12 (twice each before)
+        built = []
+        index = solvers.PathSearch.__init__
+
+        def counted(search, inst, bound=None):
+            built.append(bound)
+            index(search, inst, bound)
+
+        monkeypatch.setattr(solvers.PathSearch, "__init__", counted)
+        inst = build_dict_edge(DictParamsE(4, 3, 2, 1))
+        assert exact_min_length_bounded_cut(inst).cost == 1
+        assert built == [inst.problem.bound]
+        built.clear()
+        assert exact_interdiction(inst, Fraction(15, 8))[0] == 11
+        assert built == [6, 9, 12]
+
     def test_monotone_in_bound(self):
         rng = random.Random(23)
         for _ in range(10):
@@ -322,6 +341,32 @@ class TestMinHop:
                     for hops in (None, 0, 1, 2, 3, 5):
                         want = search._layered_min_hop(s, t, hops)
                         assert search._node_min_hop(s, t, hops) == want
+
+    @pytest.mark.parametrize("mode", [VERTEX, EDGE])
+    def test_layered_loop_matches_unpruned_reference(self, mode):
+        # skipping the (node, length) states whose node was entered before
+        # at no greater length returns the unpruned loop's path, edge for
+        # edge; grids have lengths 1-2, the sparser instances 1-3
+        rng = random.Random(11)
+        instances = [helpers.random_grid_instance(rng, "length_bound", mode) for _ in range(8)]
+        instances += [
+            helpers.random_instance(rng, "length_bound", mode, n_nodes=8, extra_edges=8)
+            for _ in range(8)
+        ]
+        for inst in instances:
+            g, problem = inst.graph, inst.problem
+            for width in (problem.bound, problem.bound + 3):
+                search = solvers.PathSearch(inst, width)
+                [(s, t)] = search.pairs
+                for _ in range(10):
+                    for el, w in enumerate(search.weights):
+                        search.removed[el] = w is not None and rng.random() < 0.3
+                    removed = {search.element(el) for el, out in enumerate(search.removed) if out}
+                    for hops in (None, 0, 1, 2, 3, 5):
+                        want = helpers.reference_layered_min_hop(
+                            g, inst.mode, removed, problem.source, problem.sink, width, hops
+                        )
+                        assert search._layered_min_hop(s, t, hops) == want
 
     def test_violating_path_is_first_fewest_hop_pair(self):
         # the earliest pair among those with the fewest hops, each pair
