@@ -101,7 +101,7 @@ def build_instance(args: argparse.Namespace) -> CutInstance:
 
 def load_instance(args: argparse.Namespace) -> CutInstance:
     if getattr(args, "instance", None):
-        with open(args.instance) as handle:
+        with open(args.instance, encoding="utf-8") as handle:
             return instance_from_json_str(handle.read())
     return build_instance(args)
 
@@ -125,7 +125,7 @@ def dictator_cut(args: argparse.Namespace, inst: CutInstance):
 
 def emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as handle:
+        with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -254,7 +254,7 @@ def cmd_rmfc(args: argparse.Namespace) -> int:
         emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
         return 0
     if args.schedule:
-        with open(args.schedule) as handle:
+        with open(args.schedule, encoding="utf-8") as handle:
             schedule = schedule_from_json(json.load(handle), inst.graph)
     else:
         _, _, schedule = dictator_cut(args, inst)

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import islice
+from json.decoder import WHITESPACE, JSONDecoder, scanstring
 from json.encoder import encode_basestring_ascii as json_str
 from math import lcm
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
@@ -806,31 +808,47 @@ def _weight_field(doc: dict, where: str) -> Weight:
     raise MalformedInstance(f"{where} weight {w!r} is not a rational")
 
 
-def _edge_records(entries: list, ids: Mapping[str, str]) -> Iterator[EdgeRecord]:
-    """The record of each edge entry of an instance document.
+def _edge_records(
+    entries: list, ids: Mapping[str, str], scanned: bool = False
+) -> Iterator[EdgeRecord]:
+    """The record of each entry of an instance's edge array, in order.
 
-    One type test accepts an entry as the writer prints it; any other entry
-    goes through ``_field`` and ``_weight_field``, which accept or reject it
-    with their usual messages. Each distinct weight string is parsed once.
-    An endpoint becomes the string object of its node in ``ids`` (an id to
+    An entry is a value as ``json.loads`` parses it; when ``scanned``, an
+    object is instead the tuple of its five fields that ``_scan_edges``
+    made of it, dropped from ``entries`` once read. One type test accepts
+    the fields of an entry printed as the writer prints it; each distinct
+    weight string is parsed once. Any other entry goes through ``_field``
+    and ``_weight_field``, which accept or reject it with their usual
+    messages (a tuple of fields, not being an object, is rejected). An
+    endpoint becomes the string object of its node in ``ids`` (an id to
     itself), so the graph holds one string per node, not two per edge; an
     undeclared endpoint keeps its own string for ``add_edges`` to refuse.
     """
     weights: dict[str | None, Weight] = {None: None}
-    for ed in entries:
+    for i, ed in enumerate(entries):
         if type(ed) is dict:
-            tail, head = ed.get("tail"), ed.get("head")
-            directed, length, w = ed.get("directed"), ed.get("length"), ed.get("weight")
-            if (
-                type(tail) is str
-                and type(head) is str
-                and type(directed) is bool
-                and type(length) is int
-                and (w is None or type(w) is str)
-            ):
-                if w not in weights:
-                    weights[w] = _weight_field(ed, "edge")
-                yield ids.get(tail, tail), ids.get(head, head), directed, length, weights[w]
+            fields = ed.get("tail"), ed.get("head"), ed.get("directed"), ed.get("length"), ed.get("weight")
+        elif scanned and type(ed) is tuple:
+            entries[i] = None
+            fields = ed
+        else:
+            fields = None, None, None, None, None
+        tail, head, directed, length, w = fields
+        if (
+            type(tail) is str
+            and type(head) is str
+            and type(directed) is bool
+            and type(length) is int
+            and (w is None or type(w) is str)
+        ):
+            weight = weights.get(w, weights)
+            if weight is weights:
+                try:
+                    weight = weights[w] = parse_rational(w)
+                except (ValueError, ZeroDivisionError):
+                    pass
+            if weight is not weights:
+                yield ids.get(tail, tail), ids.get(head, head), directed, length, weight
                 continue
         tail, head, directed, length, weight = (
             _field(ed, "tail", str, "edge"),
@@ -842,14 +860,14 @@ def _edge_records(entries: list, ids: Mapping[str, str]) -> Iterator[EdgeRecord]
         yield ids.get(tail, tail), ids.get(head, head), directed, length, weight
 
 
-def instance_from_json(doc: object) -> CutInstance:
-    """Rebuild an instance, raising MalformedInstance on a missing or
-    ill-typed field."""
+def _instance_from_doc(doc: object, scanned: bool) -> CutInstance:
+    """Rebuild an instance from a document whose edge array ``scanned``
+    says how to read (see ``_edge_records``)."""
     g = WeightedGraph()
     for nd in _field(doc, "nodes", list, "instance"):
         g.add_node(_field(nd, "id", str, "node"), _weight_field(nd, "node"))
     ids = {v: v for v in g.nodes}
-    g.add_edges(_edge_records(_field(doc, "edges", list, "instance"), ids))
+    g.add_edges(_edge_records(_field(doc, "edges", list, "instance"), ids, scanned))
     provenance = doc.get("provenance")
     if provenance is not None and not isinstance(provenance, dict):
         raise MalformedInstance("instance field 'provenance' must be an object")
@@ -859,6 +877,12 @@ def instance_from_json(doc: object) -> CutInstance:
         problem=_problem_from_json(_field(doc, "problem", dict, "instance")),
         provenance=provenance,
     )
+
+
+def instance_from_json(doc: object) -> CutInstance:
+    """Rebuild an instance, raising MalformedInstance on a missing or
+    ill-typed field."""
+    return _instance_from_doc(doc, scanned=False)
 
 
 def schedule_from_json(doc: object, g: WeightedGraph) -> Schedule:
@@ -941,9 +965,66 @@ def instance_to_json_str(inst: CutInstance) -> str:
     return "".join(pieces)
 
 
+# the scanners of an instance document: one for its edge arrays, which
+# makes each object the tuple of its five edge fields as soon as it is
+# parsed (KeyError if it lacks one), one for every other value
+_scan_edges = JSONDecoder(
+    object_hook=itemgetter("tail", "head", "directed", "length", "weight")
+).scan_once
+_scan_value = JSONDecoder().scan_once
+_space = WHITESPACE.match
+
+
+def _scan_object(text: str) -> dict | None:
+    """The object that ``text`` holds, its top-level ``edges`` values read
+    by ``_scan_edges`` and all others by ``_scan_value``; of duplicate keys
+    the last wins, as in ``json.loads``. None if ``text`` holds another
+    value or a syntax fault, which may also raise ValueError or
+    StopIteration."""
+    at = _space(text).end()
+    if text[at:at + 1] != "{":
+        return None
+    doc = {}
+    at = _space(text, at + 1).end()
+    if text[at:at + 1] != "}":
+        while True:
+            if text[at:at + 1] != '"':
+                return None
+            key, at = scanstring(text, at + 1)
+            at = _space(text, at).end()
+            if text[at:at + 1] != ":":
+                return None
+            scan = _scan_edges if key == "edges" else _scan_value
+            doc[key], at = scan(text, _space(text, at + 1).end())
+            at = _space(text, at).end()
+            if text[at:at + 1] != ",":
+                break
+            at = _space(text, at + 1).end()
+        if text[at:at + 1] != "}":
+            return None
+    return doc if _space(text, at + 1).end() == len(text) else None
+
+
 def instance_from_json_str(text: str) -> CutInstance:
-    """Parse and rebuild an instance document. The text is released once
-    parsed, so the graph is built without it held."""
-    doc = json.loads(text)
-    del text
-    return instance_from_json(doc)
+    """Rebuild the instance that the document ``text`` holds, as
+    ``instance_from_json(json.loads(text))`` does, errors included.
+
+    The edge array is read by ``_scan_edges``, so each entry is a tuple of
+    fields from the moment it is parsed, and the parsed entry objects are
+    never held together. Any text that this does not take as the writer
+    prints it goes to ``json.loads`` and ``instance_from_json``, for their
+    own errors: one that holds no JSON object, or an edge array holding an
+    object that lacks a field (``_scan_edges`` raises KeyError), or any
+    document that fails a field check (an edge entry's message must name
+    its object, which the scanner has made a tuple).
+    """
+    try:
+        doc = _scan_object(text)
+    except (ValueError, StopIteration, KeyError):
+        doc = None
+    if doc is not None:
+        try:
+            return _instance_from_doc(doc, scanned=True)
+        except MalformedInstance:
+            pass
+    return instance_from_json(json.loads(text))

@@ -961,3 +961,74 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, ["exact", "--instance", str(inst)])
         assert (code, out) == (1, "")
         assert "MalformedInstance" in err
+
+
+class TestUtf8Files:
+    """Instance, schedule and ``--out`` files are read and written as UTF-8,
+    as JSON requires, also where the locale's encoding is ASCII."""
+
+    @staticmethod
+    def document(problem):
+        # a raw "é" as its node id: the file holds its two UTF-8 bytes
+        return {
+            "edges": [
+                {"tail": "s", "head": "é", "directed": True, "length": 1, "weight": None},
+                {"tail": "é", "head": "t", "directed": True, "length": 1, "weight": None},
+            ],
+            "mode": "vertex",
+            "nodes": [
+                {"id": "s", "weight": None},
+                {"id": "é", "weight": "1"},
+                {"id": "t", "weight": None},
+            ],
+            "problem": problem,
+        }
+
+    @staticmethod
+    def write(path, doc):
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        assert "é".encode("utf-8") in path.read_bytes()
+        return str(path)
+
+    @staticmethod
+    def run_in_ascii_locale(argv):
+        package_root = str(Path(cutlab.__file__).resolve().parent.parent)
+        return subprocess.run(
+            [sys.executable, "-m", "cutlab.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={
+                "LC_ALL": "C",
+                "PYTHONUTF8": "0",
+                "PYTHONCOERCECLOCALE": "0",
+                "PATH": "/usr/bin:/bin",
+                "PYTHONPATH": package_root,
+            },
+        )
+
+    def test_exact_reads_a_raw_node_id(self, tmp_path):
+        doc = self.document({"type": "multicut", "pairs": [["s", "t"]]})
+        path = self.write(tmp_path / "i.json", doc)
+        proc = self.run_in_ascii_locale(["exact", "--instance", path])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"cost": "1/1", "elements": ["é"], "verified": True}
+
+    def test_rmfc_reads_a_raw_schedule_and_writes_out(self, tmp_path):
+        # the instance escaped as the writer escapes it, so that only the
+        # schedule holds raw bytes
+        doc = self.document({"type": "rmfc", "source": "s", "targets": ["t"]})
+        (tmp_path / "i.json").write_text(json.dumps(doc), encoding="ascii")
+        out = tmp_path / "out.json"
+        argv = [
+            "rmfc",
+            "--instance", str(tmp_path / "i.json"),
+            "--schedule", self.write(tmp_path / "schedule.json", {"days": [["é"]]}),
+            "--out", str(out),
+        ]
+        proc = self.run_in_ascii_locale(argv)
+        assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+        assert json.loads(out.read_text(encoding="utf-8")) == {
+            "days_simulated": 1,
+            "per_day_cost": ["1/1"],
+            "target_burnt": False,
+        }

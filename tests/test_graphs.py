@@ -494,14 +494,20 @@ class TestInstanceJson:
             node = {id(v) for v in g.nodes}
             assert all(id(e.tail) in node and id(e.head) in node for e in g.edges)
 
-    def test_writer_peak_memory(self):
-        """The writer allocates at most three times its text at its peak,
-        over what was held before the call, on a 62k-edge dict-v test
-        (the text, plus the edge blocks it is joined from)."""
+    @staticmethod
+    def large_instance():
+        """The 62k-edge dict-v test that ``build_verify`` writes and reads."""
         family = gadgets.FAMILIES["dict-v"]
         params = family.params(parse_params("a=2,b=3,r=3,R=4,eps=1/20"))
         inst = family.build(params, 200_000)
         assert len(inst.graph.edges) >= 10_000
+        return inst
+
+    def test_writer_peak_memory(self):
+        """The writer allocates at most three times its text at its peak,
+        over what was held before the call, on a 62k-edge dict-v test
+        (the text, plus the edge blocks it is joined from)."""
+        inst = self.large_instance()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -510,6 +516,23 @@ class TestInstanceJson:
         finally:
             tracemalloc.stop()
         assert peak - before <= 3 * len(text)
+
+    def test_reader_peak_memory(self):
+        """The reader allocates at most twice its text at its peak, over
+        the text it is given, on the same 62k-edge test: each edge entry
+        becomes the tuple of its fields as soon as it is parsed, so the
+        parsed entry objects are never held together (``json.loads`` and a
+        build allocate about 2.9 times the text)."""
+        text = instance_to_json_str(self.large_instance())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            inst = instance_from_json_str(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(inst.graph.edges) == text.count('"tail"')
+        assert peak - before <= 2 * len(text)
 
 
 class TestAddEdges:
@@ -805,3 +828,181 @@ class TestReaderMessages:
         ]
         inst = instance_from_json(self.document(self.entry(weight=3)))
         assert inst.graph.edges[1].weight == 3
+
+
+
+def read_outcome(read, text):
+    """What ``read(text)`` gives: the instance, or the type, message and
+    position (for a JSONDecodeError) of what it raises."""
+    try:
+        return read(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+
+
+def reference_read(text):
+    return instance_from_json(json.loads(text))
+
+
+EDGE_SHAPED = {"tail": "s", "head": "t", "directed": True, "length": 1, "weight": "1/2"}
+
+
+def reader_document():
+    """A 40-edge document over odd node ids whose provenance holds an
+    edge-shaped object."""
+    doc = json.loads(instance_to_json_str(TestInstanceJson().odd_id_instance(40)))
+    doc["provenance"] = {"generator": "hand", "sample": dict(EDGE_SHAPED)}
+    return doc
+
+
+def reader_layouts():
+    """Texts of valid documents, by layout."""
+    doc = reader_document()
+    nodes_first = {k: doc[k] for k in ("nodes", "problem", "mode", "edges", "provenance")}
+    extra = reader_document()
+    extra["edges"][3]["note"] = dict(EDGE_SHAPED)
+    extra["edges"][5]["color"] = "red"
+    bad = {"tail": 1, "head": None, "directed": "x", "length": [], "weight": [2]}
+    garbage = '{"edges": [' + json.dumps(bad) + ", 7, " + json.dumps(EDGE_SHAPED) + "], "
+    return {
+        "writer": json.dumps(doc, indent=2, sort_keys=True) + "\n",
+        "nodes-first": json.dumps(nodes_first, indent=2),
+        "compact": json.dumps(doc),
+        "tight": json.dumps(doc, separators=(",", ":")),
+        "tabs-crlf": json.dumps(doc, indent="\t").replace("\n", "\r\n"),
+        "duplicate-edges": garbage + json.dumps(doc)[1:],
+        "extra-keys": json.dumps(extra),
+        "raw-unicode": json.dumps(doc, ensure_ascii=False),
+    }
+
+
+def irregular_texts():
+    """Texts of valid documents whose edge arrays hold entries the writer
+    does not print, by entry."""
+    texts = {}
+    for name, change in [
+        ("integer-weight", lambda entry: entry.update(weight=3)),
+        ("no-weight", lambda entry: entry.pop("weight")),
+        ("object-without-fields", lambda entry: entry.update(note={"a": 1})),
+    ]:
+        doc = reader_document()
+        change(doc["edges"][6])
+        texts[name] = json.dumps(doc)
+    return texts
+
+
+def broken_texts():
+    """Texts with a syntax fault, by fault."""
+    text = json.dumps(reader_document(), indent=2, sort_keys=True) + "\n"
+    return {
+        "truncated-in-edges": text[: text.index('"head"', 300)],
+        "truncated-after-edges": text[: text.index('"mode"')],
+        "trailing-data": text + "x",
+        "second-value": text + "{}",
+        "missing-colon": text.replace('"mode":', '"mode"', 1),
+        "missing-comma": text.replace('],\n  "mode"', ']\n  "mode"', 1),
+        "missing-comma-in-edges": text.replace("},\n    {", "}\n    {", 1),
+        "trailing-comma": text.rstrip()[:-1] + ",}",
+        "bare-key": "{mode: 1}",
+        "control-char-in-key": '{"mo\nde": 1}',
+        "byte-order-mark": "\ufeff" + text,
+        "empty": "",
+        "blank": " \n",
+    }
+
+
+def with_edges(*entries):
+    """The ``TestReaderMessages`` document with ``entries`` after its
+    well-formed edge."""
+    doc = TestReaderMessages.document(None)
+    doc["edges"][1:] = entries
+    return doc
+
+
+entry = TestReaderMessages.entry
+
+
+def bad_node_and_edge_weight():
+    doc = TestReaderMessages.document(TestReaderMessages.entry(weight="1/0"))
+    doc["nodes"][1]["weight"] = "x"
+    return doc
+
+
+class TestStringReader:
+    """``instance_from_json_str(text)`` rebuilds what
+    ``instance_from_json(json.loads(text))`` rebuilds from any layout of the
+    document, and fails as it fails: json's own error on a syntax fault,
+    the same first fault on a malformed document."""
+
+    @pytest.mark.parametrize("layout", sorted(reader_layouts()))
+    def test_same_instance(self, layout, monkeypatch):
+        text = reader_layouts()[layout]
+        want = reference_read(text)
+
+        # entries as the writer prints them are read without json.loads
+        def refuse(*args, **kwargs):
+            raise AssertionError("a valid document went to json.loads")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        got = instance_from_json_str(text)
+        assert got.graph.nodes == want.graph.nodes
+        assert [got.graph.node_weight(v) for v in got.graph.nodes] == [
+            want.graph.node_weight(v) for v in want.graph.nodes
+        ]
+        assert got.graph.edges == want.graph.edges
+        assert all(type(e) is GraphEdge for e in got.graph.edges)
+        assert (got.mode, got.problem) == (want.mode, want.problem)
+        assert got.provenance == want.provenance
+        assert type(got.provenance["sample"]) is dict
+
+    @pytest.mark.parametrize("name", sorted(irregular_texts()))
+    def test_same_instance_from_irregular_entries(self, name):
+        text = irregular_texts()[name]
+        got, want = instance_from_json_str(text), reference_read(text)
+        assert got.graph.edges == want.graph.edges
+        assert [got.graph.node_weight(v) for v in got.graph.nodes] == [
+            want.graph.node_weight(v) for v in want.graph.nodes
+        ]
+
+    @pytest.mark.parametrize("name", sorted(broken_texts()))
+    def test_syntax_fault_is_jsons(self, name):
+        text = broken_texts()[name]
+        got = read_outcome(instance_from_json_str, text)
+        assert got == read_outcome(reference_read, text)
+        assert got[0] is json.JSONDecodeError
+
+    @pytest.mark.parametrize("text", ["[]", "3", "{}", "null", '"s"', '{"edges": []}'])
+    def test_not_an_instance(self, text):
+        got = read_outcome(instance_from_json_str, text)
+        assert got == read_outcome(reference_read, text)
+        assert got[0] is MalformedInstance
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (bad_node_and_edge_weight(), "node weight 'x' is not a rational"),
+            (with_edges(entry(tail=1), entry(weight="1/0")), "edge field 'tail' has type int"),
+            (with_edges(entry(weight="1/0"), entry(tail=1)),
+             "edge weight '1/0' is not a rational"),
+            (with_edges(entry(tail=EDGE_SHAPED)), "edge field 'tail' has type dict"),
+            (with_edges(entry(weight=EDGE_SHAPED)),
+             "edge weight {'tail': 's', 'head': 't', 'directed': True, 'length': 1, "
+             "'weight': '1/2'} is not a rational"),
+            (with_edges(entry(head=[EDGE_SHAPED])), "edge field 'head' has type list"),
+            (with_edges(entry(tail="x"), entry(length="2")),
+             "edge endpoints 'x'-'t' not declared"),
+            (with_edges(entry(length="2"), entry(tail="x")),
+             "edge field 'length' has type str"),
+            (with_edges(entry(length=0), entry(tail=1)),
+             "edge length must be a positive integer, got 0"),
+            ({**with_edges(), "edges": EDGE_SHAPED}, "instance field 'edges' has type dict"),
+        ],
+        ids=["node-before-edge", "tail-before-weight", "weight-before-tail",
+             "nested-tail", "nested-weight", "nested-in-list", "unknown-before-malformed",
+             "malformed-before-unknown", "length-0-before-malformed", "edges-object"],
+    )
+    def test_first_fault(self, doc, message):
+        text = json.dumps(doc)
+        got = read_outcome(instance_from_json_str, text)
+        assert got == read_outcome(reference_read, text)
+        assert got[1] == message
