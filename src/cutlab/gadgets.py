@@ -16,6 +16,7 @@ structured strings such as ``v[1,2]/[*,0]``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass, fields
@@ -254,15 +255,6 @@ def split_block_point(node_id: str) -> tuple[str, tuple[Atom, ...]]:
     return block, parse_point(point)
 
 
-def _support_steps(
-    space: CorrelatedSpace, points: Sequence[tuple[Atom, ...]]
-) -> list[tuple[int, int]]:
-    """Every (n, m) with ``points[m]`` in the support of ``points[n]``: the
-    moves of one block of edges, by position, in point then support order."""
-    position = {x: n for n, x in enumerate(points)}
-    return [(n, position[y]) for n, x in enumerate(points) for y in support(space, x)]
-
-
 def _capped_power(base: int, exponent: int, cap: int, what: str) -> int:
     """``base ** exponent`` (base >= 2) in a count of ``what`` capped at ``cap``;
     an exponent past the cap's bit length puts it over (base^e >= 2^e > cap),
@@ -280,12 +272,33 @@ def guard(count: int, cap: int, what: str) -> None:
         raise SizeGuard(f"instance would have {shown} {what} (cap {cap})")
 
 
-def _support_total(space: CorrelatedSpace, coordinates: int) -> int:
-    """How many moves ``_support_steps`` lists over ``coordinates``
-    coordinates: the support sizes of one coordinate's atoms, summed, to
-    the power of the coordinate count."""
-    total = sum(len(space.partners[a]) for a in space.left.atoms)
-    return _capped_power(total, coordinates, DEFAULT_MAX_EDGES, "edges")
+class _Cube:
+    """A test's hypercube block, each part made on first use: the points of
+    the R-fold product of the noise atoms, lexicographically, their masses
+    under the noise marginal, and ``steps``, the moves of one block of edges:
+    every (n, m) with ``points[m]`` in the support of ``points[n]``."""
+
+    def __init__(self, noise: CorrelatedSpace, R: int) -> None:
+        self.noise, self.R = noise, R
+
+    @functools.cached_property
+    def moves(self) -> int:
+        """len(steps), unlisted: the atoms' support sizes, summed, to the power R."""
+        total = sum(len(self.noise.partners[a]) for a in self.noise.left.atoms)
+        return _capped_power(total, self.R, DEFAULT_MAX_EDGES, "edges")
+
+    @functools.cached_property
+    def points(self) -> list[tuple[Atom, ...]]:
+        return list(itertools.product(self.noise.left.atoms, repeat=self.R))
+
+    @functools.cached_property
+    def masses(self) -> list[Fraction]:
+        return [product_mass(self.noise.left, x) for x in self.points]
+
+    @functools.cached_property
+    def steps(self) -> list[tuple[int, int]]:
+        position = {x: n for n, x in enumerate(self.points)}
+        return [(position[x], position[y]) for x in self.points for y in support(self.noise, x)]
 
 
 def _cuttable(base: int, exponent: int) -> int:
@@ -326,22 +339,19 @@ def _blow_up(
     guard(len(cuttable) * size + len(g.nodes) - len(cuttable), max_nodes, "nodes")
     # per arc, how many of its ends are blocks: it becomes 1, size or moves arcs
     ends = [(e.tail in cuttable) + (e.head in cuttable) for e in g.edges]
-    moves = _support_total(noise, R)
-    guard(sum((1, size, moves)[c] for c in ends), DEFAULT_MAX_EDGES, "edges")
-    points = list(itertools.product(noise.left.atoms, repeat=R))
-    masses = [product_mass(noise.left, x) for x in points]
-    ids = {v: [point_id(v, x) for x in points] if v in cuttable else [v] for v in g.nodes}
+    cube = _Cube(noise, R)
+    guard(sum((1, size, cube.moves)[c] for c in ends), DEFAULT_MAX_EDGES, "edges")
+    ids = {v: [point_id(v, x) for x in cube.points] if v in cuttable else [v] for v in g.nodes}
     out = WeightedGraph()
     for v, copies in ids.items():
         weight = g.node_weight(v)
         # a terminal's one copy stays uncuttable
-        for u, mass in zip(copies, masses):
+        for u, mass in zip(copies, cube.masses):
             out.add_node(u, None if weight is None else weight * mass)
-    steps = _support_steps(noise, points)
     for (tail, head, directed, length, weight), c in zip(g.edges, ends):
         src, dst = ids[tail], ids[head]
         if c == 2:
-            out.add_edges((src[n], dst[m], directed, length, weight) for n, m in steps)
+            out.add_edges((src[n], dst[m], directed, length, weight) for n, m in cube.steps)
         else:
             out.add_edges((a, b, directed, length, weight) for a in src for b in dst)
     return CutInstance(graph=out, mode=gap.mode, problem=gap.problem, provenance=provenance)
@@ -437,14 +447,11 @@ def build_dict_edge(p: DictParamsE, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cu
     unit edges weighted by the product successor noise."""
     size = _capped_power(p.r, p.R, max_nodes, "nodes")
     guard((p.b + 1) * size + 2, max_nodes, "nodes")
-    noise = edge_noise_space(p.r)
+    cube = _Cube(edge_noise_space(p.r), p.R)
     # terminal and long edges, then b blocks of short edges
-    guard((p.b + 2) * size + p.b * _support_total(noise, p.R), DEFAULT_MAX_EDGES, "edges")
-    points = list(itertools.product(noise.left.atoms, repeat=p.R))
-    steps = [
-        (n, m, noise.product_pair_mass(points[n], points[m]))
-        for n, m in _support_steps(noise, points)
-    ]
+    guard((p.b + 2) * size + p.b * cube.moves, DEFAULT_MAX_EDGES, "edges")
+    points = cube.points
+    steps = [(n, m, cube.noise.product_pair_mass(points[n], points[m])) for n, m in cube.steps]
     g, ids = _layered_graph(range(p.b + 1), points, lambda i, n: None)
     g.add_edges(_end_edges(ids[0], ids[p.b]))
     for src, dst in itertools.pairwise(ids.values()):
@@ -460,22 +467,17 @@ def build_dict_edge(p: DictParamsE, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cu
     )
 
 
-def build_dict_vertex(
-    p: DictParamsV, *, max_nodes: int = DEFAULT_MAX_NODES
-) -> CutInstance:
+def build_dict_vertex(p: DictParamsV, *, max_nodes: int = DEFAULT_MAX_NODES) -> CutInstance:
     """Vertex-cut length test: layers over (*, 0..r-1)^R, with x joined to
     the support of x under the star noise space by unit edges to the next
     layer and by long skip edges of length (j-i)a to later layers j, and
     terminal edges whose lengths grow with the layer index."""
     nodes = (p.b + 1) * _capped_power(p.r + 1, p.R, max_nodes, "nodes")
     guard(nodes + 2, max_nodes, "nodes")
-    noise = star_noise_space(p.r, p.eps)
+    cube = _Cube(star_noise_space(p.r, p.eps), p.R)
     # two terminal edges per node, then one block per pair of layers
-    moves = (p.b + 1) * p.b // 2 * _support_total(noise, p.R)
-    guard(2 * nodes + moves, DEFAULT_MAX_EDGES, "edges")
-    points = list(itertools.product(noise.left.atoms, repeat=p.R))
-    masses = [product_mass(noise.left, x) for x in points]
-    g, ids = _layered_graph(range(p.b + 1), points, lambda i, n: masses[n])
+    guard(2 * nodes + (p.b + 1) * p.b // 2 * cube.moves, DEFAULT_MAX_EDGES, "edges")
+    g, ids = _layered_graph(range(p.b + 1), cube.points, lambda i, n: cube.masses[n])
     g.add_edges(
         rec
         for i, layer in ids.items()
@@ -485,12 +487,13 @@ def build_dict_vertex(
             (v, "t", False, (p.b - i) * p.a + 1, None),
         )
     )
-    steps = _support_steps(noise, points)
     blocks = [(ids[i], ids[i + 1], 1) for i in range(p.b)] + [
         (ids[i], ids[j], (j - i) * p.a) for i in range(p.b + 1) for j in range(i + 2, p.b + 1)
     ]
     g.add_edges(
-        (src[n], dst[m], False, length, None) for src, dst, length in blocks for n, m in steps
+        (src[n], dst[m], False, length, None)
+        for src, dst, length in blocks
+        for n, m in cube.steps
     )
     return CutInstance(
         graph=g,
@@ -506,19 +509,15 @@ def build_dict_rmfc(p: DictParamsF, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cu
     wild) in the next layer; layer i weighted by factor i."""
     size = _capped_power(p.big_b + 1, p.R, max_nodes, "nodes")
     guard(p.b * size + 2, max_nodes, "nodes")
-    noise = fire_noise_space(p.big_b, p.eps)
+    cube = _Cube(fire_noise_space(p.big_b, p.eps), p.R)
     # end edges, then one block per pair of consecutive layers
-    guard(2 * size + (p.b - 1) * _support_total(noise, p.R), DEFAULT_MAX_EDGES, "edges")
-    points = list(itertools.product(noise.left.atoms, repeat=p.R))
-    masses = [product_mass(noise.left, x) for x in points]
-    g, ids = _layered_graph(range(1, p.b + 1), points, lambda i, n: i * masses[n])
+    guard(2 * size + (p.b - 1) * cube.moves, DEFAULT_MAX_EDGES, "edges")
+    g, ids = _layered_graph(range(1, p.b + 1), cube.points, lambda i, n: i * cube.masses[n])
     g.add_edges(_end_edges(ids[1], ids[p.b]))
-    # one layer has no block of moves to list; there can be size^2 of them
-    steps = _support_steps(noise, points) if p.b > 1 else []
     g.add_edges(
         (src[n], dst[m], False, 1, None)
         for src, dst in itertools.pairwise(ids.values())
-        for n, m in steps
+        for n, m in cube.steps
     )
     return CutInstance(
         graph=g,

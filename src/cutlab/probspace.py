@@ -192,16 +192,6 @@ class ProductFunction:
             Fraction(0),
         )
 
-    def second_moment(self) -> Fraction:
-        return sum(
-            (product_mass(self.base, p) * v * v for p, v in self.values.items()),
-            Fraction(0),
-        )
-
-    def variance(self) -> Fraction:
-        mu = self.mean()
-        return self.second_moment() - mu * mu
-
 
 def efron_stein_influences(
     f: ProductFunction, d: int

@@ -92,25 +92,6 @@ class UniqueGamesInstance:
         """Constraint edges at u, with multiplicity."""
         return self._nbrs[u]
 
-    def to_json(self) -> dict:
-        return {
-            "U": list(self.U),
-            "W": list(self.W),
-            "R": self.R,
-            "edges": [
-                {"u": e.u, "w": e.w, "perm": list(e.perm)} for e in self.edges
-            ],
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "UniqueGamesInstance":
-        return UniqueGamesInstance(
-            doc["U"],
-            doc["W"],
-            int(doc["R"]),
-            [UGEdge(e["u"], e["w"], tuple(e["perm"])) for e in doc["edges"]],
-        )
-
 
 @dataclass(frozen=True)
 class Labeling:

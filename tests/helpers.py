@@ -1,7 +1,8 @@
 """Shared test oracles: the adjacency read off the edge list, exhaustive
 path enumeration, subset brute force, the Fraction separation oracles, the
-Fraction simplex, two closed-form correlation bounds, and the seeded
-random-instance factories used by the cross-check suites.
+Fraction simplex, two closed-form correlation bounds, the seeded
+random-instance factories used by the cross-check suites, a variance, and
+a JSON form of unique-games instances for round-trip checks.
 
 Everything here is deliberately independent of the package's search code:
 paths come from plain DFS enumeration, optima from subset enumeration,
@@ -36,6 +37,7 @@ from cutlab.graphs import (
 )
 from cutlab.lp import LPProblem
 from cutlab.probspace import Atom, ProductFunction, product_mass
+from cutlab.ug import UGEdge, UniqueGamesInstance
 
 
 def reference_out_arcs(g: WeightedGraph) -> dict[str, list[tuple[int, str]]]:
@@ -521,6 +523,15 @@ def reference_rmfc_search(inst: CutInstance, k: Fraction):
     return days is not None, days
 
 
+def second_moment(f: ProductFunction) -> Fraction:
+    return sum((product_mass(f.base, p) * v * v for p, v in f.values.items()), Fraction(0))
+
+
+def variance(f: ProductFunction) -> Fraction:
+    mu = f.mean()
+    return second_moment(f) - mu * mu
+
+
 def reference_efron_stein_norms(f: ProductFunction) -> dict[frozenset[int], Fraction]:
     """Squared 2-norms of the orthogonal parts f = sum_S f_S.
 
@@ -696,3 +707,21 @@ def sheppard_gamma_half(rho: float) -> float:
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must be in [-1,1]")
     return 0.25 + math.asin(-rho) / (2.0 * math.pi)
+
+
+def ug_to_json(inst: UniqueGamesInstance) -> dict:
+    return {
+        "U": list(inst.U),
+        "W": list(inst.W),
+        "R": inst.R,
+        "edges": [{"u": e.u, "w": e.w, "perm": list(e.perm)} for e in inst.edges],
+    }
+
+
+def ug_from_json(doc: dict) -> UniqueGamesInstance:
+    return UniqueGamesInstance(
+        doc["U"],
+        doc["W"],
+        int(doc["R"]),
+        [UGEdge(e["u"], e["w"], tuple(e["perm"])) for e in doc["edges"]],
+    )

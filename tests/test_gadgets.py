@@ -150,6 +150,15 @@ class TestDictEdge:
         assert all(v == 1 for v in per_layer.values())
         assert len(per_layer) == 2
 
+    def test_node_guard_precedes_the_noise_space(self, monkeypatch):
+        # the edge noise space is r^2 Fractions, 10^10 at r = 10^5
+        def unbuilt(r):
+            raise AssertionError("noise space was built")
+
+        monkeypatch.setattr(gadgets, "edge_noise_space", unbuilt)
+        with pytest.raises(SizeGuard, match=r"would have 10000100002 nodes \(cap 200000\)"):
+            build_dict_edge(DictParamsE(1, 10**5, 10**5, 1))
+
     @pytest.mark.parametrize("a,b,r,expect", [(4, 3, 2, 8), (4, 5, 3, 12)])
     def test_dictator_cut_distance(self, a, b, r, expect):
         p = DictParamsE(a, b, r, 1)
@@ -260,10 +269,10 @@ class TestDictRmfc:
     def test_one_layer_lists_no_moves(self, monkeypatch):
         # one layer has only its end edges; its (*, 1)^R block would list
         # 4^R moves
-        def unlisted(space, points):
+        def unlisted(space, x):
             raise AssertionError("moves were listed")
 
-        monkeypatch.setattr(gadgets, "_support_steps", unlisted)
+        monkeypatch.setattr(gadgets, "support", unlisted)
         inst = build_dict_rmfc(DictParamsF(1, 3, Fraction(1, 3)))
         assert len(inst.graph.edges) == 2 * 2**3
 
@@ -412,6 +421,29 @@ class TestBlowUp:
                 Fraction(1, 5) + Fraction(4, 5) / 2
             )
             assert shortest_path_length(h, "s", "t", cut) is None
+
+    def test_no_block_to_block_arc_lists_no_moves(self, monkeypatch):
+        """s -> a -> t: both arcs fan out at a terminal, so none of the
+        block's 7^8 moves is listed and ``support`` is never called."""
+
+        def unlisted(space, x):
+            raise AssertionError("moves were listed")
+
+        monkeypatch.setattr(gadgets, "support", unlisted)
+        g = WeightedGraph()
+        for v, w in [("s", None), ("t", None), ("a", Fraction(2))]:
+            g.add_node(v, w)
+        g.add_edges([("s", "a", True, 1, None), ("a", "t", True, 1, None)])
+        gap = CutInstance(graph=g, mode=VERTEX, problem=Multicut((("s", "t"),)))
+        noise = star_noise_space(2, Fraction(1, 5))
+        h = gadgets._blow_up(gap, noise, 8, {"generator": "path"}, 10_000).graph
+        points = list(itertools.product(noise.left.atoms, repeat=8))
+        a = [gadgets.point_id("a", x) for x in points]
+        assert h.nodes == ["s", "t", *a]
+        for x, u in zip(points, a):
+            assert h.node_weight(u) == 2 * product_mass(noise.left, x)
+        expect = [("s", u) for u in a] + [(u, "t") for u in a]
+        assert [(e.tail, e.head) for e in h.edges] == expect
 
 
 class TestDeterminism:
