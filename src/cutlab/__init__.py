@@ -45,7 +45,6 @@ from .gadgets import (
     dictator_cut,
 )
 from .solvers import (
-    brute_force_min_cut,
     exact_interdiction,
     exact_min_length_bounded_cut,
     exact_min_multicut,

@@ -338,7 +338,7 @@ def _blow_up(
     size = _capped_power(len(noise.left.atoms), R, max_nodes, "nodes")
     guard(len(cuttable) * size + len(g.nodes) - len(cuttable), max_nodes, "nodes")
     # per arc, how many of its ends are blocks: it becomes 1, size or moves arcs
-    ends = [(e.tail in cuttable) + (e.head in cuttable) for e in g.edges]
+    ends = [(tail in cuttable) + (head in cuttable) for tail, head, _, _, _ in g.edge_rows]
     cube = _Cube(noise, R)
     guard(sum((1, size, cube.moves)[c] for c in ends), DEFAULT_MAX_EDGES, "edges")
     ids = {v: [point_id(v, x) for x in cube.points] if v in cuttable else [v] for v in g.nodes}
@@ -348,7 +348,7 @@ def _blow_up(
         # a terminal's one copy stays uncuttable
         for u, mass in zip(copies, cube.masses):
             out.add_node(u, None if weight is None else weight * mass)
-    for (tail, head, directed, length, weight), c in zip(g.edges, ends):
+    for (tail, head, directed, length, weight), c in zip(g.edge_rows, ends):
         src, dst = ids[tail], ids[head]
         if c == 2:
             out.add_edges((src[n], dst[m], directed, length, weight) for n, m in cube.steps)
@@ -779,7 +779,7 @@ def declared_symmetries(inst: CutInstance) -> Iterator[dict[Element, Element]]:
     same = (
         inst.mode == fresh.mode
         and inst.problem == fresh.problem
-        and g.edges == h.edges
+        and g.edge_rows == h.edge_rows
         and {v: g.node_weight(v) for v in g.nodes} == {v: h.node_weight(v) for v in h.nodes}
     )
     if same:
@@ -838,15 +838,16 @@ def rule_cut(
             nodes[v] = (coord(owner), block, x)
     if inst.mode == EDGE:
         elements = set()
-        for idx, e in enumerate(g.edges):
-            if e.weight is None:
+        cost = Fraction(0)
+        for idx, (tail, head, _, _, weight) in enumerate(g.edge_rows):
+            if weight is None:
                 continue
-            (qa, blk_a, xa), (qb, blk_b, xb) = nodes[e.tail], nodes[e.head]
+            (qa, blk_a, xa), (qb, blk_b, xb) = nodes[tail], nodes[head]
             if _layer(blk_a) > _layer(blk_b):
                 qa, xa, qb, xb = qb, xb, qa, xa
             if qa is None or qb is None or in_cut(xa[qa], xb[qb]):
                 elements.add(idx)
-        cost = sum((g.edges[idx].weight for idx in elements), Fraction(0))
+                cost += weight
         return CutSolution(frozenset(elements), cost)
     if isinstance(inst.problem, Rmfc):
         days: list[set[str]] = [set() for _ in range(params.b)]

@@ -8,13 +8,19 @@ Conventions used throughout the package:
 * Edge lengths are positive integers.
 * A *cut element* is a node id (``str``) in vertex mode and an edge index
   (``int``, position in ``WeightedGraph.edges``) in edge mode.
+* A graph stores each edge as a plain ``(tail, head, directed, length,
+  weight)`` tuple, its *row*. ``WeightedGraph.edges`` makes a ``GraphEdge``
+  of a row when read; the package's own per-edge loops read the rows
+  (``WeightedGraph.edge_rows``) instead.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from heapq import heappop, heappush
 from itertools import islice
 from json.decoder import WHITESPACE, JSONDecoder, scanstring
@@ -83,8 +89,21 @@ class GraphEdge(NamedTuple):
     weight: Weight
 
 
-# an edge to add: (tail, head, directed, length, weight)
+# an edge to add, and an edge as a graph stores it (a row):
+# (tail, head, directed, length, weight)
 EdgeRecord = tuple[str, str, bool, int, Weight]
+
+# the GraphEdge of a row, made without a Python-level call
+_graph_edge = partial(tuple.__new__, GraphEdge)
+
+
+def _check_weight(weight: object, what: str) -> None:
+    """Raise ValueError unless ``weight`` is an int or Fraction (a bool is
+    neither) and nonnegative; ``what`` names it in the message."""
+    if not isinstance(weight, (int, Fraction)) or isinstance(weight, bool):
+        raise ValueError(f"{what} must be an int, Fraction or None, got {weight!r}")
+    if weight < 0:
+        raise ValueError(f"negative {what}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +131,50 @@ class Path:
         return out
 
 
+class EdgeView(Sequence):
+    """A graph's edges, each made a ``GraphEdge`` when read.
+
+    The graph keeps plain tuples because the cyclic collector stops
+    tracking a tuple whose fields it need not track, but never a tuple
+    subclass such as ``GraphEdge``: a graph holding ``GraphEdge``s has
+    every collection walk every edge. The view reads the graph's current
+    rows; ``==`` compares it with another view or a list, and ``pop``
+    removes the last edge."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: WeightedGraph) -> None:
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph._rows)
+
+    def __getitem__(self, index):
+        rows = self._graph._rows
+        if isinstance(index, slice):
+            return list(map(_graph_edge, rows[index]))
+        return _graph_edge(rows[index])
+
+    def __iter__(self) -> Iterator[GraphEdge]:
+        return map(_graph_edge, self._graph._rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EdgeView):
+            return self._graph._rows == other._graph._rows
+        if isinstance(other, list):
+            return self._graph._rows == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"EdgeView({list(self)!r})"
+
+    def pop(self) -> GraphEdge:
+        """Remove and return the last edge."""
+        graph = self._graph
+        graph._out = None
+        return _graph_edge(graph._rows.pop())
+
+
 class WeightedGraph:
     """Directed or mixed graph with rational node/edge weights.
 
@@ -122,7 +185,8 @@ class WeightedGraph:
     def __init__(self) -> None:
         # node -> weight, in insertion order
         self._weights: dict[str, Weight] = {}
-        self.edges: list[GraphEdge] = []
+        # one plain (tail, head, directed, length, weight) tuple per edge
+        self._rows: list[EdgeRecord] = []
         # arcs usable when leaving a node: list of (edge_index, neighbor);
         # built by the first out_arcs call, dropped by every addition
         self._out: dict[str, list[tuple[int, str]]] | None = None
@@ -133,8 +197,8 @@ class WeightedGraph:
         self._out = None
         if node in self._weights:
             raise ValueError(f"duplicate node {node!r}")
-        if weight is not None and weight < 0:
-            raise ValueError(f"negative weight on node {node!r}")
+        if weight is not None and (type(weight) is not Fraction or weight < 0):
+            _check_weight(weight, f"weight on node {node!r}")
         self._weights[node] = weight
 
     def add_edge(
@@ -147,37 +211,53 @@ class WeightedGraph:
         weight: Weight = None,
     ) -> int:
         self.add_edges(((tail, head, directed, length, weight),))
-        return len(self.edges) - 1
+        return len(self._rows) - 1
 
     def add_edges(self, records: Iterable[EdgeRecord]) -> None:
         """Append one edge per ``(tail, head, directed, length, weight)``
         record, in order. This is the one path by which edges enter a graph:
-        the endpoints must be declared, the length a positive integer (an
-        integral value such as 2.0 is stored as 2) and the weight
-        nonnegative or None."""
+        the endpoints must be declared, ``directed`` a bool, the length a
+        positive integer (an integral value such as 2.0 is stored as 2, a
+        bool is refused) and the weight a nonnegative int or Fraction, or
+        None. Each edge is stored as a new plain tuple, never as the
+        caller's record."""
         self._out = None
         declared = self._weights
-        append = self.edges.append
-        for record in records:
-            tail, head, directed, length, weight = record
+        append = self._rows.append
+        # the 5-way unpack checks each record's arity
+        for tail, head, directed, length, weight in records:
             if tail not in declared or head not in declared:
                 raise UnknownNode(f"edge endpoints {tail!r}-{head!r} not declared")
+            if type(directed) is not bool:
+                raise ValueError(f"edge directed must be a bool, got {directed!r}")
             if type(length) is not int or length < 1:
-                if length < 1 or int(length) != length:
+                # a fractional part, or nan for an infinite or nan length
+                if isinstance(length, bool) or length < 1 or length % 1:
                     raise ValueError(
                         f"edge length must be a positive integer, got {length}"
                     )
-                record = (tail, head, directed, int(length), weight)
-            if weight is not None and weight < 0:
-                raise ValueError("negative edge weight")
-            # the 5-way unpack above has checked the arity that _make checks
-            append(tuple.__new__(GraphEdge, record))
+                length = int(length)
+            if weight is not None and (type(weight) is not Fraction or weight < 0):
+                _check_weight(weight, "edge weight")
+            append((tail, head, directed, length, weight))
 
     # -- inspection ---------------------------------------------------
 
     @property
     def nodes(self) -> list[str]:
         return list(self._weights)
+
+    @property
+    def edges(self) -> EdgeView:
+        """The edges in order, each read as a ``GraphEdge``."""
+        return EdgeView(self)
+
+    @property
+    def edge_rows(self) -> list[EdgeRecord]:
+        """The stored rows, one ``(tail, head, directed, length, weight)``
+        tuple per edge in order: the list itself, which callers must not
+        change. Reading a row makes no ``GraphEdge``."""
+        return self._rows
 
     def __contains__(self, node: str) -> bool:
         return node in self._weights
@@ -191,8 +271,8 @@ class WeightedGraph:
     def element_weight(self, element: Element) -> Weight:
         if isinstance(element, str):
             return self.node_weight(element)
-        if isinstance(element, int) and 0 <= element < len(self.edges):
-            return self.edges[element].weight
+        if isinstance(element, int) and 0 <= element < len(self._rows):
+            return self._rows[element][4]
         raise UnknownNode(f"unknown element {element!r}")
 
     def out_arcs(self, node: str) -> list[tuple[int, str]]:
@@ -208,7 +288,7 @@ class WeightedGraph:
         """Every node's arcs in one pass over the edges, in edge order: the
         tail's arc, then the head's arc when the edge is undirected."""
         out: dict[str, list[tuple[int, str]]] = {v: [] for v in self._weights}
-        for idx, (tail, head, directed, _, _) in enumerate(self.edges):
+        for idx, (tail, head, directed, _, _) in enumerate(self._rows):
             out[tail].append((idx, head))
             if not directed:
                 out[head].append((idx, tail))
@@ -217,7 +297,7 @@ class WeightedGraph:
     def cuttable_elements(self, mode: str) -> list[Element]:
         if mode == VERTEX:
             return [v for v, w in self._weights.items() if w is not None]
-        return [i for i, e in enumerate(self.edges) if e.weight is not None]
+        return [i for i, row in enumerate(self._rows) if row[4] is not None]
 
     # -- removal bookkeeping -------------------------------------------
 
@@ -261,6 +341,7 @@ def shortest_path_length(
     rnodes, redges = g.check_removable(removed)
     if s in rnodes or t in rnodes:
         return None
+    rows = g.edge_rows
     order = {v: i for i, v in enumerate(g.nodes)}
     dist: dict[str, int] = {s: 0}
     heap: list[tuple[int, int, str]] = [(0, order[s], s)]
@@ -273,7 +354,7 @@ def shortest_path_length(
         for idx, nb in g.out_arcs(v):
             if idx in redges or nb in rnodes:
                 continue
-            nd = d + g.edges[idx].length
+            nd = d + rows[idx][3]
             if nb not in dist or nd < dist[nb]:
                 dist[nb] = nd
                 heappush(heap, (nd, order[nb], nb))
@@ -293,6 +374,7 @@ def _scaled_costs(
     not an ``int`` or ``Fraction``, is negative, or is positive on an
     uncuttable element.
     """
+    rows = g.edge_rows
     positive: dict[Element, Fraction | int] = {}
     for el, val in x.items():
         if mode == VERTEX:
@@ -300,9 +382,9 @@ def _scaled_costs(
                 raise UnknownNode(f"unknown vertex-mode element {el!r}")
             weight = g.node_weight(el)
         else:
-            if type(el) is not int or not 0 <= el < len(g.edges):
+            if type(el) is not int or not 0 <= el < len(rows):
                 raise UnknownNode(f"unknown edge-mode element {el!r}")
-            weight = g.edges[el].weight
+            weight = rows[el][4]
         if not isinstance(val, (int, Fraction)) or isinstance(val, bool):
             raise ValueError(f"x[{el!r}] = {val!r} is not an int or Fraction")
         if val < 0:
@@ -364,7 +446,8 @@ def min_weight_path(
         edges.append(pe)
     nodes.reverse()
     edges.reverse()
-    path = Path(tuple(nodes), tuple(edges), sum(g.edges[i].length for i in edges))
+    rows = g.edge_rows
+    path = Path(tuple(nodes), tuple(edges), sum(rows[i][3] for i in edges))
     # a tree path is simple, so best[t] sums x over distinct elements
     return path, Fraction(best[t], scale)
 
@@ -401,12 +484,12 @@ def constrained_min_weight_path(
         raise UnknownNode("unknown terminal")
     scale, cost = _scaled_costs(g, x, mode)
     edge_mode = mode == EDGE
-    edges = g.edges
+    rows = g.edge_rows
     nodes = g.nodes
     # the arcs out of each node as (neighbour, edge, length, cost)
     arcs = {
         v: [
-            (nb, idx, edges[idx].length, cost.get(idx if edge_mode else nb, 0))
+            (nb, idx, rows[idx][3], cost.get(idx if edge_mode else nb, 0))
             for idx, nb in g.out_arcs(v)
         ]
         for v in nodes
@@ -456,7 +539,7 @@ def constrained_min_weight_path(
     path = Path(
         tuple(nodes_s),
         tuple(edges_s),
-        sum(edges[i].length for i in edges_s),
+        sum(rows[i][3] for i in edges_s),
     )
     total = sum(cost.get(el, 0) for el in path.elements(mode, g))
     return path, Fraction(total, scale)
@@ -598,18 +681,18 @@ def min_st_cut(
     if mode == VERTEX:
         for v in g.nodes:
             net.arc(f"{v}/in", f"{v}/out", g.node_weight(v), v)
-        for e in g.edges:
-            net.arc(f"{e.tail}/out", f"{e.head}/in", None, None)
-            if not e.directed:
-                net.arc(f"{e.head}/out", f"{e.tail}/in", None, None)
+        for tail, head, directed, _, _ in g.edge_rows:
+            net.arc(f"{tail}/out", f"{head}/in", None, None)
+            if not directed:
+                net.arc(f"{head}/out", f"{tail}/in", None, None)
         source, sink = f"{s}/out", f"{t}/in"
     else:
         for v in g.nodes:
             net.node(v)
-        for i, e in enumerate(g.edges):
-            net.arc(e.tail, e.head, e.weight, i)
-            if not e.directed:
-                net.arc(e.head, e.tail, e.weight, i)
+        for i, (tail, head, directed, _, weight) in enumerate(g.edge_rows):
+            net.arc(tail, head, weight, i)
+            if not directed:
+                net.arc(head, tail, weight, i)
         source, sink = s, t
 
     value = net.max_flow(source, sink)
@@ -715,39 +798,6 @@ class CutInstance:
 
     def cuttable_elements(self) -> list[Element]:
         return self.graph.cuttable_elements(self.mode)
-
-
-# -- graph terminology reductions ----------------------------------------
-
-
-def expand_node_weights(g: WeightedGraph) -> WeightedGraph:
-    """Duplicate each vertex according to its integer weight.
-
-    Copies are joined by complete bipartite connections replacing each
-    original edge; all copies get unit weight. Uncuttable nodes keep a
-    single uncuttable copy. Requires integer node weights.
-    """
-    out = WeightedGraph()
-    copies: dict[str, list[str]] = {}
-    for v in g.nodes:
-        w = g.node_weight(v)
-        if w is None:
-            out.add_node(v, None)
-            copies[v] = [v]
-            continue
-        if w.denominator != 1:
-            raise ValueError("expand_node_weights needs integer weights")
-        names = [f"{v}#{i}" for i in range(int(w))]
-        for name in names:
-            out.add_node(name, Fraction(1))
-        copies[v] = names
-    out.add_edges(
-        (a, b, e.directed, e.length, e.weight)
-        for e in g.edges
-        for a in copies[e.tail]
-        for b in copies[e.head]
-    )
-    return out
 
 
 # -- JSON schema ----------------------------------------------------------
@@ -947,10 +997,10 @@ def instance_to_json_str(inst: CutInstance) -> str:
     pieces = [
         '{\n  "edges": ',
         *_json_array(
-            f'    {{\n      "directed": {"true" if e.directed else "false"},\n'
-            f'      "head": {ids[e.head]},\n      "length": {e.length},\n'
-            f'      "tail": {ids[e.tail]},\n      "weight": {_json_weight(e.weight)}\n    }}'
-            for e in g.edges
+            f'    {{\n      "directed": {"true" if directed else "false"},\n'
+            f'      "head": {ids[head]},\n      "length": {length},\n'
+            f'      "tail": {ids[tail]},\n      "weight": {_json_weight(weight)}\n    }}'
+            for tail, head, directed, length, weight in g.edge_rows
         ),
         f',\n  "mode": {json_str(inst.mode)},\n  "nodes": ',
         *_json_array(

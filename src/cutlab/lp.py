@@ -230,6 +230,7 @@ def _dfs_has_cheap_path(
     g = inst.graph
     edge_mode = inst.mode == EDGE
     scale, cost = _scaled_costs(g, x, inst.mode)
+    lengths = [length for _, _, _, length, _ in g.edge_rows]
     steps = 0
     on_path: set[str] = set()
     # the open path as (node, length, mass, remaining out-arcs); nodes are
@@ -250,7 +251,7 @@ def _dfs_has_cheap_path(
         while step is None and stack:
             v, length, mass, arcs = stack[-1]
             for idx, nb in arcs:
-                nl = length + g.edges[idx].length
+                nl = length + lengths[idx]
                 if nb not in on_path and (bound is None or nl < bound):
                     step = (nb, nl, mass + cost.get(idx if edge_mode else nb, 0))
                     break

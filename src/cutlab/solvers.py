@@ -1,7 +1,6 @@
 """Exact optima at desk scale: lazy branch-and-bound over violated paths,
-subset brute force for cross-checks, interdiction by climbing the
-length-bounded-cut curve, and the fire-spread simulator with an exact
-schedule search.
+interdiction by climbing the length-bounded-cut curve, and the fire-spread
+simulator with an exact schedule search.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .graphs import (
 )
 
 BB_ELEMENT_LIMIT = 40
-BRUTE_ELEMENT_LIMIT = 22
 RMFC_VERTEX_LIMIT = 14
 
 
@@ -61,7 +59,7 @@ class PathSearch:
         self.names = g.nodes
         self.index = {v: i for i, v in enumerate(self.names)}
         self.vertex_mode = inst.mode == VERTEX
-        self.lengths = [e.length for e in g.edges]
+        self.lengths = [length for _, _, _, length, _ in g.edge_rows]
         if isinstance(p, Multicut):
             pairs = p.pairs
             steps = [0] * len(self.lengths)
@@ -88,7 +86,7 @@ class PathSearch:
         if self.vertex_mode:
             self.weights = [g.node_weight(v) for v in self.names]
         else:
-            self.weights = [e.weight for e in g.edges]
+            self.weights = [weight for _, _, _, _, weight in g.edge_rows]
         self.removed = bytearray(len(self.weights))
 
     def element(self, el: int) -> Element:
@@ -512,39 +510,6 @@ def exact_min_length_bounded_cut(
         "branch and bound left a path shorter than the bound",
     )
     return CutSolution(elements, cost)
-
-
-# -- subset brute force -------------------------------------------------------
-
-
-def brute_force_min_cut(inst: CutInstance, bound: int | None = None) -> CutSolution:
-    """Exhaustive minimum over all cuttable subsets; the independent
-    cross-check oracle for the branch-and-bound solvers."""
-    cuttable = sorted(inst.cuttable_elements(), key=str)
-    if len(cuttable) > BRUTE_ELEMENT_LIMIT:
-        raise SizeGuard(f"{len(cuttable)} cuttable elements (cap {BRUTE_ELEMENT_LIMIT})")
-    if isinstance(inst.problem, Multicut):
-        feasible = lambda els: multicut_is_feasible(inst, els)
-    elif isinstance(inst.problem, LengthBound):
-        feasible = lambda els: length_bound_is_feasible(inst, els, bound)
-    else:
-        raise ValueError("brute force covers multicut and length bound")
-    # cutting more never breaks feasibility, so no subset is feasible
-    # unless the whole set is
-    if not feasible(cuttable):
-        raise Infeasible("no cuttable subset is feasible")
-    # costs are integers over the common denominator of the weights
-    scale, units = _over_lcm([inst.graph.element_weight(el) for el in cuttable])
-    indices = range(len(cuttable))
-    best: tuple[int, frozenset[Element]] | None = None
-    for mask in range(1 << len(cuttable)):
-        cost = sum(units[i] for i in indices if mask >> i & 1)
-        if best is not None and cost >= best[0]:
-            continue
-        subset = [cuttable[i] for i in indices if mask >> i & 1]
-        if feasible(subset):
-            best = (cost, frozenset(subset))
-    return CutSolution(best[1], Fraction(best[0], scale))
 
 
 # -- interdiction -------------------------------------------------------------

@@ -228,23 +228,22 @@ def compose(
     # terminal attachments, replicated per w
     out.add_edges(
         (
-            e.tail if e.tail in terminals else gadgets.composed_id(w, e.tail),
-            e.head if e.head in terminals else gadgets.composed_id(w, e.head),
-            e.directed,
-            e.length,
-            e.weight,
+            tail if tail in terminals else gadgets.composed_id(w, tail),
+            head if head in terminals else gadgets.composed_id(w, head),
+            directed,
+            length,
+            weight,
         )
-        for e in gg.edges
-        if e.tail in terminals or e.head in terminals
+        for tail, head, directed, length, weight in gg.edge_rows
+        if tail in terminals or head in terminals
         for w in ug.W
     )
 
     prob = Fraction(1, len(ug.U) * ug.degree_u * ug.degree_u)
     inner_edges = [
-        (e.tail, e.head, e.directed, e.length,
-         None if e.weight is None else e.weight * prob)
-        for e in gg.edges
-        if e.tail not in terminals and e.head not in terminals
+        (tail, head, directed, length, None if weight is None else weight * prob)
+        for tail, head, directed, length, weight in gg.edge_rows
+        if tail not in terminals and head not in terminals
     ]
     parsed = {v: split_block_point(v) for v in inner}
 

@@ -1,8 +1,9 @@
 """Shared test oracles: the adjacency read off the edge list, exhaustive
 path enumeration, subset brute force, the Fraction separation oracles, the
 Fraction simplex, two closed-form correlation bounds, the seeded
-random-instance factories used by the cross-check suites, a variance, and
-a JSON form of unique-games instances for round-trip checks.
+random-instance factories used by the cross-check suites, a variance, the
+integer node-weight expansion, and a JSON form of unique-games instances
+for round-trip checks.
 
 Everything here is deliberately independent of the package's search code:
 paths come from plain DFS enumeration, optima from subset enumeration,
@@ -21,17 +22,20 @@ from heapq import heappop, heappush
 from itertools import combinations, product
 from typing import Mapping
 
-from cutlab.errors import CutLabError, Infeasible, UnknownNode, require
+from cutlab import solvers
+from cutlab.errors import CutLabError, Infeasible, SizeGuard, UnknownNode, require
 from cutlab.graphs import (
     EDGE,
     VERTEX,
     CutInstance,
+    CutSolution,
     Element,
     LengthBound,
     Multicut,
     Path,
     Rmfc,
     WeightedGraph,
+    _over_lcm,
     _remove_shortcuts,
     shortest_path_length,
 )
@@ -297,6 +301,40 @@ def brute_force_min_disconnect(g: WeightedGraph, s: str, t: str, mode: str):
     return best
 
 
+# the most cuttable elements brute_force_min_cut enumerates the subsets of
+BRUTE_ELEMENT_LIMIT = 22
+
+
+def brute_force_min_cut(inst: CutInstance, bound: int | None = None) -> CutSolution:
+    """Exhaustive minimum over all cuttable subsets; the independent
+    cross-check oracle for the branch-and-bound solvers."""
+    cuttable = sorted(inst.cuttable_elements(), key=str)
+    if len(cuttable) > BRUTE_ELEMENT_LIMIT:
+        raise SizeGuard(f"{len(cuttable)} cuttable elements (cap {BRUTE_ELEMENT_LIMIT})")
+    if isinstance(inst.problem, Multicut):
+        feasible = lambda els: solvers.multicut_is_feasible(inst, els)
+    elif isinstance(inst.problem, LengthBound):
+        feasible = lambda els: solvers.length_bound_is_feasible(inst, els, bound)
+    else:
+        raise ValueError("brute force covers multicut and length bound")
+    # cutting more never breaks feasibility, so no subset is feasible
+    # unless the whole set is
+    if not feasible(cuttable):
+        raise Infeasible("no cuttable subset is feasible")
+    # costs are integers over the common denominator of the weights
+    scale, units = _over_lcm([inst.graph.element_weight(el) for el in cuttable])
+    indices = range(len(cuttable))
+    best: tuple[int, frozenset[Element]] | None = None
+    for mask in range(1 << len(cuttable)):
+        cost = sum(units[i] for i in indices if mask >> i & 1)
+        if best is not None and cost >= best[0]:
+            continue
+        subset = [cuttable[i] for i in indices if mask >> i & 1]
+        if feasible(subset):
+            best = (cost, frozenset(subset))
+    return CutSolution(best[1], Fraction(best[0], scale))
+
+
 def brute_force_min_feasible(inst: CutInstance, feasible) -> Fraction | None:
     """Cheapest cuttable subset passing the supplied feasibility check."""
     cuttable = inst.cuttable_elements()
@@ -309,6 +347,36 @@ def brute_force_min_feasible(inst: CutInstance, feasible) -> Fraction | None:
         if feasible(subset):
             best = cost
     return best
+
+
+def expand_node_weights(g: WeightedGraph) -> WeightedGraph:
+    """Duplicate each vertex according to its integer weight.
+
+    Copies are joined by complete bipartite connections replacing each
+    original edge; all copies get unit weight. Uncuttable nodes keep a
+    single uncuttable copy. Requires integer node weights.
+    """
+    out = WeightedGraph()
+    copies: dict[str, list[str]] = {}
+    for v in g.nodes:
+        w = g.node_weight(v)
+        if w is None:
+            out.add_node(v, None)
+            copies[v] = [v]
+            continue
+        if w.denominator != 1:
+            raise ValueError("expand_node_weights needs integer weights")
+        names = [f"{v}#{i}" for i in range(int(w))]
+        for name in names:
+            out.add_node(name, Fraction(1))
+        copies[v] = names
+    out.add_edges(
+        (a, b, e.directed, e.length, e.weight)
+        for e in g.edges
+        for a in copies[e.tail]
+        for b in copies[e.head]
+    )
+    return out
 
 
 def random_instance(

@@ -524,7 +524,7 @@ class TestExactSearchFrozen:
         # the saks group no longer holds. Pruned with it, the search would
         # answer 5; the optimum is brute force's 4
         from cutlab.graphs import instance_from_json_str
-        from cutlab.solvers import brute_force_min_cut
+        from helpers import brute_force_min_cut
 
         path = tmp_path / "saks.json"
         argv = ["generate", "--family", "saks", "--params", "r=3,k=2", "--out", str(path)]

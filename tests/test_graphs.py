@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import tracemalloc
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import expand_node_weights
 from cutlab import gadgets, lp, ug
 from cutlab.cli import main, parse_params
 from cutlab.errors import MalformedInstance, NoFiniteCut, RemovingUncuttable, UnknownNode
@@ -21,7 +23,6 @@ from cutlab.graphs import (
     _JSON_BLOCK,
     _scaled_costs,
     constrained_min_weight_path,
-    expand_node_weights,
     instance_from_json,
     instance_from_json_str,
     instance_to_json_str,
@@ -554,9 +555,19 @@ class TestAddEdges:
             ("a", "b", 0, None, ValueError),
             ("a", "b", 1.5, None, ValueError),
             ("a", "b", 1, Fraction(-1, 2), ValueError),
+            ("a", "b", 1, -1, ValueError),
+            ("a", "b", True, None, ValueError),
+            ("a", "b", float("inf"), None, ValueError),
+            ("a", "b", float("nan"), None, ValueError),
+            ("a", "b", Fraction(3, 2), None, ValueError),
+            ("a", "b", 1, 0.5, ValueError),
+            ("a", "b", 1, True, ValueError),
+            ("a", "b", 1, "1/2", ValueError),
         ],
         ids=["undeclared-tail", "undeclared-head", "length-0", "length-1.5",
-             "negative-weight"],
+             "negative-weight", "negative-int-weight", "length-true", "length-inf",
+             "length-nan", "length-3/2", "weight-float",
+             "weight-true", "weight-str"],
     )
     def test_same_rejection(self, tail, head, length, weight, error):
         one, bulk = self.pair_graph(), self.pair_graph()
@@ -581,6 +592,48 @@ class TestAddEdges:
         ]
         assert g.out_arcs("a") == [(0, "b"), (1, "b")] and g.out_arcs("b") == [(1, "a")]
 
+    @pytest.mark.parametrize("directed", ["yes", 1, None])
+    def test_directed_must_be_a_bool(self, directed):
+        one, bulk = self.pair_graph(), self.pair_graph()
+        message = f"edge directed must be a bool, got {directed!r}"
+        with pytest.raises(ValueError) as single:
+            one.add_edge("a", "b", directed=directed)
+        with pytest.raises(ValueError) as many:
+            bulk.add_edges([("a", "b", True, 1, None), ("a", "b", directed, 1, None)])
+        assert str(single.value) == str(many.value) == message
+        assert one.edges == [] and len(bulk.edges) == 1
+
+    def test_int_weights_stored_as_given(self):
+        g = self.pair_graph()
+        g.add_edge("a", "b", directed=True, weight=3)
+        g.add_edges([("b", "a", True, 1, 0)])
+        assert g.edges == [("a", "b", True, 1, 3), ("b", "a", True, 1, 0)]
+        assert [type(e.weight) for e in g.edges] == [int, int]
+
+    @pytest.mark.parametrize(
+        "weight, message",
+        [
+            (0.5, "weight on node 'a' must be an int, Fraction or None, got 0.5"),
+            (True, "weight on node 'a' must be an int, Fraction or None, got True"),
+            ("1", "weight on node 'a' must be an int, Fraction or None, got '1'"),
+            (Fraction(-1), "negative weight on node 'a'"),
+            (-2, "negative weight on node 'a'"),
+        ],
+        ids=["float", "bool", "str", "negative", "negative-int"],
+    )
+    def test_node_weight_refused(self, weight, message):
+        g = WeightedGraph()
+        with pytest.raises(ValueError) as excinfo:
+            g.add_node("a", weight)
+        assert str(excinfo.value) == message
+        assert g.nodes == []
+
+    def test_node_weights_accepted(self):
+        g = WeightedGraph()
+        for v, w in [("a", None), ("b", 0), ("c", 2), ("d", Fraction(1, 3))]:
+            g.add_node(v, w)
+        assert [g.node_weight(v) for v in g.nodes] == [None, 0, 2, Fraction(1, 3)]
+
     def test_add_edge_returns_index(self):
         g = self.pair_graph()
         g.add_edges([("a", "b", True, 1, None)])
@@ -594,6 +647,123 @@ class TestAddEdges:
         for field in GraphEdge._fields:
             with pytest.raises(AttributeError):
                 setattr(edge, field, None)
+
+
+def assert_edge_view(g, expected):
+    """``g.edges`` reads as ``expected``, a list of ``GraphEdge``s, by
+    ``==``, iteration, int and negative index and slices, every item a
+    ``GraphEdge`` and every stored row a plain tuple; then ``pop``
+    removes the last edge and drops the adjacency index."""
+    edges = g.edges
+    assert len(edges) == len(expected) >= 3
+    assert edges == expected and expected == edges and edges == g.edges
+    assert list(edges) == expected
+    assert all(type(e) is GraphEdge for e in edges)
+    assert all(type(row) is tuple for row in g.edge_rows)
+    for i in (0, 1, -1, -2, -len(expected)):
+        assert type(edges[i]) is GraphEdge and edges[i] == expected[i]
+    for part in (slice(1, 3), slice(-2, None), slice(None, None, -2)):
+        assert edges[part] == expected[part]
+        assert all(type(e) is GraphEdge for e in edges[part])
+    with pytest.raises(IndexError):
+        edges[len(expected)]
+    g.out_arcs(expected[0].tail)
+    assert type(edges.pop()) is GraphEdge
+    assert g.edges == expected[:-1] and len(g.edges) == len(expected) - 1
+    assert_index_matches_edges(g)
+
+
+def edge_sources():
+    """The graph sources whose edge views ``TestEdgeRows`` checks: each
+    family's build, its JSON round trip and a copy fed the build's
+    ``GraphEdge``s or lists, and two compositions."""
+    sources = {}
+    for name, text in sorted(TestInstanceJson.SMALL_PARAMS.items()):
+        for how in ("build", "json", "graph-edges", "lists"):
+            sources[f"{name}-{how}"] = (name, text, how)
+    for kind in ("dict_vertex", "dict_edge"):
+        sources[f"compose-{kind}"] = (kind, None, "compose")
+    return sources
+
+
+def copy_nodes(g):
+    h = WeightedGraph()
+    for v in g.nodes:
+        h.add_node(v, g.node_weight(v))
+    return h
+
+
+class TestEdgeRows:
+    """A graph stores plain tuple rows and ``g.edges`` is a view of them
+    that reads each as a ``GraphEdge``."""
+
+    COMPOSE = {
+        "dict_vertex": gadgets.DictParamsV(2, 1, 2, 2, Fraction(1, 5)),
+        "dict_edge": gadgets.DictParamsE(2, 3, 2, 2),
+    }
+
+    @pytest.mark.parametrize("source", sorted(edge_sources()))
+    def test_view(self, source):
+        name, text, how = edge_sources()[source]
+        if how == "compose":
+            synth = ug.synth_ug(2, 2, 2, 2, mode="planted", seed=3)
+            g = ug.compose(synth.instance, name, self.COMPOSE[name]).graph
+            expected = [GraphEdge(*row) for row in g.edge_rows]
+        else:
+            family = gadgets.FAMILIES[name]
+            inst = family.build(family.params(parse_params(text)), 10_000)
+            expected = [GraphEdge(*row) for row in inst.graph.edge_rows]
+            if how == "build":
+                g = inst.graph
+            elif how == "json":
+                text = instance_to_json_str(inst)
+                expected = [
+                    GraphEdge(e["tail"], e["head"], e["directed"], e["length"],
+                              None if e["weight"] is None else Fraction(e["weight"]))
+                    for e in json.loads(text)["edges"]
+                ]
+                g = instance_from_json_str(text).graph
+            else:
+                g = copy_nodes(inst.graph)
+                records = inst.graph.edges if how == "graph-edges" else [
+                    list(e) for e in inst.graph.edges
+                ]
+                g.add_edges(records)
+        assert_edge_view(g, expected)
+
+    def test_record_is_copied(self):
+        g = WeightedGraph()
+        for v in "abc":
+            g.add_node(v)
+        record = ["a", "b", True, 1, Fraction(1, 2)]
+        edge = GraphEdge("b", "c", False, 2, None)
+        g.add_edges([record, edge])
+        record[0], record[3] = "c", 5
+        assert g.edges == [("a", "b", True, 1, Fraction(1, 2)), ("b", "c", False, 2, None)]
+        assert all(type(row) is tuple for row in g.edge_rows)
+        assert g.edge_rows[1] is not edge
+
+    def test_view_compares_only_with_views_and_lists(self):
+        g = chain_graph()
+        assert g.edges != tuple(g.edges) and g.edges != "edges"
+        with pytest.raises(TypeError):
+            hash(g.edges)
+
+    def test_no_graph_edge_after_reading_an_instance(self, tmp_path):
+        """Reading a dict-v file and indexing it makes no ``GraphEdge``
+        that outlives the call: every stored edge is a plain tuple, which
+        the cyclic collector may stop tracking."""
+        path = tmp_path / "dict-v.json"
+        argv = ["--family", "dict-v", "--params", "a=2,b=3,r=3,R=2,eps=1/20"]
+        assert main(["generate", *argv, "--out", str(path)]) == 0
+        text = path.read_text()
+        gc.collect()
+        before = sum(type(o) is GraphEdge for o in gc.get_objects())
+        inst = instance_from_json_str(text)
+        inst.graph.out_arcs("s")
+        after = sum(type(o) is GraphEdge for o in gc.get_objects())
+        assert len(inst.graph.edge_rows) == 728
+        assert after == before
 
 
 def assert_index_matches_edges(g):

@@ -9,6 +9,7 @@ import pytest
 
 import cutlab
 import helpers
+from helpers import brute_force_min_cut
 from cutlab import gadgets, solvers
 from cutlab.errors import CertificateFailed, Infeasible, SaveBurntVertex, SizeGuard
 from cutlab.gadgets import (
@@ -32,7 +33,6 @@ from cutlab.graphs import (
     WeightedGraph,
 )
 from cutlab.solvers import (
-    brute_force_min_cut,
     exact_interdiction,
     exact_min_length_bounded_cut,
     exact_min_multicut,
@@ -289,7 +289,7 @@ class TestExclusionBranching:
 
     def test_brute_force_size_guard(self):
         inst = build_saks_gap(5, 2)
-        assert len(inst.cuttable_elements()) == 25 > solvers.BRUTE_ELEMENT_LIMIT
+        assert len(inst.cuttable_elements()) == 25 > helpers.BRUTE_ELEMENT_LIMIT
         with pytest.raises(SizeGuard, match=r"25 cuttable elements \(cap 22\)"):
             brute_force_min_cut(inst)
 
