@@ -26,6 +26,7 @@ from itertools import islice
 from json.decoder import WHITESPACE, JSONDecoder, scanstring
 from json.encoder import encode_basestring_ascii as json_str
 from math import lcm
+from numbers import Real
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
@@ -217,10 +218,10 @@ class WeightedGraph:
         """Append one edge per ``(tail, head, directed, length, weight)``
         record, in order. This is the one path by which edges enter a graph:
         the endpoints must be declared, ``directed`` a bool, the length a
-        positive integer (an integral value such as 2.0 is stored as 2, a
-        bool is refused) and the weight a nonnegative int or Fraction, or
-        None. Each edge is stored as a new plain tuple, never as the
-        caller's record."""
+        positive integer (an integral real such as 2.0 is stored as 2; a
+        bool, a string or None is refused) and the weight a nonnegative int
+        or Fraction, or None. Each edge is stored as a new plain tuple,
+        never as the caller's record."""
         self._out = None
         declared = self._weights
         append = self._rows.append
@@ -232,9 +233,14 @@ class WeightedGraph:
                 raise ValueError(f"edge directed must be a bool, got {directed!r}")
             if type(length) is not int or length < 1:
                 # a fractional part, or nan for an infinite or nan length
-                if isinstance(length, bool) or length < 1 or length % 1:
+                if (
+                    not isinstance(length, Real)
+                    or isinstance(length, bool)
+                    or length < 1
+                    or length % 1
+                ):
                     raise ValueError(
-                        f"edge length must be a positive integer, got {length}"
+                        f"edge length must be a positive integer, got {length!r}"
                     )
                 length = int(length)
             if weight is not None and (type(weight) is not Fraction or weight < 0):
@@ -271,7 +277,8 @@ class WeightedGraph:
     def element_weight(self, element: Element) -> Weight:
         if isinstance(element, str):
             return self.node_weight(element)
-        if isinstance(element, int) and 0 <= element < len(self._rows):
+        # an edge index is an int; a bool is refused, though it is one
+        if type(element) is int and 0 <= element < len(self._rows):
             return self._rows[element][4]
         raise UnknownNode(f"unknown element {element!r}")
 

@@ -6,6 +6,7 @@ simulator with an exact schedule search.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -298,8 +299,10 @@ class _ExclusionBranching:
     """Depth-first search over cut sets for one solve.
 
     Costs are integers over the common denominator of the cuttable
-    weights. The cut lives in the search's ``removed`` array; ``forbidden``
-    flags the element ids that the current subtree may not cut.
+    weights. ``best_set`` is None while the incumbent is a budget's cap
+    (see ``_branch_and_bound``). The cut lives in the search's ``removed``
+    array; ``forbidden`` flags the element ids that the current subtree
+    may not cut.
 
     Every feasible cut set S descends the search tree: at a node whose
     free list is c_1..c_m, to the child of the first c_i in S. Searched
@@ -321,6 +324,7 @@ class _ExclusionBranching:
         search: PathSearch,
         incumbent: tuple[Fraction, frozenset[Element]],
         symmetries: Iterable[Mapping[Element, Element]] = (),
+        budget: Fraction | None = None,
     ) -> None:
         weights = search.weights
         cuttable = [el for el, w in enumerate(weights) if w is not None]
@@ -337,6 +341,11 @@ class _ExclusionBranching:
         # the incumbent sums cuttable weights, so its denominator divides scale
         cost, self.best_set = incumbent
         self.best_cost = cost.numerator * (self.scale // cost.denominator)
+        if budget is not None:
+            # the least cost over the budget; a set-less incumbent there
+            cap = floor(budget * self.scale) + 1
+            if self.best_cost >= cap:
+                self.best_cost, self.best_set = cap, None
         # per symmetry g, the bit of g^-1(el) at each element id el
         self.inverses = [self._inverse_bits(g, cuttable) for g in symmetries]
         self.frames: list[_Frame] | None = [] if self.inverses else None
@@ -443,7 +452,8 @@ def _branch_and_bound(
     search: PathSearch,
     incumbent: tuple[Fraction, frozenset[Element]],
     symmetries: Iterable[Mapping[Element, Element]] = (),
-) -> tuple[Fraction, frozenset[Element]]:
+    budget: Fraction | None = None,
+) -> tuple[Fraction, frozenset[Element]] | None:
     """Cheapest cut set strictly below the incumbent, or the incumbent.
 
     Exclusion branching over violated paths: find a minimum-hop violated
@@ -455,9 +465,29 @@ def _branch_and_bound(
     elements. Every path comes from ``find_violating_path``. Declared
     ``symmetries`` skip nodes whose subtrees map into finished ones (see
     ``_ExclusionBranching``); the answer is the same with or without them.
+
+    With a ``budget``, an incumbent that costs the cap or more, the cap
+    being the least multiple of 1/scale above the budget (scale being the
+    lcm of the cuttable weights' denominators), gives way to a set-less
+    one at the cap; None is returned when no cut set costs less than the
+    cap, that is, when the optimum exceeds the budget. Otherwise the
+    answer is the one found from the given incumbent, elements included.
+    While the incumbent costs more than the optimum, the search returns
+    the first optimal leaf in its fixed depth-first order: along the way
+    from the root to that leaf every cost and every lower bound is at
+    most the optimum, so no prune by bound and no break on a sorted child
+    fires there, and each node on the way has a free element, since the
+    leaf's set descends through it. Nor is a node on the way skipped by
+    symmetry, which would map the leaf onto an optimal set left of it.
+    The incumbent moves only on a strict improvement, so it never drops
+    to the optimum before that leaf is reached, and the leaf, once found,
+    is never replaced. Any incumbent above the optimum, the cap among
+    them, thus yields the same leaf.
     """
-    bb = _ExclusionBranching(search, incumbent, symmetries)
+    bb = _ExclusionBranching(search, incumbent, symmetries, budget)
     bb.explore(0)
+    if bb.best_set is None:
+        return None
     return Fraction(bb.best_cost, bb.scale), bb.best_set
 
 
@@ -489,9 +519,14 @@ def exact_min_multicut(
 
 
 def exact_min_length_bounded_cut(
-    inst: CutInstance, bound: int | None = None
-) -> CutSolution:
-    """Minimum-cost element set after which dist(s, t) >= bound."""
+    inst: CutInstance, bound: int | None = None, *, budget: Fraction | None = None
+) -> CutSolution | None:
+    """Minimum-cost element set after which dist(s, t) >= bound.
+
+    With a ``budget``, None when that minimum costs more than the budget;
+    the search then never ranks cuts above it. A minimum within the
+    budget is returned as without one, elements included.
+    """
     require_problem(inst.problem, LengthBound)
     use = inst.problem.bound if bound is None else bound
     cuttable = inst.cuttable_elements()
@@ -502,9 +537,12 @@ def exact_min_length_bounded_cut(
         length_bound_is_feasible(inst, cuttable, use),
         "removing every cuttable element leaves a short path",
     )
-    cost, elements = _branch_and_bound(
-        search, (solution_cost(inst, cuttable), frozenset(cuttable))
+    found = _branch_and_bound(
+        search, (solution_cost(inst, cuttable), frozenset(cuttable)), budget=budget
     )
+    if found is None:
+        return None
+    cost, elements = found
     require(
         length_bound_is_feasible(inst, elements, use),
         "branch and bound left a path shorter than the bound",
@@ -521,9 +559,10 @@ def exact_interdiction(
     """Maximize the post-removal s-t distance under a removal budget.
 
     Climbs the finite set of achievable distances: repeatedly solve the
-    length-bounded cut at one more than the distance achieved so far and
-    stop when the optimum exceeds the budget. Returns the best distance
-    (None when s and t can be fully disconnected) and the witnessing cut.
+    length-bounded cut at one more than the distance achieved so far,
+    capped at the budget, and stop when the optimum exceeds it. Returns
+    the best distance (None when s and t can be fully disconnected) and
+    the witnessing cut.
     """
     require_problem(inst.problem, LengthBound)
     budget = Fraction(budget)
@@ -538,10 +577,10 @@ def exact_interdiction(
     while True:
         target = best_dist + 1
         try:
-            sol = exact_min_length_bounded_cut(inst, target)
+            sol = exact_min_length_bounded_cut(inst, target, budget=budget)
         except Infeasible:
             return best_dist, best_cut
-        if sol.cost > budget:
+        if sol is None:
             return best_dist, best_cut
         achieved = shortest_path_length(g, src, dst, sol.elements)
         if achieved is None:

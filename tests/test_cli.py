@@ -248,21 +248,33 @@ class TestSolverCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["lp_value"] == "2/1"
 
-    def test_interdict(self, capsys):
-        code = main(
-            [
-                "interdict",
-                "--family",
-                "dict-e",
-                "--params",
-                "a=4,b=3,r=2,R=1",
-                "--budget",
-                "15/8",
-            ]
-        )
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["best_distance"] >= 8
+    @pytest.mark.parametrize(
+        "family, params, budget, expected",
+        [
+            # the climb's last cut costs exactly the budget
+            ("dict-e", "a=4,b=3,r=2,R=1", "13/8",
+             {"best_distance": 11, "cut_cost": "13/8",
+              "elements": ["12", "13", "15", "18", "19", "7", "9"]}),
+            ("dict-e", "a=4,b=3,r=2,R=1", "3/2",
+             {"best_distance": 8, "cut_cost": "1/1",
+              "elements": ["12", "13", "14", "15"]}),
+            # the budget is W, the cost of every cuttable element
+            ("dict-e", "a=4,b=3,r=2,R=1", "3",
+             {"best_distance": 14, "cut_cost": "3/1",
+              "elements": ["12", "13", "14", "15", "18", "19", "20", "21",
+                           "6", "7", "8", "9"]}),
+            # every cuttable element: s and t disconnected
+            ("dict-v", "a=4,b=4,r=3,R=1,eps=1/20", "100",
+             {"best_distance": None, "cut_cost": "5/1",
+              "elements": [f"v[{i}]/[{x}]" for i in range(5) for x in "*012"]}),
+        ],
+        ids=["dict-e-at-cut", "dict-e-under-cut", "dict-e-at-W", "dict-v-disconnect"],
+    )
+    def test_interdict(self, family, params, budget, expected, capsys):
+        argv = ["interdict", "--family", family, "--params", params, "--budget", budget]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_rmfc_harmonic(self, capsys):
         code = main(
@@ -540,8 +552,11 @@ class TestExactSearchFrozen:
 
 class TestLengthSearchWork:
     """Calls of ``find_violating_path`` by the length-bound branch and bound
-    and the answers printed, recorded before the min-hop search skipped
-    dominated (node, length) states: the search tree is unchanged."""
+    and the answers printed. The gap-table counts were recorded before the
+    min-hop search skipped dominated (node, length) states, which left the
+    search tree unchanged. The interdict counts were recorded once each
+    climb round's search was capped at the budget, which prunes cuts the
+    climb cannot use and leaves every answer as it was."""
 
     CASES = [
         (["gap-table", "--family", "dict-e", "--params", "a=4,b=3,r=2,R=1"], 69,
@@ -551,11 +566,11 @@ class TestLengthSearchWork:
         (["gap-table", "--family", "dict-v", "--params", "a=4,b=4,r=3,R=1,eps=1/20"], 261,
          "dict-v,R=1;a=4;b=4;eps=1/20;r=3,1/1,1/1,1/1,0"),
         (["interdict", "--family", "dict-e", "--params", "a=4,b=3,r=2,R=1",
-          "--budget", "15/8"], 169,
+          "--budget", "15/8"], 152,
          {"best_distance": 11, "cut_cost": "13/8",
           "elements": ["12", "13", "15", "18", "19", "7", "9"]}),
         (["interdict", "--family", "dict-v", "--params", "a=4,b=4,r=3,R=1,eps=1/20",
-          "--budget", "3/2"], 1162,
+          "--budget", "3/2"], 703,
          {"best_distance": 12, "cut_cost": "1/1",
           "elements": ["v[1]/[*]", "v[1]/[0]", "v[1]/[1]", "v[1]/[2]"]}),
     ]

@@ -563,11 +563,13 @@ class TestAddEdges:
             ("a", "b", 1, 0.5, ValueError),
             ("a", "b", 1, True, ValueError),
             ("a", "b", 1, "1/2", ValueError),
+            ("a", "b", "2", None, ValueError),
+            ("a", "b", None, None, ValueError),
         ],
         ids=["undeclared-tail", "undeclared-head", "length-0", "length-1.5",
              "negative-weight", "negative-int-weight", "length-true", "length-inf",
              "length-nan", "length-3/2", "weight-float",
-             "weight-true", "weight-str"],
+             "weight-true", "weight-str", "length-str", "length-none"],
     )
     def test_same_rejection(self, tail, head, length, weight, error):
         one, bulk = self.pair_graph(), self.pair_graph()
@@ -602,6 +604,14 @@ class TestAddEdges:
             bulk.add_edges([("a", "b", True, 1, None), ("a", "b", directed, 1, None)])
         assert str(single.value) == str(many.value) == message
         assert one.edges == [] and len(bulk.edges) == 1
+
+    @pytest.mark.parametrize("length", ["2", None])
+    def test_length_not_a_number_message(self, length):
+        with pytest.raises(ValueError) as excinfo:
+            self.pair_graph().add_edge("a", "b", directed=True, length=length)
+        assert str(excinfo.value) == (
+            f"edge length must be a positive integer, got {length!r}"
+        )
 
     def test_int_weights_stored_as_given(self):
         g = self.pair_graph()
@@ -647,6 +657,17 @@ class TestAddEdges:
         for field in GraphEdge._fields:
             with pytest.raises(AttributeError):
                 setattr(edge, field, None)
+
+
+@pytest.mark.parametrize("element", [True, False])
+def test_bool_is_no_edge_index(element):
+    g = TestAddEdges.pair_graph()
+    g.add_edges([("a", "b", True, 1, 2), ("b", "a", True, 1, 3)])
+    assert [g.element_weight(0), g.element_weight(1)] == [2, 3]
+    with pytest.raises(UnknownNode, match=f"unknown element {element}"):
+        g.element_weight(element)
+    with pytest.raises(UnknownNode):
+        g.check_removable({element})
 
 
 def assert_edge_view(g, expected):

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import subprocess
 import sys
@@ -26,11 +27,13 @@ from cutlab.graphs import (
     EDGE,
     VERTEX,
     CutInstance,
+    CutSolution,
     LengthBound,
     Multicut,
     Rmfc,
     Schedule,
     WeightedGraph,
+    shortest_path_length,
 )
 from cutlab.solvers import (
     exact_interdiction,
@@ -665,6 +668,48 @@ class TestInterdiction:
                     oracle_best = key
             expected = None if oracle_best[0] == 1 else oracle_best[1]
             assert best == expected, f"trial {trial}"
+
+    @pytest.mark.parametrize("mode", [VERTEX, EDGE])
+    def test_budget_cap_keeps_the_answer(self, mode):
+        # a capped solve returns the uncapped cut, elements included, when
+        # the optimum is within the budget and None when it is over; the
+        # budgets sit one unit (1/scale) either side of the optimum, at it,
+        # and at or above the cost W of every cuttable element. Each bound
+        # is above the uncut distance, so every optimum is at least a unit
+        rng = random.Random(53)
+        over = 0
+        for trial in range(20):
+            inst = helpers.random_instance(rng, "length_bound", mode)
+            cuttable = inst.cuttable_elements()
+            weights = [inst.graph.element_weight(el) for el in cuttable]
+            unit = Fraction(1, math.lcm(*(w.denominator for w in weights)))
+            total = sum(weights, Fraction(0))
+            base = shortest_path_length(inst.graph, "S", "T")
+            for bound in (base + 1, base + 2, base + 4):
+                sol = exact_min_length_bounded_cut(inst, bound)
+                for budget in (sol.cost - unit, sol.cost, sol.cost + unit, total, total + 1):
+                    capped = exact_min_length_bounded_cut(inst, bound, budget=budget)
+                    if sol.cost > budget:
+                        assert capped is None, f"trial {trial}"
+                        over += 1
+                    else:
+                        assert capped == sol, f"trial {trial}"
+        assert over == 20 * 3
+
+    def test_budget_below_the_all_cuttable_optimum(self):
+        # the one cuttable edge is the optimum, and it costs exactly the cap
+        # of budget 0: that cut is over the budget, so None
+        g = WeightedGraph()
+        g.add_node("s")
+        g.add_node("t")
+        g.add_edge("s", "t", directed=False, weight=Fraction(1, 2))
+        inst = CutInstance(graph=g, mode=EDGE, problem=LengthBound("s", "t", 2))
+        sol = CutSolution(frozenset({0}), Fraction(1, 2))
+        assert exact_min_length_bounded_cut(inst) == sol
+        for budget in (Fraction(-1), Fraction(0), Fraction(1, 4)):
+            assert exact_min_length_bounded_cut(inst, budget=budget) is None
+        for budget in (Fraction(1, 2), Fraction(1)):
+            assert exact_min_length_bounded_cut(inst, budget=budget) == sol
 
     def test_monotone_in_budget(self):
         rng = random.Random(47)
