@@ -172,8 +172,19 @@ class EdgeView(Sequence):
     def pop(self) -> GraphEdge:
         """Remove and return the last edge."""
         graph = self._graph
-        graph._out = None
+        graph._index = None
         return _graph_edge(graph._rows.pop())
+
+
+class GraphIndex(NamedTuple):
+    """Node i is ``names[i]``, the i-th node added, and ``pos`` maps each
+    node id to its i. ``arcs[i]`` lists the ``(edge index, head i)`` arcs
+    out of node i in edge order, an undirected edge's from its head after
+    its tail's. Searches break ties by i, toward the node added first."""
+
+    names: list[str]
+    pos: dict[str, int]
+    arcs: list[list[tuple[int, int]]]
 
 
 class WeightedGraph:
@@ -188,14 +199,13 @@ class WeightedGraph:
         self._weights: dict[str, Weight] = {}
         # one plain (tail, head, directed, length, weight) tuple per edge
         self._rows: list[EdgeRecord] = []
-        # arcs usable when leaving a node: list of (edge_index, neighbor);
-        # built by the first out_arcs call, dropped by every addition
-        self._out: dict[str, list[tuple[int, str]]] | None = None
+        # built by the first index() call, dropped by every change
+        self._index: GraphIndex | None = None
 
     # -- construction -------------------------------------------------
 
     def add_node(self, node: str, weight: Weight = None) -> None:
-        self._out = None
+        self._index = None
         if node in self._weights:
             raise ValueError(f"duplicate node {node!r}")
         if weight is not None and (type(weight) is not Fraction or weight < 0):
@@ -222,7 +232,7 @@ class WeightedGraph:
         bool, a string or None is refused) and the weight a nonnegative int
         or Fraction, or None. Each edge is stored as a new plain tuple,
         never as the caller's record."""
-        self._out = None
+        self._index = None
         declared = self._weights
         append = self._rows.append
         # the 5-way unpack checks each record's arity
@@ -282,24 +292,21 @@ class WeightedGraph:
             return self._rows[element][4]
         raise UnknownNode(f"unknown element {element!r}")
 
-    def out_arcs(self, node: str) -> list[tuple[int, str]]:
-        out = self._out
-        if out is None:
-            out = self._out = self._build_out()
-        try:
-            return out[node]
-        except KeyError:
-            raise UnknownNode(f"unknown node {node!r}") from None
-
-    def _build_out(self) -> dict[str, list[tuple[int, str]]]:
-        """Every node's arcs in one pass over the edges, in edge order: the
-        tail's arc, then the head's arc when the edge is undirected."""
-        out: dict[str, list[tuple[int, str]]] = {v: [] for v in self._weights}
-        for idx, (tail, head, directed, _, _) in enumerate(self._rows):
-            out[tail].append((idx, head))
-            if not directed:
-                out[head].append((idx, tail))
-        return out
+    def index(self) -> GraphIndex:
+        """The graph's ``GraphIndex``, built in one pass over the edges on
+        first use and dropped by every change; callers must not change it."""
+        if self._index is None:
+            names = list(self._weights)
+            pos = {v: i for i, v in enumerate(names)}
+            arcs: list[list[tuple[int, int]]] = [[] for _ in names]
+            for idx, (tail, head, directed, _, _) in enumerate(self._rows):
+                # the ints stored in pos, so the arcs make no new int objects
+                tail, head = pos[tail], pos[head]
+                arcs[tail].append((idx, head))
+                if not directed:
+                    arcs[head].append((idx, tail))
+            self._index = GraphIndex(names, pos, arcs)
+        return self._index
 
     def cuttable_elements(self, mode: str) -> list[Element]:
         if mode == VERTEX:
@@ -349,40 +356,43 @@ def shortest_path_length(
     if s in rnodes or t in rnodes:
         return None
     rows = g.edge_rows
-    order = {v: i for i, v in enumerate(g.nodes)}
-    dist: dict[str, int] = {s: 0}
-    heap: list[tuple[int, int, str]] = [(0, order[s], s)]
+    _, pos, arcs = g.index()
+    skip = {pos[v] for v in rnodes}
+    s, t = pos[s], pos[t]
+    dist = {s: 0}
+    heap = [(0, s)]
     while heap:
-        d, _, v = heappop(heap)
+        d, v = heappop(heap)
         if d > dist[v]:
             continue
         if v == t:
             return d
-        for idx, nb in g.out_arcs(v):
-            if idx in redges or nb in rnodes:
+        for idx, nb in arcs[v]:
+            if idx in redges or nb in skip:
                 continue
             nd = d + rows[idx][3]
             if nb not in dist or nd < dist[nb]:
                 dist[nb] = nd
-                heappush(heap, (nd, order[nb], nb))
+                heappush(heap, (nd, nb))
     return None
 
 
 def _scaled_costs(
     g: WeightedGraph, x: Mapping[Element, Fraction], mode: str
-) -> tuple[int, dict[Element, int]]:
+) -> tuple[int, dict[int, int]]:
     """Validate the x-values once and put them over one denominator.
 
     Returns ``(scale, cost)``: ``scale`` is the lcm of the denominators and
-    ``cost`` maps each element with positive x to the integer x * scale.
-    Scaling by a positive constant keeps every sum and comparison exact, so
-    the searches below run on plain integers. Raises UnknownNode for a key
-    that is not an element of ``mode`` and ValueError for a value that is
-    not an ``int`` or ``Fraction``, is negative, or is positive on an
-    uncuttable element.
+    ``cost`` maps each element with positive x, a node by its int in
+    ``g.index()``, to the integer x * scale. Scaling by a positive constant
+    keeps every sum and comparison exact, so the searches below run on
+    plain integers. Raises UnknownNode for a key that is not an element of
+    ``mode`` and ValueError for a value that is not an ``int`` or
+    ``Fraction``, is negative, or is positive on an uncuttable element.
     """
     rows = g.edge_rows
-    positive: dict[Element, Fraction | int] = {}
+    pos = g.index().pos
+    positive: dict[int, Fraction | int] = {}
     for el, val in x.items():
         if mode == VERTEX:
             if type(el) is not str or el not in g:
@@ -399,7 +409,7 @@ def _scaled_costs(
         if val > 0:
             if weight is None:
                 raise ValueError(f"positive x on uncuttable element {el!r}")
-            positive[el] = val
+            positive[pos[el] if mode == VERTEX else el] = val
     scale, cost = _over_lcm(positive.values())
     return scale, dict(zip(positive, cost))
 
@@ -422,27 +432,28 @@ def min_weight_path(
         raise UnknownNode("unknown terminal")
     scale, cost = _scaled_costs(g, x, mode)
     edge_mode = mode == EDGE
-    order = {v: i for i, v in enumerate(g.nodes)}
+    names, pos, arcs = g.index()
+    s, t = pos[s], pos[t]
     start = 0 if edge_mode else cost.get(s, 0)
-    best: dict[str, int] = {s: start}
-    parent: dict[str, tuple[str, int]] = {}
-    heap: list[tuple[int, int, str]] = [(start, order[s], s)]
-    done: set[str] = set()
+    best = {s: start}
+    parent: dict[int, tuple[int, int]] = {}
+    heap = [(start, s)]
+    done: set[int] = set()
     while heap:
-        d, _, v = heappop(heap)
+        d, v = heappop(heap)
         if v in done:
             continue
         done.add(v)
         if v == t:
             break
-        for idx, nb in g.out_arcs(v):
+        for idx, nb in arcs[v]:
             if nb in done:
                 continue
             nd = d + cost.get(idx if edge_mode else nb, 0)
             if nb not in best or nd < best[nb]:
                 best[nb] = nd
                 parent[nb] = (v, idx)
-                heappush(heap, (nd, order[nb], nb))
+                heappush(heap, (nd, nb))
     if t not in done:
         return None
     nodes = [t]
@@ -454,7 +465,7 @@ def min_weight_path(
     nodes.reverse()
     edges.reverse()
     rows = g.edge_rows
-    path = Path(tuple(nodes), tuple(edges), sum(rows[i][3] for i in edges))
+    path = Path(tuple([names[v] for v in nodes]), tuple(edges), sum(rows[i][3] for i in edges))
     # a tree path is simple, so best[t] sums x over distinct elements
     return path, Fraction(best[t], scale)
 
@@ -470,9 +481,12 @@ def constrained_min_weight_path(
     """Minimum x-weight s-t path of total length strictly below ``bound``.
 
     Dynamic program over (node, accumulated length) states on the integer
-    costs of ``_scaled_costs``; all lengths are at least 1, so states are
-    bounded by bound * |V| and the nonnegative minimum is attained by a
-    simple path. The returned path is simple (shortcuts removed) and its
+    costs of ``_scaled_costs``; all lengths are at least 1, so the
+    nonnegative minimum is attained by a simple path, and no simple path
+    is longer than all edges together. So the levels stop at the total
+    edge length, however large the bound: the levels below that are
+    expanded as without the cap, and they hold the least (cost, length)
+    state at t. The returned path is simple (shortcuts removed) and its
     weight sums x over distinct cuttable elements.
 
     Levels are expanded by increasing length, and (v, L) is not expanded
@@ -492,35 +506,31 @@ def constrained_min_weight_path(
     scale, cost = _scaled_costs(g, x, mode)
     edge_mode = mode == EDGE
     rows = g.edge_rows
-    nodes = g.nodes
+    names, pos, arcs = g.index()
+    s, t = pos[s], pos[t]
+    levels = min(bound, sum(row[3] for row in rows) + 1)
     # the arcs out of each node as (neighbour, edge, length, cost)
-    arcs = {
-        v: [
-            (nb, idx, rows[idx][3], cost.get(idx if edge_mode else nb, 0))
-            for idx, nb in g.out_arcs(v)
-        ]
-        for v in nodes
-    }
+    steps = [
+        [(nb, idx, rows[idx][3], cost.get(idx if edge_mode else nb, 0)) for idx, nb in out]
+        for out in arcs
+    ]
     # best[L][v] = cheapest scaled x-weight of a walk s->v of total length L
-    best: list[dict[str, int]] = [{} for _ in range(bound)]
-    parent: dict[tuple[str, int], tuple[str, int, int]] = {}
+    best: list[dict[int, int]] = [{} for _ in range(levels)]
+    parent: dict[tuple[int, int], tuple[int, int, int]] = {}
     best[0][s] = 0 if edge_mode else cost.get(s, 0)
     # the least cost of each node at the levels already expanded
-    settled: dict[str, int] = {}
-    for level in range(bound):
+    settled: dict[int, int] = {}
+    for level in range(levels):
         layer = best[level]
-        if not layer:
-            continue
-        for v in nodes:
-            if v not in layer:
-                continue
+        # in node order; an arc only reaches longer levels
+        for v in sorted(layer):
             d = layer[v]
             if v in settled and d >= settled[v]:
                 continue
             settled[v] = d
-            for nb, idx, length, step in arcs[v]:
+            for nb, idx, length, step in steps[v]:
                 nl = level + length
-                if nl >= bound:
+                if nl >= levels:
                     continue
                 nd = d + step
                 reach = best[nl]
@@ -528,7 +538,7 @@ def constrained_min_weight_path(
                     reach[nb] = nd
                     parent[(nb, nl)] = (v, level, idx)
 
-    hit = [(lvl, best[lvl][t]) for lvl in range(bound) if t in best[lvl]]
+    hit = [(lvl, best[lvl][t]) for lvl in range(levels) if t in best[lvl]]
     if not hit:
         return None
     lvl = min(hit, key=lambda p: (p[1], p[0]))[0]
@@ -544,18 +554,19 @@ def constrained_min_weight_path(
     walk_edges.reverse()
     nodes_s, edges_s = _remove_shortcuts(walk_nodes, walk_edges)
     path = Path(
-        tuple(nodes_s),
+        tuple([names[v] for v in nodes_s]),
         tuple(edges_s),
         sum(rows[i][3] for i in edges_s),
     )
-    total = sum(cost.get(el, 0) for el in path.elements(mode, g))
+    # a simple path enters each of its elements once
+    total = sum(cost.get(el, 0) for el in (edges_s if edge_mode else nodes_s))
     return path, Fraction(total, scale)
 
 
-def _remove_shortcuts(nodes: list[str], edges: list[int]) -> tuple[list[str], list[int]]:
+def _remove_shortcuts(nodes: list, edges: list[int]) -> tuple[list, list[int]]:
     """Splice out revisits so the walk becomes a simple path."""
     while True:
-        seen: dict[str, int] = {}
+        seen: dict = {}
         cut = None
         for i, v in enumerate(nodes):
             if v in seen:
@@ -573,29 +584,21 @@ def _remove_shortcuts(nodes: list[str], edges: list[int]) -> tuple[list[str], li
 
 
 class _FlowNet:
-    """Residual network with Fraction capacities; None means infinite."""
+    """Residual network on nodes 0..n-1, Fraction capacities; None is infinite."""
 
-    def __init__(self) -> None:
-        self.index: dict[str, int] = {}
-        self.adj: list[list[int]] = []
+    def __init__(self, n: int) -> None:
+        self.adj: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
         self.res: list[Weight] = []
         self.elem: list[Element | None] = []
 
-    def node(self, name: str) -> int:
-        if name not in self.index:
-            self.index[name] = len(self.adj)
-            self.adj.append([])
-        return self.index[name]
-
-    def arc(self, u: str, v: str, cap: Weight, elem: Element | None) -> None:
-        ui, vi = self.node(u), self.node(v)
-        self.adj[ui].append(len(self.to))
-        self.to.append(vi)
+    def arc(self, u: int, v: int, cap: Weight, elem: Element | None) -> None:
+        self.adj[u].append(len(self.to))
+        self.to.append(v)
         self.res.append(cap)
         self.elem.append(elem)
-        self.adj[vi].append(len(self.to))
-        self.to.append(ui)
+        self.adj[v].append(len(self.to))
+        self.to.append(u)
         self.res.append(Fraction(0))
         self.elem.append(None)
 
@@ -625,8 +628,7 @@ class _FlowNet:
                 queue.append(v)
         return None
 
-    def max_flow(self, s_name: str, t_name: str) -> Fraction:
-        s, t = self.index[s_name], self.index[t_name]
+    def max_flow(self, s: int, t: int) -> Fraction:
         if self._bfs(s, t, infinite_only=True) is not None:
             raise NoFiniteCut("an s-t path of uncuttable elements exists")
         total = Fraction(0)
@@ -642,8 +644,7 @@ class _FlowNet:
                 self.res[a ^ 1] = push if rev is None else rev + push
             total += push
 
-    def min_cut_elements(self, s_name: str) -> set[Element]:
-        s = self.index[s_name]
+    def min_cut_elements(self, s: int) -> set[Element]:
         reach = [False] * len(self.adj)
         reach[s] = True
         queue = [s]
@@ -673,9 +674,9 @@ def min_st_cut(
 ) -> tuple[Fraction, frozenset[Element]]:
     """Minimum-weight s-t cut and its exact value (equal to max flow).
 
-    Vertex mode splits each node into an in/out pair whose connecting arc
-    carries the node weight; edges are then uncuttable. Raises NoFiniteCut
-    when some s-t path consists of uncuttable elements only.
+    Vertex mode splits node i into 2i (in) and 2i + 1 (out), joined by an
+    arc that carries the node weight; edges are then uncuttable. Raises
+    NoFiniteCut when some s-t path consists of uncuttable elements only.
     """
     if s == t:
         raise ValueError("s and t must differ")
@@ -684,23 +685,22 @@ def min_st_cut(
     if mode == VERTEX and (g.node_weight(s) is not None or g.node_weight(t) is not None):
         raise ValueError("terminals must be uncuttable in vertex mode")
 
-    net = _FlowNet()
+    names, pos, _ = g.index()
+    net = _FlowNet(2 * len(names) if mode == VERTEX else len(names))
     if mode == VERTEX:
-        for v in g.nodes:
-            net.arc(f"{v}/in", f"{v}/out", g.node_weight(v), v)
+        for i, v in enumerate(names):
+            net.arc(2 * i, 2 * i + 1, g.node_weight(v), v)
         for tail, head, directed, _, _ in g.edge_rows:
-            net.arc(f"{tail}/out", f"{head}/in", None, None)
+            net.arc(2 * pos[tail] + 1, 2 * pos[head], None, None)
             if not directed:
-                net.arc(f"{head}/out", f"{tail}/in", None, None)
-        source, sink = f"{s}/out", f"{t}/in"
+                net.arc(2 * pos[head] + 1, 2 * pos[tail], None, None)
+        source, sink = 2 * pos[s] + 1, 2 * pos[t]
     else:
-        for v in g.nodes:
-            net.node(v)
         for i, (tail, head, directed, _, weight) in enumerate(g.edge_rows):
-            net.arc(tail, head, weight, i)
+            net.arc(pos[tail], pos[head], weight, i)
             if not directed:
-                net.arc(head, tail, weight, i)
-        source, sink = s, t
+                net.arc(pos[head], pos[tail], weight, i)
+        source, sink = pos[s], pos[t]
 
     value = net.max_flow(source, sink)
     cut = net.min_cut_elements(source)

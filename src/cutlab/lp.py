@@ -230,13 +230,15 @@ def _dfs_has_cheap_path(
     g = inst.graph
     edge_mode = inst.mode == EDGE
     scale, cost = _scaled_costs(g, x, inst.mode)
+    _, pos, adjacency = g.index()
+    s, t = pos[s], pos[t]
     lengths = [length for _, _, _, length, _ in g.edge_rows]
     steps = 0
-    on_path: set[str] = set()
+    on_path: set[int] = set()
     # the open path as (node, length, mass, remaining out-arcs); nodes are
     # entered in the order a recursive search would take
-    stack: list[tuple[str, int, int, Iterator[tuple[int, str]]]] = []
-    step: tuple[str, int, int] | None = (s, 0, 0 if edge_mode else cost.get(s, 0))
+    stack: list[tuple[int, int, int, Iterator[tuple[int, int]]]] = []
+    step: tuple[int, int, int] | None = (s, 0, 0 if edge_mode else cost.get(s, 0))
     while step is not None:
         v, length, mass = step
         steps += 1
@@ -246,7 +248,7 @@ def _dfs_has_cheap_path(
             if v == t:
                 return True
             on_path.add(v)
-            stack.append((v, length, mass, iter(g.out_arcs(v))))
+            stack.append((v, length, mass, iter(adjacency[v])))
         step = None
         while step is None and stack:
             v, length, mass, arcs = stack[-1]

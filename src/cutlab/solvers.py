@@ -44,9 +44,9 @@ RMFC_VERTEX_LIMIT = 14
 class PathSearch:
     """One instance indexed for repeated fewest-edge searches.
 
-    Nodes become ints and each node's out-arcs a list of int tuples. An
-    element id is a node index in vertex mode and an edge index in edge
-    mode; ``removed`` flags the element ids a search must avoid, and a
+    Nodes are the ints of ``g.index()``, each node's out-arcs a list of int
+    tuples. An element id is a node's int in vertex mode and an edge index
+    in edge mode; ``removed`` flags the element ids a search must avoid, and a
     branch and bound sets and clears it in place. Multicut searches are
     keyed by node. Length-bound searches run over (node, length) states,
     each node re-entered only at a shorter length (``_layered_min_hop``),
@@ -57,8 +57,7 @@ class PathSearch:
     def __init__(self, inst: CutInstance, bound: int | None = None) -> None:
         g = inst.graph
         p = inst.problem
-        self.names = g.nodes
-        self.index = {v: i for i, v in enumerate(self.names)}
+        self.names, self.pos, arcs = g.index()
         self.vertex_mode = inst.mode == VERTEX
         self.lengths = [length for _, _, _, length, _ in g.edge_rows]
         if isinstance(p, Multicut):
@@ -75,14 +74,11 @@ class PathSearch:
             raise WrongProblemType(
                 "violating paths are defined for multicut and length bound"
             )
-        self.pairs = [(self.index[s], self.index[t]) for s, t in pairs]
+        self.pairs = [(self.pos[s], self.pos[t]) for s, t in pairs]
         # an arc is (edge, head, length step, element id the arc enters)
         self.arcs = [
-            [
-                (e, self.index[nb], steps[e], self.index[nb] if self.vertex_mode else e)
-                for e, nb in g.out_arcs(v)
-            ]
-            for v in self.names
+            [(e, w, steps[e], w if self.vertex_mode else e) for e, w in out]
+            for out in arcs
         ]
         if self.vertex_mode:
             self.weights = [g.node_weight(v) for v in self.names]
@@ -95,7 +91,7 @@ class PathSearch:
 
     def elements(self, path: Path) -> list[int]:
         """Cuttable element ids on ``path``."""
-        ids = [self.index[v] for v in path.nodes] if self.vertex_mode else path.edges
+        ids = [self.pos[v] for v in path.nodes] if self.vertex_mode else path.edges
         return [el for el in ids if self.weights[el] is not None]
 
     def min_hop(self, s: int, t: int, max_hops: int | None = None) -> Path | None:
@@ -610,7 +606,8 @@ class BurnTrace:
 
 def _undirected_neighbors(g: WeightedGraph) -> dict[str, list[str]]:
     # fire spreads along out-arcs; undirected arcs are registered both ways
-    return {v: [nb for _, nb in g.out_arcs(v)] for v in g.nodes}
+    names, _, arcs = g.index()
+    return {v: [names[nb] for _, nb in out] for v, out in zip(names, arcs)}
 
 
 def rmfc_simulate(inst: CutInstance, schedule: Schedule) -> BurnTrace:

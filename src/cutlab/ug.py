@@ -414,23 +414,24 @@ def reachable_set_influences(
         sources = [problem.source]
 
     g = inst.graph
+    names, pos, arcs = g.index()
     reached: set[str] = set()
     reach_from: dict[str, set[str]] = {}
     for src in sources:
         if src in rnodes:
             reach_from[src] = set()
             continue
-        stack = [src]
-        seen = {src}
+        stack = [pos[src]]
+        seen = set(stack)
         while stack:
             v = stack.pop()
-            for idx, nb in g.out_arcs(v):
-                if idx in redges or nb in rnodes or nb in seen:
+            for idx, nb in arcs[v]:
+                if idx in redges or nb in seen or names[nb] in rnodes:
                     continue
                 seen.add(nb)
                 stack.append(nb)
-        reach_from[src] = seen
-        reached |= seen
+        reach_from[src] = {names[v] for v in seen}
+        reached |= reach_from[src]
 
     terminals = set(inst.terminals())
     blocks: dict[str, set[tuple]] = {}

@@ -57,6 +57,7 @@ def reference_out_arcs(g: WeightedGraph) -> dict[str, list[tuple[int, str]]]:
 
 def all_simple_paths(g: WeightedGraph, s: str, t: str):
     """Yield (nodes, edges) for every simple s-t path, by DFS."""
+    out = reference_out_arcs(g)
     path_nodes = [s]
     path_edges: list[int] = []
     on_path = {s}
@@ -66,7 +67,7 @@ def all_simple_paths(g: WeightedGraph, s: str, t: str):
         if v == t:
             yield list(path_nodes), list(path_edges)
             return
-        for idx, nb in g.out_arcs(v):
+        for idx, nb in out[v]:
             if nb in on_path:
                 continue
             path_nodes.append(nb)
@@ -168,6 +169,7 @@ def reference_min_weight_path(
         return x.get(el, Fraction(0))
 
     order = {v: i for i, v in enumerate(g.nodes)}
+    out = reference_out_arcs(g)
     start = el_cost(s) if mode == VERTEX else Fraction(0)
     best: dict[str, Fraction] = {s: start}
     parent: dict[str, tuple[str, int]] = {}
@@ -180,7 +182,7 @@ def reference_min_weight_path(
         done.add(v)
         if v == t:
             break
-        for idx, nb in g.out_arcs(v):
+        for idx, nb in out[v]:
             if nb in done:
                 continue
             step = el_cost(idx) if mode == EDGE else el_cost(nb)
@@ -237,6 +239,7 @@ def reference_constrained_min_weight_path(
         return x.get(el, Fraction(0))
 
     nodes = g.nodes
+    out = reference_out_arcs(g)
     start = el_cost(s) if mode == VERTEX else Fraction(0)
     # best[L][v] = cheapest x-weight of a walk s->v of total length L
     best: list[dict[str, Fraction]] = [dict() for _ in range(bound)]
@@ -248,7 +251,7 @@ def reference_constrained_min_weight_path(
             if v not in layer:
                 continue
             d = layer[v]
-            for idx, nb in g.out_arcs(v):
+            for idx, nb in out[v]:
                 nl = level + g.edges[idx].length
                 if nl >= bound:
                     continue
@@ -542,7 +545,7 @@ def reference_rmfc_search(inst: CutInstance, k: Fraction):
     every state tries all 2^|savable| masks in increasing order, skipping
     those over budget. Returns ``(savable, days)``."""
     g = inst.graph
-    nbrs = {v: [nb for _, nb in g.out_arcs(v)] for v in g.nodes}
+    nbrs = {v: [nb for _, nb in arcs] for v, arcs in reference_out_arcs(g).items()}
     targets = inst.problem.targets
     memo: dict = {}
 

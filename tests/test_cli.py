@@ -276,6 +276,33 @@ class TestSolverCommands:
         assert (code, err) == (0, "")
         assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("lp", {"lp_value": "5/2", "support": {"1": "1/1", "2": "1/1"}}),
+            ("approx", {"algorithm": "threshold-rounding", "cost": "5/2", "lp_value": "5/2"}),
+        ],
+        ids=["lp", "approx"],
+    )
+    def test_huge_length_bound_in_a_file(self, command, expected, tmp_path, capsys):
+        # the reader takes any integer bound; the length-layered DP stops at
+        # the total edge length, 7 here, past which no path is simple
+        doc = {
+            "edges": [
+                {"tail": "s", "head": "a", "directed": True, "length": 1, "weight": "1"},
+                {"tail": "a", "head": "t", "directed": True, "length": 2, "weight": "1/2"},
+                {"tail": "s", "head": "t", "directed": True, "length": 4, "weight": "2"},
+            ],
+            "mode": "edge",
+            "nodes": [{"id": v, "weight": None} for v in "sat"],
+            "problem": {"type": "length_bound", "s": "s", "t": "t", "bound": 10**12},
+        }
+        path = tmp_path / "huge-bound.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, [command, "--instance", str(path)])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == expected
+
     def test_rmfc_harmonic(self, capsys):
         code = main(
             ["rmfc", "--family", "dict-f", "--params", "b=2,R=1,eps=1/100", "--q", "1"]

@@ -8,7 +8,7 @@ import pytest
 
 import helpers
 from helpers import expand_node_weights
-from cutlab import gadgets, lp, ug
+from cutlab import gadgets, graphs, lp, solvers, ug
 from cutlab.cli import main, parse_params
 from cutlab.errors import MalformedInstance, NoFiniteCut, RemovingUncuttable, UnknownNode
 from cutlab.graphs import (
@@ -296,7 +296,8 @@ class TestScaledCosts:
 
     def test_integers_keep_scale_one(self):
         g = chain_graph(weights={"a": Fraction(2)})
-        assert _scaled_costs(g, {"a": 3}, VERTEX) == (1, {"a": 3})
+        # a vertex-mode cost is keyed by the node's int in g.index()
+        assert _scaled_costs(g, {"a": 3}, VERTEX) == (1, {1: 3})
         assert _scaled_costs(g, {}, VERTEX) == (1, {})
 
     @pytest.mark.parametrize("oracle", sorted(ORACLES))
@@ -592,7 +593,7 @@ class TestAddEdges:
             ("a", "b", True, 2, None),
             ("b", "a", False, 2, Fraction(1, 3)),
         ]
-        assert g.out_arcs("a") == [(0, "b"), (1, "b")] and g.out_arcs("b") == [(1, "a")]
+        assert g.index().arcs == [[(0, 1), (1, 1)], [(1, 0)]]
 
     @pytest.mark.parametrize("directed", ["yes", 1, None])
     def test_directed_must_be_a_bool(self, directed):
@@ -674,7 +675,7 @@ def assert_edge_view(g, expected):
     """``g.edges`` reads as ``expected``, a list of ``GraphEdge``s, by
     ``==``, iteration, int and negative index and slices, every item a
     ``GraphEdge`` and every stored row a plain tuple; then ``pop``
-    removes the last edge and drops the adjacency index."""
+    removes the last edge and drops the graph's index."""
     edges = g.edges
     assert len(edges) == len(expected) >= 3
     assert edges == expected and expected == edges and edges == g.edges
@@ -688,7 +689,7 @@ def assert_edge_view(g, expected):
         assert all(type(e) is GraphEdge for e in edges[part])
     with pytest.raises(IndexError):
         edges[len(expected)]
-    g.out_arcs(expected[0].tail)
+    g.index()
     assert type(edges.pop()) is GraphEdge
     assert g.edges == expected[:-1] and len(g.edges) == len(expected) - 1
     assert_index_matches_edges(g)
@@ -781,36 +782,47 @@ class TestEdgeRows:
         gc.collect()
         before = sum(type(o) is GraphEdge for o in gc.get_objects())
         inst = instance_from_json_str(text)
-        inst.graph.out_arcs("s")
+        inst.graph.index()
         after = sum(type(o) is GraphEdge for o in gc.get_objects())
         assert len(inst.graph.edge_rows) == 728
         assert after == before
 
 
+def named_arcs(g):
+    """``g.index()`` read back in node ids: each node's ``(edge index,
+    neighbour)`` arcs."""
+    names, _, arcs = g.index()
+    return {v: [(idx, names[nb]) for idx, nb in out] for v, out in zip(names, arcs)}
+
+
 def assert_index_matches_edges(g):
-    """``out_arcs`` of every node equals the adjacency read off ``g.edges``,
-    order included, and an unknown node still raises."""
-    assert {v: g.out_arcs(v) for v in g.nodes} == helpers.reference_out_arcs(g)
-    with pytest.raises(UnknownNode):
-        g.out_arcs("no such node")
+    """``g.index()`` numbers the nodes in insertion order, and its arcs,
+    read back in node ids, equal the adjacency read off ``g.edges``, order
+    included; an unknown node has no int."""
+    names, pos, arcs = g.index()
+    assert names == g.nodes and len(arcs) == len(names)
+    assert pos == {v: i for i, v in enumerate(g.nodes)}
+    assert named_arcs(g) == helpers.reference_out_arcs(g)
+    assert "no such node" not in pos
 
 
 def count_index_builds(monkeypatch):
     """A one-item list that counts ``WeightedGraph`` index builds from now."""
     builds = [0]
-    build = WeightedGraph._build_out
+    make = graphs.GraphIndex
 
-    def counted(self):
+    def counted(*fields):
         builds[0] += 1
-        return build(self)
+        return make(*fields)
 
-    monkeypatch.setattr(WeightedGraph, "_build_out", counted)
+    monkeypatch.setattr(graphs, "GraphIndex", counted)
     return builds
 
 
 class TestOutArcsIndex:
-    """The adjacency is built on the first ``out_arcs`` call and dropped by
-    every addition, with the per-node arcs in the order the edges give."""
+    """The index of out-arcs is built by the first ``g.index()`` call,
+    shared until an addition drops it, with each node's arcs in the order
+    the edges give."""
 
     @pytest.mark.parametrize("name", sorted(TestInstanceJson.SMALL_PARAMS))
     def test_every_family_and_its_json_round_trip(self, name):
@@ -818,11 +830,10 @@ class TestOutArcsIndex:
         params = family.params(parse_params(TestInstanceJson.SMALL_PARAMS[name]))
         inst = family.build(params, 10_000)
         assert_index_matches_edges(inst.graph)
+        assert inst.graph.index() is inst.graph.index()
         read = instance_from_json_str(instance_to_json_str(inst)).graph
         assert_index_matches_edges(read)
-        assert {v: read.out_arcs(v) for v in read.nodes} == {
-            v: inst.graph.out_arcs(v) for v in inst.graph.nodes
-        }
+        assert read.index() == inst.graph.index()
 
     def test_compose(self):
         synth = ug.synth_ug(2, 2, 2, 2, mode="planted", seed=3)
@@ -841,16 +852,16 @@ class TestOutArcsIndex:
         g = chain_graph()
         assert_index_matches_edges(g)
         g.add_node("c", Fraction(1))
-        assert g.out_arcs("c") == []
+        assert named_arcs(g)["c"] == []
         g.add_edge("c", "a", directed=False, length=2)
-        assert g.out_arcs("c") == [(3, "a")]
+        assert named_arcs(g)["c"] == [(3, "a")]
         g.add_edges([("s", "c", True, 1, None), ("t", "c", False, 1, Fraction(1))])
-        assert g.out_arcs("c") == [(3, "a"), (5, "t")]
+        assert named_arcs(g)["c"] == [(3, "a"), (5, "t")]
         assert_index_matches_edges(g)
 
     def test_failed_batch_leaves_index_consistent(self):
         g = chain_graph()
-        g.out_arcs("s")
+        g.index()
         with pytest.raises(UnknownNode):
             g.add_edges([
                 ("s", "b", False, 1, None),
@@ -859,7 +870,7 @@ class TestOutArcsIndex:
                 ("b", "s", False, 1, None),
             ])
         assert len(g.edges) == 5
-        assert g.out_arcs("s") == [(0, "a"), (3, "b")]
+        assert named_arcs(g)["s"] == [(0, "a"), (3, "b")]
         assert_index_matches_edges(g)
 
     @pytest.mark.parametrize(
@@ -868,7 +879,7 @@ class TestOutArcsIndex:
     )
     def test_wrong_arity_rejected(self, record):
         g = chain_graph()
-        g.out_arcs("a")
+        g.index()
         with pytest.raises(ValueError):
             g.add_edges([record])
         assert len(g.edges) == 3
@@ -892,6 +903,26 @@ class TestOutArcsIndex:
         builds = count_index_builds(monkeypatch)
         assert len(list(gadgets.declared_symmetries(inst))) > 0
         assert builds == [0]
+
+    def test_built_once_per_solve(self, monkeypatch):
+        def build(name, params):
+            family = gadgets.FAMILIES[name]
+            return family.build(family.params(parse_params(params)), 10_000)
+
+        saks = build("saks", "r=3,k=2")
+        dict_e, fresh = (build("dict-e", "a=4,b=3,r=2,R=1") for _ in range(2))
+        builds = count_index_builds(monkeypatch)
+        # branch and bound, the per-pair max-flow seed, the feasibility
+        # checks, Dijkstra separation and the DFS recheck
+        assert lp.gap_report(saks).csv_cells() == ["3/1", "5/1", "5/3"]
+        assert builds == [1]
+        # the length-layered DP and the layered BFS
+        assert lp.gap_report(dict_e).csv_cells() == ["1/1", "1/1", "1/1"]
+        assert builds == [2]
+        # every round of the climb, on a graph not yet indexed
+        dist, cut = solvers.exact_interdiction(fresh, Fraction(15, 8))
+        assert (dist, cut.cost) == (11, Fraction(13, 8))
+        assert builds == [3]
 
 
 class TestParseRational:

@@ -448,6 +448,28 @@ class TestShortPathCoverLp:
         value, _ = short_path_cover_lp(inst, 8)
         assert value <= cut.cost == Fraction(15, 8)
 
+    @pytest.mark.parametrize("mode", [VERTEX, EDGE])
+    def test_huge_bound_is_the_total_length_bound(self, mode):
+        # a bound read from an instance file may be 10**12; the DP's levels
+        # stop at the total edge length, past which no path is simple
+        rng = random.Random(71)
+        instances = [
+            helpers.random_instance(rng, "length_bound", mode, n_nodes=5, extra_edges=4)
+            for _ in range(8)
+        ]
+        solved = 0
+        for inst in [*instances, build_dict_edge(DictParamsE(4, 3, 2, 1))]:
+            every_path = helpers.total_length(inst.graph) + 1
+            try:
+                want = short_path_cover_lp(inst, every_path)
+            except Infeasible:
+                with pytest.raises(Infeasible):
+                    short_path_cover_lp(inst, 10**12)
+                continue
+            assert short_path_cover_lp(inst, 10**12) == want
+            solved += 1
+        assert solved >= 4
+
     def test_matches_explicit_path_enumeration(self):
         rng = random.Random(67)
         for trial in range(20):

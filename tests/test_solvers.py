@@ -901,7 +901,7 @@ class TestNoReferenceCycles:
 def brute_force_rmfc(inst, k, max_days=8):
     """Unmemoized exhaustive schedule search (independent oracle)."""
     g = inst.graph
-    nbrs = {v: [nb for _, nb in g.out_arcs(v)] for v in g.nodes}
+    nbrs = {v: [nb for _, nb in arcs] for v, arcs in helpers.reference_out_arcs(g).items()}
     targets = inst.problem.targets
     cuttable = sorted(v for v in g.nodes if g.node_weight(v) is not None)
 
