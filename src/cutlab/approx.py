@@ -9,7 +9,7 @@ from typing import Mapping
 
 from .errors import InfeasibleLpInput, require, require_problem
 from .graphs import CutInstance, CutSolution, Element, LengthBound
-from .lp import _dfs_has_cheap_path
+from .lp import _has_cheap_walk
 from .solvers import length_bound_is_feasible, per_pair_cut_union, solution_cost
 
 
@@ -33,8 +33,7 @@ def threshold_round_lbc(
     """
     require_problem(inst.problem, LengthBound)
     use = inst.problem.bound if bound is None else bound
-    src, dst = inst.problem.source, inst.problem.sink
-    if _dfs_has_cheap_path(inst, src, dst, lp_solution, use):
+    if _has_cheap_walk(inst, lp_solution, use):
         raise InfeasibleLpInput("a short path has fractional mass below 1")
     if use == 1:
         return CutSolution(frozenset(), Fraction(0))

@@ -4,23 +4,23 @@ path-covering relaxations, producing integrality-gap reports.
 Every value is exact and computed on integers: the simplex keeps its
 tableau over one common denominator and pivots fraction-free, its
 optimality certificate is checked on the integer tableau, and the
-separation oracles and the independent recheck search on x scaled by the
-common denominator of its entries. Gap reports are exact enough to serve
-as frozen test fixtures.
+separation oracles and the independent recheck, a label-correcting walk
+search, run on x scaled by the common denominator of its entries. Gap
+reports are exact enough to serve as frozen test fixtures.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from . import gadgets, solvers
 from .errors import (
     CutLabError,
     Infeasible,
     RowPoolExceeded,
-    SizeGuard,
     require,
     require_problem,
 )
@@ -39,7 +39,6 @@ from .graphs import (
 )
 
 ROW_POOL_CAP = 10_000
-DFS_STEP_CAP = 2_000_000
 
 
 @dataclass
@@ -214,52 +213,51 @@ def _certify(
 # -- independent no-violation check ----------------------------------------
 
 
-def _dfs_has_cheap_path(
-    inst: CutInstance,
-    s: str,
-    t: str,
-    x: Mapping[Element, Fraction],
-    bound: int | None,
+def _has_cheap_walk(
+    inst: CutInstance, x: Mapping[Element, Fraction], bound: int | None = None
 ) -> bool:
-    """Exhaustive simple-path search for mass < 1 (and length < bound).
+    """Whether x leaves a path of mass below 1 that the instance must cut:
+    a path joining a multicut pair, or an s-t path shorter than ``bound``
+    (the problem's own when None).
 
-    Independent of the Dijkstra/DP separation oracles; shares only their
-    validated integer costs, so mass < 1 is scaled mass < ``scale``.
-    Prunes branches whose mass reaches 1 or whose length reaches the bound.
+    A label-correcting search over (node, length) states that keeps each
+    state's least mass and drops a state once its mass reaches 1; multicut
+    edges step length 0, so its states are the nodes. It is independent
+    of the Dijkstra/DP separation oracles and shares only their validated
+    integer costs (mass < 1 is scaled mass < ``scale``) and ``g.index()``.
+    Costs are nonnegative, so cutting a cycle out of a walk raises neither
+    its length nor its mass: a cheap short walk exists exactly when a
+    cheap short simple path does. No simple path is longer than all edges
+    together, so lengths stop there.
     """
     g = inst.graph
+    p = inst.problem
     edge_mode = inst.mode == EDGE
     scale, cost = _scaled_costs(g, x, inst.mode)
-    _, pos, adjacency = g.index()
-    s, t = pos[s], pos[t]
+    _, pos, arcs = g.index()
     lengths = [length for _, _, _, length, _ in g.edge_rows]
-    steps = 0
-    on_path: set[int] = set()
-    # the open path as (node, length, mass, remaining out-arcs); nodes are
-    # entered in the order a recursive search would take
-    stack: list[tuple[int, int, int, Iterator[tuple[int, int]]]] = []
-    step: tuple[int, int, int] | None = (s, 0, 0 if edge_mode else cost.get(s, 0))
-    while step is not None:
-        v, length, mass = step
-        steps += 1
-        if steps > DFS_STEP_CAP:
-            raise SizeGuard("path enumeration exceeded its step cap")
-        if mass < scale:
+    if isinstance(p, Multicut):
+        pairs, steps, levels = p.pairs, [0] * len(lengths), 1
+    else:
+        pairs, steps = ((p.source, p.sink),), lengths
+        levels = min(p.bound if bound is None else bound, sum(lengths) + 1)
+    for s, t in pairs:
+        s, t = pos[s], pos[t]
+        start = 0 if edge_mode else cost.get(s, 0)
+        best = {(s, 0): start} if start < scale else {}
+        queue = deque(best)
+        while queue:
+            state = queue.popleft()
+            v, length = state
             if v == t:
                 return True
-            on_path.add(v)
-            stack.append((v, length, mass, iter(adjacency[v])))
-        step = None
-        while step is None and stack:
-            v, length, mass, arcs = stack[-1]
-            for idx, nb in arcs:
-                nl = length + lengths[idx]
-                if nb not in on_path and (bound is None or nl < bound):
-                    step = (nb, nl, mass + cost.get(idx if edge_mode else nb, 0))
-                    break
-            else:
-                stack.pop()
-                on_path.remove(v)
+            mass = best[state]
+            for idx, nb in arcs[v]:
+                nxt = (nb, length + steps[idx])
+                nm = mass + cost.get(idx if edge_mode else nb, 0)
+                if nxt[1] < levels and nm < best.get(nxt, scale):
+                    best[nxt] = nm
+                    queue.append(nxt)
     return False
 
 
@@ -269,7 +267,7 @@ def _dfs_has_cheap_path(
 def _covering_lp(
     inst: CutInstance,
     separate: Callable[[dict[Element, Fraction]], list[Path]],
-    recheck: Callable[[dict[Element, Fraction]], bool],
+    bound: int | None = None,
 ) -> tuple[Fraction, dict[Element, Fraction]]:
     variables = inst.cuttable_elements()
     lp = LPProblem(
@@ -282,7 +280,10 @@ def _covering_lp(
     while True:
         violated = separate(solution)
         if not violated:
-            require(not recheck(solution), "independent separation found a violation")
+            require(
+                not _has_cheap_walk(inst, solution, bound),
+                "independent separation found a violation",
+            )
             return value, solution
         added = 0
         for path in violated:
@@ -307,8 +308,8 @@ def multicut_lp(inst: CutInstance) -> tuple[Fraction, dict[Element, Fraction]]:
     """Optimal fractional covering of every terminal-pair path.
 
     Separation runs Dijkstra under the current solution for each pair and
-    adds any path of mass below one; the final pass is re-checked by an
-    independent exhaustive search.
+    adds any path of mass below one; the final pass is re-checked by the
+    independent walk search ``_has_cheap_walk``.
     """
     require_problem(inst.problem, Multicut)
     solvers._check_infeasible(inst)
@@ -322,12 +323,7 @@ def multicut_lp(inst: CutInstance) -> tuple[Fraction, dict[Element, Fraction]]:
                 out.append(found[0])
         return out
 
-    def recheck(x: dict[Element, Fraction]) -> bool:
-        return any(
-            _dfs_has_cheap_path(inst, s, t, x, None) for s, t in pairs
-        )
-
-    return _covering_lp(inst, separate, recheck)
+    return _covering_lp(inst, separate)
 
 
 def short_path_cover_lp(
@@ -345,10 +341,7 @@ def short_path_cover_lp(
             return [found[0]]
         return []
 
-    def recheck(x: dict[Element, Fraction]) -> bool:
-        return _dfs_has_cheap_path(inst, s, t, x, use)
-
-    return _covering_lp(inst, separate, recheck)
+    return _covering_lp(inst, separate, use)
 
 
 # -- gap reports ---------------------------------------------------------------

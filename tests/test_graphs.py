@@ -913,7 +913,7 @@ class TestOutArcsIndex:
         dict_e, fresh = (build("dict-e", "a=4,b=3,r=2,R=1") for _ in range(2))
         builds = count_index_builds(monkeypatch)
         # branch and bound, the per-pair max-flow seed, the feasibility
-        # checks, Dijkstra separation and the DFS recheck
+        # checks, Dijkstra separation and the walk recheck
         assert lp.gap_report(saks).csv_cells() == ["3/1", "5/1", "5/3"]
         assert builds == [1]
         # the length-layered DP and the layered BFS

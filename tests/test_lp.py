@@ -18,7 +18,6 @@ from cutlab.errors import (
     CutLabError,
     Infeasible,
     RowPoolExceeded,
-    SizeGuard,
 )
 from cutlab.gadgets import DictParamsE, build_dict_edge, build_saks_gap, dictator_cut
 from cutlab.graphs import (
@@ -392,7 +391,8 @@ class TestMulticutLp:
         assert value == Fraction(r) ** (k - 1)
 
     def test_long_directed_vertex_path_needs_no_recursion(self):
-        # the DFS recheck walks all 2,000 nodes, past Python's recursion limit
+        # every search, the recheck too, walks all 2,000 nodes, past
+        # Python's recursion limit
         g = WeightedGraph()
         names = ["s", *(f"v{i}" for i in range(1998)), "t"]
         for i, v in enumerate(names):
@@ -419,13 +419,6 @@ class TestMulticutLp:
         # saks r=3 k=2 needs more than one row
         monkeypatch.setattr(lp, "ROW_POOL_CAP", 1)
         with pytest.raises(RowPoolExceeded, match="row pool exceeded 1"):
-            multicut_lp(build_saks_gap(3, 2))
-
-    def test_recheck_step_cap(self, monkeypatch):
-        # the LP reaches its optimum; the exhaustive recheck of that optimum
-        # walks more than 10 steps and stops at the cap
-        monkeypatch.setattr(lp, "DFS_STEP_CAP", 10)
-        with pytest.raises(SizeGuard, match="exceeded its step cap"):
             multicut_lp(build_saks_gap(3, 2))
 
 
@@ -501,6 +494,108 @@ class TestShortPathCoverLp:
                 full.add_row({el: Fraction(1) for el in row}, Fraction(1))
             full_value, _ = simplex_solve(full)
             assert lazy_value == full_value, f"trial {trial}"
+
+
+def reference_cheap_path(inst: CutInstance, x, bound: int | None) -> bool:
+    """Whether some simple path the instance must cut has x-mass below 1
+    (and length below ``bound``), by enumerating every simple path."""
+    g, p = inst.graph, inst.problem
+    pairs = p.pairs if isinstance(p, Multicut) else [(p.source, p.sink)]
+    return any(
+        (bound is None or helpers.path_length(g, edges) < bound)
+        and helpers.path_x_weight(g, nodes, edges, x, inst.mode) < 1
+        for s, t in pairs
+        for nodes, edges in helpers.all_simple_paths(g, s, t)
+    )
+
+
+class TestWalkRecheck:
+    """``lp._has_cheap_walk``, the LP's independent recheck, against
+    simple-path enumeration and as the gate of ``_covering_lp``."""
+
+    @pytest.mark.parametrize("kind", ["multicut", "length_bound"])
+    @pytest.mark.parametrize("mode", [VERTEX, EDGE])
+    def test_matches_simple_path_enumeration(self, kind, mode):
+        rng = random.Random(89)
+        verdicts = []
+        for trial in range(40):
+            if trial % 2:
+                inst = helpers.random_grid_instance(rng, kind, mode)
+            else:
+                inst = helpers.random_instance(rng, kind, mode)
+            g = inst.graph
+            bound = None
+            if kind == "length_bound":
+                # past the total length too, where the levels are capped
+                bound = rng.randint(1, helpers.total_length(g) + 2)
+            x = {
+                el: rng.choice([Fraction(0), Fraction(1, 2), Fraction(1)])
+                for el in inst.cuttable_elements()
+            }
+            # one random path, if any, set to mass exactly 1 or just under it
+            s, t = inst.terminals()[:2]
+            paths = list(helpers.all_simple_paths(g, s, t))
+            if paths:
+                nodes, edges = rng.choice(paths)
+                on_path = [
+                    el
+                    for el in dict.fromkeys(nodes if mode == VERTEX else edges)
+                    if g.element_weight(el) is not None
+                ]
+                mass = rng.choice([Fraction(1), 1 - Fraction(1, 997)])
+                for el in on_path:
+                    x[el] = mass / len(on_path)
+            want = reference_cheap_path(inst, x, bound)
+            assert lp._has_cheap_walk(inst, x, bound) == want, f"trial {trial}"
+            verdicts.append(want)
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("mode", [VERTEX, EDGE])
+    @pytest.mark.parametrize("bound, cheap", [(6, True), (5, False)])
+    def test_bound_is_strict(self, mode, bound, cheap):
+        # the one s-t path, s-a-b-t, has length 5 and mass 1/2: it counts
+        # under bound 6 (length bound - 1) but not under bound 5
+        g = WeightedGraph()
+        for v in ("s", "a", "b", "t"):
+            g.add_node(v, Fraction(1) if mode == VERTEX and v in ("a", "b") else None)
+        weight = Fraction(1) if mode == EDGE else None
+        g.add_edge("s", "a", directed=False, length=1, weight=weight)
+        g.add_edge("a", "b", directed=False, length=2, weight=weight)
+        g.add_edge("b", "t", directed=False, length=2, weight=weight)
+        inst = CutInstance(graph=g, mode=mode, problem=LengthBound("s", "t", bound))
+        share = Fraction(1, 2) / len(inst.cuttable_elements())
+        x = {el: share for el in inst.cuttable_elements()}
+        assert reference_cheap_path(inst, x, bound) is cheap
+        assert lp._has_cheap_walk(inst, x) is cheap
+
+    @pytest.mark.parametrize("r", [10, 16])
+    def test_reaches_large_saks(self, r):
+        # 1/r on every grid node covers each pair's paths exactly; lowering
+        # one node leaves a straight line through it at 1 - 1/(2r)
+        inst = build_saks_gap(r, 2)
+        x = {v: Fraction(1, r) for v in inst.cuttable_elements()}
+        assert not lp._has_cheap_walk(inst, x)
+        x[inst.cuttable_elements()[-1]] = Fraction(1, 2 * r)
+        assert lp._has_cheap_walk(inst, x)
+
+    @pytest.mark.parametrize(
+        "family, params, oracle, solve",
+        [
+            ("saks", "r=3,k=2", "min_weight_path", multicut_lp),
+            ("dict-e", "a=4,b=3,r=2,R=1", "constrained_min_weight_path", short_path_cover_lp),
+        ],
+        ids=["multicut", "length-bound"],
+    )
+    def test_blind_separation_fails_the_recheck(
+        self, monkeypatch, family, params, oracle, solve
+    ):
+        # a separation oracle that finds nothing ends the loop at x = 0,
+        # where every path is cheap: the recheck must refuse that answer
+        fam = gadgets.FAMILIES[family]
+        inst = fam.build(fam.params(parse_params(params)), gadgets.DEFAULT_MAX_NODES)
+        monkeypatch.setattr(lp, oracle, lambda *args: None)
+        with pytest.raises(CertificateFailed, match="independent separation found"):
+            solve(inst)
 
 
 # ``cutlab lp`` stdout on the length_cover benchmark instances, and the
