@@ -20,9 +20,7 @@ def trivial_multicut(inst: CutInstance) -> CutSolution:
 
 
 def threshold_round_lbc(
-    inst: CutInstance,
-    bound: int | None,
-    lp_solution: Mapping[Element, Fraction],
+    inst: CutInstance, lp_solution: Mapping[Element, Fraction]
 ) -> CutSolution:
     """Round a feasible fractional covering by keeping elements with
     value at least 1/(bound-1).
@@ -32,19 +30,19 @@ def threshold_round_lbc(
     cost is at most (bound-1) times the LP value.
     """
     require_problem(inst.problem, LengthBound)
-    use = inst.problem.bound if bound is None else bound
-    if _has_cheap_walk(inst, lp_solution, use):
+    bound = inst.problem.bound
+    if _has_cheap_walk(inst, lp_solution):
         raise InfeasibleLpInput("a short path has fractional mass below 1")
-    if use == 1:
+    if bound == 1:
         return CutSolution(frozenset(), Fraction(0))
-    threshold = Fraction(1, use - 1)
+    threshold = Fraction(1, bound - 1)
     elements = frozenset(
         el
         for el in inst.cuttable_elements()
         if lp_solution.get(el, Fraction(0)) >= threshold
     )
     require(
-        length_bound_is_feasible(inst, elements, use),
+        length_bound_is_feasible(inst, elements),
         "threshold rounding left a path shorter than the bound",
     )
     return CutSolution(elements, solution_cost(inst, elements))

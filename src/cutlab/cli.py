@@ -131,6 +131,10 @@ def emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def emit_json(doc: dict, out: str | None) -> None:
+    emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
+
+
 def params_string(params: dict) -> str:
     return ";".join(f"{k}={params[k]}" for k in sorted(params))
 
@@ -184,7 +188,7 @@ def cmd_lp(args: argparse.Namespace) -> int:
             str(k): rational_str(v) for k, v in sorted(solution.items(), key=lambda p: str(p[0])) if v > 0
         },
     }
-    emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    emit_json(doc, args.out)
     return 0
 
 
@@ -201,7 +205,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         "elements": sorted(map(str, sol.elements)),
         "verified": True,
     }
-    emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    emit_json(doc, args.out)
     return 0
 
 
@@ -212,7 +216,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
         doc = {"algorithm": "per-pair-cuts", "cost": rational_str(sol.cost)}
     elif isinstance(inst.problem, LengthBound):
         value, fractional = lp.short_path_cover_lp(inst)
-        sol = approx.threshold_round_lbc(inst, None, fractional)
+        sol = approx.threshold_round_lbc(inst, fractional)
         doc = {
             "algorithm": "threshold-rounding",
             "lp_value": rational_str(value),
@@ -220,7 +224,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
         }
     else:
         raise ValueError("no baseline for this problem type")
-    emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    emit_json(doc, args.out)
     return 0
 
 
@@ -236,7 +240,7 @@ def cmd_interdict(args: argparse.Namespace) -> int:
         "cut_cost": rational_str(sol.cost),
         "elements": sorted(map(str, sol.elements)),
     }
-    emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    emit_json(doc, args.out)
     return 0
 
 
@@ -251,7 +255,7 @@ def cmd_rmfc(args: argparse.Namespace) -> int:
         if schedule is not None:
             doc["days"] = [sorted(day) for day in schedule.days]
             doc["per_day_cost"] = [rational_str(c) for c in schedule.per_day_cost]
-        emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+        emit_json(doc, args.out)
         return 0
     if args.schedule:
         with open(args.schedule, encoding="utf-8") as handle:
@@ -264,7 +268,7 @@ def cmd_rmfc(args: argparse.Namespace) -> int:
         "per_day_cost": [rational_str(c) for c in schedule.per_day_cost],
         "days_simulated": len(trace.burnt_by_day) - 1,
     }
-    emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    emit_json(doc, args.out)
     return 0 if not trace.target_burnt else 1
 
 
@@ -335,7 +339,7 @@ def cmd_correlation(args: argparse.Namespace) -> int:
         "connectedness_bound": connectedness_bound(cs),
         "alpha": rational_str(cs.alpha),
     }
-    emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+    emit_json(doc, args.out)
     return 0
 
 

@@ -213,12 +213,9 @@ def _certify(
 # -- independent no-violation check ----------------------------------------
 
 
-def _has_cheap_walk(
-    inst: CutInstance, x: Mapping[Element, Fraction], bound: int | None = None
-) -> bool:
+def _has_cheap_walk(inst: CutInstance, x: Mapping[Element, Fraction]) -> bool:
     """Whether x leaves a path of mass below 1 that the instance must cut:
-    a path joining a multicut pair, or an s-t path shorter than ``bound``
-    (the problem's own when None).
+    a path joining a multicut pair, or an s-t path shorter than the bound.
 
     A label-correcting search over (node, length) states that keeps each
     state's least mass and drops a state once its mass reaches 1; multicut
@@ -240,7 +237,7 @@ def _has_cheap_walk(
         pairs, steps, levels = p.pairs, [0] * len(lengths), 1
     else:
         pairs, steps = ((p.source, p.sink),), lengths
-        levels = min(p.bound if bound is None else bound, sum(lengths) + 1)
+        levels = min(p.bound, sum(lengths) + 1)
     for s, t in pairs:
         s, t = pos[s], pos[t]
         start = 0 if edge_mode else cost.get(s, 0)
@@ -267,7 +264,6 @@ def _has_cheap_walk(
 def _covering_lp(
     inst: CutInstance,
     separate: Callable[[dict[Element, Fraction]], list[Path]],
-    bound: int | None = None,
 ) -> tuple[Fraction, dict[Element, Fraction]]:
     variables = inst.cuttable_elements()
     lp = LPProblem(
@@ -281,7 +277,7 @@ def _covering_lp(
         violated = separate(solution)
         if not violated:
             require(
-                not _has_cheap_walk(inst, solution, bound),
+                not _has_cheap_walk(inst, solution),
                 "independent separation found a violation",
             )
             return value, solution
@@ -326,22 +322,19 @@ def multicut_lp(inst: CutInstance) -> tuple[Fraction, dict[Element, Fraction]]:
     return _covering_lp(inst, separate)
 
 
-def short_path_cover_lp(
-    inst: CutInstance, bound: int | None = None
-) -> tuple[Fraction, dict[Element, Fraction]]:
+def short_path_cover_lp(inst: CutInstance) -> tuple[Fraction, dict[Element, Fraction]]:
     """Optimal fractional covering of every s-t path shorter than the bound."""
     require_problem(inst.problem, LengthBound)
-    use = inst.problem.bound if bound is None else bound
-    solvers._check_infeasible(inst, use)
-    s, t = inst.problem.source, inst.problem.sink
+    solvers._check_infeasible(inst)
+    s, t, bound = inst.problem.source, inst.problem.sink, inst.problem.bound
 
     def separate(x: dict[Element, Fraction]) -> list[Path]:
-        found = constrained_min_weight_path(inst.graph, s, t, x, use, inst.mode)
+        found = constrained_min_weight_path(inst.graph, s, t, x, bound, inst.mode)
         if found is not None and found[1] < 1:
             return [found[0]]
         return []
 
-    return _covering_lp(inst, separate, use)
+    return _covering_lp(inst, separate)
 
 
 # -- gap reports ---------------------------------------------------------------

@@ -5,6 +5,7 @@ simulator with an exact schedule search.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from math import floor
 from typing import Iterable, Mapping
@@ -54,7 +55,7 @@ class PathSearch:
     ever removed, so the uncuttable terminals never are.
     """
 
-    def __init__(self, inst: CutInstance, bound: int | None = None) -> None:
+    def __init__(self, inst: CutInstance) -> None:
         g = inst.graph
         p = inst.problem
         self.names, self.pos, arcs = g.index()
@@ -68,7 +69,7 @@ class PathSearch:
         elif isinstance(p, LengthBound):
             pairs = ((p.source, p.sink),)
             steps = self.lengths
-            self.width = max(p.bound if bound is None else bound, 1)
+            self.width = p.bound
             self.node_keyed = False
         else:
             raise WrongProblemType(
@@ -201,10 +202,10 @@ def find_violating_path(search: PathSearch) -> Path | None:
     return best
 
 
-def _check_infeasible(inst: CutInstance, bound: int | None = None) -> PathSearch:
+def _check_infeasible(inst: CutInstance) -> PathSearch:
     """Raise Infeasible when a violating path has no cuttable element, else
     return the instance's search with nothing removed."""
-    search = PathSearch(inst, bound)
+    search = PathSearch(inst)
     search.removed = bytearray(w is not None for w in search.weights)
     for s, t in search.pairs:
         if search.min_hop(s, t) is None:
@@ -229,15 +230,11 @@ def multicut_is_feasible(inst: CutInstance, elements: Iterable[Element]) -> bool
     return True
 
 
-def length_bound_is_feasible(
-    inst: CutInstance, elements: Iterable[Element], bound: int | None = None
-) -> bool:
+def length_bound_is_feasible(inst: CutInstance, elements: Iterable[Element]) -> bool:
     require_problem(inst.problem, LengthBound)
-    use = inst.problem.bound if bound is None else bound
-    dist = shortest_path_length(
-        inst.graph, inst.problem.source, inst.problem.sink, list(elements)
-    )
-    return dist is None or dist >= use
+    p = inst.problem
+    dist = shortest_path_length(inst.graph, p.source, p.sink, list(elements))
+    return dist is None or dist >= p.bound
 
 
 def solution_cost(inst: CutInstance, elements: Iterable[Element]) -> Fraction:
@@ -515,22 +512,21 @@ def exact_min_multicut(
 
 
 def exact_min_length_bounded_cut(
-    inst: CutInstance, bound: int | None = None, *, budget: Fraction | None = None
+    inst: CutInstance, *, budget: Fraction | None = None
 ) -> CutSolution | None:
-    """Minimum-cost element set after which dist(s, t) >= bound.
+    """Minimum-cost element set after which dist(s, t) >= the instance's bound.
 
     With a ``budget``, None when that minimum costs more than the budget;
     the search then never ranks cuts above it. A minimum within the
     budget is returned as without one, elements included.
     """
     require_problem(inst.problem, LengthBound)
-    use = inst.problem.bound if bound is None else bound
     cuttable = inst.cuttable_elements()
     if len(cuttable) > BB_ELEMENT_LIMIT:
         raise SizeGuard(f"{len(cuttable)} cuttable elements (cap {BB_ELEMENT_LIMIT})")
-    search = _check_infeasible(inst, use)
+    search = _check_infeasible(inst)
     require(
-        length_bound_is_feasible(inst, cuttable, use),
+        length_bound_is_feasible(inst, cuttable),
         "removing every cuttable element leaves a short path",
     )
     found = _branch_and_bound(
@@ -540,7 +536,7 @@ def exact_min_length_bounded_cut(
         return None
     cost, elements = found
     require(
-        length_bound_is_feasible(inst, elements, use),
+        length_bound_is_feasible(inst, elements),
         "branch and bound left a path shorter than the bound",
     )
     return CutSolution(elements, cost)
@@ -556,9 +552,10 @@ def exact_interdiction(
 
     Climbs the finite set of achievable distances: repeatedly solve the
     length-bounded cut at one more than the distance achieved so far,
-    capped at the budget, and stop when the optimum exceeds it. Returns
-    the best distance (None when s and t can be fully disconnected) and
-    the witnessing cut.
+    capped at the budget, and stop when the optimum exceeds it. Each
+    round's instance carries that round's bound and shares the caller's
+    graph, and so its index. Returns the best distance (None when s and t
+    can be fully disconnected) and the witnessing cut.
     """
     require_problem(inst.problem, LengthBound)
     budget = Fraction(budget)
@@ -571,9 +568,9 @@ def exact_interdiction(
     if best_dist is None:
         return None, best_cut
     while True:
-        target = best_dist + 1
+        round_inst = replace(inst, problem=LengthBound(src, dst, best_dist + 1))
         try:
-            sol = exact_min_length_bounded_cut(inst, target, budget=budget)
+            sol = exact_min_length_bounded_cut(round_inst, budget=budget)
         except Infeasible:
             return best_dist, best_cut
         if sol is None:

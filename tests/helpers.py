@@ -14,6 +14,7 @@ the package computes in integers over a common denominator.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -308,7 +309,7 @@ def brute_force_min_disconnect(g: WeightedGraph, s: str, t: str, mode: str):
 BRUTE_ELEMENT_LIMIT = 22
 
 
-def brute_force_min_cut(inst: CutInstance, bound: int | None = None) -> CutSolution:
+def brute_force_min_cut(inst: CutInstance) -> CutSolution:
     """Exhaustive minimum over all cuttable subsets; the independent
     cross-check oracle for the branch-and-bound solvers."""
     cuttable = sorted(inst.cuttable_elements(), key=str)
@@ -317,7 +318,7 @@ def brute_force_min_cut(inst: CutInstance, bound: int | None = None) -> CutSolut
     if isinstance(inst.problem, Multicut):
         feasible = lambda els: solvers.multicut_is_feasible(inst, els)
     elif isinstance(inst.problem, LengthBound):
-        feasible = lambda els: solvers.length_bound_is_feasible(inst, els, bound)
+        feasible = lambda els: solvers.length_bound_is_feasible(inst, els)
     else:
         raise ValueError("brute force covers multicut and length bound")
     # cutting more never breaks feasibility, so no subset is feasible
@@ -380,6 +381,13 @@ def expand_node_weights(g: WeightedGraph) -> WeightedGraph:
         for b in copies[e.head]
     )
     return out
+
+
+def with_bound(inst: CutInstance, bound: int) -> CutInstance:
+    """``inst`` with its length bound replaced by ``bound``; the graph
+    object is shared."""
+    p = inst.problem
+    return dataclasses.replace(inst, problem=LengthBound(p.source, p.sink, bound))
 
 
 def random_instance(

@@ -284,8 +284,8 @@ def test_criterion_11_approximation_ratios():
         inst = helpers.random_instance(rng, "length_bound", mode)
         bound = inst.problem.bound
         lp_value, fractional = short_path_cover_lp(inst)
-        rounded = threshold_round_lbc(inst, bound, fractional)
-        assert length_bound_is_feasible(inst, rounded.elements, bound)
+        rounded = threshold_round_lbc(inst, fractional)
+        assert length_bound_is_feasible(inst, rounded.elements)
         assert rounded.cost <= (bound - 1) * lp_value
         ratios_checked += 1
     report(11, f"{ratios_checked} instances hold the k / 2 / (l-1) ratio bounds")

@@ -117,15 +117,15 @@ class TestThresholdRounding:
         g.add_edge("b", "t", directed=False, weight=Fraction(1))
         inst = CutInstance(graph=g, mode=EDGE, problem=LengthBound("s", "t", 4))
         value, sol = short_path_cover_lp(inst)
-        rounded = threshold_round_lbc(inst, 4, sol)
+        rounded = threshold_round_lbc(inst, sol)
         assert rounded.cost == value == 1
 
     def test_dict_edge_rounding(self):
-        inst = build_dict_edge(DictParamsE(4, 3, 2, 1))
-        value, sol = short_path_cover_lp(inst, 8)
-        rounded = threshold_round_lbc(inst, 8, sol)
+        inst = helpers.with_bound(build_dict_edge(DictParamsE(4, 3, 2, 1)), 8)
+        value, sol = short_path_cover_lp(inst)
+        rounded = threshold_round_lbc(inst, sol)
         assert rounded.cost <= 7 * value
-        assert length_bound_is_feasible(inst, rounded.elements, 8)
+        assert length_bound_is_feasible(inst, rounded.elements)
 
     def test_infeasible_input_rejected(self):
         g = WeightedGraph()
@@ -135,7 +135,7 @@ class TestThresholdRounding:
         g.add_edge("a", "t", directed=False, weight=Fraction(1))
         inst = CutInstance(graph=g, mode=EDGE, problem=LengthBound("s", "t", 3))
         with pytest.raises(InfeasibleLpInput):
-            threshold_round_lbc(inst, 3, {0: Fraction(1, 4), 1: Fraction(1, 4)})
+            threshold_round_lbc(inst, {0: Fraction(1, 4), 1: Fraction(1, 4)})
 
     @pytest.mark.parametrize(
         "solution, error",
@@ -155,7 +155,7 @@ class TestThresholdRounding:
         g.add_edge("a", "t", directed=False, weight=Fraction(1))
         inst = CutInstance(graph=g, mode=EDGE, problem=LengthBound("s", "t", 3))
         with pytest.raises(error):
-            threshold_round_lbc(inst, 3, solution)
+            threshold_round_lbc(inst, solution)
 
     def test_ratio_bound_on_random_suite(self):
         rng = random.Random(83)
@@ -164,8 +164,8 @@ class TestThresholdRounding:
             inst = helpers.random_instance(rng, "length_bound", mode)
             bound = inst.problem.bound
             value, sol = short_path_cover_lp(inst)
-            rounded = threshold_round_lbc(inst, bound, sol)
-            assert length_bound_is_feasible(inst, rounded.elements, bound)
+            rounded = threshold_round_lbc(inst, sol)
+            assert length_bound_is_feasible(inst, rounded.elements)
             assert rounded.cost <= (bound - 1) * value, f"trial {trial}"
             post = shortest_path_length(inst.graph, "S", "T", rounded.elements)
             assert post is None or post >= bound

@@ -775,6 +775,20 @@ class TestRegistry:
         code, out, err = run_cli(capsys, ["verify", "--instance", str(path), "--q", "3"])
         assert (code, out) == (1, "") and "CoordinateOutOfRange" in err
 
+    def test_verify_needs_the_distance_from_params_not_the_file_bound(self, tmp_path, capsys):
+        # a file's length bound is not trusted: with it edited down to 1,
+        # the check still asks for the distance the params give
+        params, expected = self.VERIFIED["dict-e"]
+        path = tmp_path / "inst.json"
+        main(["generate", "--family", "dict-e", "--params", params, "--out", str(path)])
+        doc = json.loads(path.read_text())
+        assert doc["problem"]["bound"] == 4
+        doc["problem"]["bound"] = 1
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, ["verify", "--instance", str(path)])
+        assert "PASS  post-cut distance >= 4\n" in out
+        assert (code, out, err) == (0, expected, "")
+
     def test_rmfc_instance_resolves_family_from_provenance(self, tmp_path, capsys):
         params = "b=3,R=1,eps=1/1000"
         path = tmp_path / "fire.json"

@@ -438,7 +438,7 @@ class TestShortPathCoverLp:
         p = DictParamsE(4, 3, 2, 1)
         inst = build_dict_edge(p)
         cut = dictator_cut("dict_edge", p, 0, inst)
-        value, _ = short_path_cover_lp(inst, 8)
+        value, _ = short_path_cover_lp(helpers.with_bound(inst, 8))
         assert value <= cut.cost == Fraction(15, 8)
 
     @pytest.mark.parametrize("mode", [VERTEX, EDGE])
@@ -452,14 +452,15 @@ class TestShortPathCoverLp:
         ]
         solved = 0
         for inst in [*instances, build_dict_edge(DictParamsE(4, 3, 2, 1))]:
-            every_path = helpers.total_length(inst.graph) + 1
+            every_path = helpers.with_bound(inst, helpers.total_length(inst.graph) + 1)
+            huge = helpers.with_bound(inst, 10**12)
             try:
-                want = short_path_cover_lp(inst, every_path)
+                want = short_path_cover_lp(every_path)
             except Infeasible:
                 with pytest.raises(Infeasible):
-                    short_path_cover_lp(inst, 10**12)
+                    short_path_cover_lp(huge)
                 continue
-            assert short_path_cover_lp(inst, 10**12) == want
+            assert short_path_cover_lp(huge) == want
             solved += 1
         assert solved >= 4
 
@@ -496,11 +497,14 @@ class TestShortPathCoverLp:
             assert lazy_value == full_value, f"trial {trial}"
 
 
-def reference_cheap_path(inst: CutInstance, x, bound: int | None) -> bool:
+def reference_cheap_path(inst: CutInstance, x) -> bool:
     """Whether some simple path the instance must cut has x-mass below 1
-    (and length below ``bound``), by enumerating every simple path."""
+    (and length below the bound), by enumerating every simple path."""
     g, p = inst.graph, inst.problem
-    pairs = p.pairs if isinstance(p, Multicut) else [(p.source, p.sink)]
+    if isinstance(p, Multicut):
+        pairs, bound = p.pairs, None
+    else:
+        pairs, bound = [(p.source, p.sink)], p.bound
     return any(
         (bound is None or helpers.path_length(g, edges) < bound)
         and helpers.path_x_weight(g, nodes, edges, x, inst.mode) < 1
@@ -524,10 +528,9 @@ class TestWalkRecheck:
             else:
                 inst = helpers.random_instance(rng, kind, mode)
             g = inst.graph
-            bound = None
             if kind == "length_bound":
                 # past the total length too, where the levels are capped
-                bound = rng.randint(1, helpers.total_length(g) + 2)
+                inst = helpers.with_bound(inst, rng.randint(1, helpers.total_length(g) + 2))
             x = {
                 el: rng.choice([Fraction(0), Fraction(1, 2), Fraction(1)])
                 for el in inst.cuttable_elements()
@@ -545,8 +548,8 @@ class TestWalkRecheck:
                 mass = rng.choice([Fraction(1), 1 - Fraction(1, 997)])
                 for el in on_path:
                     x[el] = mass / len(on_path)
-            want = reference_cheap_path(inst, x, bound)
-            assert lp._has_cheap_walk(inst, x, bound) == want, f"trial {trial}"
+            want = reference_cheap_path(inst, x)
+            assert lp._has_cheap_walk(inst, x) == want, f"trial {trial}"
             verdicts.append(want)
         assert True in verdicts and False in verdicts
 
@@ -565,7 +568,7 @@ class TestWalkRecheck:
         inst = CutInstance(graph=g, mode=mode, problem=LengthBound("s", "t", bound))
         share = Fraction(1, 2) / len(inst.cuttable_elements())
         x = {el: share for el in inst.cuttable_elements()}
-        assert reference_cheap_path(inst, x, bound) is cheap
+        assert reference_cheap_path(inst, x) is cheap
         assert lp._has_cheap_walk(inst, x) is cheap
 
     @pytest.mark.parametrize("r", [10, 16])

@@ -155,9 +155,10 @@ class TestExactLengthBoundedCut:
         p = DictParamsE(4, 3, 2, 1)
         inst = build_dict_edge(p)
         dict_cut = dictator_cut("dict_edge", p, 0, inst)
-        sol = exact_min_length_bounded_cut(inst, 8)
+        bound8 = helpers.with_bound(inst, 8)
+        sol = exact_min_length_bounded_cut(bound8)
         assert sol.cost <= dict_cut.cost
-        assert length_bound_is_feasible(inst, sol.elements, 8)
+        assert length_bound_is_feasible(bound8, sol.elements)
 
     def test_one_search_per_solve(self, monkeypatch):
         # the infeasibility check and the branch and bound index the
@@ -166,9 +167,9 @@ class TestExactLengthBoundedCut:
         built = []
         index = solvers.PathSearch.__init__
 
-        def counted(search, inst, bound=None):
-            built.append(bound)
-            index(search, inst, bound)
+        def counted(search, inst):
+            built.append(inst.problem.bound)
+            index(search, inst)
 
         monkeypatch.setattr(solvers.PathSearch, "__init__", counted)
         inst = build_dict_edge(DictParamsE(4, 3, 2, 1))
@@ -184,7 +185,7 @@ class TestExactLengthBoundedCut:
             inst = helpers.random_instance(rng, "length_bound", EDGE)
             prev = Fraction(0)
             for bound in (2, 3, 4, 5):
-                cost = exact_min_length_bounded_cut(inst, bound).cost
+                cost = exact_min_length_bounded_cut(helpers.with_bound(inst, bound)).cost
                 assert cost >= prev
                 prev = cost
 
@@ -359,7 +360,7 @@ class TestMinHop:
         for inst in instances:
             g, problem = inst.graph, inst.problem
             for width in (problem.bound, problem.bound + 3):
-                search = solvers.PathSearch(inst, width)
+                search = solvers.PathSearch(helpers.with_bound(inst, width))
                 [(s, t)] = search.pairs
                 for _ in range(10):
                     for el, w in enumerate(search.weights):
@@ -611,6 +612,26 @@ class TestSymmetryPruning:
 
 
 class TestInterdiction:
+    def test_each_round_gets_its_bound_on_the_shared_graph(self, monkeypatch):
+        # one instance per round, at one more than the distance so far,
+        # on the caller's graph object (so on one index); the caller's own
+        # bound is left as it was
+        rounds = []
+        solve = solvers.exact_min_length_bounded_cut
+
+        def spy(inst, **kwargs):
+            rounds.append(inst)
+            return solve(inst, **kwargs)
+
+        monkeypatch.setattr(solvers, "exact_min_length_bounded_cut", spy)
+        inst = build_dict_edge(DictParamsE(4, 3, 2, 1))
+        assert exact_interdiction(inst, Fraction(15, 8))[0] == 11
+        assert [r.problem.bound for r in rounds] == [6, 9, 12]
+        for r in rounds:
+            assert r.graph is inst.graph
+            assert (r.mode, r.problem.source, r.problem.sink) == (EDGE, "s", "t")
+        assert inst.problem.bound == 8
+
     def test_zero_budget_keeps_base_distance(self):
         rng = random.Random(41)
         for _ in range(10):
@@ -686,9 +707,10 @@ class TestInterdiction:
             total = sum(weights, Fraction(0))
             base = shortest_path_length(inst.graph, "S", "T")
             for bound in (base + 1, base + 2, base + 4):
-                sol = exact_min_length_bounded_cut(inst, bound)
+                bounded = helpers.with_bound(inst, bound)
+                sol = exact_min_length_bounded_cut(bounded)
                 for budget in (sol.cost - unit, sol.cost, sol.cost + unit, total, total + 1):
-                    capped = exact_min_length_bounded_cut(inst, bound, budget=budget)
+                    capped = exact_min_length_bounded_cut(bounded, budget=budget)
                     if sol.cost > budget:
                         assert capped is None, f"trial {trial}"
                         over += 1
