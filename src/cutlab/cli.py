@@ -8,6 +8,7 @@ to the library's 0-based convention.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -94,9 +95,20 @@ def family_of(args: argparse.Namespace) -> gadgets.Family:
     return gadgets.FAMILIES[args.family]
 
 
+def node_cap(args: argparse.Namespace) -> int:
+    """``--max-nodes``, or ``gadgets.DEFAULT_MAX_NODES`` as it reads now
+    when the option is not given; ParamOutOfRange below 1."""
+    if args.max_nodes is None:
+        return gadgets.DEFAULT_MAX_NODES
+    if args.max_nodes < 1:
+        raise ParamOutOfRange(f"--max-nodes = {args.max_nodes} must be >= 1")
+    return args.max_nodes
+
+
 def build_instance(args: argparse.Namespace) -> CutInstance:
+    cap = node_cap(args)
     family = family_of(args)
-    return family.build(family.params(parse_params(args.params)), args.max_nodes)
+    return family.build(family.params(parse_params(args.params)), cap)
 
 
 def load_instance(args: argparse.Namespace) -> CutInstance:
@@ -273,6 +285,7 @@ def cmd_rmfc(args: argparse.Namespace) -> int:
 
 
 def cmd_gap_table(args: argparse.Namespace) -> int:
+    cap = node_cap(args)
     family = family_of(args)
     grid = parse_params(args.params, ranges=True)
     family.check_names(grid)
@@ -296,7 +309,7 @@ def cmd_gap_table(args: argparse.Namespace) -> int:
             if family.cuttable:
                 limit = solvers.BB_ELEMENT_LIMIT
                 gadgets.guard(family.cuttable(params), limit, "cuttable elements")
-            inst = family.build(params, args.max_nodes)
+            inst = family.build(params, cap)
             report = lp.gap_report(inst)
             cells = report.csv_cells()
         except CutLabError as exc:
@@ -351,7 +364,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--params", default="")
     sub.add_argument("--instance", default=None, help="instance JSON file")
     sub.add_argument("--out", default=None)
-    sub.add_argument("--max-nodes", type=int, default=gadgets.DEFAULT_MAX_NODES)
+    # None reads gadgets.DEFAULT_MAX_NODES at call time (see node_cap)
+    sub.add_argument("--max-nodes", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,8 +433,17 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at the first ``main`` call rather
+    than at import, and reused: building it takes milliseconds, and
+    parse_args leaves it unchanged. It holds no value that can change after
+    it is built, which is why ``--max-nodes`` defaults to None."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except CutLabError as exc:

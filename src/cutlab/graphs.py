@@ -392,24 +392,26 @@ def _scaled_costs(
     """
     rows = g.edge_rows
     pos = g.index().pos
+    vertex_mode = mode == VERTEX
     positive: dict[int, Fraction | int] = {}
     for el, val in x.items():
-        if mode == VERTEX:
-            if type(el) is not str or el not in g:
+        if vertex_mode:
+            if type(el) is not str or el not in pos:
                 raise UnknownNode(f"unknown vertex-mode element {el!r}")
-            weight = g.node_weight(el)
-        else:
-            if type(el) is not int or not 0 <= el < len(rows):
-                raise UnknownNode(f"unknown edge-mode element {el!r}")
-            weight = rows[el][4]
+        elif type(el) is not int or not 0 <= el < len(rows):
+            raise UnknownNode(f"unknown edge-mode element {el!r}")
         if not isinstance(val, (int, Fraction)) or isinstance(val, bool):
             raise ValueError(f"x[{el!r}] = {val!r} is not an int or Fraction")
-        if val < 0:
+        # the sign of an int or Fraction is its numerator's
+        num = val.numerator
+        if num == 0:
+            continue
+        if num < 0:
             raise ValueError("x must be nonnegative")
-        if val > 0:
-            if weight is None:
-                raise ValueError(f"positive x on uncuttable element {el!r}")
-            positive[pos[el] if mode == VERTEX else el] = val
+        weight = g.node_weight(el) if vertex_mode else rows[el][4]
+        if weight is None:
+            raise ValueError(f"positive x on uncuttable element {el!r}")
+        positive[pos[el] if vertex_mode else el] = val
     scale, cost = _over_lcm(positive.values())
     return scale, dict(zip(positive, cost))
 
@@ -509,11 +511,6 @@ def constrained_min_weight_path(
     names, pos, arcs = g.index()
     s, t = pos[s], pos[t]
     levels = min(bound, sum(row[3] for row in rows) + 1)
-    # the arcs out of each node as (neighbour, edge, length, cost)
-    steps = [
-        [(nb, idx, rows[idx][3], cost.get(idx if edge_mode else nb, 0)) for idx, nb in out]
-        for out in arcs
-    ]
     # best[L][v] = cheapest scaled x-weight of a walk s->v of total length L
     best: list[dict[int, int]] = [{} for _ in range(levels)]
     parent: dict[tuple[int, int], tuple[int, int, int]] = {}
@@ -528,11 +525,11 @@ def constrained_min_weight_path(
             if v in settled and d >= settled[v]:
                 continue
             settled[v] = d
-            for nb, idx, length, step in steps[v]:
-                nl = level + length
+            for idx, nb in arcs[v]:
+                nl = level + rows[idx][3]
                 if nl >= levels:
                     continue
-                nd = d + step
+                nd = d + cost.get(idx if edge_mode else nb, 0)
                 reach = best[nl]
                 if nb not in reach or nd < reach[nb]:
                     reach[nb] = nd

@@ -43,14 +43,29 @@ ROW_POOL_CAP = 10_000
 
 @dataclass
 class LPProblem:
-    """min c.x subject to rows A x >= rhs and x >= 0, all rational, c >= 0."""
+    """min c.x subject to rows A x >= rhs and x >= 0, all rational, c >= 0.
+
+    Rows enter only through ``add_row``, which also keeps the row's integer
+    form; the warm-started dual prices each row once from it, and the
+    certificate checks every row against it on every solve.
+    """
 
     var_order: list[Element]
     objective: dict[Element, Fraction]
-    rows: list[dict[Element, Fraction]] = field(default_factory=list)
-    rhs: list[Fraction] = field(default_factory=list)
+    rows: list[dict[Element, Fraction]] = field(default_factory=list, init=False)
+    rhs: list[Fraction] = field(default_factory=list, init=False)
+    # per row, its columns and [a'_i..., b'_i]: its coefficients and rhs
+    # times the lcm of their denominators
+    int_rows: list[tuple[list[int], list[int]]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    # variable -> its column, its place in var_order
+    pos: dict[Element, int] = field(init=False, repr=False, compare=False)
     # the dual tableau of the last solve; the next solve resumes from it
     _dual: _PackingDual | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.pos = {v: j for j, v in enumerate(self.var_order)}
 
     def add_row(self, coeffs: Mapping[Element, Fraction], rhs: Fraction) -> None:
         row = {v: Fraction(c) for v, c in coeffs.items() if c != 0}
@@ -59,6 +74,8 @@ class LPProblem:
                 raise ValueError(f"row references undeclared variable {v!r}")
         self.rows.append(row)
         self.rhs.append(Fraction(rhs))
+        _, scaled = _over_lcm([*row.values(), self.rhs[-1]])
+        self.int_rows.append(([self.pos[v] for v in row], scaled))
 
 
 class _PackingDual:
@@ -80,7 +97,6 @@ class _PackingDual:
         _, cost = _over_lcm([lp.objective[v] for v in lp.var_order])
         if any(c < 0 for c in cost):
             raise CutLabError("negative cost: the packing dual needs c >= 0")
-        self.pos = {v: j for j, v in enumerate(lp.var_order)}
         self.table: list[dict[int, int]] = [{j: 1} for j in range(len(cost))]
         self.rhs = cost
         self.basis = list(range(len(cost)))
@@ -88,11 +104,11 @@ class _PackingDual:
         self.det = 1
         self.priced = 0
 
-    def price(self, row: Mapping[Element, Fraction], rhs: Fraction) -> None:
-        """Add the next primal row as a dual column of the current basis."""
-        _, scaled = _over_lcm([*row.values(), rhs])
-        a = dict(zip((self.pos[v] for v in row), scaled))
-        key = len(self.pos) + self.priced
+    def price(self, cols: list[int], scaled: list[int]) -> None:
+        """Add the next primal row, in its integer form, as a dual column of
+        the current basis."""
+        a = dict(zip(cols, scaled))
+        key = len(self.table) + self.priced
         self.priced += 1
         for line in self.table:
             # det B^-1 a, summed from the slack block, which holds det B^-1
@@ -167,8 +183,8 @@ def simplex_solve(lp: LPProblem) -> tuple[Fraction, dict[Element, Fraction]]:
     if lp._dual is None:
         lp._dual = _PackingDual(lp)
     dual = lp._dual
-    for i in range(dual.priced, len(lp.rows)):
-        dual.price(lp.rows[i], lp.rhs[i])
+    for i in range(dual.priced, len(lp.int_rows)):
+        dual.price(*lp.int_rows[i])
     dual.optimize()
     return _certify(lp, dual)
 
@@ -178,23 +194,21 @@ def _certify(
 ) -> tuple[Fraction, dict[Element, Fraction]]:
     """c.x and x from the final tableau, once the duality certificate holds.
 
-    The scaled data a'_i, b'_i and c' are rebuilt from ``lp``, not taken
-    from the tableau. With X = det x and Y = det y, all in integers: X >= 0,
-    Y >= 0, a'_i.X >= b'_i det, A'^T Y <= c' det and c'.X == b'.Y; each
-    failure raises CertificateFailed, also under ``python -O``.
+    The scaled data a'_i, b'_i and c' are read from ``lp``, not from the
+    tableau, and every row is checked, not only those added since the last
+    solve. With X = det x and Y = det y, all in integers: X >= 0, Y >= 0,
+    a'_i.X >= b'_i det, A'^T Y <= c' det and c'.X == b'.Y; each failure
+    raises CertificateFailed, also under ``python -O``.
     """
     n, det = len(lp.var_order), dual.det
     cost_scale, cost = _over_lcm([lp.objective[v] for v in lp.var_order])
-    pos = {v: j for j, v in enumerate(lp.var_order)}
     big_x = [dual.z.get(j, 0) for j in range(n)]
     big_y = {k - n: dual.rhs[r] for r, k in enumerate(dual.basis) if k >= n}
     require(all(v >= 0 for v in big_x), "x has a negative entry")
     require(all(v >= 0 for v in big_y.values()), "y has a negative entry")
     load = [0] * n
     dual_value = 0
-    for i, (row, rhs) in enumerate(zip(lp.rows, lp.rhs)):
-        _, scaled = _over_lcm([*row.values(), rhs])
-        cols = [pos[v] for v in row]
+    for i, (cols, scaled) in enumerate(lp.int_rows):
         activity = sum(big_x[j] * c for j, c in zip(cols, scaled))
         require(activity >= scaled[-1] * det, "x violates a row")
         yi = big_y.get(i, 0)
@@ -205,8 +219,9 @@ def _certify(
     require(all(ld <= c * det for ld, c in zip(load, cost)), "y violates A^T y <= c")
     value = sum(c * v for c, v in zip(cost, big_x))
     require(value == dual_value, "c.x differs from b.y")
+    zero = Fraction(0)
     return Fraction(value, det * cost_scale), {
-        v: Fraction(big_x[j], det) for v, j in pos.items()
+        v: Fraction(big_x[j], det) if big_x[j] else zero for v, j in lp.pos.items()
     }
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import cutlab
+from cutlab import cli, gadgets
 from cutlab.cli import CSV_HEADER, main, parse_params
 
 
@@ -104,6 +105,27 @@ class TestGenerate:
         assert code == 1
         err = capsys.readouterr().err
         assert "SizeGuard" in err and "2097166" in err
+
+    @pytest.mark.parametrize("command", ["generate", "gap-table"])
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_max_nodes_below_one_refused_before_a_build(self, command, cap, monkeypatch, capsys):
+        def unbuilt(*args):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(gadgets, "build_saks_gap", unbuilt)
+        argv = [command, "--family", "saks", "--params", "r=2,k=2", "--max-nodes", cap]
+        assert run_cli(capsys, argv) == (
+            1, "", f"error: ParamOutOfRange: --max-nodes = {cap} must be >= 1\n"
+        )
+
+    def test_max_nodes_default_read_at_call_time(self, monkeypatch, capsys):
+        argv = ["generate", "--family", "saks", "--params", "r=3,k=2"]
+        # the first call builds the parser; the cap it uses is read later
+        assert run_cli(capsys, argv)[0] == 0
+        monkeypatch.setattr(gadgets, "DEFAULT_MAX_NODES", 10)
+        assert run_cli(capsys, argv) == (
+            1, "", "error: SizeGuard: instance would have 13 nodes (cap 10)\n"
+        )
 
     @pytest.mark.parametrize(
         "family, params",
@@ -1088,3 +1110,49 @@ class TestUtf8Files:
             "per_day_cost": ["1/1"],
             "target_burnt": False,
         }
+
+
+class TestParserOnce:
+    """``main`` builds its parser at the first call and reuses it; a reused
+    parser must answer every call as a fresh one would."""
+
+    SEQUENCE = [
+        (["generate", "--family", "saks", "--params", "r=2,k=2"], 0),
+        (["lp", "--bogus"], 2),
+        (["generate", "--family", "saks", "--params", "r=1,k=2"], 1),
+        (["gap-table", "--family", "saks", "--params", "k=2,r=2..3"], 0),
+        (["lp", "--family", "saks", "--params", "r=3,k=2"], 0),
+    ]
+
+    @staticmethod
+    def call(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_repeated_sequence_is_byte_identical(self, capsys):
+        rounds = [[self.call(capsys, argv) for argv, _ in self.SEQUENCE] for _ in range(2)]
+        assert rounds[0] == rounds[1]
+        assert [code for code, _, _ in rounds[0]] == [code for _, code in self.SEQUENCE]
+        assert "unrecognized arguments: --bogus" in rounds[0][1][2]
+        assert rounds[0][2][2].startswith("error: ParamOutOfRange")
+
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for argv, code in self.SEQUENCE * 3:
+                assert self.call(capsys, argv)[0] == code
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1

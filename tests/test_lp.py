@@ -281,11 +281,12 @@ def solved_lp() -> LPProblem:
 
 
 def positive_x(dual) -> int:
-    return next(j for j, v in dual.z.items() if j < len(dual.pos) and v > 0)
+    # the first len(dual.table) keys are the slacks, whose costs are x
+    return next(j for j, v in dual.z.items() if j < len(dual.table) and v > 0)
 
 
 def positive_y(dual) -> int:
-    n = len(dual.pos)
+    n = len(dual.table)
     return next(r for r, k in enumerate(dual.basis) if k >= n and dual.rhs[r] > 0)
 
 
@@ -334,6 +335,20 @@ class TestCertificate:
         corrupt(problem._dual)
         with pytest.raises(CertificateFailed, match=message):
             lp._certify(problem, problem._dual)
+
+    def test_rows_from_earlier_solves_are_still_checked(self):
+        # one row per warm solve; then x loses the entry only the first row
+        # needs, so a check of the rows added since the last solve passes
+        problem = LPProblem(
+            var_order=["a", "b", "c"],
+            objective={v: Fraction(1) for v in "abc"},
+        )
+        for v in "abc":
+            problem.add_row({v: Fraction(1)}, Fraction(1))
+            simplex_solve(problem)
+        del problem._dual.z[0]
+        with pytest.raises(CertificateFailed, match="x violates a row"):
+            simplex_solve(problem)
 
     def test_certificate_survives_optimize_flag(self):
         # python -O strips asserts; the certificate must still raise. The
@@ -729,6 +744,37 @@ class TestMulticutWork:
         out = capsys.readouterr().out
         assert json.loads(out)["lp_value"] == value
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ``cutlab gap-table``: simplex solves and separation calls, recorded
+# before each LP row's integer form was kept with the row
+GAP_TABLE_WORK = [
+    ("dict-e", "a=6,b=3,r=2,R=1", {"simplex_solve": 24, "constrained_min_weight_path": 25}),
+    ("dict-v", "a=4,b=4,r=3,R=1,eps=1/20", {"simplex_solve": 16, "constrained_min_weight_path": 17}),
+    ("saks", "r=4,k=2", {"simplex_solve": 14, "min_weight_path": 30}),
+]
+
+
+class TestGapTableWork:
+    """A change that alters a cutting-plane row or a separated path changes
+    these counts."""
+
+    @pytest.mark.parametrize(
+        "family, params, counts", GAP_TABLE_WORK, ids=["dict-e-a6", "dict-v", "saks-r4-k2"]
+    )
+    def test_call_counts(self, monkeypatch, capsys, family, params, counts):
+        made = dict.fromkeys(["simplex_solve", "constrained_min_weight_path", "min_weight_path"], 0)
+        for name in made:
+            real = getattr(lp, name)
+
+            def counted(*args, _name=name, _real=real):
+                made[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(lp, name, counted)
+        assert main(["gap-table", "--family", family, "--params", params]) == 0
+        capsys.readouterr()
+        assert made == dict.fromkeys(made, 0) | counts
 
 
 class TestGapReport:
