@@ -276,6 +276,31 @@ def _has_cheap_walk(inst: CutInstance, x: Mapping[Element, Fraction]) -> bool:
 # -- cutting-plane drivers ---------------------------------------------------
 
 
+def _require_real_path(inst: CutInstance, path: Path) -> None:
+    """Raise CertificateFailed unless ``path`` walks the graph's edge rows,
+    each edge in its direction, from a terminal pair's source to its sink
+    and, for a length bound, with lengths summing to ``path.length``, below
+    the bound. It reads only the graph and the problem, so a row rests on
+    graph facts, not on the oracle that found it."""
+    rows, p = inst.graph.edge_rows, inst.problem
+    nodes, edges = path.nodes, path.edges
+    require(len(nodes) == len(edges) + 1, "a row's path does not list one edge per step")
+    for u, v, e in zip(nodes, nodes[1:], edges):
+        require(0 <= e < len(rows), "a row's path lists an edge the graph lacks")
+        tail, head, directed, _, _ = rows[e]
+        require(
+            (tail, head) == (u, v) or (not directed and (head, tail) == (u, v)),
+            "a row's path is not a walk of the graph",
+        )
+    ends = p.pairs if isinstance(p, Multicut) else ((p.source, p.sink),)
+    require((nodes[0], nodes[-1]) in ends, "a row's path does not join a terminal pair")
+    if isinstance(p, LengthBound):
+        require(
+            sum(rows[e][3] for e in edges) == path.length < p.bound,
+            "a row's path misstates its length or reaches the bound",
+        )
+
+
 def _covering_lp(
     inst: CutInstance,
     separate: Callable[[dict[Element, Fraction]], list[Path]],
@@ -298,6 +323,7 @@ def _covering_lp(
             return value, solution
         added = 0
         for path in violated:
+            _require_real_path(inst, path)
             els = frozenset(path.elements(inst.mode, inst.graph))
             require(bool(els), "a violated path must contain cuttable elements")
             mass = sum((solution.get(e, Fraction(0)) for e in els), Fraction(0))

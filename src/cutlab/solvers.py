@@ -26,7 +26,6 @@ from .graphs import (
     Element,
     LengthBound,
     Multicut,
-    Path,
     Rmfc,
     Schedule,
     WeightedGraph,
@@ -46,7 +45,8 @@ class PathSearch:
     """One instance indexed for repeated fewest-edge searches.
 
     Nodes are the ints of ``g.index()``, each node's out-arcs a list of int
-    tuples. An element id is a node's int in vertex mode and an edge index
+    tuples, and a path is its list of node ints and its list of edge
+    indices. An element id is a node's int in vertex mode and an edge index
     in edge mode; ``removed`` flags the element ids a search must avoid, and a
     branch and bound sets and clears it in place. Multicut searches are
     keyed by node. Length-bound searches run over (node, length) states,
@@ -58,24 +58,23 @@ class PathSearch:
     def __init__(self, inst: CutInstance) -> None:
         g = inst.graph
         p = inst.problem
-        self.names, self.pos, arcs = g.index()
+        self.names, pos, arcs = g.index()
         self.vertex_mode = inst.mode == VERTEX
-        self.lengths = [length for _, _, _, length, _ in g.edge_rows]
         if isinstance(p, Multicut):
             pairs = p.pairs
-            steps = [0] * len(self.lengths)
+            steps = [0] * len(g.edge_rows)
             self.width = 1
             self.node_keyed = True
         elif isinstance(p, LengthBound):
             pairs = ((p.source, p.sink),)
-            steps = self.lengths
+            steps = [length for _, _, _, length, _ in g.edge_rows]
             self.width = p.bound
             self.node_keyed = False
         else:
             raise WrongProblemType(
                 "violating paths are defined for multicut and length bound"
             )
-        self.pairs = [(self.pos[s], self.pos[t]) for s, t in pairs]
+        self.pairs = [(pos[s], pos[t]) for s, t in pairs]
         # an arc is (edge, head, length step, element id the arc enters)
         self.arcs = [
             [(e, w, steps[e], w if self.vertex_mode else e) for e, w in out]
@@ -90,24 +89,24 @@ class PathSearch:
     def element(self, el: int) -> Element:
         return self.names[el] if self.vertex_mode else el
 
-    def elements(self, path: Path) -> list[int]:
-        """Cuttable element ids on ``path``."""
-        ids = [self.pos[v] for v in path.nodes] if self.vertex_mode else path.edges
-        return [el for el in ids if self.weights[el] is not None]
-
-    def min_hop(self, s: int, t: int, max_hops: int | None = None) -> Path | None:
+    def min_hop(
+        self, s: int, t: int, max_hops: int | None = None
+    ) -> tuple[list[int], list[int]] | None:
         """BFS for a fewest-edge s-t path avoiding removed elements; among
-        those, the first one found in arc order. With ``max_hops``, None
-        unless such a path has at most that many edges."""
+        those, the first one found in arc order, as its nodes and edges.
+        With ``max_hops``, None unless such a path has at most that many
+        edges."""
         if max_hops is not None and max_hops < 0:
             return None
         if s == t:
-            return Path((self.names[s],), (), 0)
+            return [s], []
         if self.node_keyed:
             return self._node_min_hop(s, t, max_hops)
         return self._layered_min_hop(s, t, max_hops)
 
-    def _layered_min_hop(self, s: int, t: int, max_hops: int | None) -> Path | None:
+    def _layered_min_hop(
+        self, s: int, t: int, max_hops: int | None
+    ) -> tuple[list[int], list[int]] | None:
         """``min_hop`` over states (node, length, edge in, parent), s != t,
         entering (w, l) only when l < best[w], the least length at which w
         was entered. A state with l >= best[w] comes later in FIFO order
@@ -130,14 +129,21 @@ class PathSearch:
                     if nl >= best[w] or removed[el]:
                         continue
                     best[w] = nl
-                    nxt = (w, nl, e, state)
                     if w == t:
-                        return self._path(nxt)
-                    following.append(nxt)
+                        nodes, edges = [t], [e]
+                        while state[3] is not None:
+                            nodes.append(state[0])
+                            edges.append(state[2])
+                            state = state[3]
+                        nodes.append(s)
+                        return nodes[::-1], edges[::-1]
+                    following.append((w, nl, e, state))
             level = following
         return None
 
-    def _node_min_hop(self, s: int, t: int, max_hops: int | None) -> Path | None:
+    def _node_min_hop(
+        self, s: int, t: int, max_hops: int | None
+    ) -> tuple[list[int], list[int]] | None:
         """``min_hop`` over nodes, s != t: the multicut case, where every
         step is 0. It visits in the same order as ``_layered_min_hop`` at
         width 1 and returns the same path."""
@@ -163,43 +169,31 @@ class PathSearch:
                             w, e = prev[w]
                             nodes.append(w)
                             edges.append(e)
-                        names, lengths = self.names, self.lengths
-                        return Path(
-                            tuple([names[v] for v in reversed(nodes)]),
-                            tuple(reversed(edges)),
-                            sum(lengths[e] for e in edges),
-                        )
+                        return nodes[::-1], edges[::-1]
                     following.append(w)
             level = following
         return None
 
-    def _path(self, state: tuple) -> Path:
-        nodes, edges = [self.names[state[0]]], []
-        while state[3] is not None:
-            _, _, e, state = state
-            nodes.append(self.names[state[0]])
-            edges.append(e)
-        nodes.reverse()
-        edges.reverse()
-        return Path(tuple(nodes), tuple(edges), sum(self.lengths[e] for e in edges))
 
-
-def find_violating_path(search: PathSearch) -> Path | None:
-    """Minimum-hop path that the search's removed elements fail to cover,
-    or None.
+def find_violating_path(search: PathSearch) -> list[int] | None:
+    """Cuttable element ids, in path order, of a minimum-hop path that the
+    search's removed elements fail to cover, or None.
 
     Multicut: any surviving terminal-pair path; ties between pairs go to
     the earlier pair. Length-bound: any surviving path shorter than the
     bound.
     """
-    best: Path | None = None
+    best = None
     for s, t in search.pairs:
         # a later pair wins only with strictly fewer edges
-        limit = None if best is None else len(best.edges) - 1
+        limit = None if best is None else len(best[1]) - 1
         path = search.min_hop(s, t, limit)
         if path is not None:
             best = path
-    return best
+    if best is None:
+        return None
+    weights = search.weights
+    return [el for el in best[0 if search.vertex_mode else 1] if weights[el] is not None]
 
 
 def _check_infeasible(inst: CutInstance) -> PathSearch:
@@ -310,6 +304,18 @@ class _ExclusionBranching:
     costs no less than the incumbent. The incumbent moves only on a
     strict improvement, so N's subtree could not have moved it, and the
     answer is the unpruned one, elements included.
+
+    Each child inherits its parent's bound. ``_bound`` takes the node's
+    path P_1 and adds violated paths P_2..P_k, each found with the cut,
+    all of c_1..c_m and the free elements of the paths before it removed.
+    So each P_i with i >= 2 avoids the cut and every c_j, and the free
+    sets of P_1..P_k are pairwise disjoint. Child j cuts c_j and forbids
+    c_1..c_(j-1): there each such P_i is still violated, none of its free
+    elements is forbidden, and their free sets stay disjoint, so every
+    completion below child j costs at least the node's cost plus w(c_j)
+    plus ``rest``, the sum over i >= 2 of P_i's cheapest free element.
+    The search stops before child j once that reaches the incumbent, and
+    skips the later children too, as c_1..c_m are sorted by weight.
     """
 
     def __init__(
@@ -366,13 +372,12 @@ class _ExclusionBranching:
                 search.element(el) for el, out in enumerate(removed) if out
             )
             return
-        candidates = search.elements(path)
-        require(bool(candidates), "violating path has no cuttable element")
-        free = sorted(
-            {el for el in candidates if not forbidden[el]}, key=self.rank.__getitem__
-        )
-        if not free or self._bound(cost, free) >= self.best_cost:
+        require(bool(path), "violating path has no cuttable element")
+        free = sorted({el for el in path if not forbidden[el]}, key=self.rank.__getitem__)
+        if not free or (lower := self._bound(cost, free)) >= self.best_cost:
             return
+        # the bound's other paths, which every child inherits
+        rest = lower - cost - self.weight[free[0]]
         frames = self.frames
         if frames is not None:
             self._push(free)
@@ -380,7 +385,7 @@ class _ExclusionBranching:
         # reached at most once
         for j, el in enumerate(free):
             child = cost + self.weight[el]
-            if child >= self.best_cost:
+            if child + rest >= self.best_cost:
                 break  # free is sorted by weight, so later children cost more
             if frames is None or not self._covered(j):
                 removed[el] = 1
@@ -431,7 +436,7 @@ class _ExclusionBranching:
             path = find_violating_path(search)
             if path is None:
                 break
-            fresh = [el for el in search.elements(path) if not forbidden[el]]
+            fresh = [el for el in path if not forbidden[el]]
             if not fresh:
                 lower = self.best_cost
                 break
@@ -455,7 +460,12 @@ def _branch_and_bound(
     c_1..c_(j-1), so each cut set is reached once and no visited table is
     needed. A node is pruned when its cost plus the disjoint-path bound
     reaches the incumbent, or when a violated path has only forbidden
-    elements. Every path comes from ``find_violating_path``. Declared
+    elements. Each child inherits that bound's paths beyond the node's
+    own: child j is not searched once its cost plus their cheapest free
+    elements reaches the incumbent, since those paths stay violated with
+    disjoint free sets when c_j is cut and c_1..c_(j-1) are forbidden (see
+    ``_ExclusionBranching``). Every path comes from ``find_violating_path``,
+    as the list of its cuttable element ids. Declared
     ``symmetries`` skip nodes whose subtrees map into finished ones (see
     ``_ExclusionBranching``); the answer is the same with or without them.
 
@@ -467,15 +477,16 @@ def _branch_and_bound(
     answer is the one found from the given incumbent, elements included.
     While the incumbent costs more than the optimum, the search returns
     the first optimal leaf in its fixed depth-first order: along the way
-    from the root to that leaf every cost and every lower bound is at
-    most the optimum, so no prune by bound and no break on a sorted child
-    fires there, and each node on the way has a free element, since the
-    leaf's set descends through it. Nor is a node on the way skipped by
-    symmetry, which would map the leaf onto an optimal set left of it.
-    The incumbent moves only on a strict improvement, so it never drops
-    to the optimum before that leaf is reached, and the leaf, once found,
-    is never replaced. Any incumbent above the optimum, the cap among
-    them, thus yields the same leaf.
+    from the root to that leaf every cost and every lower bound, the
+    inherited ones included, is at most the optimum, as each holds for a
+    subtree that contains the leaf; so no prune by bound and no break on
+    a sorted child fires there, and each node on the way has a free
+    element, since the leaf's set descends through it. Nor is a node on
+    the way skipped by symmetry, which would map the leaf onto an optimal
+    set left of it. The incumbent moves only on a strict improvement, so
+    it never drops to the optimum before that leaf is reached, and the
+    leaf, once found, is never replaced. Any incumbent above the optimum,
+    the cap among them, thus yields the same leaf.
     """
     bb = _ExclusionBranching(search, incumbent, symmetries, budget)
     bb.explore(0)

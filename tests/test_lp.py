@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -26,6 +27,7 @@ from cutlab.graphs import (
     CutInstance,
     LengthBound,
     Multicut,
+    Path as GraphPath,
     WeightedGraph,
 )
 from cutlab.lp import (
@@ -91,6 +93,12 @@ def gauss_solve(mat, n):
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
     return [m[r][n] for r in range(n)]
+
+
+def family_instance(family: str, params: str) -> CutInstance:
+    """The family's instance at ``params``, as the CLI builds it."""
+    fam = gadgets.FAMILIES[family]
+    return fam.build(fam.params(parse_params(params)), gadgets.DEFAULT_MAX_NODES)
 
 
 class TestSimplex:
@@ -238,8 +246,7 @@ class TestPivotsMatchFractionReference:
         ],
     )
     def test_cutting_plane_rounds(self, monkeypatch, family, params):
-        fam = gadgets.FAMILIES[family]
-        inst = fam.build(fam.params(parse_params(params)), gadgets.DEFAULT_MAX_NODES)
+        inst = family_instance(family, params)
         real = lp.simplex_solve
         refs: dict[int, LPProblem] = {}
 
@@ -609,11 +616,101 @@ class TestWalkRecheck:
     ):
         # a separation oracle that finds nothing ends the loop at x = 0,
         # where every path is cheap: the recheck must refuse that answer
-        fam = gadgets.FAMILIES[family]
-        inst = fam.build(fam.params(parse_params(params)), gadgets.DEFAULT_MAX_NODES)
+        inst = family_instance(family, params)
         monkeypatch.setattr(lp, oracle, lambda *args: None)
         with pytest.raises(CertificateFailed, match="independent separation found"):
             solve(inst)
+
+
+def mutate_oracle(monkeypatch, name, mutate):
+    """Replace ``lp``'s separation oracle ``name`` by one that passes each
+    path it finds through ``mutate``, keeping the path's mass."""
+    real = getattr(lp, name)
+
+    def oracle(*args):
+        found = real(*args)
+        return None if found is None else (mutate(found[0]), found[1])
+
+    monkeypatch.setattr(lp, name, oracle)
+
+
+class TestRowPathCheck:
+    """Every separated path must be a real row: a walk of the graph from a
+    pair's source to its sink and, for a length bound, shorter than the
+    bound. Without the check no certificate fails on any mutant below."""
+
+    def test_dropped_cuttable_node(self, monkeypatch):
+        inst = build_saks_gap(3, 2)
+        assert multicut_lp(inst)[0] == 3
+        weight = inst.graph.node_weight
+
+        def drop_last_cuttable(path):
+            last = [v for v in path.nodes if weight(v) is not None][-1]
+            return replace(path, nodes=tuple(v for v in path.nodes if v != last))
+
+        # the rows lose a node, so they bind harder: the LP returned 4
+        mutate_oracle(monkeypatch, "min_weight_path", drop_last_cuttable)
+        with pytest.raises(CertificateFailed, match="does not list one edge per step"):
+            multicut_lp(inst)
+
+    def test_skipped_edge(self, monkeypatch):
+        inst = family_instance("dict-e", "a=4,b=3,r=2,R=1")
+
+        def skip_first_edge(path):
+            return replace(path, nodes=path.nodes[:1] + path.nodes[2:], edges=path.edges[1:])
+
+        mutate_oracle(monkeypatch, "constrained_min_weight_path", skip_first_edge)
+        with pytest.raises(CertificateFailed, match="is not a walk of the graph"):
+            short_path_cover_lp(inst)
+
+    @pytest.mark.parametrize(
+        "family, params, oracle, solve",
+        [
+            ("saks", "r=3,k=2", "min_weight_path", multicut_lp),
+            ("dict-e", "a=4,b=3,r=2,R=1", "constrained_min_weight_path", short_path_cover_lp),
+        ],
+        ids=["multicut", "length-bound"],
+    )
+    def test_wrong_sink(self, monkeypatch, family, params, oracle, solve):
+        inst = family_instance(family, params)
+        lengths = [row[3] for row in inst.graph.edge_rows]
+
+        def stop_one_short(path):
+            edges = path.edges[:-1]
+            return replace(
+                path, nodes=path.nodes[:-1], edges=edges, length=sum(lengths[e] for e in edges)
+            )
+
+        mutate_oracle(monkeypatch, oracle, stop_one_short)
+        with pytest.raises(CertificateFailed, match="does not join a terminal pair"):
+            solve(inst)
+
+    @pytest.mark.parametrize("stated", [3, 2], ids=["at-bound", "misstated"])
+    def test_length_at_the_bound(self, monkeypatch, stated):
+        # s-a-t has length 2 and s-t length 3 = the bound, so only s-a-t is
+        # a row and the LP value is 1; a first round that offers s-t as a
+        # row, of its true length or claiming 2, would make it 2
+        g = WeightedGraph()
+        for v in ("s", "a", "t"):
+            g.add_node(v)
+        g.add_edge("s", "a", directed=True, weight=Fraction(1))
+        g.add_edge("a", "t", directed=True, weight=Fraction(1))
+        g.add_edge("s", "t", directed=True, length=3, weight=Fraction(1))
+        inst = CutInstance(graph=g, mode=EDGE, problem=LengthBound("s", "t", 3))
+        assert short_path_cover_lp(inst)[0] == 1
+        real = lp.constrained_min_weight_path
+        calls = []
+
+        def oracle(*args):
+            calls.append(args)
+            found = real(*args)
+            if len(calls) == 1:
+                return GraphPath(("s", "t"), (2,), stated), found[1]
+            return found
+
+        monkeypatch.setattr(lp, "constrained_min_weight_path", oracle)
+        with pytest.raises(CertificateFailed, match="misstates its length or reaches the bound"):
+            short_path_cover_lp(inst)
 
 
 # ``cutlab lp`` stdout on the length_cover benchmark instances, and the
@@ -680,8 +777,7 @@ class TestLengthCoverWork:
         "family, params, calls, stdout", LENGTH_COVER_CASES, ids=LENGTH_COVER_IDS
     )
     def test_separation_calls(self, monkeypatch, family, params, calls, stdout):
-        fam = gadgets.FAMILIES[family]
-        inst = fam.build(fam.params(parse_params(params)), gadgets.DEFAULT_MAX_NODES)
+        inst = family_instance(family, params)
         made = []
         real = lp.constrained_min_weight_path
 
@@ -723,8 +819,7 @@ class TestMulticutWork:
         "family, params, calls, value, digest", MULTICUT_CASES, ids=MULTICUT_IDS
     )
     def test_separation_calls(self, monkeypatch, family, params, calls, value, digest):
-        fam = gadgets.FAMILIES[family]
-        inst = fam.build(fam.params(parse_params(params)), gadgets.DEFAULT_MAX_NODES)
+        inst = family_instance(family, params)
         made = []
         real = lp.min_weight_path
 

@@ -121,8 +121,7 @@ class TestExactMulticut:
                 "graphs._FlowNet.max_flow = lambda net, s, t: max_flow(net, s, t) + 1",
                 "expect(CertificateFailed, graphs.min_st_cut, saks.graph, 's1', 't1', 'vertex')",
                 "graphs._FlowNet.max_flow = max_flow",
-                "no_cuttable = graphs.Path(('s1',), (), 0)",
-                "solvers.find_violating_path = lambda search: no_cuttable",
+                "solvers.find_violating_path = lambda search: []",
                 "expect(CertificateFailed, solvers.exact_min_multicut, saks)",
                 "solvers._branch_and_bound = lambda *args: (0, frozenset())",
                 "expect(CertificateFailed, solvers.exact_min_multicut, saks)",
@@ -233,7 +232,7 @@ def forbidden_probe(monkeypatch):
     def probe(search):
         path = oracle(search)
         if path is not None:
-            flags = [live[0].forbidden[el] for el in search.elements(path)]
+            flags = [live[0].forbidden[el] for el in path]
             counts["some"] += any(flags)
             counts["all"] += all(flags)
         return path
@@ -298,21 +297,25 @@ class TestExclusionBranching:
             brute_force_min_cut(inst)
 
     def test_path_of_forbidden_elements_prunes(self, forbidden_probe):
-        # the root path s-a-b-t branches into "cut a" and "cut b, forbid a";
-        # the second child meets s-a-u1-u2-t, whose only cuttable element a
-        # is forbidden, and stops there
+        # the root path s-a-b-t branches into "cut a" and "cut b, forbid a".
+        # The root's bound family adds s-c-d-u4-t, so each child inherits 1.
+        # The first child needs b for s-u3-b-t and c for s-c-d-u4-t, so it
+        # reaches {a, b, c} at 4; the second, at 2 + 1 < 4, meets
+        # s-a-u1-u2-t, whose only cuttable element a is forbidden, and
+        # stops there
         g = WeightedGraph()
-        for v, w in [("s", None), ("t", None), ("a", 1), ("b", 2), ("c", 5)]:
+        for v, w in [("s", None), ("t", None), ("a", 1), ("b", 2), ("c", 1), ("d", 10)]:
             g.add_node(v, None if w is None else Fraction(w))
         for v in ("u1", "u2", "u3", "u4"):
             g.add_node(v)
-        for a, b in [("s", "a"), ("s", "c"), ("a", "b"), ("b", "t"), ("a", "u1"),
-                     ("u1", "u2"), ("u2", "t"), ("c", "u3"), ("u3", "u4"), ("u4", "t")]:
+        for a, b in [("s", "a"), ("s", "u3"), ("s", "c"), ("a", "b"), ("b", "t"),
+                     ("a", "u1"), ("u1", "u2"), ("u2", "t"), ("u3", "b"), ("c", "d"),
+                     ("d", "u4"), ("u4", "t")]:
             g.add_edge(a, b, directed=False)
         inst = CutInstance(graph=g, mode=VERTEX, problem=LengthBound("s", "t", 10))
         sol = exact_min_length_bounded_cut(inst)
-        assert sol.elements == frozenset({"a", "c"}) and sol.cost == 6
-        assert brute_force_min_cut(inst).cost == 6
+        assert sol.elements == frozenset({"a", "b", "c"}) and sol.cost == 4
+        assert brute_force_min_cut(inst) == sol
         assert forbidden_probe["all"] == 1
 
 
@@ -321,10 +324,10 @@ class TestMinHop:
         search = solvers.PathSearch(build_saks_gap(3, 2))
         for s, t in search.pairs:
             path = search.min_hop(s, t)
-            assert search.min_hop(s, t, len(path.edges)) == path
-            assert search.min_hop(s, t, len(path.edges) - 1) is None
+            assert search.min_hop(s, t, len(path[1])) == path
+            assert search.min_hop(s, t, len(path[1]) - 1) is None
         s, _ = search.pairs[0]
-        assert search.min_hop(s, s, 0).edges == ()
+        assert search.min_hop(s, s, 0) == ([s], [])
         assert search.min_hop(s, s, -1) is None
 
     @pytest.mark.parametrize("mode", [VERTEX, EDGE])
@@ -370,7 +373,13 @@ class TestMinHop:
                         want = helpers.reference_layered_min_hop(
                             g, inst.mode, removed, problem.source, problem.sink, width, hops
                         )
-                        assert search._layered_min_hop(s, t, hops) == want
+                        got = search._layered_min_hop(s, t, hops)
+                        if want is None:
+                            assert got is None
+                        else:
+                            nodes, edges = got
+                            assert [search.names[v] for v in nodes] == list(want.nodes)
+                            assert edges == list(want.edges)
 
     def test_violating_path_is_first_fewest_hop_pair(self):
         # the earliest pair among those with the fewest hops, each pair
@@ -382,7 +391,10 @@ class TestMinHop:
             for el, w in enumerate(search.weights):
                 search.removed[el] = w is not None and rng.random() < 0.3
             found = [p for p in (search.min_hop(s, t) for s, t in search.pairs) if p]
-            want = min(found, key=lambda p: len(p.edges), default=None)
+            want = min(found, key=lambda p: len(p[1]), default=None)
+            if want is not None:
+                # vertex mode: the path's cuttable nodes, node for node
+                want = [v for v in want[0] if search.weights[v] is not None]
             assert solvers.find_violating_path(search) == want, trial
 
 
