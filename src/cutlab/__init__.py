@@ -28,7 +28,6 @@ from .probspace import (
     connectedness_bound,
     efron_stein_influences,
     gamma_rho,
-    maximal_correlation,
     product_mass,
 )
 from .gadgets import (

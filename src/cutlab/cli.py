@@ -32,18 +32,32 @@ from .graphs import (
     rational_str,
     schedule_from_json,
 )
+from .probspace import connectedness_bound, gamma_rho
 
 CSV_HEADER = "family,params,lp_value,integral_value,gap,wall_ms"
 # gap-table rows, counted from the range lengths before any range is listed
 GAP_TABLE_ROW_CAP = 1_000
 # the r or B of `correlation`, refused before its space is built
 CORRELATION_ALPHABET_CAP = 256
-# `correlation` family -> (its keys, the alphabet size first; its space from
-# the size and eps, looked up in `gadgets` when called)
+# `correlation` family -> (its keys, the alphabet size first; its space and
+# its exact maximal correlation from the size and eps, looked up in
+# `gadgets` when called)
 CORRELATION_SPACES = {
-    "edge": (("r",), lambda size, eps: gadgets.edge_noise_space(size)),
-    "star": (("r", "eps"), lambda size, eps: gadgets.star_noise_space(size, eps)),
-    "fire": (("B", "eps"), lambda size, eps: gadgets.fire_noise_space(size, eps)),
+    "edge": (
+        ("r",),
+        lambda size, eps: gadgets.edge_noise_space(size),
+        lambda size, eps: gadgets.edge_noise_rho(size),
+    ),
+    "star": (
+        ("r", "eps"),
+        lambda size, eps: gadgets.star_noise_space(size, eps),
+        lambda size, eps: gadgets.starred_noise_rho(size, eps),
+    ),
+    "fire": (
+        ("B", "eps"),
+        lambda size, eps: gadgets.fire_noise_space(size, eps),
+        lambda size, eps: gadgets.starred_noise_rho(size, eps),
+    ),
 }
 
 
@@ -324,17 +338,13 @@ def cmd_gap_table(args: argparse.Namespace) -> int:
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
-    from .probspace import gamma_rho
-
     value = gamma_rho(args.rho, args.a, args.b)
     emit(json.dumps({"gamma": value}, sort_keys=True) + "\n", args.out)
     return 0
 
 
 def cmd_correlation(args: argparse.Namespace) -> int:
-    from .probspace import connectedness_bound, maximal_correlation
-
-    names, space = CORRELATION_SPACES[args.family]
+    names, space, rho = CORRELATION_SPACES[args.family]
     params = parse_params(args.params)
     gadgets.require_names(params, names)
     key = names[0]
@@ -348,7 +358,7 @@ def cmd_correlation(args: argparse.Namespace) -> int:
         raise ParamOutOfRange("need 0 < eps < 1")
     cs = space(size, eps)
     doc = {
-        "rho": maximal_correlation(cs),
+        "rho": rational_str(rho(size, eps)),
         "connectedness_bound": connectedness_bound(cs),
         "alpha": rational_str(cs.alpha),
     }

@@ -29,10 +29,6 @@ class SizeGuard(CutLabError):
     """Requested construction or search exceeds the configured size limit."""
 
 
-class DegenerateMarginal(CutLabError):
-    """A correlated space has a marginal atom with zero mass."""
-
-
 class DisconnectedSupport(CutLabError):
     """The bipartite support graph of a correlated space is not connected."""
 

@@ -70,6 +70,34 @@ def edge_noise_space(r: int) -> CorrelatedSpace:
     return CorrelatedSpace(base, base, joint)
 
 
+def edge_noise_rho(r: int) -> Fraction:
+    """Maximal correlation of ``edge_noise_space(r)``: 1 - 1/r.
+
+    With probability 1 - 1/r the pair is (X, X+1), and otherwise Y is
+    uniform and independent of X. So for f and g of mean zero,
+    E[f(X)g(Y)] = (1 - 1/r) E[f(X)g(X+1)] <= (1 - 1/r) |f| |g| by
+    Cauchy-Schwarz, since X+1 is uniform too; g(y) = f(y-1) attains it.
+    At r = 1 both sides are 0, as only the constants have mean zero.
+    """
+    return 1 - Fraction(1, r)
+
+
+def starred_noise_rho(n: int, eps: Fraction) -> Fraction:
+    """Maximal correlation of ``starred_noise_space`` on n values with a
+    bijective partner (the star space's successor and the fire space's
+    identity): 1 - eps for n >= 2, and 0 at n = 1.
+
+    Write f as f(*) on the star and F + f~ off it, with f~ of mean zero
+    under the uniform X' on the values, and g likewise. For f and g of mean
+    zero, eps f(*) + (1-eps) F = 0, so every term with a star cancels and
+    E[f(X)g(Y)] = (1-eps)^2 E[f~(X') g~(pi X')] <= (1-eps)^2 |f~| |g~|, as
+    pi X' is uniform. Since E[f^2] >= (1-eps) |f~|^2, the ratio to
+    |f| |g| is at most 1 - eps; f(*) = F = 0 with g~ = f~ o pi^-1 attains
+    it once n >= 2 leaves a nonzero f~. At n = 1, f~ = 0 and the ratio is 0.
+    """
+    return 1 - Fraction(eps) if n >= 2 else Fraction(0)
+
+
 def starred_noise_space(
     values: Sequence[int], eps: Fraction, partner: Callable[[int], int]
 ) -> CorrelatedSpace:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from math import floor
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import (
     Infeasible,
@@ -618,6 +618,14 @@ def _undirected_neighbors(g: WeightedGraph) -> dict[str, list[str]]:
     return {v: [names[nb] for _, nb in out] for v, out in zip(names, arcs)}
 
 
+def _spread(
+    nbrs: dict[str, list[str]], burnt: AbstractSet[str], saved: AbstractSet[str]
+) -> set[str]:
+    """The vertices the fire reaches in one step: unburnt, unsaved
+    neighbours of burnt ones."""
+    return {nb for v in burnt for nb in nbrs[v] if nb not in burnt and nb not in saved}
+
+
 def rmfc_simulate(inst: CutInstance, schedule: Schedule) -> BurnTrace:
     """Run the save-then-spread process: the source burns on day 0, and on
     each later day the scheduled set is saved before the fire spreads one
@@ -643,12 +651,7 @@ def rmfc_simulate(inst: CutInstance, schedule: Schedule) -> BurnTrace:
                 if v in burnt:
                     raise SaveBurntVertex(f"{v!r} already burnt on day {day}")
             saved |= set(todays)
-        spread = {
-            nb
-            for v in burnt
-            for nb in nbrs[v]
-            if nb not in burnt and nb not in saved
-        }
+        spread = _spread(nbrs, burnt, saved)
         burnt |= spread
         trace.burnt_by_day.append(frozenset(burnt))
         trace.saved_by_day.append(frozenset(saved))
@@ -720,12 +723,7 @@ def _fire_search(
     for chosen in _affordable_days(relevant, weights, len(relevant), budget):
         day = frozenset(chosen)
         nsaved = saved | day
-        spread = {
-            nb
-            for v in burnt
-            for nb in nbrs[v]
-            if nb not in burnt and nb not in nsaved
-        }
+        spread = _spread(nbrs, burnt, nsaved)
         rest = _fire_search(units, nbrs, targets, budget, memo, burnt | spread, nsaved)
         if rest is not None:
             result = (day, *rest)

@@ -1,9 +1,11 @@
 """Shared test oracles: the adjacency read off the edge list, exhaustive
 path enumeration, subset brute force, the Fraction separation oracles, the
-Fraction simplex, two closed-form correlation bounds, the seeded
+Fraction simplex, two closed-form correlation bounds, the exact certificate
+of a maximal correlation, the numpy references for the maximal correlation
+(an SVD) and Gaussian quadrant probabilities (a 2-D quadrature), the seeded
 random-instance factories used by the cross-check suites, a variance, the
 integer node-weight expansion, and a JSON form of unique-games instances
-for round-trip checks.
+for round-trip checks. numpy is imported only by the two references.
 
 Everything here is deliberately independent of the package's search code:
 paths come from plain DFS enumeration, optima from subset enumeration,
@@ -41,7 +43,7 @@ from cutlab.graphs import (
     shortest_path_length,
 )
 from cutlab.lp import LPProblem
-from cutlab.probspace import Atom, ProductFunction, product_mass
+from cutlab.probspace import Atom, CorrelatedSpace, ProductFunction, normal_quantile, product_mass
 from cutlab.ug import UGEdge, UniqueGamesInstance
 
 
@@ -786,6 +788,131 @@ def sheppard_gamma_half(rho: float) -> float:
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must be in [-1,1]")
     return 0.25 + math.asin(-rho) / (2.0 * math.pi)
+
+
+# -- maximal correlation and Gaussian quadrant references -------------------
+
+
+def maximal_correlation(cs: CorrelatedSpace) -> float:
+    """Second-largest singular value of nu(a,b)/sqrt(mu1(a) mu2(b)), by a
+    numpy SVD: the float reference for the exact values in ``gadgets``.
+
+    Absolute error <= 1e-9 on the small matrices that occur here. The
+    top singular value of the normalized joint matrix is always 1 (with
+    sqrt-marginal singular vectors), so the correlation is the next one.
+    """
+    if any(cs.left.mass(a) == 0 for a in cs.left.atoms) or any(
+        cs.right.mass(b) == 0 for b in cs.right.atoms
+    ):
+        raise ValueError("a marginal atom has zero mass")
+    if len(cs.left) < 2 or len(cs.right) < 2:
+        return 0.0
+    import numpy as np
+
+    q = np.zeros((len(cs.left), len(cs.right)))
+    for i, a in enumerate(cs.left.atoms):
+        for j, b in enumerate(cs.right.atoms):
+            denom = math.sqrt(float(cs.left.mass(a)) * float(cs.right.mass(b)))
+            q[i, j] = float(cs.mass(a, b)) / denom
+    singular = np.linalg.svd(q, compute_uv=False)
+    return float(min(1.0, singular[1]))
+
+
+def _is_singular(m: list[list[Fraction]]) -> bool:
+    """Whether a square Fraction matrix is singular, by Gaussian elimination."""
+    m = [row[:] for row in m]
+    n = len(m)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return True
+        m[k], m[pivot] = m[pivot], m[k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= f * m[k][j]
+    return False
+
+
+def _is_psd(m: list[list[Fraction]]) -> bool:
+    """Whether a symmetric Fraction matrix is positive semidefinite, by an
+    LDL^T elimination without pivoting: every pivot must be >= 0, and a zero
+    pivot's row must be zero in what is left, as it is in a PSD matrix."""
+    m = [row[:] for row in m]
+    n = len(m)
+    for k in range(n):
+        d = m[k][k]
+        if d < 0 or (d == 0 and any(m[k][j] for j in range(k + 1, n))):
+            return False
+        if d == 0:
+            continue
+        for i in range(k + 1, n):
+            f = m[i][k] / d
+            for j in range(k + 1, n):
+                m[i][j] -= f * m[k][j]
+    return True
+
+
+def certifies_maximal_correlation(cs: CorrelatedSpace, rho: Fraction) -> bool:
+    """Whether 0 <= rho < 1 is exactly the maximal correlation of ``cs``, in
+    rationals (Renyi 1959).
+
+    With N the joint masses and D1, D2 the diagonal marginals, rho^2 runs
+    over the eigenvalues of M = D1^-1 N D2^-1 N^T as rho runs over the
+    singular values of D1^-1/2 N D2^-1/2; the top one is 1, with the
+    constants as eigenvector. For c = rho^2 < 1, M - c I is singular exactly
+    when c is an eigenvalue other than the top, and, with K = N D2^-1 N^T
+    and mu1 the left marginal, c D1 - K + (1-c) mu1 mu1^T is PSD exactly
+    when every eigenvalue but the top is at most c. Together they say c is
+    the second eigenvalue. Both are checked as K - c D1, which is D1 times
+    M - c I, and by exact elimination.
+    """
+    if not 0 <= rho < 1:
+        raise ValueError("rho must lie in [0, 1)")
+    c = Fraction(rho) ** 2
+    mu1 = [cs.left.mass(a) for a in cs.left.atoms]
+    mu2 = [cs.right.mass(b) for b in cs.right.atoms]
+    n = [[cs.mass(a, b) for b in cs.right.atoms] for a in cs.left.atoms]
+    k = [[sum(x * y / m for x, y, m in zip(row, col, mu2)) for col in n] for row in n]
+    diag = range(len(mu1))
+    shifted = [[k[i][j] - (c * mu1[i] if i == j else 0) for j in diag] for i in diag]
+    gram = [[(1 - c) * mu1[i] * mu1[j] - shifted[i][j] for j in diag] for i in diag]
+    return _is_singular(shifted) and _is_psd(gram)
+
+
+def grid_gamma_rho(rho: float, a: float, b: float) -> float:
+    """Pr[X <= Phi^-1(a), Y >= Phi^-1(1-b)] for rho-correlated Gaussians, by
+    the tensor-product Gauss-Legendre quadrature the package used before its
+    one-dimensional integral: numpy nodes on the box [-8, 8]^2, refined until
+    two successive node counts agree within 1e-7. Absolute error <= 1e-8 for
+    |rho| <= 0.999 and a, b in [0.001, 0.999]."""
+    import numpy as np
+
+    box = 8.0
+    x_hi = min(normal_quantile(a), box)
+    y_lo = max(normal_quantile(1.0 - b), -box)
+    det = 1.0 - rho * rho
+    norm = 1.0 / (2.0 * math.pi * math.sqrt(det))
+
+    def nodes(n: int, lo: float, hi: float):
+        xs, ws = np.polynomial.legendre.leggauss(n)
+        half = 0.5 * (hi - lo)
+        return lo + half * (xs + 1.0), half * ws
+
+    def integrate(n: int) -> float:
+        xs, wx = nodes(n, -box, x_hi)
+        ys, wy = nodes(n, y_lo, box)
+        quad = np.square(xs)[:, None] - 2.0 * rho * np.outer(xs, ys) + np.square(ys)[None, :]
+        vals = norm * np.exp(-quad / (2.0 * det)) * wx[:, None] * wy[None, :]
+        return float(vals.sum())
+
+    prev = integrate(48)
+    for n in (96, 192, 384):
+        cur = integrate(n)
+        if abs(cur - prev) < 1e-7:
+            return cur
+        prev = cur
+    return prev
 
 
 def ug_to_json(inst: UniqueGamesInstance) -> dict:

@@ -28,11 +28,12 @@ from cutlab.gadgets import (
     build_dict_vertex,
     build_saks_gap,
     dictator_cut,
-    edge_noise_space,
+    edge_noise_rho,
     fire_alphabet_size,
     fire_thresholds,
     harmonic,
     star_noise_space,
+    starred_noise_rho,
 )
 from cutlab.graphs import EDGE, VERTEX, CutInstance, Multicut, shortest_path_length
 from cutlab.lp import multicut_lp, short_path_cover_lp
@@ -41,7 +42,6 @@ from cutlab.probspace import (
     ProductFunction,
     efron_stein_influences,
     gamma_rho,
-    maximal_correlation,
 )
 from cutlab.solvers import (
     exact_interdiction,
@@ -143,16 +143,14 @@ def test_criterion_6_sheppard_values():
 
 
 def test_criterion_7_correlation_bounds():
-    rho2 = maximal_correlation(edge_noise_space(2))
-    assert abs(rho2 - 0.5) <= 1e-6
+    assert edge_noise_rho(2) == Fraction(1, 2)
     for r in range(2, 7):
-        rho = maximal_correlation(edge_noise_space(r))
-        assert rho <= math.sqrt(1 - 1 / r) + 1e-9
+        assert edge_noise_rho(r) <= math.sqrt(1 - 1 / r)
     for r, eps in ((2, Fraction(1, 4)), (3, Fraction(1, 20))):
         cs = star_noise_space(r, eps)
         assert cs.alpha == eps * eps
-        assert maximal_correlation(cs) <= 1 - float(eps) ** 4 / 2 + 1e-9
-    report(7, "edge-noise rho(2)=0.5, rho(r)<=sqrt(1-1/r), star-noise <= 1-eps^4/2")
+        assert starred_noise_rho(r, eps) <= 1 - eps**4 / 2
+    report(7, "edge-noise rho(2)=1/2, rho(r)<=sqrt(1-1/r), star-noise <= 1-eps^4/2, exactly")
 
 
 def test_criterion_8_influence_toolkit():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -650,16 +651,22 @@ class TestLengthSearchWork:
 
 
 class TestGammaAndCorrelation:
-    def test_numpy_loaded_only_by_its_commands(self):
-        # a fresh interpreter: importing the package and its command modules
-        # must not load numpy; gamma and correlation load it on first use
+    def test_package_runs_without_numpy(self):
+        # a fresh interpreter in which importing numpy fails: the package
+        # imports, and gamma and correlation run for every family
+        argvs = [
+            ["gamma", "--rho", "0.5", "--a", "0.5", "--b", "0.5"],
+            ["correlation", "--family", "edge", "--params", "r=3"],
+            ["correlation", "--family", "star", "--params", "r=3,eps=1/20"],
+            ["correlation", "--family", "fire", "--params", "B=3,eps=1/20"],
+        ]
         child = "\n".join(
             [
                 "import sys",
+                "sys.modules['numpy'] = None",
                 "import cutlab, cutlab.cli, cutlab.ug",
-                "assert 'numpy' not in sys.modules, 'numpy loaded at import'",
-                "assert cutlab.cli.main(['gamma', '--rho', '0.5', '--a', '0.5', '--b', '0.5']) == 0",
-                "assert 'numpy' in sys.modules",
+                f"codes = [cutlab.cli.main(argv) for argv in {argvs!r}]",
+                "sys.exit(0 if codes == [0] * len(codes) else 1)",
             ]
         )
         package_root = str(Path(cutlab.__file__).resolve().parent.parent)
@@ -669,8 +676,11 @@ class TestGammaAndCorrelation:
             text=True,
             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
         )
-        assert proc.returncode == 0, proc.stderr
-        assert abs(json.loads(proc.stdout)["gamma"] - 0.1666666666666621) < 1e-12
+        assert (proc.returncode, proc.stderr) == (0, "")
+        gamma_line, *rest = proc.stdout.splitlines()
+        assert abs(json.loads(gamma_line)["gamma"] - 0.1666666666666621) < 1e-12
+        rhos = [line for line in rest if '"rho"' in line]
+        assert rhos == ['  "rho": "2/3"', '  "rho": "19/20"', '  "rho": "19/20"']
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -679,18 +689,18 @@ class TestGammaAndCorrelation:
             (["gamma", "--rho", "0.3", "--a", "0.2", "--b", "0.7"], {"gamma": 0.10867888601682542}),
             (
                 ["correlation", "--family", "edge", "--params", "r=2"],
-                {"alpha": "1/8", "connectedness_bound": 0.9921875, "rho": 0.5},
+                {"alpha": "1/8", "connectedness_bound": 0.9921875, "rho": "1/2"},
             ),
             (
                 ["correlation", "--family", "star", "--params", "r=2,eps=1/4"],
-                {"alpha": "1/16", "connectedness_bound": 0.998046875, "rho": 0.7500000000000001},
+                {"alpha": "1/16", "connectedness_bound": 0.998046875, "rho": "3/4"},
             ),
         ],
         ids=["gamma-half", "gamma-skew", "correlation-edge", "correlation-star"],
     )
     def test_values_as_recorded(self, capsys, argv, expected):
-        # floats from the quadrature and the SVD may differ in the last bits
-        # across BLAS builds
+        # the quadrature's floats may differ in the last bits across math
+        # libraries; rho and alpha are exact
         assert main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         assert sorted(doc) == sorted(expected)
@@ -710,13 +720,13 @@ class TestGammaAndCorrelation:
         code = main(["correlation", "--family", "edge", "--params", "r=2"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert abs(doc["rho"] - 0.5) < 1e-6
+        assert Fraction(doc["rho"]) == Fraction(1, 2)
 
     def test_correlation_star_family(self, capsys):
         code = main(["correlation", "--family", "star", "--params", "r=2,eps=1/4"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["rho"] <= doc["connectedness_bound"] + 1e-9
+        assert Fraction(doc["rho"]) <= doc["connectedness_bound"]
         assert doc["alpha"] == "1/16"
 
 

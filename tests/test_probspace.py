@@ -6,8 +6,14 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from cutlab.errors import DegenerateMarginal, DisconnectedSupport, UnknownAtom
-from cutlab.gadgets import edge_noise_space, fire_noise_space, star_noise_space
+from cutlab.errors import DisconnectedSupport, UnknownAtom
+from cutlab.gadgets import (
+    edge_noise_rho,
+    edge_noise_space,
+    fire_noise_space,
+    star_noise_space,
+    starred_noise_rho,
+)
 from cutlab.probspace import (
     CorrelatedSpace,
     FiniteProbSpace,
@@ -15,7 +21,6 @@ from cutlab.probspace import (
     connectedness_bound,
     efron_stein_influences,
     gamma_rho,
-    maximal_correlation,
     normal_cdf,
     normal_quantile,
     product_mass,
@@ -179,20 +184,22 @@ class TestLowDegreeInfluence:
 
 
 class TestMaximalCorrelation:
+    """The numpy SVD reference in ``helpers`` on small spaces."""
+
     def test_independent_joint_is_zero(self):
         sp = FiniteProbSpace.uniform([0, 1, 2])
         cs = CorrelatedSpace.independent(sp, sp)
-        assert abs(maximal_correlation(cs)) < 1e-9
+        assert abs(helpers.maximal_correlation(cs)) < 1e-9
 
     def test_edge_noise_r2_is_half(self):
         cs = edge_noise_space(2)
         assert cs.joint[(0, 1)] == Fraction(3, 8)
         assert cs.joint[(0, 0)] == Fraction(1, 8)
-        assert abs(maximal_correlation(cs) - 0.5) < 1e-9
+        assert abs(helpers.maximal_correlation(cs) - 0.5) < 1e-9
 
     def test_star_noise_below_connectedness_bound(self):
         cs = star_noise_space(2, Fraction(1, 4))
-        rho = maximal_correlation(cs)
+        rho = helpers.maximal_correlation(cs)
         assert rho <= 1 - (1 / 4) ** 4 / 2 + 1e-12
 
     def test_degenerate_marginal_rejected(self):
@@ -200,8 +207,8 @@ class TestMaximalCorrelation:
         right = FiniteProbSpace.uniform([0, 1])
         joint = {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
         cs = CorrelatedSpace(left, right, joint)
-        with pytest.raises(DegenerateMarginal):
-            maximal_correlation(cs)
+        with pytest.raises(ValueError):
+            helpers.maximal_correlation(cs)
 
     def test_invariant_under_atom_permutation(self):
         cs = edge_noise_space(3)
@@ -213,7 +220,7 @@ class TestMaximalCorrelation:
             base,
             {(relabel[a], b): m for (a, b), m in cs.joint.items()},
         )
-        assert abs(maximal_correlation(cs) - maximal_correlation(shuffled)) < 1e-9
+        assert abs(helpers.maximal_correlation(cs) - helpers.maximal_correlation(shuffled)) < 1e-9
 
 
     def test_joint_keeps_support_in_atom_order(self):
@@ -229,6 +236,57 @@ class TestMaximalCorrelation:
             cs.mass(2, 0)
         with pytest.raises(UnknownAtom):
             CorrelatedSpace(left, right, {**joint, (0, 2): Fraction(0)})
+
+
+EPS_GRID = [Fraction(1, 100), Fraction(1, 20), Fraction(1, 7), Fraction(1, 3), Fraction(1, 2),
+            Fraction(9, 10)]
+
+
+class TestExactCorrelation:
+    """``gadgets.edge_noise_rho`` and ``starred_noise_rho`` against the exact
+    certificate and the SVD reference in ``helpers``."""
+
+    CERTIFIED = (
+        [(edge_noise_space(r), edge_noise_rho(r)) for r in range(2, 7)]
+        + [
+            (star_noise_space(r, eps), starred_noise_rho(r, eps))
+            for r in range(2, 5)
+            for eps in (Fraction(1, 20), Fraction(1, 3))
+        ]
+        + [
+            (fire_noise_space(big_b, eps), starred_noise_rho(big_b, eps))
+            for big_b in range(2, 5)
+            for eps in (Fraction(1, 20), Fraction(1, 3))
+        ]
+    )
+
+    @pytest.mark.parametrize("cs, rho", CERTIFIED)
+    def test_certificate_holds(self, cs, rho):
+        assert helpers.certifies_maximal_correlation(cs, rho)
+
+    def test_certificate_refuses_other_values(self):
+        # edge noise at r = 3 has rho = 2/3: 1/2 is no singular value, and
+        # 3/4 is none either, though every other one lies below it
+        cs = edge_noise_space(3)
+        assert helpers.certifies_maximal_correlation(cs, Fraction(2, 3))
+        assert not helpers.certifies_maximal_correlation(cs, Fraction(1, 2))
+        assert not helpers.certifies_maximal_correlation(cs, Fraction(3, 4))
+
+    def test_matches_reference_svd(self):
+        pairs = [(edge_noise_space(r), edge_noise_rho(r)) for r in range(1, 12)]
+        pairs += [
+            (star_noise_space(r, eps), starred_noise_rho(r, eps))
+            for r in range(1, 8)
+            for eps in EPS_GRID
+        ]
+        pairs += [
+            (fire_noise_space(big_b, eps), starred_noise_rho(big_b, eps))
+            for big_b in range(1, 8)
+            for eps in EPS_GRID[::2] + EPS_GRID[-1:]
+        ]
+        assert len(pairs) == 11 + 42 + 28
+        for cs, rho in pairs:
+            assert abs(helpers.maximal_correlation(cs) - rho) < 1e-9
 
 
 class TestConnectednessBound:
@@ -263,7 +321,7 @@ class TestConnectednessBound:
         ],
     )
     def test_dominates_svd_value(self, cs):
-        assert maximal_correlation(cs) <= connectedness_bound(cs) + 1e-9
+        assert helpers.maximal_correlation(cs) <= connectedness_bound(cs) + 1e-9
 
 
 class TestMixtureBound:
@@ -275,7 +333,7 @@ class TestMixtureBound:
         for r in range(2, 7):
             bound = helpers.mixture_correlation_bound(1.0, 0.0, 1 - 1 / r)
             assert bound == pytest.approx(math.sqrt(1 - 1 / r))
-            assert maximal_correlation(edge_noise_space(r)) <= bound + 1e-9
+            assert edge_noise_rho(r) <= bound
 
     def test_monotone_on_grid(self):
         grid = [i / 10 for i in range(11)]
@@ -290,19 +348,36 @@ class TestMixtureBound:
 class TestGammaRho:
     def test_independent_case_is_product(self):
         for a, b in [(0.5, 0.5), (0.3, 0.8), (0.1, 0.2)]:
-            assert gamma_rho(0.0, a, b) == pytest.approx(a * b, abs=1e-6)
+            assert gamma_rho(0.0, a, b) == pytest.approx(a * b, abs=1e-15)
 
     @pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, math.sqrt(3) / 2, -math.sqrt(3) / 2])
     def test_matches_sheppard_closed_form(self, rho):
         assert gamma_rho(rho, 0.5, 0.5) == pytest.approx(
-            helpers.sheppard_gamma_half(rho), abs=1e-6
+            helpers.sheppard_gamma_half(rho), abs=1e-13
         )
 
     @pytest.mark.parametrize("rho", [0.9, -0.9, 0.99, -0.99])
     def test_stable_near_unit_correlation(self, rho):
         assert gamma_rho(rho, 0.5, 0.5) == pytest.approx(
-            helpers.sheppard_gamma_half(rho), abs=1e-6
+            helpers.sheppard_gamma_half(rho), abs=1e-13
         )
+
+    def test_matches_grid_quadrature(self):
+        grid = itertools.product(
+            [-0.999, -0.9, -0.5, 0.0, 0.3, 0.9, 0.999],
+            [0.001, 0.1, 0.5, 0.8, 0.999],
+            [0.001, 0.2, 0.5, 0.9, 0.999],
+        )
+        for rho, a, b in grid:
+            assert gamma_rho(rho, a, b) == pytest.approx(
+                helpers.grid_gamma_rho(rho, a, b), abs=1e-8
+            ), (rho, a, b)
+
+    @pytest.mark.parametrize("rho, a, b", [(1.0, 0.5, 0.5), (-1.0, 0.5, 0.5), (0.5, 0.0, 0.5),
+                                           (0.5, 0.5, 1.0)])
+    def test_arguments_outside_range_refused(self, rho, a, b):
+        with pytest.raises(ValueError):
+            gamma_rho(rho, a, b)
 
     def test_sheppard_reference_values(self):
         sheppard = helpers.sheppard_gamma_half
