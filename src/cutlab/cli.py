@@ -105,7 +105,8 @@ def parse_params(text: str, *, ranges: bool = False) -> dict:
 
 def family_of(args: argparse.Namespace) -> gadgets.Family:
     if not args.family:
-        raise ValueError("provide --instance or --family with --params")
+        source = "--instance or " if "instance" in args else ""
+        raise ValueError(f"provide {source}--family with --params")
     return gadgets.FAMILIES[args.family]
 
 
@@ -126,7 +127,7 @@ def build_instance(args: argparse.Namespace) -> CutInstance:
 
 
 def load_instance(args: argparse.Namespace) -> CutInstance:
-    if getattr(args, "instance", None):
+    if args.instance:
         with open(args.instance, encoding="utf-8") as handle:
             return instance_from_json_str(handle.read())
     return build_instance(args)
@@ -369,10 +370,13 @@ def cmd_correlation(args: argparse.Namespace) -> int:
 # -- argument wiring ----------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, instance: bool = True) -> None:
+    """The family, output and size options; ``--instance`` only for the
+    commands that read one through ``load_instance``."""
     sub.add_argument("--family", choices=sorted(gadgets.FAMILIES), default=None)
     sub.add_argument("--params", default="")
-    sub.add_argument("--instance", default=None, help="instance JSON file")
+    if instance:
+        sub.add_argument("--instance", default=None, help="instance JSON file")
     sub.add_argument("--out", default=None)
     # None reads gadgets.DEFAULT_MAX_NODES at call time (see node_cap)
     sub.add_argument("--max-nodes", type=int, default=None)
@@ -386,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("generate", help="write an instance as canonical JSON")
-    _add_common(gen)
+    _add_common(gen, instance=False)
 
     ver = subs.add_parser("verify", help="check a dictator cut's guarantees")
     _add_common(ver)
@@ -412,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     fire.add_argument("--q", type=int, default=1)
 
     table = subs.add_parser("gap-table", help="emit a CSV of gap reports")
-    _add_common(table)
+    _add_common(table, instance=False)
     table.add_argument("--timings", action="store_true")
 
     gamma = subs.add_parser("gamma", help="correlated Gaussian tail probability")

@@ -16,6 +16,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter
+from statistics import NormalDist
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DisconnectedSupport, UnknownAtom
@@ -248,27 +249,24 @@ def efron_stein_influences(
 
 
 def support_is_connected(cs: CorrelatedSpace) -> bool:
-    """Connectivity of the bipartite graph on atoms with nonzero joint mass."""
-    left = [a for a in cs.left.atoms if cs.left.mass(a) > 0]
-    right = [b for b in cs.right.atoms if cs.right.mass(b) > 0]
-    if not left or not right:
-        return False
-    seen_l = {left[0]}
-    seen_r: set[Atom] = set()
-    frontier = [("L", left[0])]
+    """Connectivity of the bipartite graph on atoms with nonzero joint
+    mass: a traversal of ``cs.partners`` and its transpose, in time linear
+    in the support. The constructor's checks leave at least one such pair."""
+    lefts: dict[Atom, list[Atom]] = {}
+    for a, bs in cs.partners.items():
+        for b in bs:
+            lefts.setdefault(b, []).append(a)
+    live = [a for a, bs in cs.partners.items() if bs]
+    seen_l, seen_r = {live[0]}, set()
+    frontier = [live[0]]
     while frontier:
-        side, atom = frontier.pop()
-        if side == "L":
-            for b in right:
-                if b not in seen_r and cs.mass(atom, b) > 0:
-                    seen_r.add(b)
-                    frontier.append(("R", b))
-        else:
-            for a in left:
-                if a not in seen_l and cs.mass(a, atom) > 0:
-                    seen_l.add(a)
-                    frontier.append(("L", a))
-    return len(seen_l) == len(left) and len(seen_r) == len(right)
+        for b in cs.partners[frontier.pop()]:
+            if b not in seen_r:
+                seen_r.add(b)
+                fresh = [a for a in lefts[b] if a not in seen_l]
+                seen_l.update(fresh)
+                frontier += fresh
+    return len(seen_l) == len(live) and len(seen_r) == len(lefts)
 
 
 def connectedness_bound(cs: CorrelatedSpace) -> float:
@@ -285,24 +283,9 @@ def connectedness_bound(cs: CorrelatedSpace) -> float:
 # -- Gaussian quantities --------------------------------------------------
 
 
-def normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF by bisection; deterministic."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0,1)")
-    lo, hi = -13.0, 13.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    return 0.5 * (lo + hi)
+# the standard normal quantile (Wichura's AS241): within 2e-15 of a
+# 50-digit reference from p = 1e-15 to 1 - 1e-9, and exactly 0 at p = 1/2
+normal_quantile = NormalDist().inv_cdf
 
 
 def gamma_rho(rho: float, a: float, b: float) -> float:

@@ -261,24 +261,16 @@ def per_pair_cut_union(inst: CutInstance) -> frozenset[Element]:
 class _Frame:
     """A branching node of a search with declared symmetries.
 
-    ``cut`` is the node's cut set R as a bitmask over element ids and
-    ``bits[i]`` the bit of its free element ``free[i]``. ``before[g][i]``
-    is the bitmask of g^-1(free[:i]) for symmetry g, so a cut set R' has
-    g(R') meet free[:i] when ``before[g][i] & R'`` is nonzero. ``child``
-    is the child being searched.
+    ``prefix[i]`` is the bitmask of the node's first i free elements,
+    free[:i], over element ids, and ``child`` the child being searched.
     """
 
-    __slots__ = ("cut", "bits", "before", "child")
+    __slots__ = ("prefix", "child")
 
-    def __init__(self, cut: int, free: list[int], inverses: list[list[int]]) -> None:
-        self.cut = cut
-        self.bits = [1 << el for el in free]
-        self.before = []
-        for inverse in inverses:
-            masks = [0]
-            for el in free:
-                masks.append(masks[-1] | inverse[el])
-            self.before.append(masks)
+    def __init__(self, free: list[int]) -> None:
+        self.prefix = [0]
+        for el in free:
+            self.prefix.append(self.prefix[-1] | 1 << el)
         self.child = 0
 
 
@@ -303,7 +295,10 @@ class _ExclusionBranching:
     Then for every completion S of N, g(S) descends left of N, so S
     costs no less than the incumbent. The incumbent moves only on a
     strict improvement, so N's subtree could not have moved it, and the
-    answer is the unpruned one, elements included.
+    answer is the unpruned one, elements included. Each node receives
+    g(R_N) as a bitmask for every g, its parent's image with g(c_j)
+    added, and each ancestor keeps the bitmasks of its free prefixes in
+    a ``_Frame``, so the rule is tested as it reads.
 
     Each child inherits its parent's bound. ``_bound`` takes the node's
     path P_1 and adds violated paths P_2..P_k, each found with the cut,
@@ -345,25 +340,26 @@ class _ExclusionBranching:
             cap = floor(budget * self.scale) + 1
             if self.best_cost >= cap:
                 self.best_cost, self.best_set = cap, None
-        # per symmetry g, the bit of g^-1(el) at each element id el
-        self.inverses = [self._inverse_bits(g, cuttable) for g in symmetries]
-        self.frames: list[_Frame] | None = [] if self.inverses else None
-
-    def _inverse_bits(self, g: Mapping[Element, Element], cuttable: list[int]) -> list[int]:
-        search = self.search
+        # per symmetry g, the bit of g(el) at each element id el
         ids = {search.element(el): el for el in cuttable}
+        self.forward = [self._forward_bits(g, ids) for g in symmetries]
+        self.frames: list[_Frame] | None = [] if self.forward else None
+
+    def _forward_bits(self, g: Mapping[Element, Element], ids: dict[Element, int]) -> list[int]:
+        weights = self.search.weights
         require(
             set(g) == set(ids) == set(g.values())
-            and all(search.weights[ids[a]] == search.weights[ids[b]] for a, b in g.items()),
+            and all(weights[ids[a]] == weights[ids[b]] for a, b in g.items()),
             "a symmetry must permute the cuttable elements and keep their weights",
         )
-        inverse = [0] * len(search.weights)
+        forward = [0] * len(weights)
         for a, b in g.items():
-            inverse[ids[b]] = 1 << ids[a]
-        return inverse
+            forward[ids[a]] = 1 << ids[b]
+        return forward
 
-    def explore(self, cost: int) -> None:
-        """Search below the current cut, which costs ``cost``."""
+    def explore(self, cost: int, images: list[int]) -> None:
+        """Search below the current cut, which costs ``cost`` and has
+        ``images[g]``, its image under each symmetry, as a bitmask."""
         search, removed, forbidden = self.search, self.search.removed, self.forbidden
         path = find_violating_path(search)
         if path is None:
@@ -380,16 +376,18 @@ class _ExclusionBranching:
         rest = lower - cost - self.weight[free[0]]
         frames = self.frames
         if frames is not None:
-            self._push(free)
+            frames.append(_Frame(free))
         # child j cuts free[j] and forbids free[:j], so every cut set is
         # reached at most once
         for j, el in enumerate(free):
             child = cost + self.weight[el]
             if child + rest >= self.best_cost:
                 break  # free is sorted by weight, so later children cost more
-            if frames is None or not self._covered(j):
+            # the child's cut under each symmetry g: g(cut) | g(el)
+            below = [image | bits[el] for image, bits in zip(images, self.forward)]
+            if frames is None or not self._covered(j, below):
                 removed[el] = 1
-                self.explore(child)
+                self.explore(child, below)
                 removed[el] = 0
             forbidden[el] = 1
         for el in free:
@@ -397,25 +395,18 @@ class _ExclusionBranching:
         if frames is not None:
             frames.pop()
 
-    def _push(self, free: list[int]) -> None:
-        """Open the frame of the node being explored, from its parent's."""
+    def _covered(self, j: int, images: list[int]) -> bool:
+        """Make child j the top frame's current child and report whether
+        the skip rule holds for it, its cut having ``images[g]`` under
+        each symmetry g."""
         frames = self.frames
-        cut = frames[-1].cut | frames[-1].bits[frames[-1].child] if frames else 0
-        frames.append(_Frame(cut, free, self.inverses))
-
-    def _covered(self, j: int) -> bool:
-        """Make child j the top frame's current child (``_push`` builds
-        its frame from that) and report whether the skip rule holds."""
-        frames = self.frames
-        top = frames[-1]
-        top.child = j
-        cut = top.cut | top.bits[j]
-        for g in range(len(self.inverses)):
+        frames[-1].child = j
+        for image in images:
             for frame in frames:
-                before, i = frame.before[g], frame.child
-                if before[i] & cut:
+                prefix, i = frame.prefix, frame.child
+                if prefix[i] & image:
                     return True  # g(cut) meets an earlier child's element
-                if not before[i + 1] & cut:
+                if not prefix[i + 1] & image:
                     break  # nor the element leading here: g(S) may go right
         return False
 
@@ -489,7 +480,7 @@ def _branch_and_bound(
     the cap among them, thus yields the same leaf.
     """
     bb = _ExclusionBranching(search, incumbent, symmetries, budget)
-    bb.explore(0)
+    bb.explore(0, [0] * len(bb.forward))
     if bb.best_set is None:
         return None
     return Fraction(bb.best_cost, bb.scale), bb.best_set

@@ -538,6 +538,8 @@ class TestExactSearchFrozen:
         "r=6,k=2": "38442443ddcb626ebbc6f9610e46f21d208933d6ab83cf7cc70cf995596e588d",
         "r=2,k=3": "fc80585b1c04067844e5f903616add9b5c69ade080978bcc09baa6fda21e1376",
         "r=3,k=3": "4f96e698d27a485b251814cf512bff27a9978439dbb57f0816a30787bf9ca3a6",
+        "r=2,k=4": "6e553825e65f4c2da546f419e799cc353c3a0162fbefa35eeffa212bfb70e71a",
+        "r=2,k=5": "e6421be65fd84fd4cfd6924af1973128b69ef20b0c7a0f06d97645fefae83696",
     }
     GAP_TABLES = {
         ("saks", "k=2,r=2..5"): [
@@ -795,6 +797,38 @@ class TestRegistry:
             family = next(a for a in subs[name]._actions if a.dest == "family")
             assert family.choices == sorted(gadgets.FAMILIES)
         assert set(gadgets.FAMILIES) == {"saks", "dict-m", "dict-e", "dict-v", "dict-f"}
+
+    def test_instance_only_where_read(self):
+        from cutlab.cli import build_parser
+
+        subs = next(a for a in build_parser()._actions if a.dest == "command").choices
+        readers = {
+            name for name, sub in subs.items() if any(a.dest == "instance" for a in sub._actions)
+        }
+        assert readers == {"verify", "lp", "exact", "approx", "interdict", "rmfc"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--family", "saks", "--params", "r=2,k=2"],
+            ["generate"],
+            ["gap-table", "--family", "saks", "--params", "k=2,r=2"],
+        ],
+    )
+    def test_instance_refused_where_unread(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--instance", str(tmp_path / "f.json")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --instance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [("generate", "provide --family with --params"), ("exact", "provide --instance or")],
+    )
+    def test_missing_family_names_the_options(self, command, message, capsys):
+        code, _, err = run_cli(capsys, [command])
+        assert code == 1
+        assert message in err
 
     @pytest.mark.parametrize("family", sorted(VERIFIED))
     def test_verify_instance_matches_verify_family(self, family, tmp_path, capsys):

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from statistics import NormalDist
 
 import pytest
 
@@ -21,7 +22,6 @@ from cutlab.probspace import (
     connectedness_bound,
     efron_stein_influences,
     gamma_rho,
-    normal_cdf,
     normal_quantile,
     product_mass,
     product_points,
@@ -312,6 +312,53 @@ class TestConnectednessBound:
         with pytest.raises(DisconnectedSupport):
             connectedness_bound(cs)
 
+    @staticmethod
+    def pairwise_connected(cs):
+        """Union-find over every left x right atom pair of positive mass."""
+        live = [("L", a) for a in cs.left.atoms if cs.left.mass(a) > 0]
+        live += [("R", b) for b in cs.right.atoms if cs.right.mass(b) > 0]
+        root = {v: v for v in live}
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for a in cs.left.atoms:
+            for b in cs.right.atoms:
+                if cs.mass(a, b) > 0:
+                    root[find(("L", a))] = find(("R", b))
+        return len({find(v) for v in live}) == 1
+
+    def test_support_connectivity_matches_pairwise(self):
+        from cutlab.probspace import support_is_connected
+
+        sp = FiniteProbSpace.uniform([0, 1])
+        spaces = [
+            (edge_noise_space(4), True),
+            (star_noise_space(3, Fraction(1, 20)), True),
+            (fire_noise_space(4, Fraction(1, 10)), True),
+            (CorrelatedSpace(sp, sp, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}), False),
+        ]
+        # random sparse joints with a zero-mass atom on each side
+        rng = random.Random(5)
+        for _ in range(40):
+            pairs = {(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randrange(1, 8))}
+            joint = {pair: Fraction(1, len(pairs)) for pair in pairs}
+            rows = {a: sum(m for (x, _), m in joint.items() if x == a) for a in range(6)}
+            cols = {b: sum(m for (_, y), m in joint.items() if y == b) for b in range(6)}
+            cs = CorrelatedSpace(
+                FiniteProbSpace(range(6), rows), FiniteProbSpace(range(6), cols), joint
+            )
+            spaces.append((cs, None))
+        verdicts = set()
+        for cs, want in spaces:
+            got = support_is_connected(cs)
+            assert got == self.pairwise_connected(cs)
+            assert want is None or got == want
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
     @pytest.mark.parametrize(
         "cs",
         [
@@ -386,4 +433,21 @@ class TestGammaRho:
 
     def test_quantile_inverts_cdf(self):
         for p in (0.01, 0.1, 0.5, 0.9, 0.999):
-            assert normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-12)
+            assert NormalDist().cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-12)
+
+    # 50-digit roots of Phi(x) = p for the double nearest each p (mpmath)
+    @pytest.mark.parametrize(
+        "p, x",
+        [
+            (1e-15, -7.94134532617099677133),
+            (1e-12, -7.034483825301131932614),
+            (1e-6, -4.753424308822898957339),
+            (1 - 1e-9, 5.997807019601637426423),
+        ],
+    )
+    def test_quantile_tails(self, p, x):
+        # a bisection on 0.5 (1 + erf(x / sqrt 2)) was off by 3.3e-3 at 1e-15
+        assert normal_quantile(p) == pytest.approx(x, rel=1e-14)
+
+    def test_quantile_median_is_zero(self):
+        assert normal_quantile(0.5) == 0.0

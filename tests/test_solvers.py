@@ -510,7 +510,9 @@ class TestSymmetryPruning:
                 want = feasible[image] if image in feasible else multicut_is_feasible(inst, image)
                 assert want == ok, (g, sorted(cut))
 
-    @pytest.mark.parametrize("r,k", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize(
+        "r,k", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4), (2, 5)]
+    )
     def test_saks_answer_unchanged_by_pruning(self, r, k):
         inst = build_saks_gap(r, k)
         group = list(declared_symmetries(inst))
@@ -526,13 +528,46 @@ class TestSymmetryPruning:
         skipped = [0]
         covered = solvers._ExclusionBranching._covered
 
-        def counted(bb, j):
-            found = covered(bb, j)
+        def counted(bb, *args):
+            found = covered(bb, *args)
             skipped[0] += found
             return found
 
         monkeypatch.setattr(solvers._ExclusionBranching, "_covered", counted)
         return skipped
+
+    # (r, k): skip-rule tests, skips and path-oracle calls of the search
+    # with the declared group, as first recorded
+    SKIP_COUNTS = {
+        (5, 2): (610, 88, 1427),
+        (6, 2): (5569, 508, 14753),
+        (2, 3): (12, 5, 25),
+        (3, 3): (721, 140, 2856),
+        (2, 4): (28, 9, 116),
+        (2, 5): (60, 14, 549),
+    }
+
+    @pytest.mark.parametrize("r,k", sorted(SKIP_COUNTS))
+    def test_skip_decisions_frozen(self, r, k, monkeypatch):
+        counts = [0, 0, 0]
+        covered, oracle = solvers._ExclusionBranching._covered, solvers.find_violating_path
+
+        def counted(bb, *args):
+            found = covered(bb, *args)
+            counts[0] += 1
+            counts[1] += found
+            return found
+
+        def counted_oracle(search):
+            counts[2] += 1
+            return oracle(search)
+
+        monkeypatch.setattr(solvers._ExclusionBranching, "_covered", counted)
+        monkeypatch.setattr(solvers, "find_violating_path", counted_oracle)
+        inst = build_saks_gap(r, k)
+        sol = exact_min_multicut(inst, declared_symmetries(inst))
+        assert sol.cost == r**k - (r - 1) ** k
+        assert tuple(counts) == self.SKIP_COUNTS[(r, k)]
 
     def test_swapped_copies_answer_unchanged(self, skips):
         # random grids with random weights, and the swap of two copies
