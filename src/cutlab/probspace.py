@@ -302,7 +302,11 @@ def gamma_rho(rho: float, a: float, b: float) -> float:
     (or 2^20 intervals are reached). Over 891 points with |rho| <= 0.999
     and a, b in [0.001, 0.999] it is within 1.1e-14 of a 30-digit
     reference; at a = b = 1/2 the integrand is 1 and this is Sheppard's
-    formula 1/4 - arcsin(rho)/(2pi).
+    formula 1/4 - arcsin(rho)/(2pi). The result is clamped to the Frechet
+    bounds [max(0, a + b - 1), min(a, b)] that every joint probability with
+    these marginals obeys: in the tails a b and the integral nearly cancel,
+    and the difference can round past them (at rho = 0.9 and a = b = 1e-12
+    it would be -3.6e-26).
     """
     if not -1.0 < rho < 1.0:
         raise ValueError("rho must be in (-1,1)")
@@ -326,4 +330,4 @@ def gamma_rho(rho: float, a: float, b: float) -> float:
         prev, simpson = simpson, (4.0 * trap - old) / 3.0
         if prev is not None and abs(simpson - prev) <= 1e-12:
             break
-    return a * b - simpson / (2.0 * math.pi)
+    return min(max(a * b - simpson / (2.0 * math.pi), a + b - 1.0, 0.0), a, b)

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from math import floor
-from typing import AbstractSet, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     Infeasible,
@@ -609,14 +609,6 @@ def _undirected_neighbors(g: WeightedGraph) -> dict[str, list[str]]:
     return {v: [names[nb] for _, nb in out] for v, out in zip(names, arcs)}
 
 
-def _spread(
-    nbrs: dict[str, list[str]], burnt: AbstractSet[str], saved: AbstractSet[str]
-) -> set[str]:
-    """The vertices the fire reaches in one step: unburnt, unsaved
-    neighbours of burnt ones."""
-    return {nb for v in burnt for nb in nbrs[v] if nb not in burnt and nb not in saved}
-
-
 def rmfc_simulate(inst: CutInstance, schedule: Schedule) -> BurnTrace:
     """Run the save-then-spread process: the source burns on day 0, and on
     each later day the scheduled set is saved before the fire spreads one
@@ -642,7 +634,8 @@ def rmfc_simulate(inst: CutInstance, schedule: Schedule) -> BurnTrace:
                 if v in burnt:
                     raise SaveBurntVertex(f"{v!r} already burnt on day {day}")
             saved |= set(todays)
-        spread = _spread(nbrs, burnt, saved)
+        # the fire reaches the unburnt, unsaved neighbours of burnt vertices
+        spread = {nb for v in burnt for nb in nbrs[v] if nb not in burnt and nb not in saved}
         burnt |= spread
         trace.burnt_by_day.append(frozenset(burnt))
         trace.saved_by_day.append(frozenset(saved))
@@ -652,70 +645,79 @@ def rmfc_simulate(inst: CutInstance, schedule: Schedule) -> BurnTrace:
     return trace
 
 
-def _burnable(
-    nbrs: dict[str, list[str]], burnt: frozenset[str], saved: frozenset[str]
-) -> set[str]:
-    """Vertices the fire could still reach if no further saves happen."""
-    reach = set(burnt)
-    frontier = list(burnt)
-    while frontier:
-        v = frontier.pop()
-        for nb in nbrs[v]:
-            if nb not in reach and nb not in saved:
-                reach.add(nb)
-                frontier.append(nb)
-    return reach - set(burnt)
+def _around(nbrs: list[int], mask: int) -> int:
+    """The union of the out-neighbour masks of the nodes in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= nbrs[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def _affordable_days(
-    items: list[str], weights: list[int], n: int, budget: int
-) -> Iterable[tuple[str, ...]]:
-    """Subsets of ``items[:n]`` whose weight is at most ``budget``, in the
-    increasing order of their bitmasks (bit i for ``items[i]``): the
-    highest index is decided first, left out before taken. A module-level
-    generator, so the recursion holds no reference cycle."""
+    items: list[int], weights: list[int], n: int, budget: int
+) -> Iterable[int]:
+    """Unions of the one-bit masks ``items[:n]`` whose weight is at most
+    ``budget``, in increasing order when the items are: the highest index
+    is decided first, left out before taken. A module-level generator, so
+    the recursion holds no reference cycle."""
     if n == 0:
-        yield ()
+        yield 0
         return
     yield from _affordable_days(items, weights, n - 1, budget)
     rest = budget - weights[n - 1]
     if rest >= 0:
         for day in _affordable_days(items, weights, n - 1, rest):
-            yield (*day, items[n - 1])
+            yield day | items[n - 1]
 
 
 def _fire_search(
-    units: dict[str, int],
-    nbrs: dict[str, list[str]],
-    targets: frozenset[str],
+    nbrs: list[int],
+    units: list[int],
+    targets: int,
     budget: int,
-    memo: dict[tuple[frozenset[str], frozenset[str]], tuple[frozenset[str], ...] | None],
-    burnt: frozenset[str],
-    saved: frozenset[str],
-) -> tuple[frozenset[str], ...] | None:
-    """Per-day save sets of cost <= budget that keep the fire off every
+    memo: dict[tuple[int, int], tuple[int, ...] | None],
+    burnt: int,
+    saved: int,
+) -> tuple[int, ...] | None:
+    """Per-day save masks of cost <= budget that keep the fire off every
     target from state (burnt, saved), or None; memoised on the state in
-    ``memo``. ``units`` holds the integer weight of each savable vertex.
-    Days are tried in the order of ``_affordable_days``, so the schedule
-    found is the first in increasing bitmask order over the sorted
-    savable vertices."""
-    if any(t in burnt for t in targets):
+    ``memo``. Nodes are bits: the savable vertices are bits
+    0..len(units)-1, ``units`` holding their integer weights, and
+    ``nbrs[i]`` is the out-neighbour mask of node i. Days are tried in
+    increasing mask order over the savable vertices the fire could still
+    reach."""
+    if burnt & targets:
         return None
     key = (burnt, saved)
     if key in memo:
         return memo[key]
-    future = _burnable(nbrs, burnt, saved)
+    # fresh: unburnt neighbours of burnt nodes, the next day's spread
+    # before that day's saves; their closure is what could still burn
+    fresh = _around(nbrs, burnt) & ~burnt
+    reach = burnt
+    frontier = fresh & ~saved
+    while frontier:
+        reach |= frontier
+        frontier = _around(nbrs, frontier) & ~reach & ~saved
+    future = reach ^ burnt
     if not future:
         memo[key] = ()
         return ()
-    relevant = sorted(v for v in future if v in units)
-    weights = [units[v] for v in relevant]
-    result: tuple[frozenset[str], ...] | None = None
-    for chosen in _affordable_days(relevant, weights, len(relevant), budget):
-        day = frozenset(chosen)
+    relevant = future & ((1 << len(units)) - 1)
+    items = []
+    while relevant:
+        low = relevant & -relevant
+        items.append(low)
+        relevant ^= low
+    weights = [units[low.bit_length() - 1] for low in items]
+    result: tuple[int, ...] | None = None
+    for day in _affordable_days(items, weights, len(items), budget):
         nsaved = saved | day
-        spread = _spread(nbrs, burnt, nsaved)
-        rest = _fire_search(units, nbrs, targets, budget, memo, burnt | spread, nsaved)
+        rest = _fire_search(
+            nbrs, units, targets, budget, memo, burnt | (fresh & ~nsaved), nsaved
+        )
         if rest is not None:
             result = (day, *rest)
             break
@@ -729,24 +731,38 @@ def exact_rmfc_decision(
     """Decide whether per-day budget k saves all targets; exhaustive
     search over the per-day save sets that cost at most k, with
     memoization on (burnt, saved). Costs are integers over the common
-    denominator of k and the vertex weights."""
+    denominator of k and the vertex weights. The search numbers the
+    savable vertices 0..n-1 in sorted id order and every other node
+    above them, so its states are bitmasks and the schedule found is the
+    first in increasing mask order over the sorted savable ids."""
     require_problem(inst.problem, Rmfc)
     k = Fraction(k)
     if k < 0:
         raise ValueError("budget must be nonnegative")
     g = inst.graph
-    cuttable = [v for v in g.nodes if g.node_weight(v) is not None]
-    if len(cuttable) > RMFC_VERTEX_LIMIT:
-        raise SizeGuard(f"{len(cuttable)} cuttable vertices (cap {RMFC_VERTEX_LIMIT})")
-    _, (budget, *units) = _over_lcm([k, *(g.node_weight(v) for v in cuttable)])
-    nbrs = _undirected_neighbors(g)
-    targets = inst.problem.targets
-    days = _fire_search(
-        dict(zip(cuttable, units)), nbrs, targets, budget, {},
-        frozenset({inst.problem.source}), frozenset(),
+    savable = sorted(v for v in g.nodes if g.node_weight(v) is not None)
+    if len(savable) > RMFC_VERTEX_LIMIT:
+        raise SizeGuard(f"{len(savable)} cuttable vertices (cap {RMFC_VERTEX_LIMIT})")
+    _, (budget, *units) = _over_lcm([k, *(g.node_weight(v) for v in savable)])
+    names, _, arcs = g.index()
+    order = savable + [v for v in names if g.node_weight(v) is None]
+    bit = {v: i for i, v in enumerate(order)}
+    # fire spreads along out-arcs; undirected arcs are registered both ways
+    nbrs = [0] * len(order)
+    for v, out in zip(names, arcs):
+        for _, nb in out:
+            nbrs[bit[v]] |= 1 << bit[names[nb]]
+    targets = 0
+    for t in inst.problem.targets:
+        targets |= 1 << bit[t]
+    masks = _fire_search(
+        nbrs, units, targets, budget, {}, 1 << bit[inst.problem.source], 0
     )
-    if days is None:
+    if masks is None:
         return False, None
+    days = tuple(
+        frozenset(v for i, v in enumerate(savable) if day >> i & 1) for day in masks
+    )
     costs = tuple(
         sum((g.node_weight(v) for v in day), Fraction(0)) for day in days
     )

@@ -922,13 +922,75 @@ class TestRmfcDecision:
             days = schedule.days if savable else None
             assert (savable, days) == helpers.reference_rmfc_search(inst, k), k
 
-    @pytest.mark.parametrize("k", ["1/2", "1", "3/2"])
+    # 17/25 is B* for b=2 R=1 eps=1/100, met by a two-day schedule
+    @pytest.mark.parametrize("k", ["1/2", "17/25", "1", "3/2"])
     def test_fire_gadget_schedule_matches_reference(self, k):
         inst = build_dict_rmfc(DictParamsF(2, 1, Fraction(1, 100)))
         savable, schedule = exact_rmfc_decision(inst, Fraction(k))
         days = schedule.days if savable else None
         assert (savable, days) == helpers.reference_rmfc_search(inst, Fraction(k))
         assert savable == (k != "1/2")
+        if k == "17/25":
+            assert schedule.per_day_cost == (Fraction(67, 100), Fraction(17, 25))
+
+    @pytest.mark.parametrize("k", ["1/2", "17/25", "1", "3/2"])
+    def test_two_coordinate_fire_gadget_matches_reference(self, k):
+        inst = build_dict_rmfc(DictParamsF(1, 2, Fraction(1, 10)))
+        savable, schedule = exact_rmfc_decision(inst, Fraction(k))
+        days = schedule.days if savable else None
+        assert (savable, days) == helpers.reference_rmfc_search(inst, Fraction(k))
+        assert savable == (Fraction(k) >= 1)
+
+    @staticmethod
+    def hand_built(case):
+        """s - a - b - t with a and b savable, plus one twist per case."""
+        g = WeightedGraph()
+        for v, w in (("s", None), ("a", Fraction(1, 2)), ("b", Fraction(1)), ("t", None)):
+            g.add_node(v, w)
+        g.add_edge("s", "a", directed=False)
+        g.add_edge("a", "b", directed=False)
+        g.add_edge("b", "t", directed=False)
+        targets = {"t"}
+        if case == "savable-target":
+            g.add_node("u", Fraction(1, 2))
+            g.add_edge("s", "u", directed=False)
+            targets.add("u")
+        elif case == "arc-into-source":
+            # c reaches the source and t, but the fire cannot walk c -> s backwards
+            g.add_node("c", Fraction(1, 2))
+            g.add_edge("c", "s", directed=True)
+            g.add_edge("c", "t", directed=False)
+        elif case == "source-is-target":
+            targets.add("s")
+        return CutInstance(graph=g, mode=VERTEX, problem=Rmfc("s", frozenset(targets)))
+
+    @pytest.mark.parametrize("case", ["savable-target", "arc-into-source", "source-is-target"])
+    def test_hand_built_cases_match_reference(self, case):
+        inst = self.hand_built(case)
+        for k in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)):
+            savable, schedule = exact_rmfc_decision(inst, k)
+            days = schedule.days if savable else None
+            assert (savable, days) == helpers.reference_rmfc_search(inst, k), k
+        if case == "source-is-target":
+            assert exact_rmfc_decision(inst, Fraction(3)) == (False, None)
+        else:
+            assert exact_rmfc_decision(inst, Fraction(1))[0]
+
+    def test_first_schedule_follows_sorted_ids(self):
+        # s - a - {b1, b2} - t, the savable vertices added in reverse id
+        # order: saving a, or b1 then b2, or b2 then b1 all hold the fire,
+        # and {a} comes first in mask order over the sorted ids
+        g = WeightedGraph()
+        g.add_node("s")
+        for v in ("b2", "b1", "a"):
+            g.add_node(v, Fraction(1))
+        g.add_node("t")
+        for a, b in (("s", "a"), ("a", "b1"), ("a", "b2"), ("b1", "t"), ("b2", "t")):
+            g.add_edge(a, b, directed=False)
+        inst = CutInstance(graph=g, mode=VERTEX, problem=Rmfc("s", frozenset({"t"})))
+        savable, schedule = exact_rmfc_decision(inst, Fraction(1))
+        assert (savable, schedule.days) == helpers.reference_rmfc_search(inst, Fraction(1))
+        assert schedule.days == (frozenset({"a"}),)
 
     def test_negative_budget_rejected(self):
         inst = path_rmfc_instance()
@@ -941,6 +1003,42 @@ class TestRmfcDecision:
         with pytest.raises(ValueError, match="budget must be nonnegative"):
             exact_rmfc_decision(alone, Fraction(-1, 2))
 
+
+
+# ``_fire_search`` calls, one per search state visited, recorded on the
+# search over frozensets of node ids before its states became bitmasks
+FIRE_SEARCH_STATES = [
+    ((2, 1, Fraction(1, 100)), "1/2", 3589),
+    ((2, 1, Fraction(1, 100)), "17/25", 4390),
+    ((2, 1, Fraction(1, 100)), "1", 6166),
+    ((1, 2, Fraction(1, 10)), "1/2", 17),
+    ((1, 2, Fraction(1, 10)), "1", 32),
+]
+
+
+class TestFireSearchWork:
+    """Work of the fire-schedule search, gated by counts rather than wall
+    time. The recursion calls ``_fire_search`` through the module, so a
+    patched one sees every state."""
+
+    @pytest.mark.parametrize(
+        "params, k, calls",
+        FIRE_SEARCH_STATES,
+        ids=["b2-R1-1/2", "b2-R1-17/25", "b2-R1-1", "b1-R2-1/2", "b1-R2-1"],
+    )
+    def test_search_states(self, monkeypatch, params, k, calls):
+        inst = build_dict_rmfc(DictParamsF(*params))
+        made = []
+        real = solvers._fire_search
+
+        def counted(*args):
+            made.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(solvers, "_fire_search", counted)
+        savable, _ = exact_rmfc_decision(inst, Fraction(k))
+        assert savable == (Fraction(k) > Fraction(1, 2))
+        assert len(made) == calls
 
 
 class TestNoReferenceCycles:
