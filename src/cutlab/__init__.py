@@ -25,7 +25,6 @@ from .probspace import (
     CorrelatedSpace,
     FiniteProbSpace,
     ProductFunction,
-    connectedness_bound,
     efron_stein_influences,
     gamma_rho,
     product_mass,

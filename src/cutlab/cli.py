@@ -32,31 +32,29 @@ from .graphs import (
     rational_str,
     schedule_from_json,
 )
-from .probspace import connectedness_bound, gamma_rho
+from .probspace import gamma_rho
 
 CSV_HEADER = "family,params,lp_value,integral_value,gap,wall_ms"
 # gap-table rows, counted from the range lengths before any range is listed
 GAP_TABLE_ROW_CAP = 1_000
-# the r or B of `correlation`, refused before its space is built
-CORRELATION_ALPHABET_CAP = 256
-# `correlation` family -> (its keys, the alphabet size first; its space and
-# its exact maximal correlation from the size and eps, looked up in
-# `gadgets` when called)
+# `correlation` family -> (its keys, the alphabet size first; its space's
+# exact maximal correlation and least joint mass from the size and eps, the
+# closed forms proved in `gadgets`, looked up there when called)
 CORRELATION_SPACES = {
     "edge": (
         ("r",),
-        lambda size, eps: gadgets.edge_noise_space(size),
         lambda size, eps: gadgets.edge_noise_rho(size),
+        lambda size, eps: gadgets.edge_noise_alpha(size),
     ),
     "star": (
         ("r", "eps"),
-        lambda size, eps: gadgets.star_noise_space(size, eps),
         lambda size, eps: gadgets.starred_noise_rho(size, eps),
+        lambda size, eps: gadgets.starred_noise_alpha(size, eps),
     ),
     "fire": (
         ("B", "eps"),
-        lambda size, eps: gadgets.fire_noise_space(size, eps),
         lambda size, eps: gadgets.starred_noise_rho(size, eps),
+        lambda size, eps: gadgets.starred_noise_alpha(size, eps),
     ),
 }
 
@@ -345,23 +343,23 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def cmd_correlation(args: argparse.Namespace) -> int:
-    names, space, rho = CORRELATION_SPACES[args.family]
+    names, rho, alpha = CORRELATION_SPACES[args.family]
     params = parse_params(args.params)
     gadgets.require_names(params, names)
     key = names[0]
     size = gadgets.param_value(key, int, params[key])
     if size < 1:
         raise ParamOutOfRange(f"need {key} >= 1")
-    if size > CORRELATION_ALPHABET_CAP:
-        raise SizeGuard(f"{key} = {size} exceeds the alphabet cap {CORRELATION_ALPHABET_CAP}")
     eps = params.get("eps")
     if eps is not None and not 0 < eps < 1:
         raise ParamOutOfRange("need 0 < eps < 1")
-    cs = space(size, eps)
+    least = alpha(size, eps)
+    # every family's support is connected (see `gadgets`), so Mossel's
+    # bound 1 - alpha^2/2 on rho holds
     doc = {
         "rho": rational_str(rho(size, eps)),
-        "connectedness_bound": connectedness_bound(cs),
-        "alpha": rational_str(cs.alpha),
+        "connectedness_bound": float(1 - least**2 / 2),
+        "alpha": rational_str(least),
     }
     emit_json(doc, args.out)
     return 0

@@ -29,10 +29,6 @@ class SizeGuard(CutLabError):
     """Requested construction or search exceeds the configured size limit."""
 
 
-class DisconnectedSupport(CutLabError):
-    """The bipartite support graph of a correlated space is not connected."""
-
-
 class CoordinateOutOfRange(CutLabError):
     """A dictator coordinate lies outside the coordinate range."""
 

@@ -82,6 +82,14 @@ def edge_noise_rho(r: int) -> Fraction:
     return 1 - Fraction(1, r)
 
 
+def edge_noise_alpha(r: int) -> Fraction:
+    """Least joint mass of ``edge_noise_space(r)``: 1/r^3, the noise term
+    (1/r)(1/r^2) that every pair carries and each (x, y) with y != x+1
+    carries alone (at r = 1 the one pair has mass 1). Every pair has
+    positive mass, so the support is connected."""
+    return Fraction(1, r**3)
+
+
 def starred_noise_rho(n: int, eps: Fraction) -> Fraction:
     """Maximal correlation of ``starred_noise_space`` on n values with a
     bijective partner (the star space's successor and the fire space's
@@ -96,6 +104,17 @@ def starred_noise_rho(n: int, eps: Fraction) -> Fraction:
     it once n >= 2 leaves a nonzero f~. At n = 1, f~ = 0 and the ratio is 0.
     """
     return 1 - Fraction(eps) if n >= 2 else Fraction(0)
+
+
+def starred_noise_alpha(n: int, eps: Fraction) -> Fraction:
+    """Least joint mass of ``starred_noise_space`` on n values, for
+    0 < eps < 1. The support is (*, *) of mass eps^2, each (*, y) and
+    (x, *) of mass eps(1-eps)/n, and each (x, partner(x)) of mass
+    (1-eps)^2/n; each is the least at some (n, eps): (2, 1/20), (40, 1/20)
+    and (2, 9/10) in turn. The support is connected: each x meets the right
+    *, each y the left *, and (*, *) joins the two stars."""
+    eps = Fraction(eps)
+    return min(eps * eps, eps * (1 - eps) / n, (1 - eps) ** 2 / n)
 
 
 def starred_noise_space(

@@ -734,7 +734,9 @@ def exact_rmfc_decision(
     denominator of k and the vertex weights. The search numbers the
     savable vertices 0..n-1 in sorted id order and every other node
     above them, so its states are bitmasks and the schedule found is the
-    first in increasing mask order over the sorted savable ids."""
+    first in increasing mask order over the sorted savable ids, checked
+    apart from the search: CertificateFailed unless each day costs at most
+    k and ``rmfc_simulate`` burns no target under it."""
     require_problem(inst.problem, Rmfc)
     k = Fraction(k)
     if k < 0:
@@ -766,4 +768,7 @@ def exact_rmfc_decision(
     costs = tuple(
         sum((g.node_weight(v) for v in day), Fraction(0)) for day in days
     )
-    return True, Schedule(days, costs)
+    schedule = Schedule(days, costs)
+    require(schedule.max_day_cost() <= k, "a searched day costs more than the budget")
+    require(not rmfc_simulate(inst, schedule).target_burnt, "the searched schedule burns a target")
+    return True, schedule

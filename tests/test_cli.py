@@ -733,27 +733,64 @@ class TestGammaAndCorrelation:
 
 
     @pytest.mark.parametrize(
-        "family, params, name, size, space",
+        "family, params, expected",
         [
-            ("edge", "r=100000", "r", 100000, "edge_noise_space"),
-            ("fire", "B=1000000,eps=1/1000000", "B", 1000000, "fire_noise_space"),
-            ("star", "r=257,eps=1/1000", "r", 257, "star_noise_space"),
+            (
+                "edge",
+                "r=100000",
+                {"alpha": "1/1000000000000000", "connectedness_bound": 1.0, "rho": "99999/100000"},
+            ),
+            (
+                "fire",
+                "B=1000000,eps=1/1000000",
+                {
+                    "alpha": "999999/1000000000000000000",
+                    "connectedness_bound": 1.0,
+                    "rho": "999999/1000000",
+                },
+            ),
+            (
+                "star",
+                "r=257,eps=1/1000",
+                {"alpha": "1/1000000", "connectedness_bound": 0.9999999999995, "rho": "999/1000"},
+            ),
         ],
         ids=["edge", "fire", "star-one-over"],
     )
-    def test_alphabet_cap_refuses_before_the_space(
-        self, family, params, name, size, space, monkeypatch, capsys
-    ):
+    def test_large_sizes_build_no_space(self, family, params, expected, monkeypatch, capsys):
+        # every number is a closed form: with each space builder patched to
+        # raise, sizes far past any buildable space still print
         from cutlab import gadgets
 
         def unbuilt(*args):
-            raise AssertionError("the space was built")
+            raise AssertionError("a space was built")
 
-        monkeypatch.setattr(gadgets, space, unbuilt)
+        for builder in (
+            "edge_noise_space", "star_noise_space", "fire_noise_space", "starred_noise_space",
+        ):
+            monkeypatch.setattr(gadgets, builder, unbuilt)
         argv = ["correlation", "--family", family, "--params", params]
         code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == expected
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            # alpha = 1/r^3, whose denominator has 4,498 digits
+            ("edge", f"r={10**1499}"),
+            # alpha = eps^2, whose denominator has 6,001 digits
+            ("star", f"r=2,eps=1/{10**3000}"),
+        ],
+        ids=["edge", "star"],
+    )
+    def test_alpha_past_the_print_limit_exits_1(self, family, params, capsys):
+        # past the 4,300 digits that CPython converts from int to str, the
+        # ValueError is reported on one line
+        code, out, err = run_cli(capsys, ["correlation", "--family", family, "--params", params])
         assert (code, out) == (1, "")
-        assert err == f"error: SizeGuard: {name} = {size} exceeds the alphabet cap 256\n"
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def run_cli(capsys, argv):

@@ -7,19 +7,21 @@ from statistics import NormalDist
 import pytest
 
 import helpers
-from cutlab.errors import DisconnectedSupport, UnknownAtom
+from cutlab.errors import UnknownAtom
 from cutlab.gadgets import (
+    STAR,
+    edge_noise_alpha,
     edge_noise_rho,
     edge_noise_space,
     fire_noise_space,
     star_noise_space,
+    starred_noise_alpha,
     starred_noise_rho,
 )
 from cutlab.probspace import (
     CorrelatedSpace,
     FiniteProbSpace,
     ProductFunction,
-    connectedness_bound,
     efron_stein_influences,
     gamma_rho,
     normal_quantile,
@@ -240,6 +242,7 @@ class TestMaximalCorrelation:
 
 EPS_GRID = [Fraction(1, 100), Fraction(1, 20), Fraction(1, 7), Fraction(1, 3), Fraction(1, 2),
             Fraction(9, 10)]
+ALPHA_EPS_GRID = [Fraction(1, 1000), *EPS_GRID, Fraction(2, 3), Fraction(99, 100)]
 
 
 class TestExactCorrelation:
@@ -289,7 +292,16 @@ class TestExactCorrelation:
             assert abs(helpers.maximal_correlation(cs) - rho) < 1e-9
 
 
+def mossel_bound(alpha: Fraction) -> float:
+    """Mossel's bound 1 - alpha^2/2 on the maximal correlation of a space
+    with connected support, as ``correlation`` prints it."""
+    return float(1 - alpha**2 / 2)
+
+
 class TestConnectednessBound:
+    """The closed-form least joint masses in ``gadgets`` and the connected
+    supports that make 1 - alpha^2/2 a bound, against the built spaces."""
+
     def test_formula_alpha_half(self):
         left = FiniteProbSpace([0], {0: Fraction(1)})
         right = FiniteProbSpace.uniform([0, 1])
@@ -297,20 +309,23 @@ class TestConnectednessBound:
             left, right, {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
         )
         assert cs.alpha == Fraction(1, 2)
-        assert connectedness_bound(cs) == pytest.approx(7 / 8, abs=1e-12)
+        assert self.pairwise_connected(cs)
+        assert mossel_bound(cs.alpha) == pytest.approx(7 / 8, abs=1e-12)
 
     def test_star_noise_eps_twentieth(self):
         cs = star_noise_space(3, Fraction(1, 20))
-        assert cs.alpha == Fraction(1, 400)
-        assert connectedness_bound(cs) == pytest.approx(1 - 1 / 320000, abs=1e-15)
+        assert cs.alpha == starred_noise_alpha(3, Fraction(1, 20)) == Fraction(1, 400)
+        assert mossel_bound(cs.alpha) == pytest.approx(1 - 1 / 320000, abs=1e-15)
 
     def test_disconnected_support_rejected(self):
+        # the hypothesis matters: on a disconnected support rho can be 1,
+        # above 1 - alpha^2/2, and the reference refuses that support
         sp = FiniteProbSpace.uniform([0, 1])
         cs = CorrelatedSpace(
             sp, sp, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}
         )
-        with pytest.raises(DisconnectedSupport):
-            connectedness_bound(cs)
+        assert not self.pairwise_connected(cs)
+        assert helpers.maximal_correlation(cs) > mossel_bound(cs.alpha)
 
     @staticmethod
     def pairwise_connected(cs):
@@ -331,17 +346,11 @@ class TestConnectednessBound:
         return len({find(v) for v in live}) == 1
 
     def test_support_connectivity_matches_pairwise(self):
-        from cutlab.probspace import support_is_connected
-
-        sp = FiniteProbSpace.uniform([0, 1])
-        spaces = [
-            (edge_noise_space(4), True),
-            (star_noise_space(3, Fraction(1, 20)), True),
-            (fire_noise_space(4, Fraction(1, 10)), True),
-            (CorrelatedSpace(sp, sp, {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}), False),
-        ]
-        # random sparse joints with a zero-mass atom on each side
+        # the closed-form tests lean on this reference, so it must tell
+        # connected supports from disconnected ones: random sparse joints
+        # with a zero-mass atom on each side give both verdicts
         rng = random.Random(5)
+        verdicts = set()
         for _ in range(40):
             pairs = {(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randrange(1, 8))}
             joint = {pair: Fraction(1, len(pairs)) for pair in pairs}
@@ -350,14 +359,38 @@ class TestConnectednessBound:
             cs = CorrelatedSpace(
                 FiniteProbSpace(range(6), rows), FiniteProbSpace(range(6), cols), joint
             )
-            spaces.append((cs, None))
-        verdicts = set()
-        for cs, want in spaces:
-            got = support_is_connected(cs)
-            assert got == self.pairwise_connected(cs)
-            assert want is None or got == want
-            verdicts.add(got)
+            verdicts.add(self.pairwise_connected(cs))
         assert verdicts == {True, False}
+
+    def test_edge_alpha_closed_form(self):
+        for r in range(1, 13):
+            cs = edge_noise_space(r)
+            assert cs.alpha == edge_noise_alpha(r) == Fraction(1, r**3), r
+            assert self.pairwise_connected(cs), r
+
+    @pytest.mark.parametrize("space", [star_noise_space, fire_noise_space])
+    def test_starred_alpha_closed_form(self, space):
+        for n in range(1, 9):
+            for eps in ALPHA_EPS_GRID:
+                cs = space(n, eps)
+                assert cs.alpha == starred_noise_alpha(n, eps), (n, eps)
+                assert self.pairwise_connected(cs), (n, eps)
+
+    @pytest.mark.parametrize(
+        "space, n, eps, branch, alpha",
+        [
+            (star_noise_space, 2, Fraction(1, 20), 0, Fraction(1, 400)),
+            (star_noise_space, 40, Fraction(1, 20), 1, Fraction(19, 16000)),
+            (fire_noise_space, 2, Fraction(9, 10), 2, Fraction(1, 200)),
+        ],
+        ids=["eps-squared", "eps-one-minus-eps-over-n", "one-minus-eps-squared-over-n"],
+    )
+    def test_starred_alpha_branches(self, space, n, eps, branch, alpha):
+        # each branch of min(eps^2, eps(1-eps)/n, (1-eps)^2/n) is the least
+        # at one of these
+        branches = [eps * eps, eps * (1 - eps) / n, (1 - eps) ** 2 / n]
+        assert min(branches) == branches[branch] == alpha
+        assert space(n, eps).alpha == starred_noise_alpha(n, eps) == alpha
 
     @pytest.mark.parametrize(
         "cs",
@@ -368,7 +401,9 @@ class TestConnectednessBound:
         ],
     )
     def test_dominates_svd_value(self, cs):
-        assert helpers.maximal_correlation(cs) <= connectedness_bound(cs) + 1e-9
+        # the closed-form alpha at the space's own n and eps
+        alpha = starred_noise_alpha(len(cs.left) - 1, cs.left.mass(STAR))
+        assert helpers.maximal_correlation(cs) <= mossel_bound(alpha) + 1e-9
 
 
 class TestMixtureBound:
@@ -408,6 +443,21 @@ class TestGammaRho:
         assert gamma_rho(rho, 0.5, 0.5) == pytest.approx(
             helpers.sheppard_gamma_half(rho), abs=1e-13
         )
+
+    # (rho, a, b) -> Pr[X <= x, Y >= y] to 40 digits, from an mpmath
+    # quadrature of phi(u) Pr[Y >= y | X = u] over u <= x at 50 digits,
+    # agreeing with Plackett's form to 50
+    FORTY_DIGITS = [
+        ((0.5, 1e-12, 0.5), "1.814169630141580589852006589373279686085e-17"),
+        ((-0.5, 0.3, 0.2), "0.1152472302171160391064964936075858982650"),
+        ((0.999, 0.001, 0.999), "6.003028019704635932152927987472131738635e-5"),
+    ]
+
+    @pytest.mark.parametrize("point, digits", FORTY_DIGITS, ids=["tail", "negative", "near-one"])
+    def test_absolute_error_against_forty_digits(self, point, digits):
+        # the contract is absolute: at the tail point the error is 1.2e-20,
+        # but that is 6.6e-4 of the value
+        assert abs(Fraction(gamma_rho(*point)) - Fraction(digits)) <= Fraction(11, 10**15)
 
     def test_matches_grid_quadrature(self):
         grid = itertools.product(

@@ -992,6 +992,50 @@ class TestRmfcDecision:
         assert (savable, schedule.days) == helpers.reference_rmfc_search(inst, Fraction(1))
         assert schedule.days == (frozenset({"a"}),)
 
+    @staticmethod
+    def mutate_search(monkeypatch, mutate):
+        """Patch the fire search so that its outermost call's masks go
+        through ``mutate``; the recursion calls ``_fire_search`` through the
+        module, so a depth count tells the outermost call apart."""
+        real, depth = solvers._fire_search, [0]
+
+        def search(*args):
+            depth[0] += 1
+            try:
+                masks = real(*args)
+            finally:
+                depth[0] -= 1
+            return mutate(masks) if depth[0] == 0 and masks else masks
+
+        monkeypatch.setattr(solvers, "_fire_search", search)
+
+    def test_schedule_missing_a_day_of_saves_refused(self, monkeypatch):
+        # the last day of the two-day schedule at B* saves nothing: the
+        # fire then reaches the target
+        def drop_last_saves(masks):
+            last = max(i for i, day in enumerate(masks) if day)
+            return (*masks[:last], 0, *masks[last + 1 :])
+
+        inst = build_dict_rmfc(DictParamsF(2, 1, Fraction(1, 100)))
+        self.mutate_search(monkeypatch, drop_last_saves)
+        with pytest.raises(CertificateFailed, match="burns a target"):
+            exact_rmfc_decision(inst, Fraction(17, 25))
+
+    def test_schedule_over_budget_refused(self, monkeypatch):
+        # s - a - b - t at unit weights and budget 1: the search saves b on
+        # day two, and the mutant saves a and b on day one, which holds the
+        # fire at twice the budget
+        g = WeightedGraph()
+        for v in ("s", "a", "b", "t"):
+            g.add_node(v, None if v in ("s", "t") else Fraction(1))
+        for a, b in (("s", "a"), ("a", "b"), ("b", "t")):
+            g.add_edge(a, b, directed=False)
+        inst = CutInstance(graph=g, mode=VERTEX, problem=Rmfc("s", frozenset({"t"})))
+        assert exact_rmfc_decision(inst, Fraction(1))[1].days == (frozenset(), frozenset({"b"}))
+        self.mutate_search(monkeypatch, lambda masks: (0b11,))
+        with pytest.raises(CertificateFailed, match="costs more than the budget"):
+            exact_rmfc_decision(inst, Fraction(1))
+
     def test_negative_budget_rejected(self):
         inst = path_rmfc_instance()
         with pytest.raises(ValueError, match="budget must be nonnegative"):
