@@ -37,6 +37,9 @@ from .probspace import gamma_rho
 CSV_HEADER = "family,params,lp_value,integral_value,gap,wall_ms"
 # gap-table rows, counted from the range lengths before any range is listed
 GAP_TABLE_ROW_CAP = 1_000
+# CPython's default limit on the digits of an int read from or printed as
+# a string (sys.set_int_max_str_digits)
+MAX_DIGITS = 4300
 # `correlation` family -> (its keys, the alphabet size first; its space's
 # exact maximal correlation and least joint mass from the size and eps, the
 # closed forms proved in `gadgets`, looked up there when called)
@@ -61,10 +64,13 @@ CORRELATION_SPACES = {
 
 def parse_rational_arg(name: str, raw: str) -> Fraction:
     """``raw`` as a Fraction, or ParamOutOfRange naming ``name`` when it is
-    not a rational (a zero denominator included)."""
+    not a rational (a zero denominator included); a value refused with
+    more than ``MAX_DIGITS`` digits is named, not echoed."""
     try:
         return parse_rational(raw)
     except (ValueError, ZeroDivisionError):
+        if sum(map(str.isdigit, raw)) > MAX_DIGITS:
+            raise ParamOutOfRange(f"{name} has more than {MAX_DIGITS} digits") from None
         raise ParamOutOfRange(f"{name} = {raw} is not a rational") from None
 
 
@@ -356,11 +362,18 @@ def cmd_correlation(args: argparse.Namespace) -> int:
     least = alpha(size, eps)
     # every family's support is connected (see `gadgets`), so Mossel's
     # bound 1 - alpha^2/2 on rho holds
-    doc = {
-        "rho": rational_str(rho(size, eps)),
-        "connectedness_bound": float(1 - least**2 / 2),
-        "alpha": rational_str(least),
-    }
+    try:
+        doc = {
+            "rho": rational_str(rho(size, eps)),
+            "connectedness_bound": float(1 - least**2 / 2),
+            "alpha": rational_str(least),
+        }
+    except ValueError:
+        # an int past MAX_DIGITS does not convert to a string
+        label = "parameter" if len(names) == 1 else "parameters"
+        raise ParamOutOfRange(
+            f"{label} {', '.join(names)}: alpha or rho has more than {MAX_DIGITS} digits"
+        ) from None
     emit_json(doc, args.out)
     return 0
 

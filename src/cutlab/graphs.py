@@ -914,14 +914,25 @@ def _edge_records(
         yield ids.get(tail, tail), ids.get(head, head), directed, length, weight
 
 
-def _instance_from_doc(doc: object, scanned: bool) -> CutInstance:
-    """Rebuild an instance from a document whose edge array ``scanned``
-    says how to read (see ``_edge_records``)."""
+def _declared_nodes(doc: object) -> WeightedGraph:
+    """A graph holding the nodes of the document ``doc``, in order."""
     g = WeightedGraph()
     for nd in _field(doc, "nodes", list, "instance"):
         g.add_node(_field(nd, "id", str, "node"), _weight_field(nd, "node"))
+    return g
+
+
+def _instance_from_doc(doc: object, scanned: bool) -> CutInstance:
+    """Rebuild an instance from a document whose edge array ``scanned``
+    says how to read (see ``_edge_records``)."""
+    g = _declared_nodes(doc)
     ids = {v: v for v in g.nodes}
     g.add_edges(_edge_records(_field(doc, "edges", list, "instance"), ids, scanned))
+    return _instance_of(g, doc)
+
+
+def _instance_of(g: WeightedGraph, doc: dict) -> CutInstance:
+    """The instance of graph ``g`` and the other members of ``doc``."""
     provenance = doc.get("provenance")
     if provenance is not None and not isinstance(provenance, dict):
         raise MalformedInstance("instance field 'provenance' must be an object")
@@ -1059,19 +1070,126 @@ def _scan_object(text: str) -> dict | None:
     return doc if _space(text, at + 1).end() == len(text) else None
 
 
+# the writer's text up to its first edge entry, the end of its edge array
+# and the boundary between two entries; each entry is 7 lines
+_EDGES_OPEN = '{\n  "edges": [\n'
+_EDGES_CLOSE = '\n  ],\n  "mode": '
+_ENTRY_CUT = "\n    },\n    {\n"
+# characters of edge entries split into lines at a time: a chunk's line
+# strings take about four times its text, and reading the 62k-edge
+# dict-v test took the same time with chunks of 32 to 256 KB
+_COLUMN_CHUNK = 1 << 16
+_DIRECTED_LINES = {'      "directed": true,': True, '      "directed": false,': False}
+_LENGTH_KEY = '      "length": '
+_WEIGHT_KEY = '      "weight": '
+
+
+def _length_line(line: str) -> int:
+    """The length on an entry's length line as the writer prints it: a
+    positive integer with no leading zero. ValueError on any other line."""
+    digits = line[len(_LENGTH_KEY):-1]
+    if not (
+        line.startswith(_LENGTH_KEY)
+        and line.endswith(",")
+        and digits.isascii()
+        and digits.isdigit()
+        and digits[0] != "0"
+    ):
+        raise ValueError(f"not a writer's length line: {line!r}")
+    return int(digits)
+
+
+def _weight_line(line: str) -> Weight:
+    """The weight on an entry's weight line: None for null, else the
+    nonnegative rational of a string. ValueError on any other line."""
+    if line == _WEIGHT_KEY + "null":
+        return None
+    if not line.startswith(_WEIGHT_KEY + '"'):
+        raise ValueError(f"not a writer's weight line: {line!r}")
+    raw, end = scanstring(line, len(_WEIGHT_KEY) + 1)
+    weight = parse_rational(raw)
+    if end != len(line) or weight < 0:
+        raise ValueError(f"not a writer's weight line: {line!r}")
+    return weight
+
+
+def _read_columns(text: str) -> tuple[WeightedGraph, dict] | None:
+    """The graph and the other members of a document laid out exactly as
+    ``instance_to_json_str`` prints it, or None for any other layout. Any
+    entry the writer would not print raises (KeyError, ValueError, ...).
+
+    The members after the edge array go through ``_scan_object`` and its
+    nodes are declared first. The edge entries are then split into lines,
+    a chunk of whole entries at a time, and each of their five fields is
+    read as a column: the endpoint lines map through each declared node's
+    exact line, and each distinct length and weight line is parsed once.
+    """
+    if not text.startswith(_EDGES_OPEN):
+        return None
+    end = text.find(_EDGES_CLOSE)
+    if end < 0:
+        return None
+    # a second edges key would replace the array
+    doc = _scan_object("{\n" + text[end + len("\n  ],\n"):])
+    if doc is None or "edges" in doc:
+        return None
+    g = _declared_nodes(doc)
+    tails = {f'      "tail": {json_str(v)},': v for v in g.nodes}
+    heads = {f'      "head": {json_str(v)},': v for v in g.nodes}
+    lengths: dict[str, int] = {}
+    weights: dict[str, Weight] = {}
+    at = len(_EDGES_OPEN)
+    while at < end:
+        cut = text.find(_ENTRY_CUT, at + _COLUMN_CHUNK, end)
+        # the chunk ends with its last entry's closer line
+        stop = end if cut < 0 else cut + len("\n    },")
+        lines = text[at:stop].split("\n")
+        at = stop + 1
+        closers = lines[6::7]
+        if (
+            len(lines) % 7
+            or lines[::7].count("    {") != len(closers)
+            or closers.count("    },") != len(closers) - (cut < 0)
+            or cut < 0 and closers[-1] != "    }"
+        ):
+            return None
+        for line in set(lines[3::7]).difference(lengths):
+            lengths[line] = _length_line(line)
+        for line in set(lines[5::7]).difference(weights):
+            weights[line] = _weight_line(line)
+        g.add_edges(zip(
+            map(tails.__getitem__, lines[4::7]),
+            map(heads.__getitem__, lines[2::7]),
+            map(_DIRECTED_LINES.__getitem__, lines[1::7]),
+            map(lengths.__getitem__, lines[3::7]),
+            map(weights.__getitem__, lines[5::7]),
+        ))
+    return g, doc
+
+
 def instance_from_json_str(text: str) -> CutInstance:
     """Rebuild the instance that the document ``text`` holds, as
     ``instance_from_json(json.loads(text))`` does, errors included.
 
-    The edge array is read by ``_scan_edges``, so each entry is a tuple of
-    fields from the moment it is parsed, and the parsed entry objects are
-    never held together. Any text that this does not take as the writer
-    prints it goes to ``json.loads`` and ``instance_from_json``, for their
-    own errors: one that holds no JSON object, or an edge array holding an
-    object that lacks a field (``_scan_edges`` raises KeyError), or any
-    document that fails a field check (an edge entry's message must name
-    its object, which the scanner has made a tuple).
+    Three readers are tried in turn. Text laid out exactly as the writer
+    prints it is read by ``_read_columns``, its edge array line by line.
+    Any other text, or one with an entry that reader does not take, is
+    read with ``_scan_edges``, so each entry is a tuple of fields from
+    the moment it is parsed, and the parsed entry objects are never held
+    together. What the scanner does not take goes to ``json.loads`` and
+    ``instance_from_json``, for their own errors: a text that holds no
+    JSON object, or an edge array holding an object that lacks a field
+    (``_scan_edges`` raises KeyError), or any document that fails a field
+    check (an edge entry's message must name its object, which the
+    scanner has made a tuple).
     """
+    try:
+        read = _read_columns(text)
+    # any fault goes to the readers below, which report it as json does
+    except Exception:
+        read = None
+    if read is not None:
+        return _instance_of(*read)
     try:
         doc = _scan_object(text)
     except (ValueError, StopIteration, KeyError):

@@ -133,10 +133,14 @@ class CorrelatedSpace:
         """Mass of a pair of points under the coordinatewise product joint."""
         if len(xs) != len(ys):
             raise ValueError("point dimension mismatch")
-        total = Fraction(1)
+        # integer products, reduced once: a Fraction product reduces at
+        # every step
+        num = den = 1
         for a, b in zip(xs, ys):
-            total *= self.mass(a, b)
-        return total
+            m = self.mass(a, b)
+            num *= m.numerator
+            den *= m.denominator
+        return Fraction(num, den)
 
     @staticmethod
     def independent(left: FiniteProbSpace, right: FiniteProbSpace) -> "CorrelatedSpace":

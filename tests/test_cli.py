@@ -775,22 +775,23 @@ class TestGammaAndCorrelation:
         assert json.loads(out) == expected
 
     @pytest.mark.parametrize(
-        "family, params",
+        "family, params, label",
         [
             # alpha = 1/r^3, whose denominator has 4,498 digits
-            ("edge", f"r={10**1499}"),
+            ("edge", f"r={10**1499}", "parameter r"),
             # alpha = eps^2, whose denominator has 6,001 digits
-            ("star", f"r=2,eps=1/{10**3000}"),
+            ("star", f"r=2,eps=1/{10**3000}", "parameters r, eps"),
         ],
         ids=["edge", "star"],
     )
-    def test_alpha_past_the_print_limit_exits_1(self, family, params, capsys):
+    def test_alpha_past_the_print_limit_exits_1(self, family, params, label, capsys):
         # past the 4,300 digits that CPython converts from int to str, the
-        # ValueError is reported on one line
+        # refusal names the parameters and the limit on one line
         code, out, err = run_cli(capsys, ["correlation", "--family", family, "--params", params])
         assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert err == (
+            f"error: ParamOutOfRange: {label}: alpha or rho has more than 4300 digits\n"
+        )
 
 
 def run_cli(capsys, argv):
@@ -1062,6 +1063,24 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (1, "")
         assert err == f"error: ParamOutOfRange: {name} = {raw} is not a rational\n"
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["generate", "--family", "saks", "--params", f"r={'1' * 5000},k=2"],
+             "parameter r"),
+            (["generate", "--family", "dict-f", "--params", f"b=2,R=1,eps=1/{'3' * 4301}"],
+             "parameter eps"),
+            (["interdict", "--family", "dict-e", "--params", "a=2,b=3,r=2,R=1",
+              "--budget", "7" * 4400], "--budget"),
+        ],
+        ids=["params", "params-denominator", "budget"],
+    )
+    def test_past_the_digit_limit_exits_1(self, argv, name, capsys):
+        # the value is named, not echoed
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: ParamOutOfRange: {name} has more than 4300 digits\n"
 
     def test_huge_exponent_in_provenance_exits_1(self, tmp_path, capsys):
         path = tmp_path / "dict-e.json"

@@ -1228,3 +1228,177 @@ class TestStringReader:
         got = read_outcome(instance_from_json_str, text)
         assert got == read_outcome(reference_read, text)
         assert got[1] == message
+
+
+def summary(inst):
+    """What two instances must share to be the same: nodes, node weights,
+    edge rows and the types of their fields, mode, problem, provenance."""
+    g = inst.graph
+    return (
+        g.nodes,
+        [g.node_weight(v) for v in g.nodes],
+        g.edge_rows,
+        sorted({tuple(type(x).__name__ for x in row) for row in g.edge_rows}),
+        inst.mode,
+        inst.problem,
+        inst.provenance,
+    )
+
+
+def outcome(read, text):
+    got = read_outcome(read, text)
+    return summary(got) if isinstance(got, CutInstance) else got
+
+
+def columns_depart(text):
+    """True when ``_read_columns`` does not take ``text``."""
+    try:
+        return graphs._read_columns(text) is None
+    except Exception:
+        return True
+
+
+def edit_entry(text, k, old, new):
+    """``text`` with ``old`` replaced by ``new`` in its k-th edge entry."""
+    starts = [i for i in range(len(text)) if text.startswith('    {\n      "directed"', i)]
+    start, stop = starts[k], starts[k + 1]
+    assert old in text[start:stop]
+    return text[:start] + text[start:stop].replace(old, new, 1) + text[stop:]
+
+
+def boundaries(text):
+    """The offset of each entry boundary from the first edge entry."""
+    at, out = len(graphs._EDGES_OPEN), []
+    while (i := text.find(graphs._ENTRY_CUT, at)) >= 0:
+        out.append(i - len(graphs._EDGES_OPEN))
+        at = i + 1
+    return out
+
+
+def writer_text(count):
+    return instance_to_json_str(TestInstanceJson().odd_id_instance(count))
+
+
+class TestColumnReader:
+    """Text laid out exactly as the writer prints it is read by its line
+    columns; any departure from that layout is read by the scanner or by
+    ``json.loads``, and gives what ``reference_read`` gives."""
+
+    def test_writer_text_reads_only_the_tail(self, monkeypatch):
+        text = reader_layouts()["writer"]
+        assert not columns_depart(writer_text(12))
+        want = summary(reference_read(text))
+        scanned = []
+        scan = graphs._scan_object
+        monkeypatch.setattr(graphs, "_scan_object", lambda t: scanned.append(t) or scan(t))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the writer's text went to json.loads")
+
+        monkeypatch.setattr(json, "loads", refuse)
+        assert summary(instance_from_json_str(text)) == want
+        assert scanned == ["{\n" + text[text.index('  "mode": '):]]
+
+    @pytest.mark.parametrize("name", sorted(TestInstanceJson.SMALL_PARAMS))
+    def test_every_family_reads_by_columns(self, name):
+        family = gadgets.FAMILIES[name]
+        params = family.params(parse_params(TestInstanceJson.SMALL_PARAMS[name]))
+        text = instance_to_json_str(family.build(params, 10_000))
+        assert not columns_depart(text)
+        assert outcome(instance_from_json_str, text) == outcome(reference_read, text)
+
+    DEPARTURES = {
+        "crlf": lambda t: t.replace("\n", "\r\n"),
+        "escaped-id": lambda t: edit_entry(t, 5, '"head": "s",', '"head": "\\u0073",'),
+        "non-ascii-id": lambda t: edit_entry(t, 4, '"tail": "caf\\u00e9",', '"tail": "café",'),
+        "int-weight": lambda t: edit_entry(t, 3, '"weight": "1/1"', '"weight": 1'),
+        "length-0": lambda t: edit_entry(t, 3, '"length": 1,', '"length": 0,'),
+        "leading-zero-length": lambda t: edit_entry(t, 3, '"length": 1,', '"length": 01,'),
+        "negative-weight": lambda t: edit_entry(t, 2, '"weight": "2/3"', '"weight": "-2/3"'),
+        "zero-denominator-weight": lambda t: edit_entry(t, 2, '"weight": "2/3"', '"weight": "1/0"'),
+        "sixth-key": lambda t: edit_entry(t, 2, '"tail": ', '"note": 1,\n      "tail": '),
+        "edges-after-nodes": lambda t: t.replace('\n  "problem": ', '\n  "edges": [],\n  "problem": '),
+        "undeclared-endpoint": lambda t: edit_entry(t, 5, '"head": "s",', '"head": "x",'),
+        "opener-indent": lambda t: edit_entry(t, 2, '    {\n', '   {\n'),
+        "weight-trailing-space": lambda t: edit_entry(t, 2, '"weight": "2/3"', '"weight": "2/3" '),
+        "trailing-comma": lambda t: t.replace('\n    }\n  ],', '\n    },\n  ],', 1),
+        "comma-moved-to-the-end": lambda t: edit_entry(t, 3, "    },\n", "    }\n").replace(
+            '\n    }\n  ],', '\n    },\n  ],', 1),
+        "blank-line-after-the-last-entry": lambda t: t.replace('\n    }\n  ],', '\n    }\n \n  ],', 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEPARTURES))
+    def test_departure_reads_as_reference(self, name):
+        text = self.DEPARTURES[name](writer_text(12))
+        assert columns_depart(text)
+        assert outcome(instance_from_json_str, text) == outcome(reference_read, text)
+
+    def test_departure_outcomes(self):
+        """The departures cover a changed instance, the graph's own errors,
+        the reader's and json's."""
+        got = {name: outcome(instance_from_json_str, edit(writer_text(12)))
+               for name, edit in self.DEPARTURES.items()}
+        assert got["length-0"][:2] == (ValueError, "edge length must be a positive integer, got 0")
+        assert got["negative-weight"][:2] == (ValueError, "negative edge weight")
+        assert got["zero-denominator-weight"][:2] == (
+            MalformedInstance, "edge weight '1/0' is not a rational")
+        assert got["undeclared-endpoint"][:2] == (UnknownNode, "edge endpoints 't'-'x' not declared")
+        assert got["leading-zero-length"][0] is json.JSONDecodeError
+        assert got["trailing-comma"][0] is json.JSONDecodeError
+        assert got["comma-moved-to-the-end"][0] is json.JSONDecodeError
+        assert got["edges-after-nodes"][2] == []
+        assert got["int-weight"][2][3][4] == Fraction(1)
+        unchanged = outcome(reference_read, writer_text(12))
+        for name in ("crlf", "escaped-id", "sixth-key", "opener-indent", "weight-trailing-space",
+                     "blank-line-after-the-last-entry"):
+            assert got[name] == unchanged
+
+    @pytest.mark.parametrize(
+        "line, length", [("1,", 1), ("12,", 12), ("0,", None), ("01,", None), ("1", None),
+                         ("1 ,", None), ("-1,", None), ("1.0,", None), ("\u0661,", None)],
+    )
+    def test_length_line(self, line, length):
+        line = '      "length": ' + line
+        if length is None:
+            with pytest.raises(ValueError):
+                graphs._length_line(line)
+        else:
+            assert graphs._length_line(line) == length
+
+    @pytest.mark.parametrize(
+        "line, weight",
+        [("null", None), ('"2/3"', Fraction(2, 3)), ('"0/1"', Fraction(0)),
+         ('"-2/3"', ValueError), ('"1/0"', ZeroDivisionError), ('"x"', ValueError),
+         ('"2/3" ', ValueError), ('"2/3",', ValueError), ("3", ValueError),
+         ('"2/3', ValueError)],
+    )
+    def test_weight_line(self, line, weight):
+        line = '      "weight": ' + line
+        if isinstance(weight, type):
+            with pytest.raises(weight):
+                graphs._weight_line(line)
+        else:
+            assert graphs._weight_line(line) == weight
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_chunk_cut_at_each_boundary(self, shift, monkeypatch):
+        """A chunk may end at, just before or just after any entry
+        boundary, or hold one entry or all of them."""
+        text = writer_text(9)
+        want = outcome(reference_read, text)
+        for chunk in [0, 1, *(b + shift for b in boundaries(text)), len(text)]:
+            monkeypatch.setattr(graphs, "_COLUMN_CHUNK", chunk)
+            assert not columns_depart(text)
+            assert outcome(instance_from_json_str, text) == want
+
+    def test_edge_counts_around_the_chunk_cut(self):
+        """Edge counts whose entry boundaries fall just before, at and past
+        the first chunk cut, at the chunk size the reader uses."""
+        first = next(
+            k for k, b in enumerate(boundaries(writer_text(4_000)), 1)
+            if b >= graphs._COLUMN_CHUNK
+        )
+        for count in range(first - 1, first + 3):
+            text = writer_text(count)
+            assert not columns_depart(text)
+            assert outcome(instance_from_json_str, text) == outcome(reference_read, text)
