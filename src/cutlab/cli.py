@@ -23,12 +23,14 @@ from .errors import (
 from .graphs import (
     CutInstance,
     LengthBound,
+    MAX_DIGITS,
     Multicut,
     Rmfc,
     Schedule,
     instance_from_json_str,
     instance_to_json_str,
     parse_rational,
+    past_digit_limit,
     rational_str,
     schedule_from_json,
 )
@@ -37,9 +39,6 @@ from .probspace import gamma_rho
 CSV_HEADER = "family,params,lp_value,integral_value,gap,wall_ms"
 # gap-table rows, counted from the range lengths before any range is listed
 GAP_TABLE_ROW_CAP = 1_000
-# CPython's default limit on the digits of an int read from or printed as
-# a string (sys.set_int_max_str_digits)
-MAX_DIGITS = 4300
 # `correlation` family -> (its keys, the alphabet size first; its space's
 # exact maximal correlation and least joint mass from the size and eps, the
 # closed forms proved in `gadgets`, looked up there when called)
@@ -69,7 +68,7 @@ def parse_rational_arg(name: str, raw: str) -> Fraction:
     try:
         return parse_rational(raw)
     except (ValueError, ZeroDivisionError):
-        if sum(map(str.isdigit, raw)) > MAX_DIGITS:
+        if past_digit_limit(raw):
             raise ParamOutOfRange(f"{name} has more than {MAX_DIGITS} digits") from None
         raise ParamOutOfRange(f"{name} = {raw} is not a rational") from None
 
@@ -92,6 +91,10 @@ def parse_params(text: str, *, ranges: bool = False) -> dict:
             try:
                 lo, hi = map(int, raw.split(".."))
             except ValueError:
+                if past_digit_limit(raw):
+                    raise ParamOutOfRange(
+                        f"parameter {key} has more than {MAX_DIGITS} digits"
+                    ) from None
                 raise ParamOutOfRange(
                     f"range {key}={raw} needs integer endpoints lo..hi"
                 ) from None

@@ -23,11 +23,10 @@ from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
 from itertools import islice
-from json.decoder import WHITESPACE, JSONDecoder, scanstring
+from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as json_str
 from math import lcm
 from numbers import Real
-from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
@@ -52,22 +51,29 @@ def rational_str(value: Weight) -> str | None:
     return f"{value.numerator}/{value.denominator}"
 
 
-# the largest decimal exponent a rational string may carry: Fraction("1e<n>")
-# computes 10**n, so "1e999999999" would run for minutes; 4300 is the digit
-# limit CPython already applies to integer strings
-MAX_EXPONENT = 4300
+# CPython's default limit on the digits of an int read from or printed as
+# a string (sys.set_int_max_str_digits). It also bounds the decimal exponent
+# of a rational string: Fraction("1e<n>") computes 10**n, so "1e999999999"
+# would run for minutes
+MAX_DIGITS = 4300
+
+
+def past_digit_limit(text: str) -> bool:
+    """True when ``text`` holds more than ``MAX_DIGITS`` digits: a message
+    that refuses it names the limit instead of echoing the text."""
+    return sum(map(str.isdigit, text)) > MAX_DIGITS
 
 
 def parse_rational(text: str) -> Fraction:
     """``Fraction(text)``, with ValueError for a decimal exponent whose
-    absolute value exceeds ``MAX_EXPONENT``."""
+    absolute value exceeds ``MAX_DIGITS``."""
     exponent = text.lower().partition("e")[2]
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     # the length test keeps int() off a long digit string
     if digits.isdecimal() and (
-        len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT
+        len(digits) > len(str(MAX_DIGITS)) or int(digits) > MAX_DIGITS
     ):
-        raise ValueError(f"exponent of {text!r} exceeds {MAX_EXPONENT}")
+        raise ValueError(f"exponent of {text!r} exceeds {MAX_DIGITS}")
     return Fraction(text)
 
 
@@ -208,7 +214,7 @@ class WeightedGraph:
         self._index = None
         if node in self._weights:
             raise ValueError(f"duplicate node {node!r}")
-        if weight is not None and (type(weight) is not Fraction or weight < 0):
+        if weight is not None and (type(weight) is not Fraction or weight.numerator < 0):
             _check_weight(weight, f"weight on node {node!r}")
         self._weights[node] = weight
 
@@ -253,7 +259,7 @@ class WeightedGraph:
                         f"edge length must be a positive integer, got {length!r}"
                     )
                 length = int(length)
-            if weight is not None and (type(weight) is not Fraction or weight < 0):
+            if weight is not None and (type(weight) is not Fraction or weight.numerator < 0):
                 _check_weight(weight, "edge weight")
             append((tail, head, directed, length, weight))
 
@@ -858,33 +864,29 @@ def _weight_field(doc: dict, where: str) -> Weight:
         if isinstance(w, (str, int)) and not isinstance(w, bool):
             return parse_rational(str(w))
     except (ValueError, ZeroDivisionError):
-        pass
+        if isinstance(w, str) and past_digit_limit(w):
+            raise MalformedInstance(
+                f"{where} weight has more than {MAX_DIGITS} digits"
+            ) from None
     raise MalformedInstance(f"{where} weight {w!r} is not a rational")
 
 
-def _edge_records(
-    entries: list, ids: Mapping[str, str], scanned: bool = False
-) -> Iterator[EdgeRecord]:
+def _edge_records(entries: list, ids: Mapping[str, str]) -> Iterator[EdgeRecord]:
     """The record of each entry of an instance's edge array, in order.
 
-    An entry is a value as ``json.loads`` parses it; when ``scanned``, an
-    object is instead the tuple of its five fields that ``_scan_edges``
-    made of it, dropped from ``entries`` once read. One type test accepts
+    An entry is a value as ``json.loads`` parses it. One type test accepts
     the fields of an entry printed as the writer prints it; each distinct
     weight string is parsed once. Any other entry goes through ``_field``
     and ``_weight_field``, which accept or reject it with their usual
-    messages (a tuple of fields, not being an object, is rejected). An
-    endpoint becomes the string object of its node in ``ids`` (an id to
-    itself), so the graph holds one string per node, not two per edge; an
-    undeclared endpoint keeps its own string for ``add_edges`` to refuse.
+    messages. An endpoint becomes the string object of its node in ``ids``
+    (an id to itself), so the graph holds one string per node, not two per
+    edge; an undeclared endpoint keeps its own string for ``add_edges`` to
+    refuse.
     """
     weights: dict[str | None, Weight] = {None: None}
-    for i, ed in enumerate(entries):
+    for ed in entries:
         if type(ed) is dict:
             fields = ed.get("tail"), ed.get("head"), ed.get("directed"), ed.get("length"), ed.get("weight")
-        elif scanned and type(ed) is tuple:
-            entries[i] = None
-            fields = ed
         else:
             fields = None, None, None, None, None
         tail, head, directed, length, w = fields
@@ -922,15 +924,6 @@ def _declared_nodes(doc: object) -> WeightedGraph:
     return g
 
 
-def _instance_from_doc(doc: object, scanned: bool) -> CutInstance:
-    """Rebuild an instance from a document whose edge array ``scanned``
-    says how to read (see ``_edge_records``)."""
-    g = _declared_nodes(doc)
-    ids = {v: v for v in g.nodes}
-    g.add_edges(_edge_records(_field(doc, "edges", list, "instance"), ids, scanned))
-    return _instance_of(g, doc)
-
-
 def _instance_of(g: WeightedGraph, doc: dict) -> CutInstance:
     """The instance of graph ``g`` and the other members of ``doc``."""
     provenance = doc.get("provenance")
@@ -947,7 +940,10 @@ def _instance_of(g: WeightedGraph, doc: dict) -> CutInstance:
 def instance_from_json(doc: object) -> CutInstance:
     """Rebuild an instance, raising MalformedInstance on a missing or
     ill-typed field."""
-    return _instance_from_doc(doc, scanned=False)
+    g = _declared_nodes(doc)
+    ids = {v: v for v in g.nodes}
+    g.add_edges(_edge_records(_field(doc, "edges", list, "instance"), ids))
+    return _instance_of(g, doc)
 
 
 def schedule_from_json(doc: object, g: WeightedGraph) -> Schedule:
@@ -1030,46 +1026,6 @@ def instance_to_json_str(inst: CutInstance) -> str:
     return "".join(pieces)
 
 
-# the scanners of an instance document: one for its edge arrays, which
-# makes each object the tuple of its five edge fields as soon as it is
-# parsed (KeyError if it lacks one), one for every other value
-_scan_edges = JSONDecoder(
-    object_hook=itemgetter("tail", "head", "directed", "length", "weight")
-).scan_once
-_scan_value = JSONDecoder().scan_once
-_space = WHITESPACE.match
-
-
-def _scan_object(text: str) -> dict | None:
-    """The object that ``text`` holds, its top-level ``edges`` values read
-    by ``_scan_edges`` and all others by ``_scan_value``; of duplicate keys
-    the last wins, as in ``json.loads``. None if ``text`` holds another
-    value or a syntax fault, which may also raise ValueError or
-    StopIteration."""
-    at = _space(text).end()
-    if text[at:at + 1] != "{":
-        return None
-    doc = {}
-    at = _space(text, at + 1).end()
-    if text[at:at + 1] != "}":
-        while True:
-            if text[at:at + 1] != '"':
-                return None
-            key, at = scanstring(text, at + 1)
-            at = _space(text, at).end()
-            if text[at:at + 1] != ":":
-                return None
-            scan = _scan_edges if key == "edges" else _scan_value
-            doc[key], at = scan(text, _space(text, at + 1).end())
-            at = _space(text, at).end()
-            if text[at:at + 1] != ",":
-                break
-            at = _space(text, at + 1).end()
-        if text[at:at + 1] != "}":
-            return None
-    return doc if _space(text, at + 1).end() == len(text) else None
-
-
 # the writer's text up to its first edge entry, the end of its edge array
 # and the boundary between two entries; each entry is 7 lines
 _EDGES_OPEN = '{\n  "edges": [\n'
@@ -1108,7 +1064,7 @@ def _weight_line(line: str) -> Weight:
         raise ValueError(f"not a writer's weight line: {line!r}")
     raw, end = scanstring(line, len(_WEIGHT_KEY) + 1)
     weight = parse_rational(raw)
-    if end != len(line) or weight < 0:
+    if end != len(line) or weight.numerator < 0:
         raise ValueError(f"not a writer's weight line: {line!r}")
     return weight
 
@@ -1118,11 +1074,12 @@ def _read_columns(text: str) -> tuple[WeightedGraph, dict] | None:
     ``instance_to_json_str`` prints it, or None for any other layout. Any
     entry the writer would not print raises (KeyError, ValueError, ...).
 
-    The members after the edge array go through ``_scan_object`` and its
-    nodes are declared first. The edge entries are then split into lines,
-    a chunk of whole entries at a time, and each of their five fields is
-    read as a column: the endpoint lines map through each declared node's
-    exact line, and each distinct length and weight line is parsed once.
+    The members after the edge array go through ``json.loads``, which
+    raises on a syntax fault, and its nodes are declared first. The edge
+    entries are then split into lines, a chunk of whole entries at a
+    time, and each of their five fields is read as a column: the endpoint
+    lines map through each declared node's exact line, and each distinct
+    length and weight line is parsed once.
     """
     if not text.startswith(_EDGES_OPEN):
         return None
@@ -1130,8 +1087,8 @@ def _read_columns(text: str) -> tuple[WeightedGraph, dict] | None:
     if end < 0:
         return None
     # a second edges key would replace the array
-    doc = _scan_object("{\n" + text[end + len("\n  ],\n"):])
-    if doc is None or "edges" in doc:
+    doc = json.loads("{\n" + text[end + len("\n  ],\n"):])
+    if "edges" in doc:
         return None
     g = _declared_nodes(doc)
     tails = {f'      "tail": {json_str(v)},': v for v in g.nodes}
@@ -1171,32 +1128,17 @@ def instance_from_json_str(text: str) -> CutInstance:
     """Rebuild the instance that the document ``text`` holds, as
     ``instance_from_json(json.loads(text))`` does, errors included.
 
-    Three readers are tried in turn. Text laid out exactly as the writer
+    Two readers are tried in turn. Text laid out exactly as the writer
     prints it is read by ``_read_columns``, its edge array line by line.
-    Any other text, or one with an entry that reader does not take, is
-    read with ``_scan_edges``, so each entry is a tuple of fields from
-    the moment it is parsed, and the parsed entry objects are never held
-    together. What the scanner does not take goes to ``json.loads`` and
-    ``instance_from_json``, for their own errors: a text that holds no
-    JSON object, or an edge array holding an object that lacks a field
-    (``_scan_edges`` raises KeyError), or any document that fails a field
-    check (an edge entry's message must name its object, which the
-    scanner has made a tuple).
+    Any other text, or one with an entry or a fault that reader does not
+    take, goes whole to ``json.loads`` and ``instance_from_json``, so the
+    errors, their messages and their positions are theirs.
     """
     try:
         read = _read_columns(text)
-    # any fault goes to the readers below, which report it as json does
+    # any fault goes to json.loads, which reports it as json does
     except Exception:
         read = None
     if read is not None:
         return _instance_of(*read)
-    try:
-        doc = _scan_object(text)
-    except (ValueError, StopIteration, KeyError):
-        doc = None
-    if doc is not None:
-        try:
-            return _instance_from_doc(doc, scanned=True)
-        except MalformedInstance:
-            pass
     return instance_from_json(json.loads(text))

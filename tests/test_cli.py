@@ -1073,8 +1073,10 @@ class TestMalformedInput:
              "parameter eps"),
             (["interdict", "--family", "dict-e", "--params", "a=2,b=3,r=2,R=1",
               "--budget", "7" * 4400], "--budget"),
+            (["gap-table", "--family", "saks", "--params", f"k=2,r=2..{'1' * 5000}"],
+             "parameter r"),
         ],
-        ids=["params", "params-denominator", "budget"],
+        ids=["params", "params-denominator", "budget", "range"],
     )
     def test_past_the_digit_limit_exits_1(self, argv, name, capsys):
         # the value is named, not echoed
@@ -1103,6 +1105,16 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, ["exact", "--instance", str(path)])
         assert (code, out) == (1, "")
         assert err == f"error: MalformedInstance: node weight '{self.HUGE}' is not a rational\n"
+
+    def test_weight_past_the_digit_limit_exits_1(self, tmp_path, capsys):
+        # the weight is named, not echoed
+        path = tmp_path / "saks.json"
+        main(["generate", "--family", "saks", "--params", "r=2,k=2", "--out", str(path)])
+        text = path.read_text()
+        path.write_text(text.replace('"weight": "1/1"', f'"weight": "{"1" * 5000}"', 1))
+        code, out, err = run_cli(capsys, ["exact", "--instance", str(path)])
+        assert (code, out) == (1, "")
+        assert err == "error: MalformedInstance: node weight has more than 4300 digits\n"
 
     def test_exponent_budget_reads_as_fraction(self, capsys):
         argv = ["interdict", "--family", "dict-e", "--params", "a=2,b=3,r=2,R=1",

@@ -521,9 +521,9 @@ class TestInstanceJson:
 
     def test_reader_peak_memory(self):
         """The reader allocates at most twice its text at its peak, over
-        the text it is given, on the same 62k-edge test: each edge entry
-        becomes the tuple of its fields as soon as it is parsed, so the
-        parsed entry objects are never held together (``json.loads`` and a
+        the text it is given, on the same 62k-edge test in the writer's
+        layout: its edge entries are split into lines a chunk at a time,
+        so no parsed entry objects are held together (``json.loads`` and a
         build allocate about 2.9 times the text)."""
         text = instance_to_json_str(self.large_instance())
         tracemalloc.start()
@@ -927,7 +927,7 @@ class TestOutArcsIndex:
 
 class TestParseRational:
     """Rational strings read as ``Fraction`` reads them, except that an
-    exponent beyond ``MAX_EXPONENT`` in absolute value is refused before
+    exponent beyond ``MAX_DIGITS`` in absolute value is refused before
     ``Fraction`` would compute ten to its power."""
 
     @pytest.mark.parametrize(
@@ -964,6 +964,17 @@ class TestParseRational:
         with pytest.raises(MalformedInstance) as excinfo:
             instance_from_json(doc)
         assert str(excinfo.value) == f"{where} weight '1e999999999' is not a rational"
+
+    @pytest.mark.parametrize("where", ["node", "edge"])
+    def test_weight_past_the_digit_limit_is_named(self, where):
+        # the weight is named, not echoed, by both readers
+        doc = TestReaderMessages.document(TestReaderMessages.entry())
+        doc["nodes" if where == "node" else "edges"][0]["weight"] = "1" * 5000
+        message = f"{where} weight has more than 4300 digits"
+        with pytest.raises(MalformedInstance, match=f"^{message}$"):
+            instance_from_json(doc)
+        with pytest.raises(MalformedInstance, match=f"^{message}$"):
+            instance_from_json_str(json.dumps(doc))
 
 
 class TestReaderMessages:
@@ -1161,12 +1172,16 @@ class TestStringReader:
         text = reader_layouts()[layout]
         want = reference_read(text)
 
-        # entries as the writer prints them are read without json.loads
-        def refuse(*args, **kwargs):
-            raise AssertionError("a valid document went to json.loads")
-
-        monkeypatch.setattr(json, "loads", refuse)
+        # the writer's layout goes to json.loads for its tail only, any
+        # other layout once, whole
+        loaded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda t: loaded.append(t) or loads(t))
         got = instance_from_json_str(text)
+        if layout == "writer":
+            assert loaded == ["{\n" + text[text.index('  "mode": '):]]
+        else:
+            assert loaded == [text]
         assert got.graph.nodes == want.graph.nodes
         assert [got.graph.node_weight(v) for v in got.graph.nodes] == [
             want.graph.node_weight(v) for v in want.graph.nodes
@@ -1281,23 +1296,18 @@ def writer_text(count):
 
 class TestColumnReader:
     """Text laid out exactly as the writer prints it is read by its line
-    columns; any departure from that layout is read by the scanner or by
+    columns; any departure from that layout is read whole by
     ``json.loads``, and gives what ``reference_read`` gives."""
 
     def test_writer_text_reads_only_the_tail(self, monkeypatch):
         text = reader_layouts()["writer"]
         assert not columns_depart(writer_text(12))
         want = summary(reference_read(text))
-        scanned = []
-        scan = graphs._scan_object
-        monkeypatch.setattr(graphs, "_scan_object", lambda t: scanned.append(t) or scan(t))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the writer's text went to json.loads")
-
-        monkeypatch.setattr(json, "loads", refuse)
+        loaded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda t: loaded.append(t) or loads(t))
         assert summary(instance_from_json_str(text)) == want
-        assert scanned == ["{\n" + text[text.index('  "mode": '):]]
+        assert loaded == ["{\n" + text[text.index('  "mode": '):]]
 
     @pytest.mark.parametrize("name", sorted(TestInstanceJson.SMALL_PARAMS))
     def test_every_family_reads_by_columns(self, name):
