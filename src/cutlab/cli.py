@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterable
 from fractions import Fraction
 
 from . import approx, gadgets, lp, solvers
@@ -28,7 +29,7 @@ from .graphs import (
     Rmfc,
     Schedule,
     instance_from_json_str,
-    instance_to_json_str,
+    instance_json_pieces,
     parse_rational,
     past_digit_limit,
     rational_str,
@@ -157,16 +158,17 @@ def dictator_cut(args: argparse.Namespace, inst: CutInstance):
     return family, params, gadgets.dictator_cut(family.kind, params, args.q - 1, inst)
 
 
-def emit(text: str, out: str | None) -> None:
+def emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write the pieces in turn to the file ``out``, or to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def emit_json(doc: dict, out: str | None) -> None:
-    emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
+    emit([json.dumps(doc, sort_keys=True, indent=2), "\n"], out)
 
 
 def params_string(params: dict) -> str:
@@ -177,7 +179,7 @@ def params_string(params: dict) -> str:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    emit(instance_to_json_str(build_instance(args)), args.out)
+    emit(instance_json_pieces(build_instance(args)), args.out)
     return 0
 
 
@@ -204,7 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     passed = all(ok for _, ok in checks)
     lines = [f"{'PASS' if ok else 'FAIL'}  {label}" for label, ok in checks]
     payload = json.dumps(detail, sort_keys=True)
-    emit("\n".join(lines) + "\n" + payload + "\n", args.out)
+    emit(["\n".join(lines), "\n", payload, "\n"], args.out)
     return 0 if passed else 1
 
 
@@ -341,13 +343,13 @@ def cmd_gap_table(args: argparse.Namespace) -> int:
         rows.append(
             ",".join([args.family, params_string(point), *cells, str(wall)])
         )
-    emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
+    emit(["\n".join([CSV_HEADER, *rows]), "\n"], args.out)
     return 0 if failures == 0 else 1
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
     value = gamma_rho(args.rho, args.a, args.b)
-    emit(json.dumps({"gamma": value}, sort_keys=True) + "\n", args.out)
+    emit([json.dumps({"gamma": value}, sort_keys=True), "\n"], args.out)
     return 0
 
 

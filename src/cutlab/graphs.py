@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import chain, islice
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as json_str
 from math import lcm
@@ -184,13 +184,15 @@ class EdgeView(Sequence):
 
 class GraphIndex(NamedTuple):
     """Node i is ``names[i]``, the i-th node added, and ``pos`` maps each
-    node id to its i. ``arcs[i]`` lists the ``(edge index, head i)`` arcs
-    out of node i in edge order, an undirected edge's from its head after
-    its tail's. Searches break ties by i, toward the node added first."""
+    node id to its i. ``arcs[i]`` is the pair of int lists ``(edge
+    indices, head ints)`` of the arcs out of node i in edge order, an
+    undirected edge's from its head after its tail's; ``zip(*arcs[i])``
+    reads them as ``(edge index, head)`` pairs. Searches break ties by i,
+    toward the node added first."""
 
     names: list[str]
     pos: dict[str, int]
-    arcs: list[list[tuple[int, int]]]
+    arcs: list[tuple[list[int], list[int]]]
 
 
 class WeightedGraph:
@@ -304,14 +306,18 @@ class WeightedGraph:
         if self._index is None:
             names = list(self._weights)
             pos = {v: i for i, v in enumerate(names)}
-            arcs: list[list[tuple[int, int]]] = [[] for _ in names]
+            # two int lists per node, not one tuple per arc
+            edges: list[list[int]] = [[] for _ in names]
+            heads: list[list[int]] = [[] for _ in names]
             for idx, (tail, head, directed, _, _) in enumerate(self._rows):
                 # the ints stored in pos, so the arcs make no new int objects
                 tail, head = pos[tail], pos[head]
-                arcs[tail].append((idx, head))
+                edges[tail].append(idx)
+                heads[tail].append(head)
                 if not directed:
-                    arcs[head].append((idx, tail))
-            self._index = GraphIndex(names, pos, arcs)
+                    edges[head].append(idx)
+                    heads[head].append(tail)
+            self._index = GraphIndex(names, pos, list(zip(edges, heads)))
         return self._index
 
     def cuttable_elements(self, mode: str) -> list[Element]:
@@ -373,7 +379,7 @@ def shortest_path_length(
             continue
         if v == t:
             return d
-        for idx, nb in arcs[v]:
+        for idx, nb in zip(*arcs[v]):
             if idx in redges or nb in skip:
                 continue
             nd = d + rows[idx][3]
@@ -454,7 +460,7 @@ def min_weight_path(
         done.add(v)
         if v == t:
             break
-        for idx, nb in arcs[v]:
+        for idx, nb in zip(*arcs[v]):
             if nb in done:
                 continue
             nd = d + cost.get(idx if edge_mode else nb, 0)
@@ -531,7 +537,7 @@ def constrained_min_weight_path(
             if v in settled and d >= settled[v]:
                 continue
             settled[v] = d
-            for idx, nb in arcs[v]:
+            for idx, nb in zip(*arcs[v]):
                 nl = level + rows[idx][3]
                 if nl >= levels:
                     continue
@@ -587,22 +593,22 @@ def _remove_shortcuts(nodes: list, edges: list[int]) -> tuple[list, list[int]]:
 
 
 class _FlowNet:
-    """Residual network on nodes 0..n-1, Fraction capacities; None is infinite."""
+    """Residual network on nodes 0..n-1, integer capacities; None is infinite."""
 
     def __init__(self, n: int) -> None:
         self.adj: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
-        self.res: list[Weight] = []
+        self.res: list[int | None] = []
         self.elem: list[Element | None] = []
 
-    def arc(self, u: int, v: int, cap: Weight, elem: Element | None) -> None:
+    def arc(self, u: int, v: int, cap: int | None, elem: Element | None) -> None:
         self.adj[u].append(len(self.to))
         self.to.append(v)
         self.res.append(cap)
         self.elem.append(elem)
         self.adj[v].append(len(self.to))
         self.to.append(u)
-        self.res.append(Fraction(0))
+        self.res.append(0)
         self.elem.append(None)
 
     def _bfs(self, s: int, t: int, infinite_only: bool) -> list[int] | None:
@@ -631,10 +637,10 @@ class _FlowNet:
                 queue.append(v)
         return None
 
-    def max_flow(self, s: int, t: int) -> Fraction:
+    def max_flow(self, s: int, t: int) -> int:
         if self._bfs(s, t, infinite_only=True) is not None:
             raise NoFiniteCut("an s-t path of uncuttable elements exists")
-        total = Fraction(0)
+        total = 0
         while True:
             arcs = self._bfs(s, t, infinite_only=False)
             if arcs is None:
@@ -678,7 +684,9 @@ def min_st_cut(
     """Minimum-weight s-t cut and its exact value (equal to max flow).
 
     Vertex mode splits node i into 2i (in) and 2i + 1 (out), joined by an
-    arc that carries the node weight; edges are then uncuttable. Raises
+    arc that carries the node weight; edges are then uncuttable. The flow
+    runs on the finite weights put over the lcm of their denominators, so
+    its augmenting paths and cut are those of the rational weights. Raises
     NoFiniteCut when some s-t path consists of uncuttable elements only.
     """
     if s == t:
@@ -689,23 +697,31 @@ def min_st_cut(
         raise ValueError("terminals must be uncuttable in vertex mode")
 
     names, pos, _ = g.index()
+    rows = g.edge_rows
+    if mode == VERTEX:
+        weights = [g.node_weight(v) for v in names]
+    else:
+        weights = [row[4] for row in rows]
+    scale, finite = _over_lcm([w for w in weights if w is not None])
+    scaled = iter(finite)
+    caps = [None if w is None else next(scaled) for w in weights]
     net = _FlowNet(2 * len(names) if mode == VERTEX else len(names))
     if mode == VERTEX:
         for i, v in enumerate(names):
-            net.arc(2 * i, 2 * i + 1, g.node_weight(v), v)
-        for tail, head, directed, _, _ in g.edge_rows:
+            net.arc(2 * i, 2 * i + 1, caps[i], v)
+        for tail, head, directed, _, _ in rows:
             net.arc(2 * pos[tail] + 1, 2 * pos[head], None, None)
             if not directed:
                 net.arc(2 * pos[head] + 1, 2 * pos[tail], None, None)
         source, sink = 2 * pos[s] + 1, 2 * pos[t]
     else:
-        for i, (tail, head, directed, _, weight) in enumerate(g.edge_rows):
-            net.arc(pos[tail], pos[head], weight, i)
+        for i, (tail, head, directed, _, _) in enumerate(rows):
+            net.arc(pos[tail], pos[head], caps[i], i)
             if not directed:
-                net.arc(pos[head], pos[tail], weight, i)
+                net.arc(pos[head], pos[tail], caps[i], i)
         source, sink = pos[s], pos[t]
 
-    value = net.max_flow(source, sink)
+    value = Fraction(net.max_flow(source, sink), scale)
     cut = net.min_cut_elements(source)
     require(
         sum(g.element_weight(el) for el in cut) == value,
@@ -917,10 +933,18 @@ def _edge_records(entries: list, ids: Mapping[str, str]) -> Iterator[EdgeRecord]
 
 
 def _declared_nodes(doc: object) -> WeightedGraph:
-    """A graph holding the nodes of the document ``doc``, in order."""
+    """A graph holding the nodes of the document ``doc``, in order; each
+    distinct weight string is parsed once."""
     g = WeightedGraph()
+    weights: dict[str, Weight] = {}
     for nd in _field(doc, "nodes", list, "instance"):
-        g.add_node(_field(nd, "id", str, "node"), _weight_field(nd, "node"))
+        node = _field(nd, "id", str, "node")
+        w = nd.get("weight")
+        if type(w) is not str:
+            weight = _weight_field(nd, "node")
+        elif (weight := weights.get(w, weights)) is weights:
+            weight = weights[w] = _weight_field(nd, "node")
+        g.add_node(node, weight)
     return g
 
 
@@ -993,37 +1017,44 @@ def _json_array(entries: Iterator[str]) -> Iterator[str]:
     yield "[]" if opening == "[\n" else "\n  ]"
 
 
-def instance_to_json_str(inst: CutInstance) -> str:
-    """The instance document, byte for byte as ``json.dumps(doc, indent=2,
-    sort_keys=True)`` prints it, plus a newline.
+def instance_json_pieces(inst: CutInstance) -> Iterator[str]:
+    """The pieces of the instance document, which joined read byte for
+    byte as ``json.dumps(doc, indent=2, sort_keys=True)`` prints it, plus a
+    newline.
 
     Nodes and edges are written from fixed templates with their keys in
     sorted order and strings escaped by the stdlib's C escaper; only the
-    small ``problem`` and ``provenance`` values go through ``json.dumps``.
-    The pieces, edges joined in blocks, are joined once into the result,
-    so the writer holds about two copies of the text at its peak.
+    small ``problem`` and ``provenance`` values go through ``json.dumps``,
+    and they are formatted before this returns, so a value ``json.dumps``
+    refuses raises before any piece is written. The edges and nodes are
+    made as the pieces are read, in blocks of ``_JSON_BLOCK`` entries, so a
+    sink that takes each piece in turn holds one block at a time.
     """
     g = inst.graph
     ids = {v: json_str(v) for v in g.nodes}
-    pieces = [
-        '{\n  "edges": ',
-        *_json_array(
+    last = f',\n  "problem": {_json_nested(_problem_to_json(inst.problem))}'
+    if inst.provenance is not None:
+        last += f',\n  "provenance": {_json_nested(inst.provenance)}'
+    return chain(
+        ('{\n  "edges": ',),
+        _json_array(
             f'    {{\n      "directed": {"true" if directed else "false"},\n'
             f'      "head": {ids[head]},\n      "length": {length},\n'
             f'      "tail": {ids[tail]},\n      "weight": {_json_weight(weight)}\n    }}'
             for tail, head, directed, length, weight in g.edge_rows
         ),
-        f',\n  "mode": {json_str(inst.mode)},\n  "nodes": ',
-        *_json_array(
+        (f',\n  "mode": {json_str(inst.mode)},\n  "nodes": ',),
+        _json_array(
             f'    {{\n      "id": {ids[v]},\n      "weight": {_json_weight(g.node_weight(v))}\n    }}'
             for v in g.nodes
         ),
-        f',\n  "problem": {_json_nested(_problem_to_json(inst.problem))}',
-    ]
-    if inst.provenance is not None:
-        pieces.append(f',\n  "provenance": {_json_nested(inst.provenance)}')
-    pieces.append("\n}\n")
-    return "".join(pieces)
+        (last + "\n}\n",),
+    )
+
+
+def instance_to_json_str(inst: CutInstance) -> str:
+    """The instance document as one string: ``instance_json_pieces`` joined."""
+    return "".join(instance_json_pieces(inst))
 
 
 # the writer's text up to its first edge entry, the end of its edge array

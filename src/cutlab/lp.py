@@ -264,7 +264,7 @@ def _has_cheap_walk(inst: CutInstance, x: Mapping[Element, Fraction]) -> bool:
             if v == t:
                 return True
             mass = best[state]
-            for idx, nb in arcs[v]:
+            for idx, nb in zip(*arcs[v]):
                 nxt = (nb, length + steps[idx])
                 nm = mass + cost.get(idx if edge_mode else nb, 0)
                 if nxt[1] < levels and nm < best.get(nxt, scale):

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from math import floor
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     Infeasible,
@@ -77,7 +77,7 @@ class PathSearch:
         self.pairs = [(pos[s], pos[t]) for s, t in pairs]
         # an arc is (edge, head, length step, element id the arc enters)
         self.arcs = [
-            [(e, w, steps[e], w if self.vertex_mode else e) for e, w in out]
+            [(e, w, steps[e], w if self.vertex_mode else e) for e, w in zip(*out)]
             for out in arcs
         ]
         if self.vertex_mode:
@@ -606,7 +606,7 @@ class BurnTrace:
 def _undirected_neighbors(g: WeightedGraph) -> dict[str, list[str]]:
     # fire spreads along out-arcs; undirected arcs are registered both ways
     names, _, arcs = g.index()
-    return {v: [names[nb] for _, nb in out] for v, out in zip(names, arcs)}
+    return {v: [names[nb] for nb in heads] for v, (_, heads) in zip(names, arcs)}
 
 
 def rmfc_simulate(inst: CutInstance, schedule: Schedule) -> BurnTrace:
@@ -655,21 +655,32 @@ def _around(nbrs: list[int], mask: int) -> int:
     return out
 
 
-def _affordable_days(
-    items: list[int], weights: list[int], n: int, budget: int
-) -> Iterable[int]:
-    """Unions of the one-bit masks ``items[:n]`` whose weight is at most
-    ``budget``, in increasing order when the items are: the highest index
-    is decided first, left out before taken. A module-level generator, so
-    the recursion holds no reference cycle."""
-    if n == 0:
-        yield 0
-        return
-    yield from _affordable_days(items, weights, n - 1, budget)
-    rest = budget - weights[n - 1]
-    if rest >= 0:
-        for day in _affordable_days(items, weights, n - 1, rest):
-            yield day | items[n - 1]
+def _affordable_days(items: list[int], weights: list[int], budget: int) -> Iterator[int]:
+    """Unions of the one-bit masks ``items`` whose nonnegative weight is at
+    most ``budget``, in increasing order when the items are.
+
+    A binary counter over the items, item j its bit j, counted up from
+    the empty union. When taking item j, with the items below it left
+    out, would go over the budget, so would every union that adds items
+    below j, so the count skips them all and carries on into item j + 1."""
+    taken = [False] * len(items)
+    day = total = 0
+    yield day
+    j = 0
+    while j < len(items):
+        if taken[j]:
+            taken[j] = False
+            day ^= items[j]
+            total -= weights[j]
+            j += 1
+        elif total + weights[j] > budget:
+            j += 1
+        else:
+            taken[j] = True
+            day |= items[j]
+            total += weights[j]
+            yield day
+            j = 0
 
 
 def _fire_search(
@@ -713,7 +724,7 @@ def _fire_search(
         relevant ^= low
     weights = [units[low.bit_length() - 1] for low in items]
     result: tuple[int, ...] | None = None
-    for day in _affordable_days(items, weights, len(items), budget):
+    for day in _affordable_days(items, weights, budget):
         nsaved = saved | day
         rest = _fire_search(
             nbrs, units, targets, budget, memo, burnt | (fresh & ~nsaved), nsaved
@@ -751,8 +762,8 @@ def exact_rmfc_decision(
     bit = {v: i for i, v in enumerate(order)}
     # fire spreads along out-arcs; undirected arcs are registered both ways
     nbrs = [0] * len(order)
-    for v, out in zip(names, arcs):
-        for _, nb in out:
+    for v, (_, heads) in zip(names, arcs):
+        for nb in heads:
             nbrs[bit[v]] |= 1 << bit[names[nb]]
     targets = 0
     for t in inst.problem.targets:

@@ -425,7 +425,7 @@ def reachable_set_influences(
         seen = set(stack)
         while stack:
             v = stack.pop()
-            for idx, nb in arcs[v]:
+            for idx, nb in zip(*arcs[v]):
                 if idx in redges or nb in seen or names[nb] in rnodes:
                     continue
                 seen.add(nb)

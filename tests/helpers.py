@@ -1,6 +1,7 @@
 """Shared test oracles: the adjacency read off the edge list, exhaustive
 path enumeration, subset brute force, the Fraction separation oracles, the
-Fraction simplex, two closed-form correlation bounds, the exact certificate
+Fraction max flow, the recursive enumeration of affordable fire-search
+days, the Fraction simplex, two closed-form correlation bounds, the exact certificate
 of a maximal correlation, the numpy references for the maximal correlation
 (an SVD) and Gaussian quadrant probabilities (a 2-D quadrature), the seeded
 random-instance factories used by the cross-check suites, a variance, the
@@ -10,8 +11,8 @@ for round-trip checks. numpy is imported only by the two references.
 Everything here is deliberately independent of the package's search code:
 paths come from plain DFS enumeration, optima from subset enumeration,
 Efron-Stein parts from conditional expectations on every coordinate subset,
-and the reference separation oracles and simplex compute in Fractions where
-the package computes in integers over a common denominator.
+and the reference separation oracles, max flow and simplex compute in
+Fractions where the package computes in integers over a common denominator.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from itertools import combinations, product
 from typing import Mapping
 
 from cutlab import solvers
-from cutlab.errors import CutLabError, Infeasible, SizeGuard, UnknownNode, require
+from cutlab.errors import (
+    CutLabError, Infeasible, NoFiniteCut, SizeGuard, UnknownNode, require,
+)
 from cutlab.graphs import (
     EDGE,
     VERTEX,
@@ -548,6 +551,136 @@ def random_rmfc_instance(rng: random.Random, n_cuttable: int = 10) -> CutInstanc
     for t in ("t1", "t2"):
         g.add_edge(rng.choice(names), t, directed=False)
     return CutInstance(graph=g, mode=VERTEX, problem=Rmfc("s", frozenset({"t1", "t2"})))
+
+
+class _ReferenceFlowNet:
+    """Residual network on nodes 0..n-1, Fraction capacities; None is
+    infinite. Augments along BFS paths in arc order."""
+
+    def __init__(self, n: int) -> None:
+        self.adj: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.res: list[Fraction | None] = []
+        self.elem: list[Element | None] = []
+
+    def arc(self, u: int, v: int, cap: Fraction | None, elem: Element | None) -> None:
+        self.adj[u].append(len(self.to))
+        self.to.append(v)
+        self.res.append(cap)
+        self.elem.append(elem)
+        self.adj[v].append(len(self.to))
+        self.to.append(u)
+        self.res.append(Fraction(0))
+        self.elem.append(None)
+
+    def _bfs(self, s: int, t: int, infinite_only: bool) -> list[int] | None:
+        prev = [-1] * len(self.adj)
+        prev[s] = -2
+        queue = [s]
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            for ai in self.adj[u]:
+                r = self.res[ai]
+                if r is not None and (infinite_only or r == 0):
+                    continue
+                v = self.to[ai]
+                if prev[v] != -1:
+                    continue
+                prev[v] = ai
+                if v == t:
+                    arcs = []
+                    while v != s:
+                        arcs.append(prev[v])
+                        v = self.to[prev[v] ^ 1]
+                    arcs.reverse()
+                    return arcs
+                queue.append(v)
+        return None
+
+    def max_flow(self, s: int, t: int) -> Fraction:
+        if self._bfs(s, t, infinite_only=True) is not None:
+            raise NoFiniteCut("an s-t path of uncuttable elements exists")
+        total = Fraction(0)
+        while True:
+            arcs = self._bfs(s, t, infinite_only=False)
+            if arcs is None:
+                return total
+            push = min(self.res[a] for a in arcs if self.res[a] is not None)
+            for a in arcs:
+                if self.res[a] is not None:
+                    self.res[a] -= push
+                rev = self.res[a ^ 1]
+                self.res[a ^ 1] = push if rev is None else rev + push
+            total += push
+
+    def min_cut_elements(self, s: int) -> set[Element]:
+        reach = [False] * len(self.adj)
+        reach[s] = True
+        queue = [s]
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            for ai in self.adj[u]:
+                r = self.res[ai]
+                if r is not None and r == 0:
+                    continue
+                v = self.to[ai]
+                if not reach[v]:
+                    reach[v] = True
+                    queue.append(v)
+        out: set[Element] = set()
+        for ai in range(0, len(self.to), 2):
+            u = self.to[ai ^ 1]
+            v = self.to[ai]
+            if reach[u] and not reach[v] and self.elem[ai] is not None:
+                out.add(self.elem[ai])
+        return out
+
+
+def reference_min_st_cut(
+    g: WeightedGraph, s: str, t: str, mode: str
+) -> tuple[Fraction, frozenset[Element]]:
+    """``graphs.min_st_cut`` as it ran on Fraction capacities, read off
+    ``g.nodes`` and ``g.edges``: the same network, node i as i, or as 2i
+    (in) and 2i + 1 (out) in vertex mode."""
+    names = g.nodes
+    pos = {v: i for i, v in enumerate(names)}
+    net = _ReferenceFlowNet(2 * len(names) if mode == VERTEX else len(names))
+    if mode == VERTEX:
+        for i, v in enumerate(names):
+            net.arc(2 * i, 2 * i + 1, g.node_weight(v), v)
+        for e in g.edges:
+            net.arc(2 * pos[e.tail] + 1, 2 * pos[e.head], None, None)
+            if not e.directed:
+                net.arc(2 * pos[e.head] + 1, 2 * pos[e.tail], None, None)
+        source, sink = 2 * pos[s] + 1, 2 * pos[t]
+    else:
+        for i, e in enumerate(g.edges):
+            net.arc(pos[e.tail], pos[e.head], e.weight, i)
+            if not e.directed:
+                net.arc(pos[e.head], pos[e.tail], e.weight, i)
+        source, sink = pos[s], pos[t]
+    value = net.max_flow(source, sink)
+    return value, frozenset(net.min_cut_elements(source))
+
+
+def reference_affordable_days(
+    items: list[int], weights: list[int], n: int, budget: int
+):
+    """The unions of the one-bit masks ``items[:n]`` of weight at most
+    ``budget``, by recursion on the highest index, left out before taken:
+    in increasing order when the items are."""
+    if n == 0:
+        yield 0
+        return
+    yield from reference_affordable_days(items, weights, n - 1, budget)
+    rest = budget - weights[n - 1]
+    if rest >= 0:
+        for day in reference_affordable_days(items, weights, n - 1, rest):
+            yield day | items[n - 1]
 
 
 def reference_rmfc_search(inst: CutInstance, k: Fraction):

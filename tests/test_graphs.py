@@ -9,7 +9,7 @@ import pytest
 import helpers
 from helpers import expand_node_weights
 from cutlab import gadgets, graphs, lp, solvers, ug
-from cutlab.cli import main, parse_params
+from cutlab.cli import emit, main, parse_params
 from cutlab.errors import MalformedInstance, NoFiniteCut, RemovingUncuttable, UnknownNode
 from cutlab.graphs import (
     EDGE,
@@ -141,6 +141,19 @@ class TestMinStCut:
             assert oracle is not None
             assert value == oracle[0], f"trial {trial}"
             assert shortest_path_length(g, "S", "T", cut) is None
+
+    @pytest.mark.parametrize("kind", ["multicut", "length_bound"])
+    @pytest.mark.parametrize("mode", [VERTEX, EDGE])
+    def test_matches_fraction_reference(self, kind, mode):
+        """The flow on integer capacities over the lcm gives the value and
+        the cut of the flow on the Fraction weights, which random_instance
+        draws as p/q with q up to 3."""
+        rng = random.Random(29)
+        for trial in range(30):
+            inst = helpers.random_instance(rng, kind, mode, n_nodes=7, extra_edges=6)
+            for s, t in inst.problem.pairs if kind == "multicut" else [("S", "T")]:
+                got = min_st_cut(inst.graph, s, t, mode)
+                assert got == helpers.reference_min_st_cut(inst.graph, s, t, mode), f"trial {trial}"
 
     def test_invariant_under_weight_duplication(self):
         rng = random.Random(3)
@@ -496,11 +509,13 @@ class TestInstanceJson:
             node = {id(v) for v in g.nodes}
             assert all(id(e.tail) in node and id(e.head) in node for e in g.edges)
 
-    @staticmethod
-    def large_instance():
+    LARGE_PARAMS = "a=2,b=3,r=3,R=4,eps=1/20"
+
+    @classmethod
+    def large_instance(cls):
         """The 62k-edge dict-v test that ``build_verify`` writes and reads."""
         family = gadgets.FAMILIES["dict-v"]
-        params = family.params(parse_params("a=2,b=3,r=3,R=4,eps=1/20"))
+        params = family.params(parse_params(cls.LARGE_PARAMS))
         inst = family.build(params, 200_000)
         assert len(inst.graph.edges) >= 10_000
         return inst
@@ -518,6 +533,63 @@ class TestInstanceJson:
         finally:
             tracemalloc.stop()
         assert peak - before <= 3 * len(text)
+
+    @pytest.mark.parametrize("family, params", [*sorted(SMALL_PARAMS.items()), ("dict-v", LARGE_PARAMS)])
+    def test_generate_file_stdout_and_string_agree(self, family, params, tmp_path, capsysbinary):
+        """``generate --out`` and ``generate`` to stdout, which write the
+        writer's pieces in turn, give the bytes of ``instance_to_json_str``."""
+        argv = ["generate", "--family", family, "--params", params]
+        path = tmp_path / "out.json"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert main(argv) == 0
+        out = capsysbinary.readouterr().out
+        fam = gadgets.FAMILIES[family]
+        text = instance_to_json_str(fam.build(fam.params(parse_params(params)), 200_000))
+        assert path.read_bytes() == out == text.encode()
+
+    def test_file_writer_peak_memory(self, tmp_path):
+        """Writing the 62k-edge dict-v test to a file as ``generate --out``
+        does allocates at most a quarter of the file's size at its peak,
+        over what was held before: the pieces are written in turn, one
+        block of entries made at a time."""
+        inst = self.large_instance()
+        path = tmp_path / "dict-v.json"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            emit(graphs.instance_json_pieces(inst), str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_text() == instance_to_json_str(inst)
+        assert peak - before <= path.stat().st_size / 4
+
+    def test_unserializable_provenance_raises_before_any_piece(self):
+        """``problem`` and ``provenance`` are formatted before the first
+        piece is made, so a value ``json.dumps`` refuses raises before a
+        sink is handed anything."""
+        inst = self.odd_id_instance(3)
+        inst.provenance = {"generator": "hand", "params": {"x": Fraction(1, 2)}}
+        with pytest.raises(TypeError):
+            graphs.instance_json_pieces(inst)
+
+    def test_node_weights_parsed_once(self, monkeypatch):
+        """Both readers parse each distinct weight string of the nodes once,
+        as they do those of the edges: reading the 62k-edge dict-v test
+        makes one ``parse_rational`` call per distinct string, not one per
+        node."""
+        text = instance_to_json_str(self.large_instance())
+        doc = json.loads(text)
+        distinct = [{v["weight"] for v in doc[key]} - {None} for key in ("edges", "nodes")]
+        assert len(doc["nodes"]) > 1_000 and len(distinct[1]) < 10
+        for read in (instance_from_json_str, lambda text: instance_from_json(json.loads(text))):
+            calls = []
+            parse = graphs.parse_rational
+            monkeypatch.setattr(graphs, "parse_rational", lambda w: calls.append(w) or parse(w))
+            read(text)
+            monkeypatch.undo()
+            assert set(calls) == distinct[0] | distinct[1]
+            assert len(calls) <= len(distinct[0]) + len(distinct[1])
 
     def test_reader_peak_memory(self):
         """The reader allocates at most twice its text at its peak, over
@@ -593,7 +665,7 @@ class TestAddEdges:
             ("a", "b", True, 2, None),
             ("b", "a", False, 2, Fraction(1, 3)),
         ]
-        assert g.index().arcs == [[(0, 1), (1, 1)], [(1, 0)]]
+        assert g.index().arcs == [([0, 1], [1, 1]), ([1], [0])]
 
     @pytest.mark.parametrize("directed", ["yes", 1, None])
     def test_directed_must_be_a_bool(self, directed):
@@ -792,7 +864,7 @@ def named_arcs(g):
     """``g.index()`` read back in node ids: each node's ``(edge index,
     neighbour)`` arcs."""
     names, _, arcs = g.index()
-    return {v: [(idx, names[nb]) for idx, nb in out] for v, out in zip(names, arcs)}
+    return {v: [(idx, names[nb]) for idx, nb in zip(*out)] for v, out in zip(names, arcs)}
 
 
 def assert_index_matches_edges(g):
@@ -884,6 +956,21 @@ class TestOutArcsIndex:
             g.add_edges([record])
         assert len(g.edges) == 3
         assert_index_matches_edges(g)
+
+    def test_large_index_memory(self, monkeypatch):
+        """The index of the 62k-edge dict-v test holds at most 5 MB: two int
+        lists per node, no tuple per arc."""
+        g = TestInstanceJson.large_instance().graph
+        builds = count_index_builds(monkeypatch)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g.index()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert builds == [1]
+        assert held <= 5_000_000
 
     def test_built_once_for_verify_and_never_for_generate(
         self, monkeypatch, tmp_path, capsys

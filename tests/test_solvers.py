@@ -1085,6 +1085,19 @@ class TestFireSearchWork:
         assert len(made) == calls
 
 
+def test_affordable_days_match_the_recursion():
+    """The counter yields the unions the recursive enumeration yields, in
+    the same increasing order, zero weights and budgets included."""
+    rng = random.Random(41)
+    for trial in range(300):
+        n = rng.randint(0, 9)
+        items = [1 << bit for bit in sorted(rng.sample(range(12), n))]
+        weights = [rng.randint(0, 6) for _ in items]
+        budget = rng.randint(0, sum(weights) + 1)
+        got = list(solvers._affordable_days(items, weights, budget))
+        assert got == list(helpers.reference_affordable_days(items, weights, n, budget)), trial
+
+
 class TestNoReferenceCycles:
     """The searches keep their memo tables in plain locals, so the tables
     die with the call instead of waiting for the cycle collector."""
