@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from collections.abc import Iterable
 from fractions import Fraction
 
 from . import approx, gadgets, lp, solvers
@@ -29,7 +28,7 @@ from .graphs import (
     Rmfc,
     Schedule,
     instance_from_json_str,
-    instance_json_pieces,
+    instance_to_json_str,
     parse_rational,
     past_digit_limit,
     rational_str,
@@ -158,17 +157,16 @@ def dictator_cut(args: argparse.Namespace, inst: CutInstance):
     return family, params, gadgets.dictator_cut(family.kind, params, args.q - 1, inst)
 
 
-def emit(pieces: Iterable[str], out: str | None) -> None:
-    """Write the pieces in turn to the file ``out``, or to stdout."""
+def emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
+            handle.write(text)
     else:
-        sys.stdout.writelines(pieces)
+        sys.stdout.write(text)
 
 
 def emit_json(doc: dict, out: str | None) -> None:
-    emit([json.dumps(doc, sort_keys=True, indent=2), "\n"], out)
+    emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", out)
 
 
 def params_string(params: dict) -> str:
@@ -179,7 +177,7 @@ def params_string(params: dict) -> str:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    emit(instance_json_pieces(build_instance(args)), args.out)
+    emit(instance_to_json_str(build_instance(args)), args.out)
     return 0
 
 
@@ -206,7 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     passed = all(ok for _, ok in checks)
     lines = [f"{'PASS' if ok else 'FAIL'}  {label}" for label, ok in checks]
     payload = json.dumps(detail, sort_keys=True)
-    emit(["\n".join(lines), "\n", payload, "\n"], args.out)
+    emit("\n".join(lines) + "\n" + payload + "\n", args.out)
     return 0 if passed else 1
 
 
@@ -343,13 +341,13 @@ def cmd_gap_table(args: argparse.Namespace) -> int:
         rows.append(
             ",".join([args.family, params_string(point), *cells, str(wall)])
         )
-    emit(["\n".join([CSV_HEADER, *rows]), "\n"], args.out)
+    emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
     return 0 if failures == 0 else 1
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
     value = gamma_rho(args.rho, args.a, args.b)
-    emit([json.dumps({"gamma": value}, sort_keys=True), "\n"], args.out)
+    emit(json.dumps({"gamma": value}, sort_keys=True) + "\n", args.out)
     return 0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from heapq import heappop, heappush
-from itertools import chain, islice
+from itertools import islice
 from json.decoder import scanstring
 from json.encoder import encode_basestring_ascii as json_str
 from math import lcm
@@ -522,10 +522,12 @@ def constrained_min_weight_path(
     rows = g.edge_rows
     names, pos, arcs = g.index()
     s, t = pos[s], pos[t]
-    levels = min(bound, sum(row[3] for row in rows) + 1)
+    steps = [row[3] for row in rows]
+    levels = min(bound, sum(steps) + 1)
     # best[L][v] = cheapest scaled x-weight of a walk s->v of total length L
     best: list[dict[int, int]] = [{} for _ in range(levels)]
-    parent: dict[tuple[int, int], tuple[int, int, int]] = {}
+    # parent[L][v] = (node, length, edge) the cheapest such walk came from
+    parent: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(levels)]
     best[0][s] = 0 if edge_mode else cost.get(s, 0)
     # the least cost of each node at the levels already expanded
     settled: dict[int, int] = {}
@@ -538,14 +540,14 @@ def constrained_min_weight_path(
                 continue
             settled[v] = d
             for idx, nb in zip(*arcs[v]):
-                nl = level + rows[idx][3]
+                nl = level + steps[idx]
                 if nl >= levels:
                     continue
                 nd = d + cost.get(idx if edge_mode else nb, 0)
                 reach = best[nl]
                 if nb not in reach or nd < reach[nb]:
                     reach[nb] = nd
-                    parent[(nb, nl)] = (v, level, idx)
+                    parent[nl][nb] = (v, level, idx)
 
     hit = [(lvl, best[lvl][t]) for lvl in range(levels) if t in best[lvl]]
     if not hit:
@@ -555,7 +557,7 @@ def constrained_min_weight_path(
     walk_edges: list[int] = []
     cur, cl = t, lvl
     while (cur, cl) != (s, 0):
-        pv, pl, pe = parent[(cur, cl)]
+        pv, pl, pe = parent[cl][cur]
         walk_nodes.append(pv)
         walk_edges.append(pe)
         cur, cl = pv, pl
@@ -887,6 +889,16 @@ def _weight_field(doc: dict, where: str) -> Weight:
     raise MalformedInstance(f"{where} weight {w!r} is not a rational")
 
 
+class _ParsedWeights(dict):
+    """Weight string -> its rational, each distinct string parsed by
+    ``parse_rational`` the first time it is looked up; a string it refuses
+    raises its ValueError or ZeroDivisionError and is not stored."""
+
+    def __missing__(self, w: str) -> Fraction:
+        weight = self[w] = parse_rational(w)
+        return weight
+
+
 def _edge_records(entries: list, ids: Mapping[str, str]) -> Iterator[EdgeRecord]:
     """The record of each entry of an instance's edge array, in order.
 
@@ -899,7 +911,7 @@ def _edge_records(entries: list, ids: Mapping[str, str]) -> Iterator[EdgeRecord]
     edge; an undeclared endpoint keeps its own string for ``add_edges`` to
     refuse.
     """
-    weights: dict[str | None, Weight] = {None: None}
+    weights = _ParsedWeights({None: None})
     for ed in entries:
         if type(ed) is dict:
             fields = ed.get("tail"), ed.get("head"), ed.get("directed"), ed.get("length"), ed.get("weight")
@@ -913,13 +925,11 @@ def _edge_records(entries: list, ids: Mapping[str, str]) -> Iterator[EdgeRecord]
             and type(length) is int
             and (w is None or type(w) is str)
         ):
-            weight = weights.get(w, weights)
-            if weight is weights:
-                try:
-                    weight = weights[w] = parse_rational(w)
-                except (ValueError, ZeroDivisionError):
-                    pass
-            if weight is not weights:
+            try:
+                weight = weights[w]
+            except (ValueError, ZeroDivisionError):
+                pass
+            else:
                 yield ids.get(tail, tail), ids.get(head, head), directed, length, weight
                 continue
         tail, head, directed, length, weight = (
@@ -936,14 +946,15 @@ def _declared_nodes(doc: object) -> WeightedGraph:
     """A graph holding the nodes of the document ``doc``, in order; each
     distinct weight string is parsed once."""
     g = WeightedGraph()
-    weights: dict[str, Weight] = {}
+    weights = _ParsedWeights()
     for nd in _field(doc, "nodes", list, "instance"):
         node = _field(nd, "id", str, "node")
         w = nd.get("weight")
-        if type(w) is not str:
+        try:
+            weight = weights[w] if type(w) is str else _weight_field(nd, "node")
+        except (ValueError, ZeroDivisionError):
+            # refused with _weight_field's message
             weight = _weight_field(nd, "node")
-        elif (weight := weights.get(w, weights)) is weights:
-            weight = weights[w] = _weight_field(nd, "node")
         g.add_node(node, weight)
     return g
 
@@ -1017,44 +1028,37 @@ def _json_array(entries: Iterator[str]) -> Iterator[str]:
     yield "[]" if opening == "[\n" else "\n  ]"
 
 
-def instance_json_pieces(inst: CutInstance) -> Iterator[str]:
-    """The pieces of the instance document, which joined read byte for
-    byte as ``json.dumps(doc, indent=2, sort_keys=True)`` prints it, plus a
-    newline.
+def instance_to_json_str(inst: CutInstance) -> str:
+    """The instance document, byte for byte as ``json.dumps(doc, indent=2,
+    sort_keys=True)`` prints it, plus a newline.
 
     Nodes and edges are written from fixed templates with their keys in
     sorted order and strings escaped by the stdlib's C escaper; only the
-    small ``problem`` and ``provenance`` values go through ``json.dumps``,
-    and they are formatted before this returns, so a value ``json.dumps``
-    refuses raises before any piece is written. The edges and nodes are
-    made as the pieces are read, in blocks of ``_JSON_BLOCK`` entries, so a
-    sink that takes each piece in turn holds one block at a time.
+    small ``problem`` and ``provenance`` values go through ``json.dumps``.
+    The pieces, edges joined in blocks, are joined once into the result,
+    so the writer holds about two copies of the text at its peak.
     """
     g = inst.graph
     ids = {v: json_str(v) for v in g.nodes}
-    last = f',\n  "problem": {_json_nested(_problem_to_json(inst.problem))}'
-    if inst.provenance is not None:
-        last += f',\n  "provenance": {_json_nested(inst.provenance)}'
-    return chain(
-        ('{\n  "edges": ',),
-        _json_array(
+    pieces = [
+        '{\n  "edges": ',
+        *_json_array(
             f'    {{\n      "directed": {"true" if directed else "false"},\n'
             f'      "head": {ids[head]},\n      "length": {length},\n'
             f'      "tail": {ids[tail]},\n      "weight": {_json_weight(weight)}\n    }}'
             for tail, head, directed, length, weight in g.edge_rows
         ),
-        (f',\n  "mode": {json_str(inst.mode)},\n  "nodes": ',),
-        _json_array(
+        f',\n  "mode": {json_str(inst.mode)},\n  "nodes": ',
+        *_json_array(
             f'    {{\n      "id": {ids[v]},\n      "weight": {_json_weight(g.node_weight(v))}\n    }}'
             for v in g.nodes
         ),
-        (last + "\n}\n",),
-    )
-
-
-def instance_to_json_str(inst: CutInstance) -> str:
-    """The instance document as one string: ``instance_json_pieces`` joined."""
-    return "".join(instance_json_pieces(inst))
+        f',\n  "problem": {_json_nested(_problem_to_json(inst.problem))}',
+    ]
+    if inst.provenance is not None:
+        pieces.append(f',\n  "provenance": {_json_nested(inst.provenance)}')
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 # the writer's text up to its first edge entry, the end of its edge array

@@ -9,7 +9,7 @@ import pytest
 import helpers
 from helpers import expand_node_weights
 from cutlab import gadgets, graphs, lp, solvers, ug
-from cutlab.cli import emit, main, parse_params
+from cutlab.cli import main, parse_params
 from cutlab.errors import MalformedInstance, NoFiniteCut, RemovingUncuttable, UnknownNode
 from cutlab.graphs import (
     EDGE,
@@ -536,8 +536,8 @@ class TestInstanceJson:
 
     @pytest.mark.parametrize("family, params", [*sorted(SMALL_PARAMS.items()), ("dict-v", LARGE_PARAMS)])
     def test_generate_file_stdout_and_string_agree(self, family, params, tmp_path, capsysbinary):
-        """``generate --out`` and ``generate`` to stdout, which write the
-        writer's pieces in turn, give the bytes of ``instance_to_json_str``."""
+        """``generate --out`` and ``generate`` to stdout give the bytes of
+        ``instance_to_json_str``."""
         argv = ["generate", "--family", family, "--params", params]
         path = tmp_path / "out.json"
         assert main([*argv, "--out", str(path)]) == 0
@@ -546,32 +546,6 @@ class TestInstanceJson:
         fam = gadgets.FAMILIES[family]
         text = instance_to_json_str(fam.build(fam.params(parse_params(params)), 200_000))
         assert path.read_bytes() == out == text.encode()
-
-    def test_file_writer_peak_memory(self, tmp_path):
-        """Writing the 62k-edge dict-v test to a file as ``generate --out``
-        does allocates at most a quarter of the file's size at its peak,
-        over what was held before: the pieces are written in turn, one
-        block of entries made at a time."""
-        inst = self.large_instance()
-        path = tmp_path / "dict-v.json"
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            emit(graphs.instance_json_pieces(inst), str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert path.read_text() == instance_to_json_str(inst)
-        assert peak - before <= path.stat().st_size / 4
-
-    def test_unserializable_provenance_raises_before_any_piece(self):
-        """``problem`` and ``provenance`` are formatted before the first
-        piece is made, so a value ``json.dumps`` refuses raises before a
-        sink is handed anything."""
-        inst = self.odd_id_instance(3)
-        inst.provenance = {"generator": "hand", "params": {"x": Fraction(1, 2)}}
-        with pytest.raises(TypeError):
-            graphs.instance_json_pieces(inst)
 
     def test_node_weights_parsed_once(self, monkeypatch):
         """Both readers parse each distinct weight string of the nodes once,
