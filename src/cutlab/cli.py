@@ -117,20 +117,9 @@ def family_of(args: argparse.Namespace) -> gadgets.Family:
     return gadgets.FAMILIES[args.family]
 
 
-def node_cap(args: argparse.Namespace) -> int:
-    """``--max-nodes``, or ``gadgets.DEFAULT_MAX_NODES`` as it reads now
-    when the option is not given; ParamOutOfRange below 1."""
-    if args.max_nodes is None:
-        return gadgets.DEFAULT_MAX_NODES
-    if args.max_nodes < 1:
-        raise ParamOutOfRange(f"--max-nodes = {args.max_nodes} must be >= 1")
-    return args.max_nodes
-
-
 def build_instance(args: argparse.Namespace) -> CutInstance:
-    cap = node_cap(args)
     family = family_of(args)
-    return family.build(family.params(parse_params(args.params)), cap)
+    return family.build(family.params(parse_params(args.params)))
 
 
 def load_instance(args: argparse.Namespace) -> CutInstance:
@@ -307,7 +296,6 @@ def cmd_rmfc(args: argparse.Namespace) -> int:
 
 
 def cmd_gap_table(args: argparse.Namespace) -> int:
-    cap = node_cap(args)
     family = family_of(args)
     grid = parse_params(args.params, ranges=True)
     family.check_names(grid)
@@ -331,7 +319,7 @@ def cmd_gap_table(args: argparse.Namespace) -> int:
             if family.cuttable:
                 limit = solvers.BB_ELEMENT_LIMIT
                 gadgets.guard(family.cuttable(params), limit, "cuttable elements")
-            inst = family.build(params, cap)
+            inst = family.build(params)
             report = lp.gap_report(inst)
             cells = report.csv_cells()
         except CutLabError as exc:
@@ -385,15 +373,13 @@ def cmd_correlation(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, *, instance: bool = True) -> None:
-    """The family, output and size options; ``--instance`` only for the
+    """The family and output options; ``--instance`` only for the
     commands that read one through ``load_instance``."""
     sub.add_argument("--family", choices=sorted(gadgets.FAMILIES), default=None)
     sub.add_argument("--params", default="")
     if instance:
         sub.add_argument("--instance", default=None, help="instance JSON file")
     sub.add_argument("--out", default=None)
-    # None reads gadgets.DEFAULT_MAX_NODES at call time (see node_cap)
-    sub.add_argument("--max-nodes", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,7 +452,7 @@ def _parser() -> argparse.ArgumentParser:
     """The process's one parser, built at the first ``main`` call rather
     than at import, and reused: building it takes milliseconds, and
     parse_args leaves it unchanged. It holds no value that can change after
-    it is built, which is why ``--max-nodes`` defaults to None."""
+    it is built: the size caps are read from ``gadgets`` when a command runs."""
     return build_parser()
 
 

@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, get_type_hints
 
 from .errors import (
-    CoordinateOutOfRange, CutLabError, ParamOutOfRange, SizeGuard, UnknownGenerator,
-    require,
+    CoordinateOutOfRange, CutLabError, ParamOutOfRange, RemovingUncuttable, SizeGuard,
+    UnknownGenerator, WrongProblemType, require, require_problem,
 )
 from .graphs import (
     EDGE,
@@ -370,9 +370,7 @@ def _grid_ids(r: int, k: int) -> dict[tuple[int, ...], str]:
     return {alpha: f"v{fmt_point(alpha)}" for alpha in grid}
 
 
-def _blow_up(
-    gap: CutInstance, noise: CorrelatedSpace, R: int, provenance: dict, max_nodes: int
-) -> CutInstance:
+def _blow_up(gap: CutInstance, noise: CorrelatedSpace, R: int, provenance: dict) -> CutInstance:
     """The gap-to-test conversion with every arc advancing one step: each
     cuttable node v of the vertex multicut instance ``gap`` becomes a block
     of nodes v/x, one per point x of the R-fold product of the noise atoms,
@@ -382,8 +380,8 @@ def _blow_up(
     support of x."""
     g = gap.graph
     cuttable = {v for v in g.nodes if g.node_weight(v) is not None}
-    size = _capped_power(len(noise.left.atoms), R, max_nodes, "nodes")
-    guard(len(cuttable) * size + len(g.nodes) - len(cuttable), max_nodes, "nodes")
+    size = _capped_power(len(noise.left.atoms), R, DEFAULT_MAX_NODES, "nodes")
+    guard(len(cuttable) * size + len(g.nodes) - len(cuttable), DEFAULT_MAX_NODES, "nodes")
     # per arc, how many of its ends are blocks: it becomes 1, size or moves arcs
     ends = [(tail in cuttable) + (head in cuttable) for tail, head, _, _, _ in g.edge_rows]
     cube = _Cube(noise, R)
@@ -429,7 +427,7 @@ def _end_edges(first: Sequence[str], last: Sequence[str]) -> Iterator[EdgeRecord
         yield w, "t", False, 1, None
 
 
-def build_saks_gap(r: int, k: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> CutInstance:
+def build_saks_gap(r: int, k: int) -> CutInstance:
     """Directed grid multicut instance with unit vertex weights.
 
     Nodes are the grid [r]^k plus k terminal pairs; s_i feeds the
@@ -437,8 +435,8 @@ def build_saks_gap(r: int, k: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cut
     l-infinity distance 1 are joined both ways.
     """
     params = SaksParams(r, k)
-    grid = _capped_power(r, k, max_nodes, "nodes")
-    guard(grid + 2 * k, max_nodes, "nodes")
+    grid = _capped_power(r, k, DEFAULT_MAX_NODES, "nodes")
+    guard(grid + 2 * k, DEFAULT_MAX_NODES, "nodes")
     # near[a]: the values of 1..r within 1 of a, so each product over alpha's
     # coordinates, less alpha, lists its grid neighbours lexicographically
     near = {a: range(max(a - 1, 1), min(a + 1, r) + 1) for a in range(1, r + 1)}
@@ -471,29 +469,29 @@ def build_saks_gap(r: int, k: int, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cut
     )
 
 
-def build_dict_multicut(p: DictParamsM, *, max_nodes: int = DEFAULT_MAX_NODES) -> CutInstance:
+def build_dict_multicut(p: DictParamsM) -> CutInstance:
     """Multicut test: the saks gap instance blown up (``_blow_up``) by the
     star noise space, so each grid point carries a hypercube over
     (*, 0..r-1)^R and a grid move joins x to the support of x (every
     coordinate advances by one, stars are wild)."""
     # the test's r^k (r+1)^R nodes, refused before the gap instance is built
-    size = _capped_power(p.r + 1, p.R, max_nodes, "nodes")
-    guard(_capped_power(p.r, p.k, max_nodes, "nodes") * size + 2 * p.k, max_nodes, "nodes")
+    size = _capped_power(p.r + 1, p.R, DEFAULT_MAX_NODES, "nodes")
+    grid = _capped_power(p.r, p.k, DEFAULT_MAX_NODES, "nodes")
+    guard(grid * size + 2 * p.k, DEFAULT_MAX_NODES, "nodes")
     return _blow_up(
-        build_saks_gap(p.r, p.k, max_nodes=max_nodes),
+        build_saks_gap(p.r, p.k),
         star_noise_space(p.r, p.eps),
         p.R,
         _provenance("dict_multicut", p, "nodes with x_q in {*, 0}"),
-        max_nodes,
     )
 
 
-def build_dict_edge(p: DictParamsE, *, max_nodes: int = DEFAULT_MAX_NODES) -> CutInstance:
+def build_dict_edge(p: DictParamsE) -> CutInstance:
     """Edge-cut length test: b+1 layers of hypercubes over (0..r-1)^R,
     uncuttable long edges of length a between equal points, and short
     unit edges weighted by the product successor noise."""
-    size = _capped_power(p.r, p.R, max_nodes, "nodes")
-    guard((p.b + 1) * size + 2, max_nodes, "nodes")
+    size = _capped_power(p.r, p.R, DEFAULT_MAX_NODES, "nodes")
+    guard((p.b + 1) * size + 2, DEFAULT_MAX_NODES, "nodes")
     cube = _Cube(edge_noise_space(p.r), p.R)
     # terminal and long edges, then b blocks of short edges
     guard((p.b + 2) * size + p.b * cube.moves, DEFAULT_MAX_EDGES, "edges")
@@ -514,13 +512,13 @@ def build_dict_edge(p: DictParamsE, *, max_nodes: int = DEFAULT_MAX_NODES) -> Cu
     )
 
 
-def build_dict_vertex(p: DictParamsV, *, max_nodes: int = DEFAULT_MAX_NODES) -> CutInstance:
+def build_dict_vertex(p: DictParamsV) -> CutInstance:
     """Vertex-cut length test: layers over (*, 0..r-1)^R, with x joined to
     the support of x under the star noise space by unit edges to the next
     layer and by long skip edges of length (j-i)a to later layers j, and
     terminal edges whose lengths grow with the layer index."""
-    nodes = (p.b + 1) * _capped_power(p.r + 1, p.R, max_nodes, "nodes")
-    guard(nodes + 2, max_nodes, "nodes")
+    nodes = (p.b + 1) * _capped_power(p.r + 1, p.R, DEFAULT_MAX_NODES, "nodes")
+    guard(nodes + 2, DEFAULT_MAX_NODES, "nodes")
     cube = _Cube(star_noise_space(p.r, p.eps), p.R)
     # two terminal edges per node, then one block per pair of layers
     guard(2 * nodes + (p.b + 1) * p.b // 2 * cube.moves, DEFAULT_MAX_EDGES, "edges")
@@ -550,12 +548,12 @@ def build_dict_vertex(p: DictParamsV, *, max_nodes: int = DEFAULT_MAX_NODES) -> 
     )
 
 
-def build_dict_rmfc(p: DictParamsF, *, max_nodes: int = DEFAULT_MAX_NODES) -> CutInstance:
+def build_dict_rmfc(p: DictParamsF) -> CutInstance:
     """Fire-containment test: layers 1..b over (*, 1..B)^R, with x joined
     to the support of x under the fire noise space (equal points, stars
     wild) in the next layer; layer i weighted by factor i."""
-    size = _capped_power(p.big_b + 1, p.R, max_nodes, "nodes")
-    guard(p.b * size + 2, max_nodes, "nodes")
+    size = _capped_power(p.big_b + 1, p.R, DEFAULT_MAX_NODES, "nodes")
+    guard(p.b * size + 2, DEFAULT_MAX_NODES, "nodes")
     cube = _Cube(fire_noise_space(p.big_b, p.eps), p.R)
     # end edges, then one block per pair of consecutive layers
     guard(2 * size + (p.b - 1) * cube.moves, DEFAULT_MAX_EDGES, "edges")
@@ -602,9 +600,9 @@ class Family:
 
     ``kind`` is the generator name written to provenance, ``record`` the
     params record class, ``problem`` the problem class of every build
-    (``Multicut``, ``LengthBound`` or ``Rmfc``), and ``build(params,
-    max_nodes)`` calls the builder through its module attribute, so a
-    wrapper installed there sees every build. The dictatorship tests also
+    (``Multicut``, ``LengthBound`` or ``Rmfc``), and ``build(params)``
+    calls the builder through its module attribute, so a wrapper installed
+    there sees every build. The dictatorship tests also
     carry:
 
     - ``space(params)``: the base probability space of one coordinate;
@@ -627,13 +625,14 @@ class Family:
 
     A family may also declare ``symmetries(params)``: permutations of the
     cuttable elements of its build that keep multicut feasibility and
-    cost, which the exact search prunes with (see ``declared_symmetries``).
+    cost, which the exact search prunes with; it must then declare
+    ``cuttable``, which ``declared_symmetries`` checks before a build.
     """
 
     kind: str
     record: type
     problem: type
-    build: Callable[[Any, int], CutInstance]
+    build: Callable[[Any], CutInstance]
     space: Callable[[Any], FiniteProbSpace] | None = None
     rule: Callable[[Any], Callable[..., bool]] | None = None
     exact_cost: Callable[[Any], Fraction] | None = None
@@ -746,7 +745,7 @@ FAMILIES = {
         "saks",
         SaksParams,
         Multicut,
-        lambda p, n: build_saks_gap(p.r, p.k, max_nodes=n),
+        lambda p: build_saks_gap(p.r, p.k),
         cuttable=lambda p: _cuttable(p.r, p.k),
         symmetries=_saks_symmetries,
     ),
@@ -754,7 +753,7 @@ FAMILIES = {
         "dict_multicut",
         DictParamsM,
         Multicut,
-        lambda p, n: build_dict_multicut(p, max_nodes=n),
+        lambda p: build_dict_multicut(p),
         space=lambda p: star_noise_space(p.r, p.eps).left,
         rule=_star_or_zero,
         exact_cost=lambda p: Fraction(p.r) ** p.k * (p.eps + (1 - p.eps) / p.r),
@@ -768,7 +767,7 @@ FAMILIES = {
         "dict_edge",
         DictParamsE,
         LengthBound,
-        lambda p, n: build_dict_edge(p, max_nodes=n),
+        lambda p: build_dict_edge(p),
         space=lambda p: edge_noise_space(p.r).left,
         rule=_broken_step,
         cost_bound=lambda p, eta: Fraction(2 * p.b, p.r) + 2 * eta * p.b,
@@ -779,7 +778,7 @@ FAMILIES = {
         "dict_vertex",
         DictParamsV,
         LengthBound,
-        lambda p, n: build_dict_vertex(p, max_nodes=n),
+        lambda p: build_dict_vertex(p),
         space=lambda p: star_noise_space(p.r, p.eps).left,
         rule=_star_or_zero,
         exact_cost=_vertex_cost,
@@ -791,7 +790,7 @@ FAMILIES = {
         "dict_rmfc",
         DictParamsF,
         Rmfc,
-        lambda p, n: build_dict_rmfc(p, max_nodes=n),
+        lambda p: build_dict_rmfc(p),
         space=lambda p: fire_noise_space(p.big_b, p.eps).left,
         rule=_fire_day,
         cost_bound=lambda p, eta: p.b * p.eps + 1 / harmonic(p.b) + p.b * eta,
@@ -805,7 +804,8 @@ def declared_symmetries(inst: CutInstance) -> Iterator[dict[Element, Element]]:
     params, for ``solvers.exact_min_multicut``; none unless the family
     declares some and ``inst`` equals a fresh build from those params in
     mode, problem, node weights and edge list. Provenance alone is never
-    trusted: a file can name a family and differ from its build.
+    trusted: a file can name a family and differ from its build, and one
+    whose cuttable count differs from the family's gets no group unbuilt.
 
     Lazy: nothing is built before the first item is asked for, so the
     search's size guard refuses a large instance before its group (of
@@ -818,8 +818,10 @@ def declared_symmetries(inst: CutInstance) -> Iterator[dict[Element, Element]]:
         return
     try:
         params = family.params(prov.get("params"))
-        # a build with more nodes than inst cannot equal it
-        fresh = family.build(params, len(inst.graph.nodes))
+        # a build with another count of cuttable elements cannot equal inst
+        if family.cuttable(params) != len(inst.cuttable_elements()):
+            return
+        fresh = family.build(params)
     except CutLabError:
         return
     g, h = inst.graph, fresh.graph
@@ -858,7 +860,7 @@ def dictator_cut(
     family = dictator_family(kind)
     if not 0 <= q < params.R:
         raise CoordinateOutOfRange(f"q = {q} outside 0..{params.R - 1}")
-    inst = instance if instance is not None else family.build(params, DEFAULT_MAX_NODES)
+    inst = instance if instance is not None else family.build(params)
     return rule_cut(family, params, inst, lambda owner: q)
 
 
@@ -872,8 +874,12 @@ def rule_cut(
 
     Non-terminal node ids read ``[owner::]v[block]/[point]``, with owner
     "" in a raw gadget. ``coord(owner)`` is the coordinate the rule reads in
-    that copy, or None to remove the whole copy.
+    that copy, or None to remove the whole copy. WrongProblemType for a
+    problem not the family's, or a fire-containment instance in edge mode.
     """
+    require_problem(inst.problem, family.problem)
+    if family.problem is Rmfc and inst.mode == EDGE:
+        raise WrongProblemType("a fire-containment schedule saves nodes, not edges")
     in_cut = family.rule(params)
     g = inst.graph
     terminals = set(inst.terminals())
@@ -889,7 +895,10 @@ def rule_cut(
         for idx, (tail, head, _, _, weight) in enumerate(g.edge_rows):
             if weight is None:
                 continue
-            (qa, blk_a, xa), (qb, blk_b, xb) = nodes[tail], nodes[head]
+            try:
+                (qa, blk_a, xa), (qb, blk_b, xb) = nodes[tail], nodes[head]
+            except KeyError:
+                raise UnknownGenerator(f"cuttable edge {idx} ends at a terminal") from None
             if _layer(blk_a) > _layer(blk_b):
                 qa, xa, qb, xb = qb, xb, qa, xa
             if qa is None or qb is None or in_cut(xa[qa], xb[qb]):
@@ -897,14 +906,14 @@ def rule_cut(
                 cost += weight
         return CutSolution(frozenset(elements), cost)
     if isinstance(inst.problem, Rmfc):
-        days: list[set[str]] = [set() for _ in range(params.b)]
+        days: list[list[str]] = [[] for _ in range(params.b)]
         for v, (q, block, x) in nodes.items():
             i = _layer(block)
             if q is None or in_cut(i, x[q]):
-                days[i - 1].add(v)
+                days[i - 1].append(v)
         costs = tuple(_node_cost(g, day) for day in days)
         return Schedule(tuple(frozenset(day) for day in days), costs)
-    chosen = {v for v, (q, _, x) in nodes.items() if q is None or in_cut(x[q])}
+    chosen = [v for v, (q, _, x) in nodes.items() if q is None or in_cut(x[q])]
     return CutSolution(frozenset(chosen), _node_cost(g, chosen))
 
 
@@ -913,4 +922,12 @@ def _layer(block: str) -> int:
 
 
 def _node_cost(g: WeightedGraph, nodes: Iterable[str]) -> Fraction:
-    return sum((g.node_weight(v) for v in nodes), Fraction(0))
+    """The summed weight of ``nodes``; RemovingUncuttable at the first
+    uncuttable one, which only a tampered instance holds."""
+    cost = Fraction(0)
+    for v in nodes:
+        weight = g.node_weight(v)
+        if weight is None:
+            raise RemovingUncuttable(f"the dictator rule takes uncuttable node {v!r}")
+        cost += weight
+    return cost

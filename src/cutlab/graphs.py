@@ -495,13 +495,20 @@ def constrained_min_weight_path(
     """Minimum x-weight s-t path of total length strictly below ``bound``.
 
     Dynamic program over (node, accumulated length) states on the integer
-    costs of ``_scaled_costs``; all lengths are at least 1, so the
-    nonnegative minimum is attained by a simple path, and no simple path
-    is longer than all edges together. So the levels stop at the total
-    edge length, however large the bound: the levels below that are
-    expanded as without the cap, and they hold the least (cost, length)
-    state at t. The returned path is simple (shortcuts removed) and its
-    weight sums x over distinct cuttable elements.
+    costs of ``_scaled_costs``; a walk's cost sums the costs of its steps,
+    an element entered twice counted twice. The returned path is the walk
+    of the least (cost, length) state at t, and that walk is simple:
+    - a walk that revisits a node has a shortcut, the walk with the closed
+      walk between two of its visits cut out, of no greater cost (costs
+      are nonnegative) and strictly shorter length (every length is at
+      least 1);
+    - so a revisiting walk's state at t is never the least: the state at t
+      of its shortcut's length costs no more.
+    The path's weight, the least cost, thus sums x over distinct cuttable
+    elements. No simple path is longer than all edges together, so the
+    levels stop at the total edge length, however large the bound: the
+    levels below that are expanded as without the cap, and they hold the
+    least (cost, length) state at t.
 
     Levels are expanded by increasing length, and (v, L) is not expanded
     when its cost is at least ``settled[v]``, the least cost of v at a
@@ -563,32 +570,9 @@ def constrained_min_weight_path(
         cur, cl = pv, pl
     walk_nodes.reverse()
     walk_edges.reverse()
-    nodes_s, edges_s = _remove_shortcuts(walk_nodes, walk_edges)
-    path = Path(
-        tuple([names[v] for v in nodes_s]),
-        tuple(edges_s),
-        sum(rows[i][3] for i in edges_s),
-    )
-    # a simple path enters each of its elements once
-    total = sum(cost.get(el, 0) for el in (edges_s if edge_mode else nodes_s))
-    return path, Fraction(total, scale)
-
-
-def _remove_shortcuts(nodes: list, edges: list[int]) -> tuple[list, list[int]]:
-    """Splice out revisits so the walk becomes a simple path."""
-    while True:
-        seen: dict = {}
-        cut = None
-        for i, v in enumerate(nodes):
-            if v in seen:
-                cut = (seen[v], i)
-                break
-            seen[v] = i
-        if cut is None:
-            return nodes, edges
-        a, b = cut
-        nodes = nodes[: a + 1] + nodes[b + 1 :]
-        edges = edges[:a] + edges[b:]
+    path = Path(tuple([names[v] for v in walk_nodes]), tuple(walk_edges), lvl)
+    # the walk is simple (see above), so best[lvl][t] sums x over distinct elements
+    return path, Fraction(best[lvl][t], scale)
 
 
 # -- max-flow / min-cut -------------------------------------------------
@@ -874,13 +858,13 @@ def _problem_from_json(d: dict) -> Problem:
     raise ValueError(f"unknown problem type {kind!r}")
 
 
-def _weight_field(doc: dict, where: str) -> Weight:
+def _weight_field(doc: dict, where: str, parsed: _ParsedWeights) -> Weight:
     w = doc.get("weight")
     if w is None:
         return None
     try:
         if isinstance(w, (str, int)) and not isinstance(w, bool):
-            return parse_rational(str(w))
+            return parsed[str(w)]
     except (ValueError, ZeroDivisionError):
         if isinstance(w, str) and past_digit_limit(w):
             raise MalformedInstance(
@@ -902,42 +886,21 @@ class _ParsedWeights(dict):
 def _edge_records(entries: list, ids: Mapping[str, str]) -> Iterator[EdgeRecord]:
     """The record of each entry of an instance's edge array, in order.
 
-    An entry is a value as ``json.loads`` parses it. One type test accepts
-    the fields of an entry printed as the writer prints it; each distinct
-    weight string is parsed once. Any other entry goes through ``_field``
-    and ``_weight_field``, which accept or reject it with their usual
-    messages. An endpoint becomes the string object of its node in ``ids``
-    (an id to itself), so the graph holds one string per node, not two per
-    edge; an undeclared endpoint keeps its own string for ``add_edges`` to
-    refuse.
+    An entry is a value as ``json.loads`` parses it, read through
+    ``_field`` and ``_weight_field``, which accept or reject it with their
+    usual messages; each distinct weight string is parsed once. An
+    endpoint becomes the string object of its node in ``ids`` (an id to
+    itself), so the graph holds one string per node, not two per edge; an
+    undeclared endpoint keeps its own string for ``add_edges`` to refuse.
     """
-    weights = _ParsedWeights({None: None})
+    weights = _ParsedWeights()
     for ed in entries:
-        if type(ed) is dict:
-            fields = ed.get("tail"), ed.get("head"), ed.get("directed"), ed.get("length"), ed.get("weight")
-        else:
-            fields = None, None, None, None, None
-        tail, head, directed, length, w = fields
-        if (
-            type(tail) is str
-            and type(head) is str
-            and type(directed) is bool
-            and type(length) is int
-            and (w is None or type(w) is str)
-        ):
-            try:
-                weight = weights[w]
-            except (ValueError, ZeroDivisionError):
-                pass
-            else:
-                yield ids.get(tail, tail), ids.get(head, head), directed, length, weight
-                continue
         tail, head, directed, length, weight = (
             _field(ed, "tail", str, "edge"),
             _field(ed, "head", str, "edge"),
             _field(ed, "directed", bool, "edge"),
             _field(ed, "length", int, "edge"),
-            _weight_field(ed, "edge"),
+            _weight_field(ed, "edge", weights),
         )
         yield ids.get(tail, tail), ids.get(head, head), directed, length, weight
 
@@ -948,14 +911,7 @@ def _declared_nodes(doc: object) -> WeightedGraph:
     g = WeightedGraph()
     weights = _ParsedWeights()
     for nd in _field(doc, "nodes", list, "instance"):
-        node = _field(nd, "id", str, "node")
-        w = nd.get("weight")
-        try:
-            weight = weights[w] if type(w) is str else _weight_field(nd, "node")
-        except (ValueError, ZeroDivisionError):
-            # refused with _weight_field's message
-            weight = _weight_field(nd, "node")
-        g.add_node(node, weight)
+        g.add_node(_field(nd, "id", str, "node"), _weight_field(nd, "node", weights))
     return g
 
 

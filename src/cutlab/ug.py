@@ -205,7 +205,7 @@ def compose(
     if params.R != ug.R:
         raise LabelMismatch(f"test has R = {params.R}, instance has R = {ug.R}")
     max_nodes = gadgets.DEFAULT_MAX_NODES
-    gadget = family.build(params, max_nodes)
+    gadget = family.build(params)
     gg = gadget.graph
     terminals = set(gadget.terminals())
     inner = [v for v in gg.nodes if v not in terminals]

@@ -42,7 +42,6 @@ from cutlab.graphs import (
     Rmfc,
     WeightedGraph,
     _over_lcm,
-    _remove_shortcuts,
     shortest_path_length,
 )
 from cutlab.lp import LPProblem
@@ -225,10 +224,10 @@ def reference_constrained_min_weight_path(
     strictly below ``bound``.
 
     Dynamic program over (node, accumulated length) states; all lengths are
-    at least 1, so states are bounded by bound * |V| and the nonnegative
-    minimum is attained by a simple path. The returned path is simple
-    (shortcuts removed) and its weight sums x over distinct cuttable
-    elements.
+    at least 1, so states are bounded by bound * |V|, and the walk of the
+    least (cost, length) state at t is simple (a revisit could be cut out
+    at no greater cost and a shorter length). Its weight sums x over
+    distinct cuttable elements.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -282,12 +281,7 @@ def reference_constrained_min_weight_path(
         cur, cl = pv, pl
     walk_nodes.reverse()
     walk_edges.reverse()
-    nodes_s, edges_s = _remove_shortcuts(walk_nodes, walk_edges)
-    path = Path(
-        tuple(nodes_s),
-        tuple(edges_s),
-        sum(g.edges[i].length for i in edges_s),
-    )
+    path = Path(tuple(walk_nodes), tuple(walk_edges), path_length(g, walk_edges))
     weight = Fraction(0)
     for el in path.elements(mode, g):
         weight += x.get(el, Fraction(0))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cutlab
+import helpers
 from cutlab import cli, gadgets
 from cutlab.cli import CSV_HEADER, main, parse_params
 
@@ -91,33 +92,25 @@ class TestGenerate:
         assert code == 1
         assert "ParamOutOfRange" in capsys.readouterr().err
 
-    def test_size_guard_surfaced(self, capsys):
-        code = main(
-            [
-                "generate",
-                "--family",
-                "saks",
-                "--params",
-                "r=8,k=7",
-                "--max-nodes",
-                "100",
-            ]
-        )
+    def test_size_guard_surfaced(self, monkeypatch, capsys):
+        monkeypatch.setattr(gadgets, "DEFAULT_MAX_NODES", 100)
+        code = main(["generate", "--family", "saks", "--params", "r=8,k=7"])
         assert code == 1
         err = capsys.readouterr().err
         assert "SizeGuard" in err and "2097166" in err
 
-    @pytest.mark.parametrize("command", ["generate", "gap-table"])
-    @pytest.mark.parametrize("cap", ["-1", "0"])
-    def test_max_nodes_below_one_refused_before_a_build(self, command, cap, monkeypatch, capsys):
-        def unbuilt(*args):
-            raise AssertionError("an instance was built")
-
-        monkeypatch.setattr(gadgets, "build_saks_gap", unbuilt)
-        argv = [command, "--family", "saks", "--params", "r=2,k=2", "--max-nodes", cap]
-        assert run_cli(capsys, argv) == (
-            1, "", f"error: ParamOutOfRange: --max-nodes = {cap} must be >= 1\n"
-        )
+    @pytest.mark.parametrize(
+        "command", ["generate", "verify", "lp", "exact", "approx", "interdict", "rmfc", "gap-table"]
+    )
+    def test_max_nodes_is_not_an_option(self, command, capsys):
+        # the node cap is the module constant gadgets.DEFAULT_MAX_NODES
+        argv = [command, "--family", "saks", "--params", "r=2,k=2", "--max-nodes", "10"]
+        if command == "interdict":
+            argv += ["--budget", "1"]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --max-nodes 10" in capsys.readouterr().err
 
     def test_max_nodes_default_read_at_call_time(self, monkeypatch, capsys):
         argv = ["generate", "--family", "saks", "--params", "r=3,k=2"]
@@ -256,6 +249,21 @@ class TestVerify:
         assert "FAIL" in capsys.readouterr().out
 
 
+# edits of a generated file: its first weighted node made uncuttable, or
+# its first weighted edge led into the sink t
+def uncuttable_node(doc):
+    next(nd for nd in doc["nodes"] if nd["weight"] is not None)["weight"] = None
+
+
+def edge_into_sink(doc):
+    next(ed for ed in doc["edges"] if ed["weight"] is not None)["head"] = "t"
+
+
+# the dictator schedule of dict-f b=2 R=1 at q=1: B = 6, B_1 = 4
+DAY_ONE = ["v[1]/[*]", "v[1]/[1]", "v[1]/[2]", "v[1]/[3]", "v[1]/[4]"]
+DAY_TWO = ["v[2]/[*]", "v[2]/[5]", "v[2]/[6]"]
+
+
 class TestSolverCommands:
     def test_exact_on_file(self, tmp_path, capsys):
         inst_file = tmp_path / "inst.json"
@@ -264,6 +272,43 @@ class TestSolverCommands:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["cost"] == "3/1"
+
+    def test_exact_on_length_bound_family(self, capsys):
+        code, out, err = run_cli(capsys, ["exact", "--family", "dict-e", "--params", "a=4,b=3,r=2,R=1"])
+        assert (code, err) == (0, "")
+        # one block of short edges, the optimum of the subset enumeration
+        expected = {"cost": "1/1", "elements": ["12", "13", "14", "15"], "verified": True}
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        inst = gadgets.build_dict_edge(gadgets.DictParamsE(4, 3, 2, 1))
+        assert helpers.brute_force_min_cut(inst).cost == 1
+
+    def test_approx_on_multicut_family(self, capsys):
+        code, out, err = run_cli(capsys, ["approx", "--family", "saks", "--params", "r=3,k=2"])
+        assert (code, err) == (0, "")
+        # the two pairs' slab cuts of 3 nodes each share one node: 5 nodes,
+        # the optimum r^k - (r-1)^k
+        assert json.loads(out) == {"algorithm": "per-pair-cuts", "cost": "5/1"}
+
+    @pytest.mark.parametrize(
+        "days, code, burnt, costs, simulated",
+        [
+            ([DAY_ONE, DAY_TWO], 0, False, ["67/100", "17/25"], 2),
+            # the fire spreads until it has no unburnt neighbour left
+            ([DAY_ONE], 1, True, ["67/100"], 5),
+        ],
+        ids=["both-days", "first-day-only"],
+    )
+    def test_rmfc_schedule_file(self, days, code, burnt, costs, simulated, tmp_path, capsys):
+        """The dictator schedule of dict-f b=2 at q=1, read from a file: its
+        costs are summed from the graph's node weights."""
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({"days": days}))
+        argv = ["rmfc", "--family", "dict-f", "--params", "b=2,R=1,eps=1/100", "--schedule", str(path)]
+        got, out, err = run_cli(capsys, argv)
+        assert (got, err) == (code, "")
+        assert json.loads(out) == {
+            "days_simulated": simulated, "per_day_cost": costs, "target_burnt": burnt
+        }
 
     def test_lp_on_family(self, capsys):
         code = main(["lp", "--family", "saks", "--params", "r=2,k=2"])
@@ -992,6 +1037,49 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (1, "")
         assert err == "error: ParamOutOfRange: parameter r = 5/2 is not an integer\n"
+
+    @pytest.mark.parametrize(
+        "command, family, params, edit, message",
+        [
+            (
+                "verify", "dict-v", "a=1,b=1,r=2,R=1,eps=1/5", uncuttable_node,
+                "RemovingUncuttable: the dictator rule takes uncuttable node 'v[0]/[*]'",
+            ),
+            (
+                "verify", "dict-f", "b=1,R=1,eps=1/3", uncuttable_node,
+                "RemovingUncuttable: the dictator rule takes uncuttable node 'v[1]/[*]'",
+            ),
+            (
+                "rmfc", "dict-f", "b=1,R=1,eps=1/3", uncuttable_node,
+                "RemovingUncuttable: the dictator rule takes uncuttable node 'v[1]/[*]'",
+            ),
+            (
+                "verify", "dict-e", "a=2,b=1,r=2,R=1", edge_into_sink,
+                "UnknownGenerator: cuttable edge 6 ends at a terminal",
+            ),
+            (
+                "rmfc", "dict-f", "b=1,R=1,eps=1/3", lambda doc: doc.update(mode="edge"),
+                "WrongProblemType: a fire-containment schedule saves nodes, not edges",
+            ),
+            (
+                "verify", "dict-e", "a=2,b=1,r=2,R=1",
+                lambda doc: doc.update(problem={"type": "multicut", "pairs": [["s", "t"]]}),
+                "WrongProblemType: expected a LengthBound problem, got Multicut",
+            ),
+        ],
+        ids=["dict-v", "dict-f", "dict-f-rmfc", "dict-e", "dict-f-edge-mode", "dict-e-multicut"],
+    )
+    def test_tampered_dictator_input_named(
+        self, command, family, params, edit, message, tmp_path, capsys
+    ):
+        """A generated file edited so that the dictator rule of its
+        provenance meets what no build of the family holds."""
+        path = tmp_path / "inst.json"
+        main(["generate", "--family", family, "--params", params, "--out", str(path)])
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, [command, "--instance", str(path)]) == (1, "", f"error: {message}\n")
 
     def test_interdict_needs_length_bound(self, capsys):
         argv = ["interdict", "--family", "saks", "--params", "r=2,k=2", "--budget", "1"]

@@ -67,20 +67,22 @@ class TestSaksGap:
         with pytest.raises(ParamOutOfRange):
             build_saks_gap(1, 2)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(gadgets, "DEFAULT_MAX_NODES", 1000)
         with pytest.raises(SizeGuard):
-            build_saks_gap(10, 7, max_nodes=1000)
+            build_saks_gap(10, 7)
 
-    def test_size_guard_before_the_power(self):
+    def test_size_guard_before_the_power(self, monkeypatch):
         # (10**6)**(10**6) has six million digits; k alone refuses
         with pytest.raises(SizeGuard, match=r"over 200000 nodes \(cap 200000\)"):
             build_saks_gap(10**6, 10**6)
-        # from k > max_nodes.bit_length() on
-        with pytest.raises(SizeGuard, match=r"over 100 nodes"):
-            build_saks_gap(2, 8, max_nodes=100)
         # a count too long for Python to print is named by the cap
         with pytest.raises(SizeGuard, match=r"over 200000 nodes \(cap 200000\)"):
             build_saks_gap(10**250, 18)
+        # from k > DEFAULT_MAX_NODES.bit_length() on
+        monkeypatch.setattr(gadgets, "DEFAULT_MAX_NODES", 100)
+        with pytest.raises(SizeGuard, match=r"over 100 nodes"):
+            build_saks_gap(2, 8)
 
     def test_edge_guard(self):
         # 131,106 nodes fit the node cap, but each of the 2^17 grid points
@@ -331,7 +333,7 @@ class TestDeclaredCounts:
 
         fam = gadgets.FAMILIES[family]
         p = fam.params(parse_params(params))
-        built = fam.build(p, gadgets.DEFAULT_MAX_NODES)
+        built = fam.build(p)
         assert fam.cuttable(p) == len(built.cuttable_elements())
 
     @pytest.mark.parametrize(
@@ -348,7 +350,7 @@ class TestDeclaredCounts:
         from cutlab.cli import parse_params
 
         fam = gadgets.FAMILIES[family]
-        built = fam.build(fam.params(parse_params(params)), gadgets.DEFAULT_MAX_NODES)
+        built = fam.build(fam.params(parse_params(params)))
         assert type(built.problem) is fam.problem
 
     @pytest.mark.parametrize(
@@ -396,7 +398,7 @@ class TestBlowUp:
         g.add_edges([("s", "a", True, 1, None), ("a", "b", True, 1, None), ("b", "t", True, 1, None)])
         gap = CutInstance(graph=g, mode=VERTEX, problem=Multicut((("s", "t"),)))
         noise = star_noise_space(2, Fraction(1, 5))
-        test = gadgets._blow_up(gap, noise, 2, {"generator": "path"}, 100)
+        test = gadgets._blow_up(gap, noise, 2, {"generator": "path"})
         h = test.graph
         points = list(itertools.product(noise.left.atoms, repeat=2))
         a = [gadgets.point_id("a", x) for x in points]
@@ -436,7 +438,7 @@ class TestBlowUp:
         g.add_edges([("s", "a", True, 1, None), ("a", "t", True, 1, None)])
         gap = CutInstance(graph=g, mode=VERTEX, problem=Multicut((("s", "t"),)))
         noise = star_noise_space(2, Fraction(1, 5))
-        h = gadgets._blow_up(gap, noise, 8, {"generator": "path"}, 10_000).graph
+        h = gadgets._blow_up(gap, noise, 8, {"generator": "path"}).graph
         points = list(itertools.product(noise.left.atoms, repeat=8))
         a = [gadgets.point_id("a", x) for x in points]
         assert h.nodes == ["s", "t", *a]

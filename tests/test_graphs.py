@@ -247,17 +247,24 @@ class TestConstrainedMinWeightPath:
                 assert a[1] == b[1]
 
     def test_returned_path_is_simple(self):
-        rng = random.Random(17)
-        for _ in range(20):
-            inst = helpers.random_instance(rng, "length_bound", EDGE)
-            g = inst.graph
-            x = {el: Fraction(rng.randint(0, 3)) for el in g.cuttable_elements(EDGE)}
-            found = constrained_min_weight_path(g, "S", "T", x, 6, EDGE)
-            if found is None:
-                continue
-            path, _ = found
-            assert len(set(path.nodes)) == len(path.nodes)
-            assert path.length < 6
+        # with x all zero every walk costs 0, and only the least length
+        # among the least-cost states keeps the returned walk simple
+        for mode, zero in [(EDGE, False), (VERTEX, False), (EDGE, True), (VERTEX, True)]:
+            rng = random.Random(17)
+            for _ in range(20):
+                inst = helpers.random_instance(rng, "length_bound", mode)
+                g = inst.graph
+                x = {
+                    el: Fraction(0 if zero else rng.randint(0, 3))
+                    for el in g.cuttable_elements(mode)
+                }
+                found = constrained_min_weight_path(g, "S", "T", x, 6, mode)
+                if found is None:
+                    continue
+                path, weight = found
+                assert len(set(path.nodes)) == len(path.nodes)
+                assert path.length < 6
+                assert weight == helpers.path_x_weight(g, path.nodes, path.edges, x, mode)
 
 
 def mixed_x(rng: random.Random, elements) -> dict:
@@ -436,7 +443,7 @@ class TestInstanceJson:
     def test_family_output_canonical(self, name):
         family = gadgets.FAMILIES[name]
         params = family.params(parse_params(self.SMALL_PARAMS[name]))
-        self.assert_canonical(family.build(params, 10_000))
+        self.assert_canonical(family.build(params))
 
     def test_no_edges(self):
         g = WeightedGraph()
@@ -516,7 +523,7 @@ class TestInstanceJson:
         """The 62k-edge dict-v test that ``build_verify`` writes and reads."""
         family = gadgets.FAMILIES["dict-v"]
         params = family.params(parse_params(cls.LARGE_PARAMS))
-        inst = family.build(params, 200_000)
+        inst = family.build(params)
         assert len(inst.graph.edges) >= 10_000
         return inst
 
@@ -544,7 +551,7 @@ class TestInstanceJson:
         assert main(argv) == 0
         out = capsysbinary.readouterr().out
         fam = gadgets.FAMILIES[family]
-        text = instance_to_json_str(fam.build(fam.params(parse_params(params)), 200_000))
+        text = instance_to_json_str(fam.build(fam.params(parse_params(params))))
         assert path.read_bytes() == out == text.encode()
 
     def test_node_weights_parsed_once(self, monkeypatch):
@@ -779,7 +786,7 @@ class TestEdgeRows:
             expected = [GraphEdge(*row) for row in g.edge_rows]
         else:
             family = gadgets.FAMILIES[name]
-            inst = family.build(family.params(parse_params(text)), 10_000)
+            inst = family.build(family.params(parse_params(text)))
             expected = [GraphEdge(*row) for row in inst.graph.edge_rows]
             if how == "build":
                 g = inst.graph
@@ -874,7 +881,7 @@ class TestOutArcsIndex:
     def test_every_family_and_its_json_round_trip(self, name):
         family = gadgets.FAMILIES[name]
         params = family.params(parse_params(TestInstanceJson.SMALL_PARAMS[name]))
-        inst = family.build(params, 10_000)
+        inst = family.build(params)
         assert_index_matches_edges(inst.graph)
         assert inst.graph.index() is inst.graph.index()
         read = instance_from_json_str(instance_to_json_str(inst)).graph
@@ -960,7 +967,7 @@ class TestOutArcsIndex:
 
     def test_never_built_for_the_symmetry_comparison(self, monkeypatch):
         family = gadgets.FAMILIES["saks"]
-        inst = family.build(family.params({"r": 2, "k": 2}), 10_000)
+        inst = family.build(family.params({"r": 2, "k": 2}))
         builds = count_index_builds(monkeypatch)
         assert len(list(gadgets.declared_symmetries(inst))) > 0
         assert builds == [0]
@@ -968,7 +975,7 @@ class TestOutArcsIndex:
     def test_built_once_per_solve(self, monkeypatch):
         def build(name, params):
             family = gadgets.FAMILIES[name]
-            return family.build(family.params(parse_params(params)), 10_000)
+            return family.build(family.params(parse_params(params)))
 
         saks = build("saks", "r=3,k=2")
         dict_e, fresh = (build("dict-e", "a=4,b=3,r=2,R=1") for _ in range(2))
@@ -1374,7 +1381,7 @@ class TestColumnReader:
     def test_every_family_reads_by_columns(self, name):
         family = gadgets.FAMILIES[name]
         params = family.params(parse_params(TestInstanceJson.SMALL_PARAMS[name]))
-        text = instance_to_json_str(family.build(params, 10_000))
+        text = instance_to_json_str(family.build(params))
         assert not columns_depart(text)
         assert outcome(instance_from_json_str, text) == outcome(reference_read, text)
 

@@ -98,7 +98,7 @@ def gauss_solve(mat, n):
 def family_instance(family: str, params: str) -> CutInstance:
     """The family's instance at ``params``, as the CLI builds it."""
     fam = gadgets.FAMILIES[family]
-    return fam.build(fam.params(parse_params(params)), gadgets.DEFAULT_MAX_NODES)
+    return fam.build(fam.params(parse_params(params)))
 
 
 class TestSimplex:

@@ -657,6 +657,17 @@ class TestSymmetryPruning:
             exact_min_multicut(inst, declared_symmetries(inst))
         assert builds[0] == 0
 
+    def test_larger_claimed_build_is_never_made(self, monkeypatch):
+        # the provenance claims r=400 k=2, 160,000 cuttable nodes against
+        # the file's 9: the counts differ, so no fresh build is made
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a fresh instance was built")
+
+        inst = build_saks_gap(3, 2)
+        inst.provenance = {"generator": "saks", "params": {"r": 400, "k": 2}}
+        monkeypatch.setattr(gadgets, "build_saks_gap", unbuilt)
+        assert list(declared_symmetries(inst)) == []
+
 
 class TestInterdiction:
     def test_each_round_gets_its_bound_on_the_shared_graph(self, monkeypatch):

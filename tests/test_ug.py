@@ -260,6 +260,24 @@ class TestCompletenessCut:
         assert cert.passed
         assert cert.detail["dist"] >= 8
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_edge_composition_reads_reversed_edges_forward(self, seed):
+        """Composition stores an undirected edge with its ends in id order,
+        so some cuttable edges run from layer i+1 back to layer i; the rule
+        reads each such edge from its layer-i end. Read the other way round,
+        the cut leaves a path of length 5, below the need of 6."""
+        p = DictParamsE(3, 3, 2, 2)
+        result = synth_ug(2, 2, 2, 2, mode="planted", seed=seed)
+        composed = compose(result.instance, "dict_edge", p)
+        g = composed.graph
+        layer = {v: gadgets._layer(gadgets.split_block_point(v)[0].rpartition("::")[2])
+                 for v in g.nodes if v not in ("s", "t")}
+        assert any(w is not None and layer[a] > layer[b] for a, b, _, _, w in g.edge_rows)
+        cert = completeness_cut(composed, result.instance, result.labeling, result.w_prime)
+        assert (cert.cost, cert.eta) == (Fraction(15, 8), 0)
+        assert cert.detail == {"dist": 9, "need": 6}
+        assert cert.passed
+
     def test_planted_fire_composition(self):
         p = DictParamsF(2, 1, Fraction(1, 100))
         result = synth_ug(2, 2, 1, 1, mode="planted", seed=12)
