@@ -129,18 +129,11 @@ def load_instance(args: argparse.Namespace) -> CutInstance:
     return build_instance(args)
 
 
-def dictator_test(inst: CutInstance) -> tuple[gadgets.Family, gadgets.TestParams]:
-    """The test family and params record named by the instance's provenance,
-    which a --family build writes from its --params."""
-    prov = inst.provenance or {}
-    family = gadgets.dictator_family(prov.get("generator"))
-    return family, family.params(prov.get("params"))
-
-
 def dictator_cut(args: argparse.Namespace, inst: CutInstance):
     """The test family, its params and the dictator cut at the 1-based
-    coordinate ``--q``, which must lie in 1..R."""
-    family, params = dictator_test(inst)
+    coordinate ``--q`` (in 1..R) of the test named by the instance's
+    provenance, which a --family build writes (``gadgets.provenance_test``)."""
+    family, params = gadgets.provenance_test(inst)
     if not 1 <= args.q <= params.R:
         raise CoordinateOutOfRange(f"--q = {args.q} outside 1..{params.R}")
     return family, params, gadgets.dictator_cut(family.kind, params, args.q - 1, inst)

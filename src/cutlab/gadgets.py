@@ -599,11 +599,11 @@ class Family:
     """One generator family, keyed in ``FAMILIES`` by its CLI name.
 
     ``kind`` is the generator name written to provenance, ``record`` the
-    params record class, ``problem`` the problem class of every build
-    (``Multicut``, ``LengthBound`` or ``Rmfc``), and ``build(params)``
-    calls the builder through its module attribute, so a wrapper installed
-    there sees every build. The dictatorship tests also
-    carry:
+    params record class, ``mode`` and ``problem`` the cut mode and problem
+    class (``Multicut``, ``LengthBound`` or ``Rmfc``) of every build, which
+    ``require_fit`` holds an instance to, and ``build(params)`` calls the
+    builder through its module attribute, so a wrapper installed there sees
+    every build. The dictatorship tests also carry:
 
     - ``space(params)``: the base probability space of one coordinate;
     - ``rule(params)``: the coordinate-q dictator rule, a predicate on the
@@ -631,6 +631,7 @@ class Family:
 
     kind: str
     record: type
+    mode: str
     problem: type
     build: Callable[[Any], CutInstance]
     space: Callable[[Any], FiniteProbSpace] | None = None
@@ -744,6 +745,7 @@ FAMILIES = {
     "saks": Family(
         "saks",
         SaksParams,
+        VERTEX,
         Multicut,
         lambda p: build_saks_gap(p.r, p.k),
         cuttable=lambda p: _cuttable(p.r, p.k),
@@ -752,6 +754,7 @@ FAMILIES = {
     "dict-m": Family(
         "dict_multicut",
         DictParamsM,
+        VERTEX,
         Multicut,
         lambda p: build_dict_multicut(p),
         space=lambda p: star_noise_space(p.r, p.eps).left,
@@ -766,6 +769,7 @@ FAMILIES = {
     "dict-e": Family(
         "dict_edge",
         DictParamsE,
+        EDGE,
         LengthBound,
         lambda p: build_dict_edge(p),
         space=lambda p: edge_noise_space(p.r).left,
@@ -777,6 +781,7 @@ FAMILIES = {
     "dict-v": Family(
         "dict_vertex",
         DictParamsV,
+        VERTEX,
         LengthBound,
         lambda p: build_dict_vertex(p),
         space=lambda p: star_noise_space(p.r, p.eps).left,
@@ -789,6 +794,7 @@ FAMILIES = {
     "dict-f": Family(
         "dict_rmfc",
         DictParamsF,
+        VERTEX,
         Rmfc,
         lambda p: build_dict_rmfc(p),
         space=lambda p: fire_noise_space(p.big_b, p.eps).left,
@@ -811,9 +817,7 @@ def declared_symmetries(inst: CutInstance) -> Iterator[dict[Element, Element]]:
     search's size guard refuses a large instance before its group (of
     order 2^k k! for saks) or the fresh build is made."""
     prov = inst.provenance or {}
-    family = next(
-        (f for f in FAMILIES.values() if f.kind == prov.get("generator")), None
-    )
+    family = family_of_kind(prov.get("generator"))
     if family is None or family.symmetries is None:
         return
     try:
@@ -835,12 +839,41 @@ def declared_symmetries(inst: CutInstance) -> Iterator[dict[Element, Element]]:
         yield from family.symmetries(params)
 
 
-def dictator_family(kind: str | None) -> Family:
+_KINDS = {family.kind: family for family in FAMILIES.values()}
+
+
+def family_of_kind(kind: object) -> Family | None:
+    """The family named ``kind`` in provenance, or None (as for a non-string)."""
+    return _KINDS.get(kind) if isinstance(kind, str) else None
+
+
+def dictator_family(kind: object) -> Family:
     """The dictatorship test whose provenance generator name is ``kind``."""
-    for family in FAMILIES.values():
-        if family.kind == kind and family.rule is not None:
-            return family
-    raise UnknownGenerator(f"no dictator test of kind {kind!r}")
+    family = family_of_kind(kind)
+    if family is None or family.rule is None:
+        raise UnknownGenerator(f"no dictator test of kind {kind!r}")
+    return family
+
+
+def provenance_test(inst: CutInstance, composed: bool = False) -> tuple[Family, TestParams]:
+    """The test family and params record of ``inst``'s provenance ``generator``
+    and ``params`` or, if ``composed``, a composition's ``test`` and
+    ``test_params``; otherwise a composition names no test: UnknownGenerator."""
+    prov = inst.provenance or {}
+    if composed and prov.get("generator") == "compose":
+        kind, values = prov.get("test"), prov.get("test_params")
+    else:
+        kind, values = prov.get("generator"), prov.get("params")
+    family = dictator_family(kind)
+    return family, family.params(values)
+
+
+def require_fit(family: Family, inst: CutInstance) -> None:
+    """WrongProblemType unless ``inst`` has the family's problem class and
+    mode, as its builds do, so that a retagged file is refused."""
+    require_problem(inst.problem, family.problem)
+    if inst.mode != family.mode:
+        raise WrongProblemType(f"expected {family.mode} mode for {family.kind}, got {inst.mode}")
 
 
 # -- dictator cuts ------------------------------------------------------------
@@ -874,12 +907,10 @@ def rule_cut(
 
     Non-terminal node ids read ``[owner::]v[block]/[point]``, with owner
     "" in a raw gadget. ``coord(owner)`` is the coordinate the rule reads in
-    that copy, or None to remove the whole copy. WrongProblemType for a
-    problem not the family's, or a fire-containment instance in edge mode.
+    that copy, or None to remove the whole copy. WrongProblemType unless
+    ``inst`` fits the family (``require_fit``).
     """
-    require_problem(inst.problem, family.problem)
-    if family.problem is Rmfc and inst.mode == EDGE:
-        raise WrongProblemType("a fire-containment schedule saves nodes, not edges")
+    require_fit(family, inst)
     in_cut = family.rule(params)
     g = inst.graph
     terminals = set(inst.terminals())
@@ -889,7 +920,7 @@ def rule_cut(
             block, x = split_block_point(v)
             owner, _, block = block.rpartition("::")
             nodes[v] = (coord(owner), block, x)
-    if inst.mode == EDGE:
+    if family.mode == EDGE:
         elements = set()
         cost = Fraction(0)
         for idx, (tail, head, _, _, weight) in enumerate(g.edge_rows):
@@ -905,7 +936,7 @@ def rule_cut(
                 elements.add(idx)
                 cost += weight
         return CutSolution(frozenset(elements), cost)
-    if isinstance(inst.problem, Rmfc):
+    if family.problem is Rmfc:
         days: list[list[str]] = [[] for _ in range(params.b)]
         for v, (q, block, x) in nodes.items():
             i = _layer(block)

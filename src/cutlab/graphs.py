@@ -115,7 +115,7 @@ def _check_weight(weight: object, what: str) -> None:
 
 @dataclass(frozen=True)
 class Path:
-    """A walk through the graph; simple after shortcut removal."""
+    """A simple path through the graph, as both separation oracles return."""
 
     nodes: tuple[str, ...]
     edges: tuple[int, ...]

@@ -24,9 +24,10 @@ from .errors import (
     UnknownGenerator,
 )
 from .gadgets import (
-    Family,
     TestParams,
     dictator_family,
+    provenance_test,
+    require_fit,
     rule_cut,
     split_block_point,
 )
@@ -273,7 +274,6 @@ def compose(
                         merged[key] = None if add is None else merged[key] + add
     out.add_edges(key + (weight,) for key, weight in merged.items())
 
-    prov_inner = dict(gadget.provenance or {})
     return CutInstance(
         graph=out,
         mode=gadget.mode,
@@ -281,7 +281,7 @@ def compose(
         provenance={
             "generator": "compose",
             "test": kind,
-            "test_params": prov_inner.get("params", {}),
+            "test_params": gadget.provenance["params"],
             "num_u": len(ug.U),
             "num_w": len(ug.W),
             "degree": ug.degree_u,
@@ -321,17 +321,6 @@ def _check_labeling(
             )
 
 
-def _test_of(inst: CutInstance) -> tuple[Family, TestParams]:
-    """The test family and params record of a raw or composed test."""
-    prov = inst.provenance or {}
-    if prov.get("generator") == "compose":
-        kind, values = prov.get("test"), prov.get("test_params")
-    else:
-        kind, values = prov.get("generator"), prov.get("params")
-    family = dictator_family(kind)
-    return family, family.params(values)
-
-
 def completeness_cut(
     composed: CutInstance,
     ug: UniqueGamesInstance,
@@ -342,7 +331,7 @@ def completeness_cut(
     certified against the exact cost bound and the post-cut property."""
     if (composed.provenance or {}).get("generator") != "compose":
         raise UnknownGenerator("instance does not carry composition provenance")
-    family, params = _test_of(composed)
+    family, params = provenance_test(composed, composed=True)
     w_prime = frozenset(w_prime)
     _check_labeling(ug, labeling, w_prime)
     eta = Fraction(len(ug.W) - len(w_prime), len(ug.W))
@@ -398,7 +387,8 @@ def reachable_set_influences(
     (w, layer) pair in a composition); its indicator marks the points
     whose node is reachable from the instance's source terminals.
     """
-    family, params = _test_of(inst)
+    family, params = provenance_test(inst, composed=True)
+    require_fit(family, inst)
     space = family.space(params)
     r_coords = params.R
     if r_coords > 8 or len(space) ** r_coords > INFLUENCE_TABLE_CAP:

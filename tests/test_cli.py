@@ -259,6 +259,17 @@ def edge_into_sink(doc):
     next(ed for ed in doc["edges"] if ed["weight"] is not None)["head"] = "t"
 
 
+def composed_with_one_constraint(doc):
+    """Replace the file by its test composed with a one-constraint instance."""
+    from cutlab.graphs import instance_to_json_str
+    from cutlab.ug import UGEdge, UniqueGamesInstance, compose
+
+    kind, values = doc["provenance"]["generator"], doc["provenance"]["params"]
+    params = gadgets.dictator_family(kind).params(values)
+    ug = UniqueGamesInstance(["u0"], ["w0"], params.R, [UGEdge("u0", "w0", tuple(range(params.R)))])
+    doc.update(json.loads(instance_to_json_str(compose(ug, kind, params))))
+
+
 # the dictator schedule of dict-f b=2 R=1 at q=1: B = 6, B_1 = 4
 DAY_ONE = ["v[1]/[*]", "v[1]/[1]", "v[1]/[2]", "v[1]/[3]", "v[1]/[4]"]
 DAY_TWO = ["v[2]/[*]", "v[2]/[5]", "v[2]/[6]"]
@@ -1059,7 +1070,28 @@ class TestMalformedInput:
             ),
             (
                 "rmfc", "dict-f", "b=1,R=1,eps=1/3", lambda doc: doc.update(mode="edge"),
-                "WrongProblemType: a fire-containment schedule saves nodes, not edges",
+                "WrongProblemType: expected vertex mode for dict_rmfc, got edge",
+            ),
+            (
+                "verify", "dict-e", "a=2,b=1,r=2,R=1", lambda doc: doc.update(mode="vertex"),
+                "WrongProblemType: expected edge mode for dict_edge, got vertex",
+            ),
+            (
+                "verify", "dict-v", "a=1,b=1,r=2,R=1,eps=1/5", lambda doc: doc.update(mode="edge"),
+                "WrongProblemType: expected vertex mode for dict_vertex, got edge",
+            ),
+            (
+                "verify", "dict-m", "r=2,k=2,R=1,eps=1/5", lambda doc: doc.update(mode="edge"),
+                "WrongProblemType: expected vertex mode for dict_multicut, got edge",
+            ),
+            (
+                "verify", "dict-v", "a=1,b=1,r=2,R=1,eps=1/5", composed_with_one_constraint,
+                "UnknownGenerator: no dictator test of kind 'compose'",
+            ),
+            (
+                "verify", "dict-v", "a=1,b=1,r=2,R=1,eps=1/5",
+                lambda doc: doc["provenance"].update(generator=["dict_vertex"]),
+                "UnknownGenerator: no dictator test of kind ['dict_vertex']",
             ),
             (
                 "verify", "dict-e", "a=2,b=1,r=2,R=1",
@@ -1067,7 +1099,10 @@ class TestMalformedInput:
                 "WrongProblemType: expected a LengthBound problem, got Multicut",
             ),
         ],
-        ids=["dict-v", "dict-f", "dict-f-rmfc", "dict-e", "dict-f-edge-mode", "dict-e-multicut"],
+        ids=[
+            "dict-v", "dict-f", "dict-f-rmfc", "dict-e", "dict-f-edge-mode", "dict-e-vertex-mode",
+            "dict-v-edge-mode", "dict-m-edge-mode", "composed", "generator-list", "dict-e-multicut",
+        ],
     )
     def test_tampered_dictator_input_named(
         self, command, family, params, edit, message, tmp_path, capsys

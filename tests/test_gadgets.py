@@ -352,6 +352,7 @@ class TestDeclaredCounts:
         fam = gadgets.FAMILIES[family]
         built = fam.build(fam.params(parse_params(params)))
         assert type(built.problem) is fam.problem
+        assert built.mode == fam.mode
 
     @pytest.mark.parametrize(
         "family, params",

@@ -634,6 +634,8 @@ class TestSymmetryPruning:
             # refused before r**k is computed
             {"generator": "saks", "params": {"r": 3, "k": 10**12}},
             {"generator": "dict_multicut", "params": {"r": 3, "k": 2}},
+            # a generator that is no string names no family
+            {"generator": ["saks"], "params": {"r": 3, "k": 2}},
         ],
     )
     def test_group_needs_matching_provenance(self, provenance):

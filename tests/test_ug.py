@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from cutlab.errors import (
     LabelingNotPerfectOnWPrime,
     LabelMismatch,
     SizeGuard,
+    WrongProblemType,
 )
 from cutlab.gadgets import (
     DictParamsE,
@@ -302,6 +304,20 @@ class TestCompletenessCut:
             completeness_cut(
                 composed, bad, Labeling({"u0": 0, "w0": 0}), frozenset({"w0"})
             )
+
+    @pytest.mark.parametrize("kind", list(IDENTITY_CASES))
+    def test_flipped_mode_refused(self, kind):
+        """A composition retagged to the other cut mode fits no test: both
+        readers of its test refuse it before the rule or space is applied."""
+        p, q = self.IDENTITY_CASES[kind]
+        ug = identity_ug(p.R)
+        composed = compose(ug, kind, p)
+        flipped = dataclasses.replace(composed, mode=VERTEX if composed.mode == EDGE else EDGE)
+        message = f"expected {composed.mode} mode for {kind}, got {flipped.mode}"
+        with pytest.raises(WrongProblemType, match=message):
+            completeness_cut(flipped, ug, Labeling({"u0": q, "w0": q}), frozenset({"w0"}))
+        with pytest.raises(WrongProblemType, match=message):
+            reachable_set_influences(flipped, frozenset(), 1, Fraction(1, 100))
 
 
 class TestReachableSetInfluences:
