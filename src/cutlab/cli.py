@@ -178,7 +178,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         bound = family.cost_bound(params, 0)
         checks = [(f"{what} <= {rational_str(bound)}", cost <= bound)]
-    label, ok, found = family.check(params, inst, cut)
+    label, ok, found = gadgets.post_cut_check(params, inst, cut)
     checks.append((label, ok))
     if "dist" in found:
         detail["dist"] = found["dist"]

@@ -1,12 +1,15 @@
-"""Generators for the grid gap instance and the four hypercube tests,
-the family registry that pairs each generator with its params record and,
-for the tests, its dictator rule and guarantee, and the coordinate
+"""Generators for the gap instances and the four hypercube tests, the
+family registry that pairs each generator with its params record and, for
+the tests, its dictator rule and guarantee, and the coordinate
 ("dictator") cuts used by the completeness checks.
 
-Each test's move rule is written once, as its correlated space: the
-edges between two hypercube blocks join x to every y in the support of
-that space, the pairs of positive product joint mass (see ``support``),
-and node masses come from its marginal.
+Three tests are the paper's gap-to-test conversion (``_blow_up``) of a gap
+instance: dict-m of the saks grid, dict-v of ``vertex_gap_path`` and
+dict-f of ``fire_gap_path``; dict-e, weighted on edges, is built directly.
+Each test's move rule is written once, as its correlated space: the edges
+between two hypercube blocks join x to every y in the support of that
+space, the pairs of positive product joint mass (see ``support``), and
+node masses come from its marginal.
 
 All generators are deterministic: atom order is (*, 0, 1, ..., r-1)
 (or (*, 1, ..., B) for the fire-containment test), grid vectors and
@@ -184,7 +187,7 @@ class DictParamsM:
 @dataclass(frozen=True)
 class DictParamsE:
     """Parameters of the edge-cut length test: stretch a, layers b,
-    alphabet r, coordinates R, with b >= r - 1."""
+    alphabet r, coordinates R, with b >= r - 1; ``need`` is the length bound."""
 
     a: int
     b: int
@@ -197,10 +200,14 @@ class DictParamsE:
         if self.b < self.r - 1:
             raise ParamOutOfRange("need b >= r - 1")
 
+    @property
+    def need(self) -> int:
+        return max(1, self.a * (self.b - self.r + 1))
+
 
 @dataclass(frozen=True)
 class DictParamsV:
-    """Parameters of the vertex-cut length test."""
+    """Parameters of the vertex-cut length test; ``need`` as for dict-e."""
 
     a: int
     b: int
@@ -214,6 +221,10 @@ class DictParamsV:
         _check_eps(self, Fraction(1, 2 * self.r), "1/(2r)")
         if self.b < self.r - 2:
             raise ParamOutOfRange("need b >= r - 2")
+
+    @property
+    def need(self) -> int:
+        return max(1, self.a * (self.b - self.r + 2))
 
 
 @dataclass(frozen=True)
@@ -372,12 +383,17 @@ def _grid_ids(r: int, k: int) -> dict[tuple[int, ...], str]:
 
 def _blow_up(gap: CutInstance, noise: CorrelatedSpace, R: int, provenance: dict) -> CutInstance:
     """The gap-to-test conversion with every arc advancing one step: each
-    cuttable node v of the vertex multicut instance ``gap`` becomes a block
-    of nodes v/x, one per point x of the R-fold product of the noise atoms,
-    weighing w_v times the product mass of x under the noise marginal. The
-    terminals stay single nodes, and an arc at one fans out point by point;
-    an arc u -> v between blocks joins u/x to v/y for every y in the
-    support of x."""
+    cuttable node v of the vertex-cut instance ``gap`` becomes a block of
+    nodes v/x, one per point x of the R-fold product of the noise atoms,
+    weighing w_v times the product mass of x under the noise marginal; the
+    terminals stay single nodes. In ``gap``'s arc order, an arc u -> v
+    between blocks joins u/x to v/y for every y in the support of x, an arc
+    between terminals stays one edge, and a run of consecutive arcs joining
+    the terminals to one block v fans out point by point: at each x, every
+    arc of the run at v/x, in order. So saks (dict-m) fans out arc by arc:
+    it never lists two terminal arcs at one grid node in a row, as within a
+    pair each grid point appears at most once, and between pairs the last
+    arc is at v[r,...,r] and the next at v[1,...,1]."""
     g = gap.graph
     cuttable = {v for v in g.nodes if g.node_weight(v) is not None}
     size = _capped_power(len(noise.left.atoms), R, DEFAULT_MAX_NODES, "nodes")
@@ -390,41 +406,39 @@ def _blow_up(gap: CutInstance, noise: CorrelatedSpace, R: int, provenance: dict)
     out = WeightedGraph()
     for v, copies in ids.items():
         weight = g.node_weight(v)
-        # a terminal's one copy stays uncuttable
+        # a terminal's one copy stays uncuttable; a unit weight keeps the mass
         for u, mass in zip(copies, cube.masses):
-            out.add_node(u, None if weight is None else weight * mass)
-    for (tail, head, directed, length, weight), c in zip(g.edge_rows, ends):
-        src, dst = ids[tail], ids[head]
-        if c == 2:
-            out.add_edges((src[n], dst[m], directed, length, weight) for n, m in cube.steps)
+            out.add_node(u, None if weight is None else mass if weight == 1 else weight * mass)
+
+    def run_key(arc: EdgeRecord) -> str | None:
+        # None between blocks, else the arc's block end, or its tail (a terminal)
+        tail, head = arc[:2]
+        return None if {tail, head} <= cuttable else head if head in cuttable else tail
+
+    for key, run in itertools.groupby(g.edge_rows, run_key):
+        if key is None:
+            for tail, head, directed, length, weight in run:
+                src, dst = ids[tail], ids[head]
+                out.add_edges((src[n], dst[m], directed, length, weight) for n, m in cube.steps)
         else:
-            out.add_edges((a, b, directed, length, weight) for a in src for b in dst)
+            arcs = list(run)
+            out.add_edges(
+                (u if tail == key else tail, u if head == key else head, directed, length, weight)
+                for u in ids[key]
+                for tail, head, directed, length, weight in arcs
+            )
     return CutInstance(graph=out, mode=gap.mode, problem=gap.problem, provenance=provenance)
 
 
-def _layered_graph(
-    layers: Iterable[int],
-    points: Sequence[tuple[Atom, ...]],
-    weight: Callable[[int, int], Fraction | None],
-) -> tuple[WeightedGraph, dict[int, list[str]]]:
-    """The layered skeleton: a graph with nodes s, t and then, layer by
-    layer, one node per point, node n of layer i weighing ``weight(i, n)``;
-    returned with each layer's node ids in the order of ``points``."""
-    ids = {i: [point_id(f"v[{i}]", x) for x in points] for i in layers}
+def _gap_path(
+    weights: dict[str, Fraction], arcs: Iterable[tuple[str, str, int]], problem: LengthBound | Rmfc
+) -> CutInstance:
+    """A vertex-cut instance of s, t, ``weights``' nodes and undirected (u, v, length) arcs."""
     g = WeightedGraph()
-    g.add_node("s", None)
-    g.add_node("t", None)
-    for i, layer in ids.items():
-        for n, v in enumerate(layer):
-            g.add_node(v, weight(i, n))
-    return g, ids
-
-
-def _end_edges(first: Sequence[str], last: Sequence[str]) -> Iterator[EdgeRecord]:
-    """Unit edges from s to ``first`` and from ``last`` to t, point by point."""
-    for v, w in zip(first, last):
-        yield "s", v, False, 1, None
-        yield w, "t", False, 1, None
+    for v, weight in {"s": None, "t": None, **weights}.items():
+        g.add_node(v, weight)
+    g.add_edges((u, v, False, length, None) for u, v, length in arcs)
+    return CutInstance(graph=g, mode=VERTEX, problem=problem)
 
 
 def build_saks_gap(r: int, k: int) -> CutInstance:
@@ -478,18 +492,14 @@ def build_dict_multicut(p: DictParamsM) -> CutInstance:
     size = _capped_power(p.r + 1, p.R, DEFAULT_MAX_NODES, "nodes")
     grid = _capped_power(p.r, p.k, DEFAULT_MAX_NODES, "nodes")
     guard(grid * size + 2 * p.k, DEFAULT_MAX_NODES, "nodes")
-    return _blow_up(
-        build_saks_gap(p.r, p.k),
-        star_noise_space(p.r, p.eps),
-        p.R,
-        _provenance("dict_multicut", p, "nodes with x_q in {*, 0}"),
-    )
+    prov = _provenance("dict_multicut", p, "nodes with x_q in {*, 0}")
+    return _blow_up(build_saks_gap(p.r, p.k), star_noise_space(p.r, p.eps), p.R, prov)
 
 
 def build_dict_edge(p: DictParamsE) -> CutInstance:
-    """Edge-cut length test: b+1 layers of hypercubes over (0..r-1)^R,
-    uncuttable long edges of length a between equal points, and short
-    unit edges weighted by the product successor noise."""
+    """Edge-cut length test: b+1 layers of hypercubes over (0..r-1)^R, unit
+    end edges point by point, uncuttable long edges of length a between
+    equal points, and short unit edges weighted by the product successor noise."""
     size = _capped_power(p.r, p.R, DEFAULT_MAX_NODES, "nodes")
     guard((p.b + 1) * size + 2, DEFAULT_MAX_NODES, "nodes")
     cube = _Cube(edge_noise_space(p.r), p.R)
@@ -497,81 +507,60 @@ def build_dict_edge(p: DictParamsE) -> CutInstance:
     guard((p.b + 2) * size + p.b * cube.moves, DEFAULT_MAX_EDGES, "edges")
     points = cube.points
     steps = [(n, m, cube.noise.product_pair_mass(points[n], points[m])) for n, m in cube.steps]
-    g, ids = _layered_graph(range(p.b + 1), points, lambda i, n: None)
-    g.add_edges(_end_edges(ids[0], ids[p.b]))
-    for src, dst in itertools.pairwise(ids.values()):
+    ids = [[point_id(f"v[{i}]", x) for x in points] for i in range(p.b + 1)]
+    g = WeightedGraph()
+    for v in ["s", "t", *itertools.chain(*ids)]:
+        g.add_node(v, None)
+    for v, w in zip(ids[0], ids[p.b]):
+        g.add_edges([("s", v, False, 1, None), (w, "t", False, 1, None)])
+    for src, dst in itertools.pairwise(ids):
         g.add_edges((v, w, False, p.a, None) for v, w in zip(src, dst))
         g.add_edges((src[n], dst[m], False, 1, mass) for n, m, mass in steps)
-    return CutInstance(
-        graph=g,
-        mode=EDGE,
-        problem=LengthBound("s", "t", max(1, p.a * (p.b - p.r + 1))),
-        provenance=_provenance(
-            "dict_edge", p, "short edges with y_q != x_q+1 mod r, or (x_q,y_q) = (0,1)"
-        ),
-    )
+    prov = _provenance("dict_edge", p, "short edges with y_q != x_q+1 mod r, or (x_q,y_q) = (0,1)")
+    return CutInstance(graph=g, mode=EDGE, problem=LengthBound("s", "t", p.need), provenance=prov)
+
+
+def vertex_gap_path(p: DictParamsV) -> CutInstance:
+    """The vertex-cut length test's gap instance: nodes v[0..b] of weight 1,
+    with arcs s -> v[i] of length a i + 1 then v[i] -> t of length
+    (b-i)a + 1 for each i, then each v[i] -> v[i+1] of length 1, then each
+    v[i] -> v[j] of length (j-i)a for j >= i+2, under the length bound p.need."""
+    path = [f"v[{i}]" for i in range(p.b + 1)]
+    arcs = []
+    for i, v in enumerate(path):
+        arcs += [("s", v, p.a * i + 1), (v, "t", (p.b - i) * p.a + 1)]
+    arcs += [(v, w, 1) for v, w in itertools.pairwise(path)]
+    arcs += [(v, path[j], (j - i) * p.a) for i, v in enumerate(path) for j in range(i + 2, p.b + 1)]
+    return _gap_path(dict.fromkeys(path, Fraction(1)), arcs, LengthBound("s", "t", p.need))
 
 
 def build_dict_vertex(p: DictParamsV) -> CutInstance:
-    """Vertex-cut length test: layers over (*, 0..r-1)^R, with x joined to
-    the support of x under the star noise space by unit edges to the next
-    layer and by long skip edges of length (j-i)a to later layers j, and
-    terminal edges whose lengths grow with the layer index."""
+    """Vertex-cut length test: ``vertex_gap_path`` blown up by the star
+    noise space, so its terminal edges interleave copy by copy."""
+    # refused from p before the O(b^2) gap arcs are listed: two terminal edges per
+    # node, (3r+1)^R moves (the star supports summed) per pair of layers
     nodes = (p.b + 1) * _capped_power(p.r + 1, p.R, DEFAULT_MAX_NODES, "nodes")
     guard(nodes + 2, DEFAULT_MAX_NODES, "nodes")
-    cube = _Cube(star_noise_space(p.r, p.eps), p.R)
-    # two terminal edges per node, then one block per pair of layers
-    guard(2 * nodes + (p.b + 1) * p.b // 2 * cube.moves, DEFAULT_MAX_EDGES, "edges")
-    g, ids = _layered_graph(range(p.b + 1), cube.points, lambda i, n: cube.masses[n])
-    g.add_edges(
-        rec
-        for i, layer in ids.items()
-        for v in layer
-        for rec in (
-            ("s", v, False, p.a * i + 1, None),
-            (v, "t", False, (p.b - i) * p.a + 1, None),
-        )
-    )
-    blocks = [(ids[i], ids[i + 1], 1) for i in range(p.b)] + [
-        (ids[i], ids[j], (j - i) * p.a) for i in range(p.b + 1) for j in range(i + 2, p.b + 1)
-    ]
-    g.add_edges(
-        (src[n], dst[m], False, length, None)
-        for src, dst, length in blocks
-        for n, m in cube.steps
-    )
-    return CutInstance(
-        graph=g,
-        mode=VERTEX,
-        problem=LengthBound("s", "t", max(1, p.a * (p.b - p.r + 2))),
-        provenance=_provenance("dict_vertex", p, "nodes with x_q in {*, 0}"),
-    )
+    moves = _capped_power(3 * p.r + 1, p.R, DEFAULT_MAX_EDGES, "edges")
+    guard(2 * nodes + (p.b + 1) * p.b // 2 * moves, DEFAULT_MAX_EDGES, "edges")
+    prov = _provenance("dict_vertex", p, "nodes with x_q in {*, 0}")
+    return _blow_up(vertex_gap_path(p), star_noise_space(p.r, p.eps), p.R, prov)
+
+
+def fire_gap_path(p: DictParamsF) -> CutInstance:
+    """The fire-containment test's gap instance: the path s - v[1] - ... -
+    v[b] - t of unit arcs, v[i] weighing i, with fire at s and target t."""
+    path = [f"v[{i}]" for i in range(1, p.b + 1)]
+    arcs = [(v, w, 1) for v, w in itertools.pairwise(["s", *path, "t"])]
+    weights = {v: Fraction(i) for i, v in enumerate(path, 1)}
+    return _gap_path(weights, arcs, Rmfc("s", frozenset({"t"})))
 
 
 def build_dict_rmfc(p: DictParamsF) -> CutInstance:
-    """Fire-containment test: layers 1..b over (*, 1..B)^R, with x joined
-    to the support of x under the fire noise space (equal points, stars
-    wild) in the next layer; layer i weighted by factor i."""
-    size = _capped_power(p.big_b + 1, p.R, DEFAULT_MAX_NODES, "nodes")
-    guard(p.b * size + 2, DEFAULT_MAX_NODES, "nodes")
-    cube = _Cube(fire_noise_space(p.big_b, p.eps), p.R)
-    # end edges, then one block per pair of consecutive layers
-    guard(2 * size + (p.b - 1) * cube.moves, DEFAULT_MAX_EDGES, "edges")
-    g, ids = _layered_graph(range(1, p.b + 1), cube.points, lambda i, n: i * cube.masses[n])
-    g.add_edges(_end_edges(ids[1], ids[p.b]))
-    g.add_edges(
-        (src[n], dst[m], False, 1, None)
-        for src, dst in itertools.pairwise(ids.values())
-        for n, m in cube.steps
-    )
-    return CutInstance(
-        graph=g,
-        mode=VERTEX,
-        problem=Rmfc("s", frozenset({"t"})),
-        provenance=_provenance(
-            "dict_rmfc", p, "day i saves nodes with x_q = * or B_(i-1) < x_q <= B_i"
-        ),
-    )
+    """Fire-containment test: ``fire_gap_path`` blown up by the fire noise
+    space (equal points, stars wild), layer i weighted by factor i."""
+    prov = _provenance("dict_rmfc", p, "day i saves nodes with x_q = * or B_(i-1) < x_q <= B_i")
+    return _blow_up(fire_gap_path(p), fire_noise_space(p.big_b, p.eps), p.R, prov)
 
 
 # -- the family registry ----------------------------------------------------
@@ -590,7 +579,7 @@ class SaksParams:
 
 
 TestParams = DictParamsM | DictParamsE | DictParamsV | DictParamsF
-# a post-cut property check's (label, ok, detail)
+# a post-cut property check's (label, ok, detail), as ``post_cut_check`` returns
 Verdict = tuple[str, bool, dict]
 
 
@@ -613,9 +602,7 @@ class Family:
     - ``exact_cost(params)``: the dictator cut's exact cost, where known;
     - ``cost_bound(params, eta)``: the bound on the cut's cost (on the
       largest day's cost for a schedule) when a fraction eta of the copies
-      is removed outright;
-    - ``check(params, inst, solution)``: the post-cut property, as
-      ``(label, ok, detail)``.
+      is removed outright.
 
     A family may declare ``cuttable(params)``: the number of cuttable
     elements of its build, counted from the params alone, or SizeGuard
@@ -638,7 +625,6 @@ class Family:
     rule: Callable[[Any], Callable[..., bool]] | None = None
     exact_cost: Callable[[Any], Fraction] | None = None
     cost_bound: Callable[[Any, Fraction], Fraction] | None = None
-    check: Callable[[Any, CutInstance, Any], Verdict] | None = None
     cuttable: Callable[[Any], int] | None = None
     symmetries: Callable[[Any], Iterable[dict[Element, Element]]] | None = None
 
@@ -698,24 +684,19 @@ def _vertex_cost(p: DictParamsV) -> Fraction:
     return (p.b + 1) * (p.eps + (1 - p.eps) / p.r)
 
 
-def _pairs_cut(p: DictParamsM, inst: CutInstance, cut: CutSolution) -> Verdict:
-    status = {
-        f"{s}->{t}": shortest_path_length(inst.graph, s, t, cut.elements)
-        for s, t in inst.problem.pairs
-    }
-    ok = all(d is None for d in status.values())
-    return "every pair disconnected", ok, {"pair_dist": status}
-
-
-def _distance_kept(need: int, inst: CutInstance, cut: CutSolution) -> Verdict:
-    problem = inst.problem
-    dist = shortest_path_length(inst.graph, problem.source, problem.sink, cut.elements)
-    ok = dist is None or dist >= need
-    return f"post-cut distance >= {need}", ok, {"dist": dist, "need": need}
-
-
-def _target_saved(p: DictParamsF, inst: CutInstance, schedule: Schedule) -> Verdict:
-    burnt = solvers.rmfc_simulate(inst, schedule).target_burnt
+def post_cut_check(p: TestParams, inst: CutInstance, cut: CutSolution | Schedule) -> Verdict:
+    """The post-cut property of ``inst``'s problem, which the dictator cut
+    of test ``p`` keeps: every pair disconnected, the s-t distance at least
+    ``p.need`` (a file's bound is not trusted), or the target never burnt."""
+    problem, g = inst.problem, inst.graph
+    if isinstance(problem, Multicut):
+        dist = {f"{s}->{t}": shortest_path_length(g, s, t, cut.elements) for s, t in problem.pairs}
+        return "every pair disconnected", all(d is None for d in dist.values()), {"pair_dist": dist}
+    if isinstance(problem, LengthBound):
+        dist = shortest_path_length(g, problem.source, problem.sink, cut.elements)
+        ok = dist is None or dist >= p.need
+        return f"post-cut distance >= {p.need}", ok, {"dist": dist, "need": p.need}
+    burnt = solvers.rmfc_simulate(inst, cut).target_burnt
     return "target never burnt", not burnt, {"target_burnt": burnt}
 
 
@@ -763,7 +744,6 @@ FAMILIES = {
         cost_bound=lambda p, eta: (
             Fraction(p.r) ** (p.k - 1) * (1 + p.r * p.eps + p.r * eta)
         ),
-        check=_pairs_cut,
         cuttable=lambda p: _cuttable(p.r, p.k) * _cuttable(p.r + 1, p.R),
     ),
     "dict-e": Family(
@@ -775,7 +755,6 @@ FAMILIES = {
         space=lambda p: edge_noise_space(p.r).left,
         rule=_broken_step,
         cost_bound=lambda p, eta: Fraction(2 * p.b, p.r) + 2 * eta * p.b,
-        check=lambda p, inst, cut: _distance_kept(p.a * (p.b - p.r + 1), inst, cut),
         cuttable=lambda p: p.b * _cuttable(p.r * p.r, p.R),
     ),
     "dict-v": Family(
@@ -788,7 +767,6 @@ FAMILIES = {
         rule=_star_or_zero,
         exact_cost=_vertex_cost,
         cost_bound=lambda p, eta: _vertex_cost(p) + eta * (p.b + 1),
-        check=lambda p, inst, cut: _distance_kept(p.a * (p.b - p.r + 2), inst, cut),
         cuttable=lambda p: (p.b + 1) * _cuttable(p.r + 1, p.R),
     ),
     "dict-f": Family(
@@ -800,7 +778,6 @@ FAMILIES = {
         space=lambda p: fire_noise_space(p.big_b, p.eps).left,
         rule=_fire_day,
         cost_bound=lambda p, eta: p.b * p.eps + 1 / harmonic(p.b) + p.b * eta,
-        check=_target_saved,
     ),
 }
 
@@ -847,11 +824,14 @@ def family_of_kind(kind: object) -> Family | None:
     return _KINDS.get(kind) if isinstance(kind, str) else None
 
 
-def dictator_family(kind: object) -> Family:
-    """The dictatorship test whose provenance generator name is ``kind``."""
+def dictator_family(kind: object, params: object = None) -> Family:
+    """The dictatorship test whose provenance generator name is ``kind``;
+    ParamOutOfRange if ``params`` is given and is not its params record."""
     family = family_of_kind(kind)
     if family is None or family.rule is None:
         raise UnknownGenerator(f"no dictator test of kind {kind!r}")
+    if params is not None and not isinstance(params, family.record):
+        raise ParamOutOfRange(f"{kind} takes {family.record.__name__}, not {type(params).__name__}")
     return family
 
 
@@ -890,7 +870,7 @@ def dictator_cut(
     ``q`` is 0-based. For the edge test the elements are edge indices of
     the built instance; pass ``instance`` to reuse an existing build.
     """
-    family = dictator_family(kind)
+    family = dictator_family(kind, params)
     if not 0 <= q < params.R:
         raise CoordinateOutOfRange(f"q = {q} outside 0..{params.R - 1}")
     inst = instance if instance is not None else family.build(params)

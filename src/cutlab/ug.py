@@ -202,7 +202,7 @@ def compose(
     endpoints and length are merged by weight summation. Terminal edges
     are replicated once per w-side vertex.
     """
-    family = dictator_family(kind)
+    family = dictator_family(kind, params)
     if params.R != ug.R:
         raise LabelMismatch(f"test has R = {params.R}, instance has R = {ug.R}")
     max_nodes = gadgets.DEFAULT_MAX_NODES
@@ -345,7 +345,7 @@ def completeness_cut(
         else solution.max_day_cost()
     )
     bound = family.cost_bound(params, eta)
-    _, prop_ok, detail = family.check(params, composed, solution)
+    _, prop_ok, detail = gadgets.post_cut_check(params, composed, solution)
     return CompletenessCertificate(
         solution=solution,
         cost=cost,

@@ -166,9 +166,11 @@ class TestGenerate:
         ("dict-v", "a=2,b=3,r=3,R=4,eps=1/20"): "be88b7ffb5a26e99d20695b00f89f63ce9f6ba364d1b791f34e69ebc5cd3c1d6",
         ("dict-v", "a=2,b=5,r=3,R=3,eps=1/20"): "b29c0e4167de8f4345860a1585eee058a46e959fa737db51480c3368898ef255",
         ("dict-v", "a=1,b=1,r=2,R=2,eps=1/5"): "9e820924896e245179000b2f9ed4b6ff6377043b0e47415075e2d93d447207a3",
-        ("dict-f", "b=2,R=1,eps=1/100"): "7a019a79fd5aee88bbbdffe51fd98fac8d6e5521817b71c90445e0e52fe1d423",
-        ("dict-f", "b=3,R=1,eps=1/1000"): "8a210e5db1371c179536ace829a4bb1c4b7bd3e9fbc886daffc4e6b86d0acaf4",
-        ("dict-f", "b=2,R=2,eps=1/100"): "cce64a8c2f1528f39a66226c4c1f596637914842d96fae25f135df425e047a92",
+        # dict-f at b >= 2 lists s -> v[1] and v[b] -> t apart, as the blow-up
+        # of its gap path does; the edge multiset is unchanged (see below)
+        ("dict-f", "b=2,R=1,eps=1/100"): "7f89f95150d52415bcc9bf856eda05adeee3e92ee8cd3314b2547e78285113f2",
+        ("dict-f", "b=3,R=1,eps=1/1000"): "026b229ef089481da025bcc3298a3366eff3fd70687497eeed8a3f43be2ad6eb",
+        ("dict-f", "b=2,R=2,eps=1/100"): "29e13f0fdbcc2686740181188b6e41268d8f7331e346edc56182eefeb9770ee3",
         # corner cases: one pair, five pairs, one coordinate, a single
         # short-edge block, b = r - 2, and one fire layer (first = last)
         ("saks", "r=3,k=1"): "2fc7d302b2d609c6f7e9ca0fcdc8977cebfa1abdbc9d09b1d8d90f27072ae247",
@@ -180,12 +182,41 @@ class TestGenerate:
         ("dict-f", "b=1,R=2,eps=1/3"): "71daef92c08caca0567980282b29e85ba0c45c4bf1c550c2963655544c8c8097",
     }
 
+    # SHA-256 of the re-pinned files' edge entries, each as sorted-key JSON,
+    # sorted, and of everything but the edges, both recorded while these
+    # files still interleaved the end edges: only the edge order moved
+    FROZEN_SORTED_EDGES_SHA256 = {
+        ("dict-f", "b=2,R=1,eps=1/100"): (
+            "b7474e8b08e136de115c8507e96879bd59fe8e662c1dd9a9d51e293fac244540",
+            "9c2739c7d96cb252da3fe8385c3de3860792815f10f2f29db732a930428e3507",
+        ),
+        ("dict-f", "b=3,R=1,eps=1/1000"): (
+            "5d98eed4904e90b8a81e8497695056b75a6130493f53b83b64532a7c7c96cbd0",
+            "b8aa25ed7d505df5658709b3f011de415fd03b150c3b5406d085bd23fc8b0825",
+        ),
+        ("dict-f", "b=2,R=2,eps=1/100"): (
+            "c2e24ff32e1fe1cbd33e4215fd6b56f01f27ae268f08ef494a524d80bdadfafc",
+            "496ce12e241620b3649a7d6b6d0ef65e2bc3a63cf5d1423ec2d77b25c21c537e",
+        ),
+    }
+
     @pytest.mark.parametrize("family, params", sorted(FROZEN_SHA256))
     def test_output_bytes_frozen(self, family, params, capsys):
         assert main(["generate", "--family", family, "--params", params]) == 0
         out = capsys.readouterr().out
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == self.FROZEN_SHA256[(family, params)]
+
+    @pytest.mark.parametrize("family, params", sorted(FROZEN_SORTED_EDGES_SHA256))
+    def test_repinned_files_keep_their_edge_multiset(self, family, params, capsys):
+        assert main(["generate", "--family", family, "--params", params]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        edges = sorted(json.dumps(e, sort_keys=True) for e in doc.pop("edges"))
+        digests = (
+            hashlib.sha256("\n".join(edges).encode()).hexdigest(),
+            hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(),
+        )
+        assert digests == self.FROZEN_SORTED_EDGES_SHA256[(family, params)]
 
 
 class TestVerify:
@@ -450,6 +481,24 @@ class TestGapTable:
         assert lines[0] == "family,params,lp_value,integral_value,gap,wall_ms"
         assert lines[1] == "saks,k=2;r=2,2/1,3/1,3/2,0"
         assert lines[2] == "saks,k=2;r=3,3/1,5/1,5/3,0"
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [("saks", "k=2,r=2..3"), ("dict-e", "a=1..2,b=1,r=2,R=1"), ("dict-f", "b=1..2,R=1,eps=1/100")],
+    )
+    def test_timings_fill_only_the_wall_column(self, family, params, capsys):
+        # --timings writes each row's wall time in whole milliseconds, error
+        # rows too; every other cell is the run's without the flag
+        argv = ["gap-table", "--family", family, "--params", params]
+        plain, timed = run_cli(capsys, argv), run_cli(capsys, argv + ["--timings"])
+        assert plain[0] == timed[0] and plain[2] == timed[2] == ""
+        plain_rows = [line.split(",") for line in plain[1].splitlines()]
+        timed_rows = [line.split(",") for line in timed[1].splitlines()]
+        assert timed_rows[0] == plain_rows[0] == CSV_HEADER.split(",")
+        assert len(timed_rows) == len(plain_rows) == 3
+        for plain_row, timed_row in zip(plain_rows[1:], timed_rows[1:]):
+            assert timed_row[:-1] == plain_row[:-1] and plain_row[-1] == "0"
+            assert timed_row[-1].isdigit() and int(timed_row[-1]) >= 0
 
     def test_empty_range_rejected(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"
@@ -950,6 +999,16 @@ class TestRegistry:
         code, out, err = run_cli(capsys, ["verify", "--instance", str(path)])
         assert "PASS  post-cut distance >= 4\n" in out
         assert (code, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize(
+        "family, params", [("dict-e", "a=1,b=1,r=2,R=1"), ("dict-v", "a=3,b=1,r=3,R=2,eps=1/7")]
+    )
+    def test_verify_needs_the_bound_at_the_floor(self, family, params, capsys):
+        # at b = r - 1 (dict-e) and b = r - 2 (dict-v) a(b-r+1) and a(b-r+2)
+        # are 0, and the build's bound is 1: the check asks for that 1
+        code, out, err = run_cli(capsys, ["verify", "--family", family, "--params", params])
+        assert (code, err) == (0, "")
+        assert "PASS  post-cut distance >= 1\n" in out
 
     def test_rmfc_instance_resolves_family_from_provenance(self, tmp_path, capsys):
         params = "b=3,R=1,eps=1/1000"

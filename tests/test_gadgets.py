@@ -133,6 +133,13 @@ class TestDictMulticut:
         with pytest.raises(CoordinateOutOfRange):
             dictator_cut("dict_multicut", p, 1)
 
+    def test_record_of_another_family_refused(self):
+        # the dict-v record has every field dict-e reads, so without the
+        # check this built a dict-e test and returned a cut of cost 5/8
+        p = DictParamsV(1, 1, 2, 1, Fraction(1, 5))
+        with pytest.raises(ParamOutOfRange, match="dict_edge takes DictParamsE, not DictParamsV"):
+            dictator_cut("dict_edge", p, 0)
+
 
 class TestDictEdge:
     def test_total_finite_weight_is_b(self):
@@ -221,6 +228,39 @@ class TestDictVertex:
             if e.head == "t":
                 layer = int(e.tail.split("]")[0][2:])
                 assert e.length == (3 - layer) * 2 + 1
+
+    def test_refused_before_the_gap_path(self, monkeypatch):
+        """a=1, b=20000 passes the node cap (60,003 nodes), but its gap path
+        has about 2 * 10^8 arcs; the edge guard refuses it from the params
+        before the gap path or the noise space is made."""
+
+        def unmade(*args):
+            raise AssertionError("made before the refusal")
+
+        monkeypatch.setattr(gadgets, "vertex_gap_path", unmade)
+        monkeypatch.setattr(gadgets, "star_noise_space", unmade)
+        with pytest.raises(SizeGuard, match=r"would have 1400190006 edges \(cap 500000\)"):
+            build_dict_vertex(DictParamsV(1, 20000, 2, 1, Fraction(1, 5)))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        DictParamsE(4, 3, 2, 1),
+        DictParamsE(2, 1, 2, 1),
+        DictParamsE(3, 2, 3, 1),
+        DictParamsV(4, 4, 3, 1, Fraction(1, 20)),
+        DictParamsV(3, 1, 3, 1, Fraction(1, 7)),
+        DictParamsV(2, 2, 4, 1, Fraction(1, 9)),
+    ],
+    ids=str,
+)
+def test_need_is_the_builds_length_bound(p):
+    """``need`` is a(b-r+1) for dict-e and a(b-r+2) for dict-v, and 1 where
+    that is 0 (b = r-1 and b = r-2): the bound every build writes."""
+    offset = 1 if isinstance(p, DictParamsE) else 2
+    build = build_dict_edge if isinstance(p, DictParamsE) else build_dict_vertex
+    assert p.need == max(1, p.a * (p.b - p.r + offset)) == build(p).problem.bound
 
 
 class TestDictRmfc:
@@ -426,8 +466,9 @@ class TestBlowUp:
             assert shortest_path_length(h, "s", "t", cut) is None
 
     def test_no_block_to_block_arc_lists_no_moves(self, monkeypatch):
-        """s -> a -> t: both arcs fan out at a terminal, so none of the
-        block's 7^8 moves is listed and ``support`` is never called."""
+        """s -> a -> t: both arcs join a terminal to a, so none of the
+        block's 7^8 moves is listed and ``support`` is never called; the two
+        arcs are consecutive at a, so they interleave point by point."""
 
         def unlisted(space, x):
             raise AssertionError("moves were listed")
@@ -445,8 +486,60 @@ class TestBlowUp:
         assert h.nodes == ["s", "t", *a]
         for x, u in zip(points, a):
             assert h.node_weight(u) == 2 * product_mass(noise.left, x)
-        expect = [("s", u) for u in a] + [(u, "t") for u in a]
+        expect = [edge for u in a for edge in [("s", u), (u, "t")]]
         assert [(e.tail, e.head) for e in h.edges] == expect
+
+    @staticmethod
+    def blown_rows(arcs, R=1):
+        """The rows of the blow-up, by the star space at r = 2, of a gap
+        instance on s, t and blocks a and b with the given (tail, head,
+        length) arcs, and each block's point ids."""
+        g = WeightedGraph()
+        for v, w in [("s", None), ("t", None), ("a", Fraction(1)), ("b", Fraction(1))]:
+            g.add_node(v, w)
+        g.add_edges((tail, head, False, length, None) for tail, head, length in arcs)
+        gap = CutInstance(graph=g, mode=VERTEX, problem=Multicut((("s", "t"),)))
+        noise = star_noise_space(2, Fraction(1, 5))
+        test = gadgets._blow_up(gap, noise, R, {"generator": "path"})
+        points = list(itertools.product(noise.left.atoms, repeat=R))
+        ids = {v: [gadgets.point_id(v, x) for x in points] for v in "ab"}
+        return [row[:2] + row[3:4] for row in test.graph.edge_rows], ids
+
+    def test_consecutive_terminal_arcs_at_a_block_interleave(self):
+        # three arcs at a in a row, in both directions: at each point, each
+        # arc of the run in the run's order; then b's run of one
+        rows, ids = self.blown_rows(
+            [("s", "a", 1), ("a", "t", 2), ("t", "a", 3), ("b", "t", 4)], R=2
+        )
+        expect = [arc for u in ids["a"] for arc in [("s", u, 1), (u, "t", 2), ("t", u, 3)]]
+        assert rows == expect + [(v, "t", 4) for v in ids["b"]]
+
+    def test_terminal_arcs_apart_fan_out_arc_by_arc(self):
+        # s -> a and a -> t are split by a -> b, and s -> a, s -> b meet
+        # different blocks: each arc fans out over its block alone
+        rows, ids = self.blown_rows([("s", "a", 1), ("s", "b", 2), ("a", "b", 3), ("a", "t", 4)])
+        noise = star_noise_space(2, Fraction(1, 5))
+        moves = [
+            (gadgets.point_id("a", (x,)), gadgets.point_id("b", y), 3)
+            for x in noise.left.atoms
+            for y in support(noise, (x,))
+        ]
+        assert rows == [
+            *[("s", u, 1) for u in ids["a"]],
+            *[("s", v, 2) for v in ids["b"]],
+            *moves,
+            *[(u, "t", 4) for u in ids["a"]],
+        ]
+
+    def test_terminal_to_terminal_arc_stays_one_edge(self):
+        # s -> t is one edge, and between two arcs at a it splits their run
+        rows, ids = self.blown_rows([("s", "t", 5), ("s", "a", 1), ("s", "t", 6), ("a", "t", 2)])
+        assert rows == [
+            ("s", "t", 5),
+            *[("s", u, 1) for u in ids["a"]],
+            ("s", "t", 6),
+            *[(u, "t", 2) for u in ids["a"]],
+        ]
 
 
 class TestDeterminism:

@@ -10,6 +10,7 @@ from cutlab.errors import (
     InfeasibleDegrees,
     LabelingNotPerfectOnWPrime,
     LabelMismatch,
+    ParamOutOfRange,
     SizeGuard,
     WrongProblemType,
 )
@@ -119,6 +120,12 @@ class TestCompose:
     def test_label_count_must_match(self):
         with pytest.raises(LabelMismatch):
             compose(identity_ug(2), "dict_vertex", DictParamsV(4, 4, 3, 1, Fraction(1, 20)))
+
+    def test_record_of_another_family_refused(self):
+        # the dict-e record has no eps, which the dict-v build reads: this
+        # was an AttributeError, not a CutLabError
+        with pytest.raises(ParamOutOfRange, match="dict_vertex takes DictParamsV, not DictParamsE"):
+            compose(identity_ug(2), "dict_vertex", DictParamsE(1, 1, 2, 2))
 
     def test_node_cap(self, monkeypatch):
         # the gadget has 11 nodes, 9 of them inner; two copies need 2 * 9 + 2
